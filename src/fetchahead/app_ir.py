@@ -30,13 +30,27 @@ plus the three pseudo-statements emitted by the instrumenter:
     trigger_prefetch(<u1>, <u2>, ...)
     fetch_from_proxy(<netmethod>, <urlId>)
 
-String literals may not contain double quotes; there are no escapes.
+String literals may not contain double quotes or line breaks; there are
+no escapes.
+
+Every `App` carries a `ProgramIndex` (`App.index`): the lookup tables that
+analysis, instrumentation and the runtime consult (definitions by
+variable, URL spot and fetch method by url id, body by name, whether the
+app is instrumented, callback declaration order), built in one pass over
+`App.containers()` on first use and cached on the instance. The index
+needs no invalidation: an `App` is frozen and its bodies are tuples of
+frozen statements, so the program it indexes cannot change, and every
+rewrite (`dataclasses.replace`) makes a new `App` with a fresh index.
+`Ccfg` and `Ecg` cache their adjacency the same way on their own
+instances, because trigger analysis also accepts graphs that are not the
+app's own.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Union
 
 from .errors import ParseError
@@ -174,10 +188,24 @@ class Ccfg:
     edges: tuple[tuple[str, str], ...] = ()
 
     def successors(self, node: str) -> list[str]:
-        return [b for a, b in self.edges if a == node]
+        return list(self._adjacency[0].get(node, ()))
 
     def predecessors(self, node: str) -> list[str]:
-        return [a for a, b in self.edges if b == node]
+        return list(self._adjacency[1].get(node, ()))
+
+    @cached_property
+    def wait_set(self) -> frozenset[str]:
+        return frozenset(self.wait_nodes)
+
+    @cached_property
+    def _adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """(successors, predecessors) by node, each list in edge order."""
+        succ: dict[str, list[str]] = {}
+        pred: dict[str, list[str]] = {}
+        for a, b in self.edges:
+            succ.setdefault(a, []).append(b)
+            pred.setdefault(b, []).append(a)
+        return succ, pred
 
 
 @dataclass(frozen=True)
@@ -194,6 +222,68 @@ class Ecg:
 
     nodes: tuple[str, ...]
     edges: tuple[EcgEdge, ...]
+
+    @cached_property
+    def callers(self) -> dict[str, list[str]]:
+        """Reverse graph: node -> sources of its incoming edges, in edge
+        order. Shared; do not mutate."""
+        reverse: dict[str, list[str]] = {}
+        for e in self.edges:
+            reverse.setdefault(e.dst, []).append(e.src)
+        return reverse
+
+
+@dataclass(frozen=True)
+class ProgramIndex:
+    """Whole-program lookup tables of one App (see the module docstring).
+
+    The tables are shared by every caller and must not be mutated; the
+    App accessors that hand them out return copies.
+    """
+
+    # name -> body of the first container with that name, in program order
+    bodies: dict[str, tuple[Stmt, ...]]
+    # var -> (container, stmt index, definition) for each definition, in
+    # program order
+    definitions: dict[str, list[tuple[str, int, Stmt]]]
+    # url id -> (container, stmt index, BuildUrl) of its first URL spot
+    url_spots: dict[str, tuple[str, int, BuildUrl]]
+    # url id -> method of its first fetch_from_proxy, else of its first
+    # net call
+    fetch_methods: dict[str, str]
+    instrumented: bool
+    # callback name -> position in declaration order
+    callback_order: dict[str, int]
+
+
+def _build_index(app: "App") -> ProgramIndex:
+    bodies: dict[str, tuple[Stmt, ...]] = {}
+    definitions: dict[str, list[tuple[str, int, Stmt]]] = {}
+    url_spots: dict[str, tuple[str, int, BuildUrl]] = {}
+    net_methods: dict[str, str] = {}
+    proxy_methods: dict[str, str] = {}
+    instrumented = False
+    for name, body in app.containers():
+        bodies.setdefault(name, body)
+        for idx, st in enumerate(body):
+            if isinstance(st, (DefineStatic, DefineDynamic)):
+                definitions.setdefault(st.var, []).append((name, idx, st))
+            elif isinstance(st, BuildUrl):
+                url_spots.setdefault(st.url_id, (name, idx, st))
+            elif isinstance(st, NetCall):
+                net_methods.setdefault(st.url_id, st.method)
+            elif isinstance(st, PSEUDO_STMTS):
+                instrumented = True
+                if isinstance(st, FetchFromProxy):
+                    proxy_methods.setdefault(st.url_id, st.original_method)
+    return ProgramIndex(
+        bodies=bodies,
+        definitions=definitions,
+        url_spots=url_spots,
+        fetch_methods={**net_methods, **proxy_methods},
+        instrumented=instrumented,
+        callback_order={c.name: i for i, c in enumerate(app.callbacks)},
+    )
 
 
 @dataclass(frozen=True)
@@ -224,40 +314,26 @@ class App:
         for m in self.methods:
             yield m.name, m.body
 
+    @cached_property
+    def index(self) -> ProgramIndex:
+        """The program's lookup tables, built on first use."""
+        return _build_index(self)
+
     def body_of(self, name: str) -> tuple[Stmt, ...] | None:
-        for n, body in self.containers():
-            if n == name:
-                return body
-        return None
+        return self.index.bodies.get(name)
 
     def url_spots(self) -> dict[str, tuple[str, int, BuildUrl]]:
         """url id -> (container, statement index, BuildUrl) in program order."""
-        spots: dict[str, tuple[str, int, BuildUrl]] = {}
-        for name, body in self.containers():
-            for idx, st in enumerate(body):
-                if isinstance(st, BuildUrl) and st.url_id not in spots:
-                    spots[st.url_id] = (name, idx, st)
-        return spots
+        return dict(self.index.url_spots)
 
     def fetch_method_for(self, url_id: str) -> str | None:
-        """Net method used at the first fetch statement for a URL, if any."""
-        for _, body in self.containers():
-            for st in body:
-                if isinstance(st, FetchFromProxy) and st.url_id == url_id:
-                    return st.original_method
-        for _, body in self.containers():
-            for st in body:
-                if isinstance(st, NetCall) and st.url_id == url_id:
-                    return st.method
-        return None
+        """Net method used at the first fetch statement for a URL, if any;
+        a fetch_from_proxy takes precedence over a plain net call."""
+        return self.index.fetch_methods.get(url_id)
 
     @property
     def is_instrumented(self) -> bool:
-        return any(
-            isinstance(st, PSEUDO_STMTS)
-            for _, body in self.containers()
-            for st in body
-        )
+        return self.index.instrumented
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +676,19 @@ def parse_app(text: str) -> App:
 # validation
 # ---------------------------------------------------------------------------
 
+# what a `.papp` string literal cannot hold: it has no escapes, and the
+# parser splits its input with str.splitlines()
+_UNPRINTABLE_RE = re.compile('["\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]')
+
+
+def _printable(value: str) -> bool:
+    return _UNPRINTABLE_RE.search(value) is None
+
+
+def _unprintable(value: str) -> str:
+    return f"string {value!r} contains a double quote or a line break"
+
+
 def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
     """Structural defects as ((container, stmt_index) | None, message)."""
     problems: list[tuple[tuple[str, int] | None, str]] = []
@@ -652,12 +741,16 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
                         problems.append(
                             (loc, f"unresolved variable '{part.value}'")
                         )
+                    elif part.kind == "literal" and not _printable(part.value):
+                        problems.append((loc, _unprintable(part.value)))
+            elif isinstance(st, DefineStatic):
+                if st.source_kind == "literal" and not _printable(st.source):
+                    problems.append((loc, _unprintable(st.source)))
             elif isinstance(st, SendDefinition):
                 if st.url_id not in url_owner:
                     problems.append((loc, f"unresolved url '{st.url_id}'"))
                 else:
-                    spot = url_owner[st.url_id]
-                    arity = len(app.body_of(spot[0])[spot[1]].parts)
+                    arity = len(app.index.url_spots[st.url_id][2].parts)
                     if not 1 <= st.part_index <= arity:
                         problems.append(
                             (loc, f"url '{st.url_id}' has no part {st.part_index}")
@@ -669,6 +762,11 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
                 # so resolution is not required; the proxy skips unknowns
                 if not st.url_ids:
                     problems.append((loc, "trigger_prefetch needs at least one url"))
+
+    for kind, table in (("resource", app.resources), ("setting", app.settings)):
+        for key, value in table.items():
+            if not _printable(value):
+                problems.append((None, f"{kind} '{key}': {_unprintable(value)}"))
 
     waits = set(app.ccfg.wait_nodes)
     ccfg_nodes = callbacks | waits

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .app_ir import App, Ccfg, Ecg, NetCall
 from .errors import AnalysisError
-from .runtime import NetModel, Trace, run_trace
+from .runtime import NetModel, RunLog, Trace, run_trace
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,16 @@ class TriggerMap:
 
 
 def profile_fetch_signature(app: App, trace: Trace, net: NetModel) -> FetchSignature:
-    """Run the original app and pick the net method with the largest
-    cumulative simulated time; ties break to the lexicographically
-    smaller name."""
+    """Run the original app and pick its fetch signature from the run."""
     if app.is_instrumented:
         raise AnalysisError("profiling runs on the original app")
-    log = run_trace(app, trace, net)
+    return signature_from_log(run_trace(app, trace, net))
+
+
+def signature_from_log(log: RunLog) -> FetchSignature:
+    """The net method with the largest cumulative simulated time in a run
+    of the original app; ties break to the lexicographically smaller
+    name."""
     totals: dict[str, int] = {}
     for d in log.demands():
         totals[d.method] = totals.get(d.method, 0) + d.response_time_ms
@@ -63,33 +67,29 @@ def heuristic_fetch_signature(app: App) -> FetchSignature:
 def _entry_callbacks(app: App, ecg: Ecg, method: str) -> list[str]:
     """Callbacks that can reach `method` in the ECG (the method itself if
     it is a callback), in declaration order."""
-    reverse: dict[str, list[str]] = {}
-    for e in ecg.edges:
-        reverse.setdefault(e.dst, []).append(e.src)
+    callers = ecg.callers
     seen = {method}
     stack = [method]
     while stack:
         node = stack.pop()
-        for pred in reverse.get(node, ()):
+        for pred in callers.get(node, ()):
             if pred not in seen:
                 seen.add(pred)
                 stack.append(pred)
-    order = {name: i for i, name in enumerate(app.callback_names)}
+    order = app.index.callback_order
     return sorted((n for n in seen if n in order), key=order.__getitem__)
 
 
 def _wait_separated_predecessors(app: App, ccfg: Ccfg, target: str) -> list[str]:
     """Callbacks p with a path p -> wait -> target of length exactly two."""
-    waits = set(ccfg.wait_nodes)
-    callbacks = set(app.callback_names)
+    order = app.index.callback_order
     preds = []
     for w in ccfg.predecessors(target):
-        if w not in waits:
+        if w not in ccfg.wait_set:
             continue
         for p in ccfg.predecessors(w):
-            if p in callbacks and p not in preds:
+            if p in order and p not in preds:
                 preds.append(p)
-    order = {name: i for i, name in enumerate(app.callback_names)}
     return sorted(preds, key=order.__getitem__)
 
 

@@ -21,6 +21,7 @@ from .callback_analysis import (
     heuristic_fetch_signature,
     identify_trigger_callbacks,
     profile_fetch_signature,
+    signature_from_log,
     trigger_map_from_json_obj,
     trigger_map_to_json_obj,
 )
@@ -252,7 +253,12 @@ def _cmd_pipeline(args) -> int:
     hints = _load_hints(args.hints)
 
     url_map = analyze_urls(app)
-    sig = _pick_signature(app, args)
+    # the baseline run doubles as the profiling run
+    base = run_trace(app, trace, net)
+    if args.signature:
+        sig = FetchSignature(args.signature)
+    else:
+        sig = signature_from_log(base)
     trigger_map = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
     _write_text(str(outdir / "urlmap.json"), _dump_json(url_map_to_json_obj(url_map)))
     _write_text(str(outdir / "triggermap.json"),
@@ -263,7 +269,6 @@ def _cmd_pipeline(args) -> int:
         ia = apply_hints(ia, hints)
     _write_text(str(outdir / "optimized.papp"), print_app(ia.app))
 
-    base = run_trace(app, trace, net)
     opt = run_trace(ia, trace, net, seed_url_map=url_map, hints=hints)
     _write_text(str(outdir / "runlog_base.json"), base.canonical_json())
     _write_text(str(outdir / "runlog_opt.json"), opt.canonical_json())

@@ -93,14 +93,16 @@ def instrument(
     # Ordered by the app's URL program order, not the url map's dict
     # order, so a JSON round trip of the map cannot change the output.
     insertions: dict[tuple[str, int], list[SendDefinition]] = {}
-    url_order = {uid: i for i, uid in enumerate(app.url_spots())}
+    bodies = app.index.bodies
+    url_order = {uid: i for i, uid in enumerate(app.index.url_spots)}
     for url_id, parts in url_map.entries.items():
         for state in parts:
             if not isinstance(state, Unknown):
                 continue
             for spot in state.spots:
-                body = app.body_of(spot.container)
-                st = body[spot.stmt_index]
+                body = bodies.get(spot.container, ())
+                st = (body[spot.stmt_index]
+                      if 0 <= spot.stmt_index < len(body) else None)
                 if not isinstance(st, (DefineStatic, DefineDynamic)):
                     raise InstrumentError(
                         f"definition spot {spot.container}[{spot.stmt_index}] "
@@ -139,7 +141,7 @@ def instrument(
         HelperMethod(m.name, rewrite_body(m.name, m.body)) for m in app.methods
     )
     for trigger in trigger_map.entries:
-        if trigger not in app.callback_names:
+        if trigger not in app.index.callback_order:
             raise InstrumentError(f"trigger map names unknown callback '{trigger}'")
     return InstrumentedApp(
         replace(app, callbacks=callbacks, methods=methods), provenance
@@ -155,30 +157,27 @@ def apply_hints(ia: InstrumentedApp, hints: Hints) -> InstrumentedApp:
     final statement.
     """
     app = ia.app
-    known_urls = set(app.url_spots())
+    url_spots = app.index.url_spots
     extra_urls = {h.url_id for h in hints.extra_static_urls}
-    url_arity = {
-        uid: len(spot.parts) for uid, (_, _, spot) in app.url_spots().items()
-    }
     for extra in hints.extra_static_urls:
-        if extra.url_id in known_urls:
+        if extra.url_id in url_spots:
             raise InstrumentError(
                 f"hint url '{extra.url_id}' already exists in the app"
             )
     for rule in hints.rewrite_rules:
-        if rule.url_id not in known_urls:
+        if rule.url_id not in url_spots:
             raise InstrumentError(f"rewrite rule names unknown url '{rule.url_id}'")
-        if not 1 <= rule.part_index <= url_arity[rule.url_id]:
+        if not 1 <= rule.part_index <= len(url_spots[rule.url_id][2].parts):
             raise InstrumentError(
                 f"rewrite rule names missing part {rule.url_id}[{rule.part_index}]"
             )
     for entry in hints.extra_trigger_entries:
-        if entry.callback not in app.callback_names:
+        if entry.callback not in app.index.callback_order:
             raise InstrumentError(f"hint names unknown callback '{entry.callback}'")
         if not entry.url_ids:
             raise InstrumentError("hint trigger entry has an empty url list")
         for uid in entry.url_ids:
-            if uid not in known_urls and uid not in extra_urls:
+            if uid not in url_spots and uid not in extra_urls:
                 raise InstrumentError(f"hint names unknown url '{uid}'")
 
     if not hints.extra_trigger_entries:

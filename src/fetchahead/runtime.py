@@ -247,11 +247,35 @@ def trace_to_json_obj(trace: Trace) -> list:
     ]
 
 
+def _count(value, what: str) -> int:
+    """A JSON integer >= 0; booleans and floats are not integers."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise RunError(f"{what} must be an integer >= 0, got {value!r}")
+    return value
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise RunError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def trace_from_json_obj(obj: list) -> Trace:
-    return Trace(tuple(
-        TraceStep(s["event"], int(s.get("think_ms", 0)), dict(s.get("inputs", {})))
-        for s in obj
-    ))
+    """Validated trace; raises RunError naming the offending step."""
+    if not isinstance(obj, list):
+        raise RunError("trace must be a JSON list of steps")
+    steps = []
+    for k, s in enumerate(obj):
+        s = _object(s, f"trace step {k}")
+        if not isinstance(s.get("event"), str):
+            raise RunError(f"trace step {k} needs an 'event' string")
+        inputs = _object(s.get("inputs", {}), f"trace step {k} inputs")
+        for tag, value in inputs.items():
+            if not isinstance(value, str):
+                raise RunError(f"trace step {k} input '{tag}' must be a string")
+        think_ms = _count(s.get("think_ms", 0), f"trace step {k} think_ms")
+        steps.append(TraceStep(s["event"], think_ms, dict(inputs)))
+    return Trace(tuple(steps))
 
 
 def net_model_to_json_obj(net: NetModel) -> dict:
@@ -273,21 +297,29 @@ def net_model_to_json_obj(net: NetModel) -> dict:
 
 
 def net_model_from_json_obj(obj: dict) -> NetModel:
-    costs = obj.get("costs", {})
-    if int(obj.get("threshold", 5)) < 1:
+    """Validated net model; raises RunError naming the offending key."""
+    obj = _object(obj, "net config")
+    threshold = _count(obj.get("threshold", 5), "net config threshold")
+    if threshold < 1:
         raise RunError("net config threshold must be >= 1")
-    if obj.get("default_latency_ms") is not None and obj["default_latency_ms"] < 0:
-        raise RunError("net config latency must be >= 0")
+    default = obj.get("default_latency_ms")
+    if default is not None:
+        _count(default, "net config default_latency_ms")
+    per_method = _object(obj.get("per_method", {}), "net config per_method")
+    for method, ms in per_method.items():
+        _count(ms, f"net config latency of '{method}'")
+    server = _object(obj.get("server", {}), "net config server")
+    costs = _object(obj.get("costs", {}), "net config costs")
     return NetModel(
-        default_latency_ms=obj.get("default_latency_ms"),
-        per_method=dict(obj.get("per_method", {})),
-        server=dict(obj.get("server", {})),
-        threshold=int(obj.get("threshold", 5)),
-        costs=Costs(
-            send_definition_ms=int(costs.get("send_definition_ms", 0)),
-            trigger_prefetch_ms=int(costs.get("trigger_prefetch_ms", 0)),
-            fetch_from_proxy_ms=int(costs.get("fetch_from_proxy_ms", 0)),
-        ),
+        default_latency_ms=default,
+        per_method=dict(per_method),
+        server=dict(server),
+        threshold=threshold,
+        costs=Costs(**{
+            key: _count(costs.get(key, 0), f"net config costs {key}")
+            for key in ("send_definition_ms", "trigger_prefetch_ms",
+                        "fetch_from_proxy_ms")
+        }),
     )
 
 
@@ -459,7 +491,6 @@ def run_trace(
     bodies = dict(app.containers())
     callbacks = set(app.callback_names)
     declared = {m.name: m.latency_ms for m in app.netlib}
-    fetch_methods = {uid: app.fetch_method_for(uid) for uid in app.url_spots()}
     rewrite_rules = tuple(hints.rewrite_rules) if hints is not None else ()
 
     proxy: ProxyState | None = None
@@ -472,7 +503,7 @@ def run_trace(
         return net.latency_for(method, declared.get(method))
 
     def prefetch_latency(url_id: str) -> int:
-        method = fetch_methods.get(url_id)
+        method = app.fetch_method_for(url_id)
         if method is not None:
             return latency_of(method)
         return net.default_latency_ms or 0

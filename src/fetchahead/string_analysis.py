@@ -59,12 +59,7 @@ class UrlMap:
 
 def definitions_of(app: App, var: str) -> list[tuple[str, int, Stmt]]:
     """All definitions of `var` in program order."""
-    defs = []
-    for name, body in app.containers():
-        for idx, st in enumerate(body):
-            if isinstance(st, (DefineStatic, DefineDynamic)) and st.var == var:
-                defs.append((name, idx, st))
-    return defs
+    return list(app.index.definitions.get(var, ()))
 
 
 def resolve_static(app: App, st: DefineStatic) -> str:
@@ -86,7 +81,7 @@ def static_value_of(app: App, var: str) -> str | None:
     them resolve to the same string; None otherwise. Raises AnalysisError
     for an undefined variable or a missing resource/setting key.
     """
-    defs = definitions_of(app, var)
+    defs = app.index.definitions.get(var)
     if not defs:
         raise AnalysisError(f"undefined variable '{var}'")
     values = set()
@@ -100,7 +95,7 @@ def static_value_of(app: App, var: str) -> str | None:
 def analyze_urls(app: App) -> UrlMap:
     """Compute the URL map for every URL spot in the app."""
     entries: dict[str, tuple[UrlPartState, ...]] = {}
-    for url_id, (_, _, spot) in app.url_spots().items():
+    for url_id, (_, _, spot) in app.index.url_spots.items():
         entries[url_id] = _analyze_parts(app, spot)
     return UrlMap(entries)
 
@@ -122,7 +117,7 @@ def _analyze_parts(app: App, spot: BuildUrl) -> tuple[UrlPartState, ...]:
                 spots = tuple(
                     DefinitionSpot(container, idx, m, ordinal)
                     for ordinal, (container, idx, _) in enumerate(
-                        definitions_of(app, part.value), start=1
+                        app.index.definitions[part.value], start=1
                     )
                 )
                 states.append(Unknown(spots))

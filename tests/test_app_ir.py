@@ -1,19 +1,25 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from appgen import make_app
 from fetchahead.app_ir import (
+    App,
     BuildUrl,
+    Callback,
     DefineDynamic,
+    DefineStatic,
     EcgEdge,
     NetCall,
+    NetMethodDecl,
     Transition,
+    UrlPart,
     build_ecg,
     parse_app,
     print_app,
+    validate_app,
 )
 from fetchahead.errors import ParseError
 
@@ -140,6 +146,40 @@ def test_weather_round_trip(weather_app):
 @given(st.integers(0, 10**9))
 def test_round_trip_random_apps(seed):
     app, _, _ = make_app(random.Random(seed))
+    assert parse_app(print_app(app)) == app
+
+
+def _app_holding(value: str, where: str) -> App:
+    """A small app that carries `value` as one kind of string literal."""
+    lit = value if where == "let" else "x"
+    part = value if where == "url" else "http://x/"
+    return App(
+        name="s",
+        resources={"r": value if where == "resource" else "r"},
+        settings={"k": value if where == "setting" else "k"},
+        callbacks=(Callback("c", (
+            DefineStatic("v", "literal", lit),
+            BuildUrl("u", (UrlPart("literal", part), UrlPart("var", "v"))),
+            NetCall("get", "u"),
+        )),),
+        netlib=(NetMethodDecl("get", 5),),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(), st.sampled_from(["let", "url", "resource", "setting"]))
+@example('say "hi"', "let")
+@example('a"b', "url")
+@example('"', "resource")
+@example('x"', "setting")
+@example("two\nlines", "let")
+def test_every_valid_app_round_trips(value, where):
+    app = _app_holding(value, where)
+    try:
+        validate_app(app)
+    except ParseError as e:
+        assert "double quote or a line break" in str(e)
+        return
     assert parse_app(print_app(app)) == app
 
 

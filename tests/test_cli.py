@@ -291,3 +291,39 @@ def test_oracle_out_requires_instrumented_app(workdir, capsys):
 
 def test_trace_json_round_trip(weather_trace):
     assert trace_to_json_obj(weather_trace) == WEATHER_TRACE
+
+
+def _weather_trace_with(**changes):
+    step = dict(WEATHER_TRACE[1], **changes)
+    return [WEATHER_TRACE[0], {k: v for k, v in step.items() if v is not None},
+            WEATHER_TRACE[2]]
+
+
+@pytest.mark.parametrize("trace", [
+    _weather_trace_with(event=None),
+    _weather_trace_with(think_ms="x"),
+    _weather_trace_with(think_ms=-5000),
+    _weather_trace_with(inputs=["citySelection"]),
+], ids=["missing-event", "non-integer-think", "negative-think",
+        "non-object-inputs"])
+def test_malformed_trace_is_run_error(workdir, capsys, trace):
+    (workdir / "bad_trace.json").write_text(json.dumps(trace))
+    code = main(["run", "--app", "weather.papp", "--trace", "bad_trace.json",
+                 "--out", "runlog.json"])
+    assert code == 2
+    assert "trace step 1" in capsys.readouterr().err
+    assert not (workdir / "runlog.json").exists()
+
+
+@pytest.mark.parametrize("net", [
+    {"threshold": "x"},
+    {"per_method": {"getInputStream": -800}},
+    {"costs": {"send_definition_ms": -1}},
+], ids=["non-integer-threshold", "negative-latency", "negative-cost"])
+def test_malformed_net_is_run_error(workdir, capsys, net):
+    (workdir / "bad_net.json").write_text(json.dumps(net))
+    code = main(["run", "--app", "weather.papp", "--trace", "trace.json",
+                 "--net", "bad_net.json", "--out", "runlog.json"])
+    assert code == 2
+    assert "net config" in capsys.readouterr().err
+    assert not (workdir / "runlog.json").exists()

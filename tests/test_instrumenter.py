@@ -29,7 +29,7 @@ from fetchahead.instrumenter import (
 )
 from fetchahead.metrics import compute_effectiveness
 from fetchahead.runtime import run_trace
-from fetchahead.string_analysis import Unknown, analyze_urls
+from fetchahead.string_analysis import Unknown, analyze_urls, url_map_from_json_obj
 
 
 def test_weather_insertion_sites(weather_pipeline):
@@ -173,6 +173,18 @@ def test_trigger_map_with_unknown_callback_rejected(weather_pipeline):
     app, url_map, sig, _, _ = weather_pipeline
     with pytest.raises(InstrumentError, match="unknown callback"):
         instrument(app, url_map, TriggerMap({"ghost": ("url1",)}), sig)
+
+
+@pytest.mark.parametrize("container, stmt", [
+    ("ghost", 0), ("onItemSelected", 99), ("onItemSelected", -1),
+])
+def test_url_map_spot_outside_the_app_rejected(weather_pipeline, container, stmt):
+    app, url_map, sig, trigger_map, _ = weather_pipeline
+    url_map = url_map_from_json_obj({"u": [{"spots": [
+        {"container": container, "stmt": stmt, "m": 1, "n": 1},
+    ]}]})
+    with pytest.raises(InstrumentError, match="is not a definition"):
+        instrument(app, url_map, trigger_map, sig)
 
 
 def test_provenance_records_insertions(weather_pipeline):

@@ -1,0 +1,185 @@
+"""The program index against the linear scans it replaced.
+
+Each reference below is the whole-program scan that the corresponding
+lookup used before `App.index` existed; every index-backed lookup must
+agree with it on random apps, their instrumented forms, and forms that
+mix plain net calls with proxy fetches or shadow a callback name.
+"""
+
+import random
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from appgen import make_app
+from fetchahead.app_ir import (
+    BuildUrl,
+    Callback,
+    DefineDynamic,
+    DefineStatic,
+    FetchFromProxy,
+    HelperMethod,
+    NetCall,
+    PSEUDO_STMTS,
+    build_ecg,
+)
+from fetchahead.callback_analysis import (
+    FetchSignature,
+    _entry_callbacks,
+    identify_trigger_callbacks,
+)
+from fetchahead.instrumenter import instrument
+from fetchahead.string_analysis import analyze_urls, definitions_of
+
+
+def ref_definitions_of(app, var):
+    return [
+        (name, idx, st)
+        for name, body in app.containers()
+        for idx, st in enumerate(body)
+        if isinstance(st, (DefineStatic, DefineDynamic)) and st.var == var
+    ]
+
+
+def ref_url_spots(app):
+    spots = {}
+    for name, body in app.containers():
+        for idx, st in enumerate(body):
+            if isinstance(st, BuildUrl) and st.url_id not in spots:
+                spots[st.url_id] = (name, idx, st)
+    return spots
+
+
+def ref_fetch_method_for(app, url_id):
+    for _, body in app.containers():
+        for st in body:
+            if isinstance(st, FetchFromProxy) and st.url_id == url_id:
+                return st.original_method
+    for _, body in app.containers():
+        for st in body:
+            if isinstance(st, NetCall) and st.url_id == url_id:
+                return st.method
+    return None
+
+
+def ref_body_of(app, name):
+    for n, body in app.containers():
+        if n == name:
+            return body
+    return None
+
+
+def ref_is_instrumented(app):
+    return any(isinstance(st, PSEUDO_STMTS)
+               for _, body in app.containers() for st in body)
+
+
+def ref_successors(ccfg, node):
+    return [b for a, b in ccfg.edges if a == node]
+
+
+def ref_predecessors(ccfg, node):
+    return [a for a, b in ccfg.edges if b == node]
+
+
+def ref_entry_callbacks(app, ecg, method):
+    reverse = {}
+    for e in ecg.edges:
+        reverse.setdefault(e.dst, []).append(e.src)
+    seen = {method}
+    stack = [method]
+    while stack:
+        node = stack.pop()
+        for pred in reverse.get(node, ()):
+            if pred not in seen:
+                seen.add(pred)
+                stack.append(pred)
+    order = {name: i for i, name in enumerate(app.callback_names)}
+    return sorted((n for n in seen if n in order), key=order.__getitem__)
+
+
+def _mixed(app):
+    """Every other net call becomes a proxy fetch under another method, so
+    a URL can have both kinds of fetch, in either order."""
+    flip = [False]
+
+    def rewrite(st):
+        if isinstance(st, NetCall):
+            flip[0] = not flip[0]
+            if flip[0]:
+                return FetchFromProxy(st.url_id, "proxied")
+        return st
+
+    return replace(app, callbacks=tuple(
+        Callback(c.name, tuple(rewrite(st) for st in c.body))
+        for c in app.callbacks
+    ))
+
+
+def _forms(seed):
+    app, _, _ = make_app(random.Random(seed))
+    sig = FetchSignature("fetch")
+    tm = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
+    # body_of is first-match: a helper named like a callback is shadowed
+    shadowed = replace(app, methods=app.methods + (
+        HelperMethod(app.callbacks[0].name, ()),
+    ))
+    ia = instrument(app, analyze_urls(app), tm, sig)
+    return app, ia.app, _mixed(app), shadowed
+
+
+def _check(app):
+    variables = {st.var for _, body in app.containers() for st in body
+                 if isinstance(st, (DefineStatic, DefineDynamic))}
+    for var in sorted(variables) + ["no_such_var"]:
+        assert definitions_of(app, var) == ref_definitions_of(app, var)
+    assert app.url_spots() == ref_url_spots(app)
+    assert list(app.url_spots()) == list(ref_url_spots(app))
+    for url_id in list(ref_url_spots(app)) + ["no_such_url"]:
+        assert app.fetch_method_for(url_id) == ref_fetch_method_for(app, url_id)
+    names = [name for name, _ in app.containers()]
+    for name in names + ["no_such_body"]:
+        assert app.body_of(name) == ref_body_of(app, name)
+    assert app.is_instrumented == ref_is_instrumented(app)
+    nodes = {n for edge in app.ccfg.edges for n in edge}
+    for node in sorted(nodes | set(app.ccfg.wait_nodes)) + ["no_such_node"]:
+        assert app.ccfg.successors(node) == ref_successors(app.ccfg, node)
+        assert app.ccfg.predecessors(node) == ref_predecessors(app.ccfg, node)
+    ecg = build_ecg(app)
+    for name in names:
+        assert (_entry_callbacks(app, ecg, name)
+                == ref_entry_callbacks(app, ecg, name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_index_matches_linear_scans(seed):
+    for app in _forms(seed):
+        _check(app)
+
+
+def test_lookups_hand_out_copies():
+    app, _, _ = make_app(random.Random(3))
+    spots = app.url_spots()
+    spots.clear()
+    assert app.url_spots() == ref_url_spots(app)
+    var = next(iter(app.index.definitions))
+    defs = definitions_of(app, var)
+    defs.clear()
+    assert definitions_of(app, var) == ref_definitions_of(app, var)
+    succ = app.ccfg.successors("cb0")
+    succ.append("bogus")
+    assert app.ccfg.successors("cb0") == ref_successors(app.ccfg, "cb0")
+
+
+def test_rewrite_gets_a_fresh_index():
+    app, _, _ = make_app(random.Random(5))
+    assert not app.is_instrumented
+    ia = instrument(app, analyze_urls(app),
+                    identify_trigger_callbacks(app, app.ccfg, build_ecg(app),
+                                               FetchSignature("fetch")),
+                    FetchSignature("fetch"))
+    assert ia.app.is_instrumented
+    assert not app.is_instrumented
+    assert ia.app.index is not app.index

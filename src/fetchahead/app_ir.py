@@ -335,15 +335,25 @@ class App:
     def is_instrumented(self) -> bool:
         return self.index.instrumented
 
+    def static_value(self, kind: str, value: str) -> str:
+        """The value of a literal (`kind` "literal") or of a `resource(key)`
+        or `setting(key)` read. Validation guarantees every key is
+        declared."""
+        if kind == "literal":
+            return value
+        return (self.resources if kind == "resource" else self.settings)[value]
+
 
 # ---------------------------------------------------------------------------
 # tokenizer
 # ---------------------------------------------------------------------------
 
+_IDENT = r"[A-Za-z_][A-Za-z0-9_.]*"
+
 _TOKEN_RE = re.compile(
     r'\s*(?:(?P<str>"[^"]*")'
     r"|(?P<arrow>->)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_.]*)"
+    rf"|(?P<ident>{_IDENT})"
     r"|(?P<num>\d+)"
     r"|(?P<sym>[={}()+,;])"
     r"|(?P<bad>\S))"
@@ -406,7 +416,12 @@ def _unquote(text: str) -> str:
 # parser
 # ---------------------------------------------------------------------------
 
-_RESERVED_CALLS = {"resource", "setting", "input"}
+# words that start a statement (or a definition source), so a net method
+# with one of these names would not parse back as a net call
+_STATEMENT_KEYWORDS = frozenset({
+    "let", "url", "call", "asynccall", "goto", "send_definition",
+    "trigger_prefetch", "fetch_from_proxy", "resource", "setting", "input",
+})
 
 
 def _parse_stmt(cur: _Cursor) -> Stmt:
@@ -466,7 +481,7 @@ def _parse_stmt(cur: _Cursor) -> Stmt:
         return FetchFromProxy(url_id, method)
     if kind == "ident":
         # bare `<name>(<urlId>)` is a network call
-        if text in _RESERVED_CALLS:
+        if text in _STATEMENT_KEYWORDS:
             raise ValueError(f"{text!r} cannot start a statement")
         cur.expect("sym", "(")
         url_id = cur.expect("ident")
@@ -647,7 +662,7 @@ def parse_app(text: str) -> App:
 
     if name is None:
         diags.append((1, "missing app declaration"))
-        name = ""
+        name = "_"  # never returned; keeps the name check from repeating this
 
     app = App(
         name=name,
@@ -689,14 +704,37 @@ def _unprintable(value: str) -> str:
     return f"string {value!r} contains a double quote or a line break"
 
 
+_IDENT_RE = re.compile(_IDENT)
+
+
 def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
     """Structural defects as ((container, stmt_index) | None, message)."""
     problems: list[tuple[tuple[str, int] | None, str]] = []
+
+    def check_name(loc, name: str, what: str, reserved=()) -> None:
+        """Names must print as one identifier token; a reserved word
+        would be read back as the keyword it spells ("wait" in the ccfg
+        block, a variable "resource" in a URL, a statement keyword as a
+        net method)."""
+        if not _IDENT_RE.fullmatch(name):
+            problems.append((loc, f"{what} {name!r} is not an identifier"))
+        elif name in reserved:
+            problems.append((loc, f"{what} '{name}' is a reserved word"))
+
+    check_name(None, app.name, "app name")
+    for m in app.netlib:
+        check_name(None, m.name, "netmethod", _STATEMENT_KEYWORDS)
+    for w in app.ccfg.wait_nodes:
+        check_name(None, w, "wait node", ("wait",))
     names: set[str] = set()
     for cname in list(app.callback_names) + list(app.method_names):
         if cname in names:
             problems.append((None, f"duplicate name '{cname}'"))
         names.add(cname)
+    for c in app.callbacks:
+        check_name(None, c.name, "callback", ("wait",))
+    for m in app.methods:
+        check_name(None, m.name, "method")
     netmethods = {m.name for m in app.netlib}
     callbacks = set(app.callback_names)
 
@@ -736,6 +774,7 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
                 if st.target not in callbacks:
                     problems.append((loc, f"unresolved callback '{st.target}'"))
             elif isinstance(st, BuildUrl):
+                check_name(loc, st.url_id, "url id")
                 for part in st.parts:
                     if part.kind == "var" and part.value not in defined_vars:
                         problems.append(
@@ -743,9 +782,23 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
                         )
                     elif part.kind == "literal" and not _printable(part.value):
                         problems.append((loc, _unprintable(part.value)))
+                    elif part.kind == "resource" and part.value not in app.resources:
+                        problems.append(
+                            (loc, f"unknown resource key '{part.value}'")
+                        )
             elif isinstance(st, DefineStatic):
-                if st.source_kind == "literal" and not _printable(st.source):
-                    problems.append((loc, _unprintable(st.source)))
+                check_name(loc, st.var, "variable", ("resource",))
+                table = app.resources if st.source_kind == "resource" else app.settings
+                if st.source_kind == "literal":
+                    if not _printable(st.source):
+                        problems.append((loc, _unprintable(st.source)))
+                elif st.source not in table:
+                    problems.append(
+                        (loc, f"unknown {st.source_kind} key '{st.source}'")
+                    )
+            elif isinstance(st, DefineDynamic):
+                check_name(loc, st.var, "variable", ("resource",))
+                check_name(loc, st.input_tag, "input tag")
             elif isinstance(st, SendDefinition):
                 if st.url_id not in url_owner:
                     problems.append((loc, f"unresolved url '{st.url_id}'"))
@@ -762,9 +815,12 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
                 # so resolution is not required; the proxy skips unknowns
                 if not st.url_ids:
                     problems.append((loc, "trigger_prefetch needs at least one url"))
+                for url_id in st.url_ids:
+                    check_name(loc, url_id, "url id")
 
     for kind, table in (("resource", app.resources), ("setting", app.settings)):
         for key, value in table.items():
+            check_name(None, key, f"{kind} key")
             if not _printable(value):
                 problems.append((None, f"{kind} '{key}': {_unprintable(value)}"))
 

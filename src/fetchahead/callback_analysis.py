@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .app_ir import App, Ccfg, Ecg, NetCall
-from .errors import AnalysisError
+from .errors import AnalysisError, expect_json
 from .runtime import NetModel, RunLog, Trace, run_trace
 
 
@@ -121,4 +121,13 @@ def trigger_map_to_json_obj(tm: TriggerMap) -> dict:
 
 
 def trigger_map_from_json_obj(obj: dict) -> TriggerMap:
-    return TriggerMap({cb: tuple(urls) for cb, urls in obj.items()})
+    """Validated trigger map; raises AnalysisError naming the offending
+    key."""
+    entries = {}
+    for cb, urls in expect_json(obj, dict, "trigger map", AnalysisError).items():
+        what = f"trigger map '{cb}'"
+        entries[cb] = tuple(
+            expect_json(u, str, f"{what} url id", AnalysisError)
+            for u in expect_json(urls, list, what, AnalysisError)
+        )
+    return TriggerMap(entries)

@@ -33,6 +33,7 @@ from .metrics import (
     compute_effectiveness,
     compute_oracle,
     format_summary,
+    oracle_from_json_obj,
     summarize_pairs,
 )
 from .mbm import run_benchmark
@@ -211,7 +212,7 @@ def _cmd_report(args) -> int:
         opt = run_log_from_json_obj(_read_json(opath))
         m = compute_effectiveness(base, opt)
         if oracles:
-            oracle = _read_json(oracles[i])
+            oracle = oracle_from_json_obj(_read_json(oracles[i]))
             m.precision, m.recall = compute_accuracy(opt, oracle)
         pairs.append(m.to_json_obj())
         stats.append(PairStats(

@@ -36,7 +36,7 @@ from .app_ir import (
     UrlPart,
     build_ecg,
 )
-from .callback_analysis import identify_trigger_callbacks, profile_fetch_signature
+from .callback_analysis import identify_trigger_callbacks, signature_from_log
 from .errors import FetchaheadError
 from .instrumenter import instrument
 from .metrics import accuracy_counts, compute_oracle
@@ -276,11 +276,12 @@ def run_case(
     counts (precision/recall numerators and denominators)."""
     app, trace, net, expected = generate_case(case_id, latency_ms, think_ms)
     url_map = analyze_urls(app)
-    sig = profile_fetch_signature(app, trace, net)
+    # the baseline run doubles as the profiling run
+    base = run_trace(app, trace, net)
+    sig = signature_from_log(base)
     trigger_map = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
     ia = instrument(app, url_map, trigger_map, sig)
 
-    base = run_trace(app, trace, net)
     opt = run_trace(ia, trace, net, seed_url_map=url_map)
     counts = accuracy_counts(opt, compute_oracle(ia, trace))
 

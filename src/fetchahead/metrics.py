@@ -1,8 +1,10 @@
 """Accuracy and effectiveness measures over run logs.
 
 Accuracy compares what the proxy issued at each trigger point against a
-ground-truth oracle computed by replaying the app's definitions along the
-trace, independently of the proxy path: a URL is prefetchable at a
+ground-truth oracle. The oracle runs the trace through the runtime's own
+statement walk (`runtime.Walk`), with an ideal prefetcher in place of the
+clock and the proxy, so it validates the trace exactly as `run_trace`
+does and raises RunError on the same inputs. A URL is prefetchable at a
 trigger point iff every part is determined by the definitions executed so
 far and an ideal prefetcher would not already hold it (it was neither
 ideally prefetched at an earlier trigger nor already demanded).
@@ -16,22 +18,11 @@ Both are micro-averaged.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .app_ir import (
-    App,
-    AsyncCall,
-    BuildUrl,
-    Call,
-    DefineDynamic,
-    DefineStatic,
-    FetchFromProxy,
-    NetCall,
-    Transition,
-    TriggerPrefetch,
-)
-from .errors import MetricsError
-from .runtime import SERVED_CACHE, SERVED_WAITED, RunLog, Trace
+from .app_ir import App, TriggerPrefetch
+from .errors import MetricsError, expect_json
+from .runtime import SERVED_CACHE, SERVED_WAITED, RunLog, Trace, Walk
 
 
 @dataclass
@@ -75,10 +66,17 @@ class TriggerPoint:
     prefetchable: tuple[str, ...]
 
 
-@dataclass
-class Replay:
-    definitions: list[DefEvent] = field(default_factory=list)
-    trigger_points: list[TriggerPoint] = field(default_factory=list)
+class Replay(Walk):
+    """The oracle's walk. Its ideal cache holds every URL demanded or
+    ideally prefetched so far. Network statements never change control
+    flow or values, so the values match a full run's whatever the cache
+    does."""
+
+    def __init__(self, app: App):
+        super().__init__(app)
+        self.definitions: list[DefEvent] = []
+        self.trigger_points: list[TriggerPoint] = []
+        self._ideal_cache: set[str] = set()
 
     def last_definition_of(self, var: str) -> DefEvent | None:
         for ev in reversed(self.definitions):
@@ -86,96 +84,55 @@ class Replay:
                 return ev
         return None
 
+    def define(self, container: str, stmt_index: int, var: str,
+               value: str) -> None:
+        self.definitions.append(DefEvent(container, stmt_index, var, value))
 
-def replay_trace(app_like, trace: Trace) -> Replay:
-    """Walk the trace tracking variable values only (no clock, no proxy).
+    def net_call(self, st, url: str) -> None:
+        self._ideal_cache.add(url)
 
-    Network statements never change control flow or values, so this walk
-    is value-equivalent to a full run regardless of caching behavior.
-    """
-    app: App = getattr(app_like, "app", app_like)
-    bodies = dict(app.containers())
-    url_spots = app.url_spots()
-    variables: dict[str, str] = {}
-    built: dict[str, str] = {}
-    ideal_cache: set[str] = set()
-    replay = Replay()
-    step_inputs: dict[str, str] = {}
+    fetch_from_proxy = net_call
 
-    def resource_value(key: str) -> str:
-        if key not in app.resources:
-            raise MetricsError(f"unknown resource key '{key}'")
-        return app.resources[key]
+    def send_definition(self, st, value: str) -> None:
+        pass  # does not affect ground truth
 
-    def knowable_value(url_id: str) -> str | None:
+    def trigger_prefetch(self, container: str, st: TriggerPrefetch) -> None:
+        prefetchable = []
+        for uid in st.url_ids:
+            concrete = self._knowable_url(uid)
+            if concrete is None or concrete in self._ideal_cache:
+                continue
+            self._ideal_cache.add(concrete)
+            prefetchable.append(uid)
+        self.trigger_points.append(
+            TriggerPoint(container, st.url_ids, tuple(prefetchable))
+        )
+
+    def _knowable_url(self, url_id: str) -> str | None:
         """Concrete URL under current values, or None while any part is
         undetermined. Hint-seeded URLs have no URL spot; they are always
         concrete, modeled with a stable marker string."""
-        spot = url_spots.get(url_id)
+        spot = self.app.index.url_spots.get(url_id)
         if spot is None:
             return f"<static:{url_id}>"
+        variables, static_value = self.variables, self.app.static_value
         values = []
         for part in spot[2].parts:
-            if part.kind == "literal":
-                values.append(part.value)
-            elif part.kind == "resource":
-                values.append(resource_value(part.value))
+            if part.kind != "var":
+                values.append(static_value(part.kind, part.value))
             elif part.value in variables:
                 values.append(variables[part.value])
             else:
                 return None
         return "".join(values)
 
-    def walk(name: str, depth: int) -> None:
-        if depth > 64:
-            raise MetricsError(f"call depth exceeded at '{name}'")
-        for idx, st in enumerate(bodies[name]):
-            if isinstance(st, DefineStatic):
-                if st.source_kind == "literal":
-                    value = st.source
-                else:
-                    table = (app.resources if st.source_kind == "resource"
-                             else app.settings)
-                    if st.source not in table:
-                        raise MetricsError(
-                            f"unknown {st.source_kind} key '{st.source}'"
-                        )
-                    value = table[st.source]
-                variables[st.var] = value
-                replay.definitions.append(DefEvent(name, idx, st.var, value))
-            elif isinstance(st, DefineDynamic):
-                value = step_inputs.get(st.input_tag, "")
-                variables[st.var] = value
-                replay.definitions.append(DefEvent(name, idx, st.var, value))
-            elif isinstance(st, BuildUrl):
-                # app-side resolution: unset variables read as ""
-                built[st.url_id] = "".join(
-                    part.value if part.kind == "literal"
-                    else resource_value(part.value) if part.kind == "resource"
-                    else variables.get(part.value, "")
-                    for part in st.parts
-                )
-            elif isinstance(st, (NetCall, FetchFromProxy)):
-                if st.url_id in built:
-                    ideal_cache.add(built[st.url_id])
-            elif isinstance(st, (Call, AsyncCall, Transition)):
-                walk(st.target, depth + 1)
-            elif isinstance(st, TriggerPrefetch):
-                prefetchable = []
-                for uid in st.url_ids:
-                    concrete = knowable_value(uid)
-                    if concrete is None or concrete in ideal_cache:
-                        continue
-                    ideal_cache.add(concrete)
-                    prefetchable.append(uid)
-                replay.trigger_points.append(
-                    TriggerPoint(name, st.url_ids, tuple(prefetchable))
-                )
-            # SendDefinition does not affect ground truth.
 
-    for step in trace.steps:
-        step_inputs = dict(step.inputs)
-        walk(step.event, 0)
+def replay_trace(app_like, trace: Trace) -> Replay:
+    """Run the trace through the oracle's walk; raises RunError where
+    `run_trace` would."""
+    replay = Replay(getattr(app_like, "app", app_like))
+    for k, step in enumerate(trace.steps):
+        replay.run_step(k, step)
     return replay
 
 
@@ -187,6 +144,19 @@ def compute_oracle(app_like, trace: Trace) -> list[dict]:
         {"callback": tp.callback, "prefetchable": list(tp.prefetchable)}
         for tp in replay.trigger_points
     ]
+
+
+def oracle_from_json_obj(obj) -> list[dict]:
+    """The oracle JSON as `compute_oracle` returns it, checked; raises
+    MetricsError naming the offending entry."""
+    for k, entry in enumerate(expect_json(obj, list, "oracle", MetricsError)):
+        what = f"oracle entry {k}"
+        entry = expect_json(entry, dict, what, MetricsError)
+        expect_json(entry.get("callback"), str, f"{what} callback", MetricsError)
+        for url_id in expect_json(entry.get("prefetchable"), list,
+                                  f"{what} prefetchable", MetricsError):
+            expect_json(url_id, str, f"{what} url id", MetricsError)
+    return obj
 
 
 # ---------------------------------------------------------------------------

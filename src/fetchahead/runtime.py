@@ -33,16 +33,14 @@ from .app_ir import (
     SendDefinition,
     Transition,
     TriggerPrefetch,
-    UrlPart,
 )
-from .errors import RunError
+from .errors import RunError, expect_json
 from .string_analysis import Concrete, UrlMap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .instrumenter import Hints, InstrumentedApp, RewriteRule
 
 _MAX_CALL_DEPTH = 64
-
 
 # ---------------------------------------------------------------------------
 # trace and network model
@@ -214,26 +212,55 @@ class RunLog:
         return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
 
 
+# run-log event type -> (event class, {JSON key: JSON type} in
+# constructor order); the lists hold url ids
+_EVENT_FORMS = {
+    "prefetch": (Prefetch, {"url_id": str, "url": str, "issued_at": int,
+                            "ready_at": int}),
+    "demand": (Demand, {"url_id": str, "url": str, "at": int,
+                        "served_from": str, "waited_ms": int,
+                        "response_time_ms": int, "method": str, "via": str,
+                        "payload": str}),
+    "definition_update": (DefinitionUpdate, {"url_id": str, "m": int,
+                                             "value": str, "at": int}),
+    "trigger_eval": (TriggerEval, {"callback": str, "at": int,
+                                   "considered": list, "issued": list,
+                                   "skipped_known_cached": list,
+                                   "skipped_unknown": list}),
+}
+
+
+def _event_field(value, kind: type, what: str):
+    value = expect_json(value, kind, what, RunError)
+    if kind is list:
+        return tuple(expect_json(u, str, what, RunError) for u in value)
+    return value
+
+
 def run_log_from_json_obj(obj: dict) -> RunLog:
+    """Validated run log; raises RunError naming the offending key."""
+    obj = _object(obj, "run log")
     events: list[Event] = []
-    for e in obj["events"]:
-        kind = e["type"]
-        if kind == "prefetch":
-            events.append(Prefetch(e["url_id"], e["url"], e["issued_at"], e["ready_at"]))
-        elif kind == "demand":
-            events.append(Demand(
-                e["url_id"], e["url"], e["at"], e["served_from"], e["waited_ms"],
-                e["response_time_ms"], e["method"], e["via"], e["payload"],
-            ))
-        elif kind == "definition_update":
-            events.append(DefinitionUpdate(e["url_id"], e["m"], e["value"], e["at"]))
-        else:
-            events.append(TriggerEval(
-                e["callback"], e["at"], tuple(e["considered"]), tuple(e["issued"]),
-                tuple(e["skipped_known_cached"]), tuple(e["skipped_unknown"]),
-            ))
-    return RunLog(obj["app"], obj["instrumented"], events, obj["final_ms"],
-                  dict(obj["overhead_ms"]))
+    raw = expect_json(obj.get("events"), list, "run log events", RunError)
+    for k, e in enumerate(raw):
+        e = _object(e, f"run log event {k}")
+        if e.get("type") not in _EVENT_FORMS:
+            raise RunError(f"run log event {k} has unknown type "
+                           f"{e.get('type')!r}")
+        cls, form = _EVENT_FORMS[e["type"]]
+        events.append(cls(*(
+            _event_field(e.get(key), kind, f"run log event {k} {key}")
+            for key, kind in form.items()
+        )))
+    overhead = _object(obj.get("overhead_ms"), "run log overhead_ms")
+    for call, ms in overhead.items():
+        _count(ms, f"run log overhead_ms {call}")
+    return RunLog(
+        expect_json(obj.get("app"), str, "run log app", RunError),
+        expect_json(obj.get("instrumented"), bool, "run log instrumented",
+                    RunError),
+        events, _count(obj.get("final_ms"), "run log final_ms"), dict(overhead),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +275,11 @@ def trace_to_json_obj(trace: Trace) -> list:
 
 
 def _count(value, what: str) -> int:
-    """A JSON integer >= 0; booleans and floats are not integers."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise RunError(f"{what} must be an integer >= 0, got {value!r}")
-    return value
+    return expect_json(value, int, what, RunError)
 
 
 def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise RunError(f"{what} must be a JSON object, got {value!r}")
-    return value
+    return expect_json(value, dict, what, RunError)
 
 
 def trace_from_json_obj(obj: list) -> Trace:
@@ -464,12 +486,187 @@ def on_fetch_from_proxy(
 
 
 # ---------------------------------------------------------------------------
-# trace execution
+# the statement walk
 # ---------------------------------------------------------------------------
 
 def _ccfg_roots(app: App) -> set[str]:
     targets = {b for _, b in app.ccfg.edges}
     return {c for c in app.callback_names if c not in targets}
+
+
+class Walk:
+    """The statement walk of one session; the runtime and the oracle
+    subclass it.
+
+    `run_step` validates a trace step (the first event is an entry
+    callback, each later one is reached from the current screen through a
+    wait node) and runs its callback under a call-depth limit. `goto` runs
+    its target at once and moves the current screen there. The walk keeps
+    variable values and built URLs and raises RunError on a missing input,
+    a fetch of an unbuilt URL or a send_definition of an unset variable.
+    A subclass receives only definitions and the four effect statements:
+
+        define(container, stmt_index, var, value)
+        net_call(st, url) / fetch_from_proxy(st, url)    url as built
+        send_definition(st, value)                       value of st.var
+        trigger_prefetch(container, st)
+    """
+
+    def __init__(self, app: App):
+        self.app = app
+        self.variables: dict[str, str] = {}
+        self.built: dict[str, str] = {}
+        self.current: str | None = None
+        self._inputs: Mapping[str, str] = {}
+
+    def run_step(self, k: int, step: TraceStep) -> None:
+        """Validate trace step `k` and run its callback."""
+        event, ccfg = step.event, self.app.ccfg
+        if event not in self.app.index.callback_order:
+            raise RunError(f"invalid trace step {k}: unknown callback "
+                           f"'{event}'")
+        if self.current is None:
+            roots = _ccfg_roots(self.app)
+            if roots and event not in roots:
+                raise RunError(f"invalid trace step {k}: '{event}' is "
+                               f"not an entry callback")
+        elif not any(w in ccfg.wait_set and event in ccfg.successors(w)
+                     for w in ccfg.successors(self.current)):
+            raise RunError(
+                f"invalid trace step {k}: no wait-node path from "
+                f"'{self.current}' to '{event}'"
+            )
+        self._inputs = step.inputs
+        self.current = event
+        self._execute(event, 0)
+
+    def _execute(self, name: str, depth: int) -> None:
+        if depth > _MAX_CALL_DEPTH:
+            raise RunError(f"call depth exceeded at '{name}'")
+        body = self.app.index.bodies.get(name)
+        if body is None:
+            raise RunError(f"unknown callback or method '{name}'")
+        app, variables, built = self.app, self.variables, self.built
+        inputs, define = self._inputs, self.define
+        for idx, st in enumerate(body):
+            cls = type(st)  # statements are final classes
+            if cls is DefineStatic:
+                value = variables[st.var] = app.static_value(st.source_kind,
+                                                             st.source)
+                define(name, idx, st.var, value)
+            elif cls is DefineDynamic:
+                if st.input_tag not in inputs:
+                    raise RunError(
+                        f"missing input '{st.input_tag}' while running '{name}'"
+                    )
+                value = variables[st.var] = inputs[st.input_tag]
+                define(name, idx, st.var, value)
+            elif cls is BuildUrl:
+                # unset variables read as ""
+                built[st.url_id] = "".join([
+                    variables.get(p.value, "") if p.kind == "var"
+                    else app.static_value(p.kind, p.value)
+                    for p in st.parts
+                ])
+            elif cls is NetCall:
+                self.net_call(st, self._built_url(st.url_id))
+            elif cls is Call or cls is AsyncCall:
+                self._execute(st.target, depth + 1)
+            elif cls is Transition:
+                self.current = st.target
+                self._execute(st.target, depth + 1)
+            elif cls is SendDefinition:
+                if st.var not in variables:
+                    raise RunError(
+                        f"send_definition before '{st.var}' is assigned"
+                    )
+                self.send_definition(st, variables[st.var])
+            elif cls is TriggerPrefetch:
+                self.trigger_prefetch(name, st)
+            elif cls is FetchFromProxy:
+                self.fetch_from_proxy(st, self._built_url(st.url_id))
+            else:  # pragma: no cover - exhaustive over Stmt
+                raise RunError(f"unknown statement {st!r}")
+
+    def _built_url(self, url_id: str) -> str:
+        if url_id not in self.built:
+            raise RunError(f"url '{url_id}' fetched before being built")
+        return self.built[url_id]
+
+
+# ---------------------------------------------------------------------------
+# trace execution
+# ---------------------------------------------------------------------------
+
+class _Session(Walk):
+    """The runtime's walk: the virtual clock, the proxy and the run log.
+
+    `proxy` is None only for an app without instrumentation, which has
+    none of the statements that use it.
+    """
+
+    def __init__(self, app: App, net: NetModel, proxy: ProxyState | None,
+                 rewrite_rules: tuple["RewriteRule", ...]):
+        super().__init__(app)
+        self.net = net
+        self.proxy = proxy
+        self.rewrite_rules = rewrite_rules
+        self.declared = {m.name: m.latency_ms for m in app.netlib}
+        self.clock = 0
+        self.events: list[Event] = []
+        self.overhead = {"send_definition": 0, "trigger_prefetch": 0,
+                         "fetch_from_proxy": 0}
+
+    def _latency(self, method: str) -> int:
+        return self.net.latency_for(method, self.declared.get(method))
+
+    def _prefetch_latency(self, url_id: str) -> int:
+        method = self.app.fetch_method_for(url_id)
+        if method is not None:
+            return self._latency(method)
+        return self.net.default_latency_ms or 0
+
+    def _charge(self, call: str, ms: int) -> None:
+        self.overhead[call] += ms
+        self.clock += ms
+
+    def define(self, container: str, stmt_index: int, var: str,
+               value: str) -> None:
+        pass  # values reach the run log only through built URLs
+
+    def net_call(self, st: NetCall, url: str) -> None:
+        rt = self._latency(st.method)
+        self.events.append(Demand(
+            st.url_id, url, self.clock, SERVED_ORIGIN, 0, rt, st.method,
+            "direct", self.net.payload_for(url),
+        ))
+        self.clock += rt
+
+    def send_definition(self, st: SendDefinition, value: str) -> None:
+        self.events.append(on_send_definition(
+            self.proxy, st.url_id, st.part_index, value, self.rewrite_rules,
+            now=self.clock,
+        ))
+        self._charge("send_definition", self.net.costs.send_definition_ms)
+
+    def trigger_prefetch(self, container: str, st: TriggerPrefetch) -> None:
+        ev, prefetches = on_trigger_prefetch(
+            self.proxy, st.url_ids, self.clock, container,
+            self._prefetch_latency, self.net.payload_for,
+        )
+        self.events.append(ev)
+        self.events.extend(prefetches)
+        self._charge("trigger_prefetch", self.net.costs.trigger_prefetch_ms)
+
+    def fetch_from_proxy(self, st: FetchFromProxy, url: str) -> None:
+        demand = on_fetch_from_proxy(
+            self.proxy, st.url_id, url, self.clock,
+            self._latency(st.original_method), self.net.payload_for,
+            st.original_method,
+        )
+        self.events.append(demand)
+        self.clock = demand.at + demand.response_time_ms
+        self._charge("fetch_from_proxy", self.net.costs.fetch_from_proxy_ms)
 
 
 def run_trace(
@@ -479,162 +676,18 @@ def run_trace(
     seed_url_map: UrlMap | None = None,
     hints: "Hints | None" = None,
 ) -> RunLog:
-    """Execute a trace and return the complete run log.
-
-    `goto` transitions run their target immediately (no wait node) and
-    move the session's current screen there, which is what the next trace
-    step is validated against.
-    """
+    """Execute a trace and return the complete run log."""
     app = getattr(app, "app", app)  # accept an InstrumentedApp wrapper
     net = net or NetModel()
-    instrumented = app.is_instrumented
-    bodies = dict(app.containers())
-    callbacks = set(app.callback_names)
-    declared = {m.name: m.latency_ms for m in app.netlib}
-    rewrite_rules = tuple(hints.rewrite_rules) if hints is not None else ()
-
     proxy: ProxyState | None = None
-    if instrumented:
+    if app.is_instrumented:
         if seed_url_map is None:
             raise RunError("an instrumented app requires a seed url map")
         proxy = seed_proxy_state(seed_url_map, hints, net.threshold)
-
-    def latency_of(method: str) -> int:
-        return net.latency_for(method, declared.get(method))
-
-    def prefetch_latency(url_id: str) -> int:
-        method = app.fetch_method_for(url_id)
-        if method is not None:
-            return latency_of(method)
-        return net.default_latency_ms or 0
-
-    events: list[Event] = []
-    overhead = {"send_definition": 0, "trigger_prefetch": 0, "fetch_from_proxy": 0}
-    variables: dict[str, str] = {}
-    built: dict[str, str] = {}
-    clock = 0
-    current: str | None = None
-    step_inputs: Mapping[str, str] = {}
-
-    def resolve_part(part: UrlPart) -> str:
-        if part.kind == "literal":
-            return part.value
-        if part.kind == "resource":
-            if part.value not in app.resources:
-                raise RunError(f"unknown resource key '{part.value}'")
-            return app.resources[part.value]
-        return variables.get(part.value, "")  # unset variables read as ""
-
-    def static_value(st: DefineStatic) -> str:
-        if st.source_kind == "literal":
-            return st.source
-        table = app.resources if st.source_kind == "resource" else app.settings
-        if st.source not in table:
-            raise RunError(f"unknown {st.source_kind} key '{st.source}'")
-        return table[st.source]
-
-    def built_url(url_id: str) -> str:
-        if url_id not in built:
-            raise RunError(f"url '{url_id}' fetched before being built")
-        return built[url_id]
-
-    def require_proxy() -> ProxyState:
-        if proxy is None:
-            raise RunError("instrumentation call without a proxy; "
-                           "pass a seed url map")
-        return proxy
-
-    def execute(name: str, depth: int) -> None:
-        nonlocal clock, current
-        if depth > _MAX_CALL_DEPTH:
-            raise RunError(f"call depth exceeded at '{name}'")
-        body = bodies.get(name)
-        if body is None:
-            raise RunError(f"unknown callback or method '{name}'")
-        for st in body:
-            if isinstance(st, DefineStatic):
-                variables[st.var] = static_value(st)
-            elif isinstance(st, DefineDynamic):
-                if st.input_tag not in step_inputs:
-                    raise RunError(
-                        f"missing input '{st.input_tag}' while running '{name}'"
-                    )
-                variables[st.var] = step_inputs[st.input_tag]
-            elif isinstance(st, BuildUrl):
-                built[st.url_id] = "".join(resolve_part(p) for p in st.parts)
-            elif isinstance(st, NetCall):
-                url = built_url(st.url_id)
-                rt = latency_of(st.method)
-                events.append(Demand(
-                    st.url_id, url, clock, SERVED_ORIGIN, 0, rt, st.method,
-                    "direct", net.payload_for(url),
-                ))
-                clock += rt
-            elif isinstance(st, (Call, AsyncCall)):
-                execute(st.target, depth + 1)
-            elif isinstance(st, Transition):
-                current = st.target
-                execute(st.target, depth + 1)
-            elif isinstance(st, SendDefinition):
-                state = require_proxy()
-                if st.var not in variables:
-                    raise RunError(
-                        f"send_definition before '{st.var}' is assigned"
-                    )
-                events.append(on_send_definition(
-                    state, st.url_id, st.part_index, variables[st.var],
-                    rewrite_rules, now=clock,
-                ))
-                overhead["send_definition"] += net.costs.send_definition_ms
-                clock += net.costs.send_definition_ms
-            elif isinstance(st, TriggerPrefetch):
-                state = require_proxy()
-                ev, prefetches = on_trigger_prefetch(
-                    state, st.url_ids, clock, name, prefetch_latency,
-                    net.payload_for,
-                )
-                events.append(ev)
-                events.extend(prefetches)
-                overhead["trigger_prefetch"] += net.costs.trigger_prefetch_ms
-                clock += net.costs.trigger_prefetch_ms
-            elif isinstance(st, FetchFromProxy):
-                state = require_proxy()
-                url = built_url(st.url_id)
-                demand = on_fetch_from_proxy(
-                    state, st.url_id, url, clock,
-                    latency_of(st.original_method), net.payload_for,
-                    st.original_method,
-                )
-                events.append(demand)
-                clock = demand.at + demand.response_time_ms
-                overhead["fetch_from_proxy"] += net.costs.fetch_from_proxy_ms
-                clock += net.costs.fetch_from_proxy_ms
-            else:  # pragma: no cover - exhaustive over Stmt
-                raise RunError(f"unknown statement {st!r}")
-
-    roots = _ccfg_roots(app)
-    waits = set(app.ccfg.wait_nodes)
+    rewrite_rules = tuple(hints.rewrite_rules) if hints is not None else ()
+    session = _Session(app, net, proxy, rewrite_rules)
     for k, step in enumerate(trace.steps):
-        if step.event not in callbacks:
-            raise RunError(f"invalid trace step {k}: unknown callback "
-                           f"'{step.event}'")
-        if current is None:
-            if roots and step.event not in roots:
-                raise RunError(f"invalid trace step {k}: '{step.event}' is "
-                               f"not an entry callback")
-        else:
-            reachable = any(
-                w in waits and step.event in app.ccfg.successors(w)
-                for w in app.ccfg.successors(current)
-            )
-            if not reachable:
-                raise RunError(
-                    f"invalid trace step {k}: no wait-node path from "
-                    f"'{current}' to '{step.event}'"
-                )
-        clock += step.think_ms
-        step_inputs = step.inputs
-        current = step.event
-        execute(step.event, 0)
-
-    return RunLog(app.name, instrumented, events, clock, overhead)
+        session.clock += step.think_ms
+        session.run_step(k, step)
+    return RunLog(app.name, app.is_instrumented, session.events,
+                  session.clock, session.overhead)

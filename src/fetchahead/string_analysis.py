@@ -7,6 +7,10 @@ definition spots for a dynamic part. The runtime later narrows the spot
 sets to actual values: last write wins, so false spots are overwritten or
 simply never execute.
 
+Static values resolve through `App.static_value`, the resolver the
+runtime's statement walk uses too; validation guarantees every resource
+and setting key is declared, so no key can be missing here.
+
 Definitions are enumerated whole-program (variables model class fields
 shared between callbacks). A variable mixing static and dynamic
 definitions is treated as dynamic, with the static definitions included
@@ -18,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .app_ir import App, BuildUrl, DefineDynamic, DefineStatic, Stmt
-from .errors import AnalysisError
+from .app_ir import App, BuildUrl, DefineDynamic, Stmt
+from .errors import AnalysisError, expect_json
 
 
 @dataclass(frozen=True)
@@ -62,24 +66,12 @@ def definitions_of(app: App, var: str) -> list[tuple[str, int, Stmt]]:
     return list(app.index.definitions.get(var, ()))
 
 
-def resolve_static(app: App, st: DefineStatic) -> str:
-    if st.source_kind == "literal":
-        return st.source
-    if st.source_kind == "resource":
-        if st.source not in app.resources:
-            raise AnalysisError(f"unknown resource key '{st.source}'")
-        return app.resources[st.source]
-    if st.source not in app.settings:
-        raise AnalysisError(f"unknown setting key '{st.source}'")
-    return app.settings[st.source]
-
-
 def static_value_of(app: App, var: str) -> str | None:
     """The variable's statically determined value, if it has one.
 
     Returns the value iff every definition of `var` is static and all of
     them resolve to the same string; None otherwise. Raises AnalysisError
-    for an undefined variable or a missing resource/setting key.
+    for an undefined variable.
     """
     defs = app.index.definitions.get(var)
     if not defs:
@@ -88,7 +80,7 @@ def static_value_of(app: App, var: str) -> str | None:
     for _, _, st in defs:
         if isinstance(st, DefineDynamic):
             return None
-        values.add(resolve_static(app, st))
+        values.add(app.static_value(st.source_kind, st.source))
     return values.pop() if len(values) == 1 else None
 
 
@@ -103,12 +95,8 @@ def analyze_urls(app: App) -> UrlMap:
 def _analyze_parts(app: App, spot: BuildUrl) -> tuple[UrlPartState, ...]:
     states: list[UrlPartState] = []
     for m, part in enumerate(spot.parts, start=1):
-        if part.kind == "literal":
-            states.append(Concrete(part.value))
-        elif part.kind == "resource":
-            if part.value not in app.resources:
-                raise AnalysisError(f"unknown resource key '{part.value}'")
-            states.append(Concrete(app.resources[part.value]))
+        if part.kind != "var":
+            states.append(Concrete(app.static_value(part.kind, part.value)))
         else:
             value = static_value_of(app, part.value)
             if value is not None:
@@ -151,17 +139,30 @@ def url_map_to_json_obj(url_map: UrlMap) -> dict:
     return obj
 
 
+def _check(value, kind: type, what: str):
+    return expect_json(value, kind, f"url map {what}", AnalysisError)
+
+
 def url_map_from_json_obj(obj: dict) -> UrlMap:
+    """Validated url map; raises AnalysisError naming the offending key."""
     entries: dict[str, tuple[UrlPartState, ...]] = {}
-    for url_id, row in obj.items():
+    for url_id, row in expect_json(obj, dict, "url map", AnalysisError).items():
         parts: list[UrlPartState] = []
-        for item in row:
+        for m, item in enumerate(_check(row, list, f"'{url_id}'"), start=1):
+            where = f"'{url_id}' part {m}"
+            item = _check(item, dict, where)
             if "concrete" in item:
-                parts.append(Concrete(item["concrete"]))
-            else:
-                parts.append(Unknown(tuple(
-                    DefinitionSpot(s["container"], s["stmt"], s["m"], s["n"])
-                    for s in item["spots"]
-                )))
+                parts.append(Concrete(_check(item["concrete"], str,
+                                             f"{where} concrete")))
+                continue
+            spots = []
+            for s in _check(item.get("spots"), list, f"{where} spots"):
+                s = _check(s, dict, f"{where} spot")
+                spots.append(DefinitionSpot(
+                    _check(s.get("container"), str, f"{where} spot container"),
+                    *(_check(s.get(key), int, f"{where} spot {key}")
+                      for key in ("stmt", "m", "n")),
+                ))
+            parts.append(Unknown(tuple(spots)))
         entries[url_id] = tuple(parts)
     return UrlMap(entries)

@@ -9,6 +9,7 @@ from fetchahead.app_ir import (
     App,
     BuildUrl,
     Callback,
+    Ccfg,
     DefineDynamic,
     DefineStatic,
     EcgEdge,
@@ -150,37 +151,79 @@ def test_round_trip_random_apps(seed):
 
 
 def _app_holding(value: str, where: str) -> App:
-    """A small app that carries `value` as one kind of string literal."""
-    lit = value if where == "let" else "x"
-    part = value if where == "url" else "http://x/"
+    """A small app that carries `value` as one kind of string literal or
+    as one kind of name."""
+    def at(position: str, default: str) -> str:
+        return value if where == position else default
+
+    lit, part = at("let", "x"), at("url", "http://x/")
+    rkey, var, url_id = at("resource key", "r"), at("variable", "v"), at("url id", "u")
+    method, wait = at("netmethod", "get"), at("wait node", "w")
     return App(
-        name="s",
-        resources={"r": value if where == "resource" else "r"},
-        settings={"k": value if where == "setting" else "k"},
-        callbacks=(Callback("c", (
-            DefineStatic("v", "literal", lit),
-            BuildUrl("u", (UrlPart("literal", part), UrlPart("var", "v"))),
-            NetCall("get", "u"),
-        )),),
-        netlib=(NetMethodDecl("get", 5),),
+        name=at("app", "s"),
+        resources={rkey: at("resource", "r")},
+        settings={at("setting key", "k"): at("setting", "k")},
+        callbacks=(
+            Callback(at("callback", "c"), (
+                DefineStatic(var, "literal", lit),
+                DefineStatic("rv", "resource", rkey),
+                DefineDynamic("d", at("input tag", "t")),
+                BuildUrl(url_id, (UrlPart("literal", part), UrlPart("var", var))),
+                NetCall(method, url_id),
+            )),
+            Callback("c2", ()),
+        ),
+        ccfg=Ccfg((wait,), ((at("callback", "c"), wait), (wait, "c2"))),
+        netlib=(NetMethodDecl(method, 5),),
     )
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.text(), st.sampled_from(["let", "url", "resource", "setting"]))
+# words the parser gives a meaning in some position
+_KEYWORDS = ("let", "url", "call", "asynccall", "goto", "send_definition",
+             "trigger_prefetch", "fetch_from_proxy", "resource", "setting",
+             "input", "wait", "app", "callback", "method", "netmethod",
+             "ccfg", "latency")
+# what validate_app may object to in such an app
+_REJECTIONS = ("double quote or a line break", "is not an identifier",
+               "is a reserved word", "duplicate", "collides", "no incoming edge")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.text(), st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]*", fullmatch=True),
+              st.sampled_from(_KEYWORDS)),
+    st.sampled_from(["let", "url", "resource", "setting", "app", "resource key",
+                     "setting key", "callback", "netmethod", "variable",
+                     "url id", "input tag", "wait node"]),
+)
 @example('say "hi"', "let")
 @example('a"b', "url")
 @example('"', "resource")
 @example('x"', "setting")
 @example("two\nlines", "let")
+@example("a b", "callback")
+@example("let", "netmethod")
+@example("wait", "callback")
+@example("resource", "variable")
 def test_every_valid_app_round_trips(value, where):
     app = _app_holding(value, where)
     try:
         validate_app(app)
     except ParseError as e:
-        assert "double quote or a line break" in str(e)
+        assert any(reason in str(e) for reason in _REJECTIONS), str(e)
         return
     assert parse_app(print_app(app)) == app
+
+
+@pytest.mark.parametrize("app", [
+    App("a", callbacks=(Callback("a b", ()),)),
+    App("a", callbacks=(Callback("c", (
+        BuildUrl("u", (UrlPart("literal", "http://x/"),)), NetCall("let", "u"),
+    )),), netlib=(NetMethodDecl("let", 5),)),
+], ids=["space-in-callback-name", "netmethod-named-let"])
+def test_names_that_do_not_round_trip_are_rejected(app):
+    with pytest.raises(ParseError, match="not an identifier|reserved word"):
+        validate_app(app)
 
 
 def test_round_trip_instrumented(weather_pipeline):

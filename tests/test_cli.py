@@ -327,3 +327,39 @@ def test_malformed_net_is_run_error(workdir, capsys, net):
     assert code == 2
     assert "net config" in capsys.readouterr().err
     assert not (workdir / "runlog.json").exists()
+
+
+def _url2_spot_stmt_as_string(url_map):
+    spot = dict(url_map["url2"][2]["spots"][0], stmt="0")
+    return {**url_map, "url2": [*url_map["url2"][:2], {"spots": [spot]}]}
+
+
+@pytest.mark.parametrize("artifact, edit, message", [
+    ("urlmap.json", _url2_spot_stmt_as_string,
+     "url map 'url2' part 3 spot stmt must be an integer"),
+    ("triggermap.json", lambda tm: {"onCreate": "url1"},
+     "trigger map 'onCreate' must be a JSON list"),
+    ("runlog_opt.json",
+     lambda log: {k: v for k, v in log.items() if k != "events"},
+     "run log events must be a JSON list"),
+    ("oracle.json", lambda oracle: [{"callback": oracle[0]["callback"]}],
+     "oracle entry 0 prefetchable must be a JSON list"),
+], ids=["urlmap", "triggermap", "runlog", "oracle"])
+def test_malformed_artifact_is_error(workdir, capsys, artifact, edit, message):
+    _run_pipeline_by_hand(workdir)
+    path = workdir / artifact
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    capsys.readouterr()
+    if artifact in ("urlmap.json", "triggermap.json"):
+        code = main([
+            "instrument", "weather.papp", "--urlmap", "urlmap.json",
+            "--triggermap", "triggermap.json", "--signature", "getInputStream",
+            "-o", "again.papp",
+        ])
+    else:
+        code = main([
+            "report", "--base", "runlog_base.json", "--opt", "runlog_opt.json",
+            "--oracle", "oracle.json",
+        ])
+    assert code == 2
+    assert message in capsys.readouterr().err

@@ -29,7 +29,7 @@ from fetchahead.instrumenter import (
 )
 from fetchahead.metrics import compute_effectiveness
 from fetchahead.runtime import run_trace
-from fetchahead.string_analysis import Unknown, analyze_urls, url_map_from_json_obj
+from fetchahead.string_analysis import DefinitionSpot, Unknown, UrlMap, analyze_urls
 
 
 def test_weather_insertion_sites(weather_pipeline):
@@ -180,9 +180,7 @@ def test_trigger_map_with_unknown_callback_rejected(weather_pipeline):
 ])
 def test_url_map_spot_outside_the_app_rejected(weather_pipeline, container, stmt):
     app, url_map, sig, trigger_map, _ = weather_pipeline
-    url_map = url_map_from_json_obj({"u": [{"spots": [
-        {"container": container, "stmt": stmt, "m": 1, "n": 1},
-    ]}]})
+    url_map = UrlMap({"u": (Unknown((DefinitionSpot(container, stmt, 1, 1),)),)})
     with pytest.raises(InstrumentError, match="is not a definition"):
         instrument(app, url_map, trigger_map, sig)
 

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from fetchahead.app_ir import build_ecg
 from fetchahead.callback_analysis import FetchSignature, identify_trigger_callbacks
-from fetchahead.errors import MetricsError
+from fetchahead.errors import MetricsError, RunError
 from fetchahead.instrumenter import instrument
 from fetchahead.mbm import generate_case
 from fetchahead.metrics import (
@@ -44,6 +44,21 @@ def test_weather_oracle_and_accuracy(weather_pipeline, weather_trace, weather_ne
         {"callback": "onItemSelected", "prefetchable": ["url2"]},
     ]
     assert compute_accuracy(opt, oracle) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("steps, message", [
+    ((TraceStep("ghost"),), "unknown callback 'ghost'"),
+    ((TraceStep("onCreate"), TraceStep("onItemSelected", 0, {})),
+     "missing input 'citySelection'"),
+    ((TraceStep("onClick", 0, {"cityIdText": "1"}),), "not an entry callback"),
+], ids=["unknown-event", "missing-input", "unreachable-event"])
+def test_oracle_rejects_what_the_runtime_rejects(weather_pipeline, steps, message):
+    _, url_map, _, _, ia = weather_pipeline
+    trace = Trace(steps)
+    with pytest.raises(RunError, match=message):
+        run_trace(ia, trace, NetModel(), seed_url_map=url_map)
+    with pytest.raises(RunError, match=message):
+        compute_oracle(ia, trace)
 
 
 def test_no_triggers_is_vacuously_perfect():

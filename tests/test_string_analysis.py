@@ -4,7 +4,7 @@ import pytest
 
 from appgen import make_app
 from fetchahead.app_ir import DefineDynamic, DefineStatic, parse_app
-from fetchahead.errors import AnalysisError
+from fetchahead.errors import AnalysisError, ParseError
 from fetchahead.metrics import replay_trace
 from fetchahead.runtime import Trace, TraceStep
 from fetchahead.string_analysis import (
@@ -160,7 +160,8 @@ def test_undefined_variable_errors():
 
 
 def test_missing_setting_key_errors():
-    app = parse_app("""
+    with pytest.raises(ParseError) as err:
+        parse_app("""
 app m
 netmethod get latency=1
 callback c {
@@ -171,12 +172,12 @@ callback c {
 ccfg {
 }
 """)
-    with pytest.raises(AnalysisError, match="absent"):
-        analyze_urls(app)
+    assert err.value.diagnostics == [(5, "unknown setting key 'absent'")]
 
 
 def test_missing_resource_key_errors():
-    app = parse_app("""
+    with pytest.raises(ParseError) as err:
+        parse_app("""
 app m
 netmethod get latency=1
 callback c {
@@ -186,8 +187,7 @@ callback c {
 ccfg {
 }
 """)
-    with pytest.raises(AnalysisError, match="nope"):
-        analyze_urls(app)
+    assert err.value.diagnostics == [(5, "unknown resource key 'nope'")]
 
 
 def test_mixed_static_dynamic_is_unknown_with_all_spots():

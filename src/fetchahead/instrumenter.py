@@ -35,7 +35,7 @@ from .app_ir import (
     TriggerPrefetch,
 )
 from .callback_analysis import FetchSignature, TriggerMap
-from .errors import InstrumentError
+from .errors import InstrumentError, expect_json
 from .string_analysis import Unknown, UrlMap
 
 
@@ -94,12 +94,21 @@ def instrument(
     # order, so a JSON round trip of the map cannot change the output.
     insertions: dict[tuple[str, int], list[SendDefinition]] = {}
     bodies = app.index.bodies
-    url_order = {uid: i for i, uid in enumerate(app.index.url_spots)}
+    url_spots = app.index.url_spots
+    url_order = {uid: i for i, uid in enumerate(url_spots)}
     for url_id, parts in url_map.entries.items():
+        if url_id not in url_spots:
+            raise InstrumentError(f"url map names unknown url '{url_id}'")
+        arity = len(url_spots[url_id][2].parts)
         for state in parts:
             if not isinstance(state, Unknown):
                 continue
             for spot in state.spots:
+                if not 1 <= spot.part_index <= arity:
+                    raise InstrumentError(
+                        f"definition spot {spot.container}[{spot.stmt_index}] "
+                        f"names missing part {url_id}[{spot.part_index}]"
+                    )
                 body = bodies.get(spot.container, ())
                 st = (body[spot.stmt_index]
                       if 0 <= spot.stmt_index < len(body) else None)
@@ -240,21 +249,46 @@ def hints_to_json_obj(hints: Hints) -> dict:
     }
 
 
+def _hint_field(value, kind: type, what: str):
+    return expect_json(value, kind, f"hints {what}", InstrumentError)
+
+
+def _hint_items(obj: dict, key: str) -> list[tuple[str, dict]]:
+    """(`key k`, item) for every item of the optional list `key`."""
+    return [
+        (f"{key} {k}", _hint_field(item, dict, f"{key} {k}"))
+        for k, item in enumerate(_hint_field(obj.get(key, []), list, key))
+    ]
+
+
 def hints_from_json_obj(obj: dict) -> Hints:
-    return Hints(
-        extra_trigger_entries=tuple(
-            TriggerHint(
-                h["callback"], tuple(h["url_ids"]),
-                h.get("at", "end") == "launch",
+    """Validated hints; raises InstrumentError naming the offending key."""
+    obj = _hint_field(obj, dict, "file")
+    triggers = []
+    for what, h in _hint_items(obj, "extra_trigger_entries"):
+        at = h.get("at", "end")
+        if at not in ("launch", "end"):
+            raise InstrumentError(
+                f"hints {what} at must be \"launch\" or \"end\", got {at!r}"
             )
-            for h in obj.get("extra_trigger_entries", ())
-        ),
+        triggers.append(TriggerHint(
+            _hint_field(h.get("callback"), str, f"{what} callback"),
+            tuple(_hint_field(u, str, f"{what} url_ids")
+                  for u in _hint_field(h.get("url_ids"), list,
+                                       f"{what} url_ids")),
+            at == "launch",
+        ))
+    return Hints(
+        extra_trigger_entries=tuple(triggers),
         extra_static_urls=tuple(
-            StaticUrlHint(h["url_id"], h["url"])
-            for h in obj.get("extra_static_urls", ())
+            StaticUrlHint(*(_hint_field(h.get(key), str, f"{what} {key}")
+                            for key in ("url_id", "url")))
+            for what, h in _hint_items(obj, "extra_static_urls")
         ),
         rewrite_rules=tuple(
-            RewriteRule(r["url_id"], r["m"], r["find"], r["replace"])
-            for r in obj.get("rewrite_rules", ())
+            RewriteRule(*(_hint_field(r.get(key), kind, f"{what} {key}")
+                          for key, kind in (("url_id", str), ("m", int),
+                                            ("find", str), ("replace", str))))
+            for what, r in _hint_items(obj, "rewrite_rules")
         ),
     )

@@ -7,7 +7,8 @@ clock and the proxy, so it validates the trace exactly as `run_trace`
 does and raises RunError on the same inputs. A URL is prefetchable at a
 trigger point iff every part is determined by the definitions executed so
 far and an ideal prefetcher would not already hold it (it was neither
-ideally prefetched at an earlier trigger nor already demanded).
+ideally prefetched at an earlier trigger nor already demanded). Each URL
+is built once and kept until a definition of a variable it reads.
 
 Effectiveness compares a baseline run against an optimized run of the
 same app/trace/network: per-request latency reduction, the hit rate
@@ -74,19 +75,30 @@ class Replay(Walk):
 
     def __init__(self, app: App):
         super().__init__(app)
-        self.definitions: list[DefEvent] = []
         self.trigger_points: list[TriggerPoint] = []
         self._ideal_cache: set[str] = set()
+        # var -> (container, stmt index, value) of its last definition; a
+        # DefEvent is built only on lookup, which is far rarer than a
+        # definition
+        self._last: dict[str, tuple[str, int, str]] = {}
+        # url id -> its URL under current values (None while a part is
+        # unset); define() drops the URLs that read the variable it writes
+        self._urls: dict[str, str | None] = {}
+        self._readers: dict[str, list[str]] = {}
+        for url_id, (_, _, spot) in app.index.url_spots.items():
+            for part in spot.parts:
+                if part.kind == "var":
+                    self._readers.setdefault(part.value, []).append(url_id)
 
     def last_definition_of(self, var: str) -> DefEvent | None:
-        for ev in reversed(self.definitions):
-            if ev.var == var:
-                return ev
-        return None
+        last = self._last.get(var)
+        return None if last is None else DefEvent(last[0], last[1], var, last[2])
 
     def define(self, container: str, stmt_index: int, var: str,
                value: str) -> None:
-        self.definitions.append(DefEvent(container, stmt_index, var, value))
+        self._last[var] = (container, stmt_index, value)
+        for url_id in self._readers.get(var, ()):
+            self._urls.pop(url_id, None)
 
     def net_call(self, st, url: str) -> None:
         self._ideal_cache.add(url)
@@ -98,11 +110,15 @@ class Replay(Walk):
 
     def trigger_prefetch(self, container: str, st: TriggerPrefetch) -> None:
         prefetchable = []
+        urls, ideal_cache = self._urls, self._ideal_cache
         for uid in st.url_ids:
-            concrete = self._knowable_url(uid)
-            if concrete is None or concrete in self._ideal_cache:
+            if uid in urls:
+                concrete = urls[uid]
+            else:
+                concrete = urls[uid] = self._knowable_url(uid)
+            if concrete is None or concrete in ideal_cache:
                 continue
-            self._ideal_cache.add(concrete)
+            ideal_cache.add(concrete)
             prefetchable.append(uid)
         self.trigger_points.append(
             TriggerPoint(container, st.url_ids, tuple(prefetchable))

@@ -17,8 +17,8 @@ Identical inputs produce a byte-identical run log.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Union
 
 from .app_ir import (
@@ -209,7 +209,71 @@ class RunLog:
         }
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
+        """`json.dumps(self.to_json_obj(), sort_keys=True, indent=2)` plus
+        a newline, byte for byte, written from one template per event
+        type without building the JSON form."""
+        events = ",\n".join([_EVENT_JSON[type(ev)](ev) for ev in self.events])
+        overhead = ",\n".join([
+            f"    {_quote(call)}: {ms}"
+            for call, ms in sorted(self.overhead_ms.items())
+        ])
+        events = "[\n" + events + "\n  ]" if events else "[]"
+        overhead = "{\n" + overhead + "\n  }" if overhead else "{}"
+        return (
+            f'{{\n  "app": {_quote(self.app)},\n'
+            f'  "events": {events},\n'
+            f'  "final_ms": {self.final_ms},\n'
+            f'  "instrumented": {"true" if self.instrumented else "false"},\n'
+            f'  "overhead_ms": {overhead}\n}}\n'
+        )
+
+
+# canonical_json's event writers: keys in sorted order, two-space indent,
+# strings escaped by the C encoder that json.dumps itself uses
+
+def _ids_json(ids: tuple[str, ...]) -> str:
+    if not ids:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(_quote, ids)) + "\n      ]"
+
+
+_EVENT_JSON: dict[type, Callable[..., str]] = {
+    Prefetch: lambda ev: (
+        f'    {{\n      "issued_at": {ev.issued_at},\n'
+        f'      "ready_at": {ev.ready_at},\n'
+        f'      "type": "prefetch",\n'
+        f'      "url": {_quote(ev.url)},\n'
+        f'      "url_id": {_quote(ev.url_id)}\n    }}'
+    ),
+    Demand: lambda ev: (
+        f'    {{\n      "at": {ev.at},\n'
+        f'      "method": {_quote(ev.method)},\n'
+        f'      "payload": {_quote(ev.payload)},\n'
+        f'      "response_time_ms": {ev.response_time_ms},\n'
+        f'      "served_from": {_quote(ev.served_from)},\n'
+        f'      "type": "demand",\n'
+        f'      "url": {_quote(ev.url)},\n'
+        f'      "url_id": {_quote(ev.url_id)},\n'
+        f'      "via": {_quote(ev.via)},\n'
+        f'      "waited_ms": {ev.waited_ms}\n    }}'
+    ),
+    DefinitionUpdate: lambda ev: (
+        f'    {{\n      "at": {ev.at},\n'
+        f'      "m": {ev.part_index},\n'
+        f'      "type": "definition_update",\n'
+        f'      "url_id": {_quote(ev.url_id)},\n'
+        f'      "value": {_quote(ev.value)}\n    }}'
+    ),
+    TriggerEval: lambda ev: (
+        f'    {{\n      "at": {ev.at},\n'
+        f'      "callback": {_quote(ev.callback)},\n'
+        f'      "considered": {_ids_json(ev.considered)},\n'
+        f'      "issued": {_ids_json(ev.issued)},\n'
+        f'      "skipped_known_cached": {_ids_json(ev.skipped_known_cached)},\n'
+        f'      "skipped_unknown": {_ids_json(ev.skipped_unknown)},\n'
+        f'      "type": "trigger_eval"\n    }}'
+    ),
+}
 
 
 # run-log event type -> (event class, {JSON key: JSON type} in
@@ -359,18 +423,28 @@ class CacheEntry:
 
 @dataclass
 class ProxyState:
-    """Runtime URL map plus the response cache for one session."""
+    """Runtime URL map plus the response cache for one session.
+
+    `known` holds the URL string of every url id whose parts are all
+    set. It is filled from `runtime_url_map` at construction and kept
+    current by `on_send_definition`, the map's only writer afterwards.
+    """
 
     runtime_url_map: dict[str, list[str | None]]
     cache: dict[str, CacheEntry] = field(default_factory=dict)
     threshold: int = 5
+    known: dict[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.known = {url_id: "".join(parts)
+                      for url_id, parts in self.runtime_url_map.items()
+                      if None not in parts}
 
     def is_known(self, url_id: str) -> bool:
-        parts = self.runtime_url_map.get(url_id)
-        return parts is not None and all(p is not None for p in parts)
+        return url_id in self.known
 
     def url_string(self, url_id: str) -> str:
-        return "".join(self.runtime_url_map[url_id])
+        return self.known[url_id]
 
     def in_flight(self, now: int) -> int:
         return sum(1 for e in self.cache.values() if e.ready_at_ms > now)
@@ -417,6 +491,8 @@ def on_send_definition(
         if rule.url_id == url_id and rule.part_index == part_index:
             value = value.replace(rule.find, rule.replace)
     parts[part_index - 1] = value
+    if None not in parts:
+        state.known[url_id] = "".join(parts)
     return DefinitionUpdate(url_id, part_index, value, now)
 
 
@@ -433,28 +509,28 @@ def on_trigger_prefetch(
     A waiting entry counts as cached: re-prefetching it would defeat the
     wait flag's purpose of preventing duplicate fetches.
     """
-    considered: list[str] = []
+    considered = tuple(url_ids)
     issued: list[str] = []
     skipped_cached: list[str] = []
     skipped_unknown: list[str] = []
     prefetches: list[Prefetch] = []
-    for url_id in url_ids:
-        considered.append(url_id)
-        if not state.is_known(url_id):
+    known, cache = state.known, state.cache
+    for url_id in considered:
+        url = known.get(url_id)
+        if url is None:
             skipped_unknown.append(url_id)
             continue
-        url = state.url_string(url_id)
-        if url in state.cache:
+        if url in cache:
             skipped_cached.append(url_id)
             continue
         if len(issued) >= state.threshold:
             continue  # over threshold: considered but not acted on
         ready_at = now + latency_for_url(url_id)
-        state.cache[url] = CacheEntry(ready_at, payload_for(url))
+        cache[url] = CacheEntry(ready_at, payload_for(url))
         issued.append(url_id)
         prefetches.append(Prefetch(url_id, url, now, ready_at))
     ev = TriggerEval(
-        callback, now, tuple(considered), tuple(issued),
+        callback, now, considered, tuple(issued),
         tuple(skipped_cached), tuple(skipped_unknown),
     )
     return ev, prefetches

@@ -363,3 +363,47 @@ def test_malformed_artifact_is_error(workdir, capsys, artifact, edit, message):
         ])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hints, message", [
+    ([], "hints file must be a JSON object"),
+    ({"extra_static_urls": [{"url": "x"}]},
+     "hints extra_static_urls 0 url_id must be a string"),
+    ({"extra_static_urls": {"url_id": "u", "url": "x"}},
+     "hints extra_static_urls must be a JSON list"),
+    ({"extra_trigger_entries": [{"callback": "onCreate", "url_ids": "url1"}]},
+     "hints extra_trigger_entries 0 url_ids must be a JSON list"),
+    ({"extra_trigger_entries": [
+        {"callback": "onCreate", "url_ids": ["url1"], "at": "start"}]},
+     "hints extra_trigger_entries 0 at must be"),
+    ({"rewrite_rules": [
+        {"url_id": "url2", "m": "3", "find": "a", "replace": "b"}]},
+     "hints rewrite_rules 0 m must be an integer"),
+], ids=["list", "static-url-without-id", "static-urls-object",
+        "url-ids-string", "unknown-at", "string-part-index"])
+def test_malformed_hints_is_error(workdir, capsys, hints, message):
+    (workdir / "h.json").write_text(json.dumps(hints))
+    code = main(["pipeline", "weather.papp", "--trace", "trace.json",
+                 "--hints", "h.json", "--outdir", "out"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (workdir / "out" / "urlmap.json").exists()
+
+
+@pytest.mark.parametrize("m", [0, 99])
+def test_url_map_spot_part_outside_the_url_is_error(workdir, capsys, m):
+    # the written app would hold send_definition(cityName, url2, m), which
+    # the tool's own parser rejects
+    _run_pipeline_by_hand(workdir)
+    url_map = json.loads((workdir / "urlmap.json").read_text())
+    url_map["url2"][2]["spots"][0]["m"] = m
+    (workdir / "urlmap.json").write_text(json.dumps(url_map))
+    capsys.readouterr()
+    code = main([
+        "instrument", "weather.papp", "--urlmap", "urlmap.json",
+        "--triggermap", "triggermap.json", "--signature", "getInputStream",
+        "-o", "again.papp",
+    ])
+    assert code == 2
+    assert f"missing part url2[{m}]" in capsys.readouterr().err
+    assert not (workdir / "again.papp").exists()

@@ -29,7 +29,7 @@ from fetchahead.instrumenter import (
 )
 from fetchahead.metrics import compute_effectiveness
 from fetchahead.runtime import run_trace
-from fetchahead.string_analysis import DefinitionSpot, Unknown, UrlMap, analyze_urls
+from fetchahead.string_analysis import Concrete, DefinitionSpot, Unknown, UrlMap, analyze_urls
 
 
 def test_weather_insertion_sites(weather_pipeline):
@@ -180,8 +180,27 @@ def test_trigger_map_with_unknown_callback_rejected(weather_pipeline):
 ])
 def test_url_map_spot_outside_the_app_rejected(weather_pipeline, container, stmt):
     app, url_map, sig, trigger_map, _ = weather_pipeline
-    url_map = UrlMap({"u": (Unknown((DefinitionSpot(container, stmt, 1, 1),)),)})
+    url_map = UrlMap({"url2": (Unknown((DefinitionSpot(container, stmt, 1, 1),)),)})
     with pytest.raises(InstrumentError, match="is not a definition"):
+        instrument(app, url_map, trigger_map, sig)
+
+
+def test_url_map_url_outside_the_app_rejected(weather_pipeline):
+    app, url_map, sig, trigger_map, _ = weather_pipeline
+    url_map = UrlMap({**url_map.entries, "ghost": (Concrete("http://x/"),)})
+    with pytest.raises(InstrumentError, match="unknown url 'ghost'"):
+        instrument(app, url_map, trigger_map, sig)
+
+
+@pytest.mark.parametrize("m", [0, 4, 99])
+def test_url_map_spot_part_outside_the_url_rejected(weather_pipeline, m):
+    # url2 has three parts; without the check the rewritten app holds a
+    # send_definition that its own parser rejects
+    app, url_map, sig, trigger_map, _ = weather_pipeline
+    url_map = UrlMap({**url_map.entries, "url2": (
+        Unknown((DefinitionSpot("onItemSelected", 0, m, 1),)),
+    )})
+    with pytest.raises(InstrumentError, match=rf"missing part url2\[{m}\]"):
         instrument(app, url_map, trigger_map, sig)
 
 

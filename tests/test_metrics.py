@@ -1,22 +1,41 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from appgen import make_app
 from fetchahead.app_ir import build_ecg
 from fetchahead.callback_analysis import FetchSignature, identify_trigger_callbacks
 from fetchahead.errors import MetricsError, RunError
-from fetchahead.instrumenter import instrument
+from fetchahead.instrumenter import (
+    Hints,
+    StaticUrlHint,
+    TriggerHint,
+    apply_hints,
+    instrument,
+)
 from fetchahead.mbm import generate_case
 from fetchahead.metrics import (
+    DefEvent,
     PairStats,
     compute_accuracy,
     compute_effectiveness,
     compute_oracle,
     format_summary,
     hit_rate,
+    replay_trace,
     summarize_pairs,
 )
-from fetchahead.runtime import NetModel, RunLog, Trace, TraceStep, TriggerEval, run_trace
+from fetchahead.runtime import (
+    NetModel,
+    RunLog,
+    Trace,
+    TraceStep,
+    TriggerEval,
+    Walk,
+    run_trace,
+)
 from fetchahead.string_analysis import analyze_urls
 
 
@@ -147,6 +166,100 @@ def test_mbm_cases_perfect_accuracy():
         base, opt, ia, trace = _case_logs(case_id, 1000, 2000)
         oracle = compute_oracle(ia, trace)
         assert compute_accuracy(opt, oracle) == (1.0, 1.0), case_id
+
+
+# ---------------------------------------------------------------------------
+# the memoized oracle against one that rebuilds every URL at every trigger
+# ---------------------------------------------------------------------------
+
+class RebuildingReplay(Walk):
+    """The oracle without its URL memo: every URL is rebuilt from its
+    parts at every trigger point, and every definition is kept in a list
+    that `last_definition_of` scans backwards."""
+
+    def __init__(self, app):
+        super().__init__(app)
+        self.definitions = []
+        self.trigger_points = []
+        self.ideal_cache = set()
+
+    def last_definition_of(self, var):
+        for ev in reversed(self.definitions):
+            if ev.var == var:
+                return ev
+        return None
+
+    def define(self, container, stmt_index, var, value):
+        self.definitions.append(DefEvent(container, stmt_index, var, value))
+
+    def net_call(self, st, url):
+        self.ideal_cache.add(url)
+
+    fetch_from_proxy = net_call
+
+    def send_definition(self, st, value):
+        pass
+
+    def trigger_prefetch(self, container, st):
+        prefetchable = []
+        for uid in st.url_ids:
+            url = self.url_of(uid)
+            if url is None or url in self.ideal_cache:
+                continue
+            self.ideal_cache.add(url)
+            prefetchable.append(uid)
+        self.trigger_points.append((container, st.url_ids, tuple(prefetchable)))
+
+    def url_of(self, url_id):
+        spot = self.app.url_spots().get(url_id)
+        if spot is None:
+            return f"<static:{url_id}>"
+        values = []
+        for part in spot[2].parts:
+            if part.kind != "var":
+                values.append(self.app.static_value(part.kind, part.value))
+            elif part.value in self.variables:
+                values.append(self.variables[part.value])
+            else:
+                return None
+        return "".join(values)
+
+
+def _oracle_forms(seed):
+    """A random app instrumented, and the same with hints: a hint URL and
+    a URL of the app prefetched at launch, every URL at the end of a
+    random callback."""
+    rng = random.Random(seed)
+    app, trace, _ = make_app(rng)
+    sig = FetchSignature("fetch")
+    tm = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
+    ia = instrument(app, analyze_urls(app), tm, sig)
+    url_ids = tuple(app.url_spots())
+    hints = Hints(
+        extra_trigger_entries=(
+            TriggerHint("cb0", ("hinted", rng.choice(url_ids)), at_launch=True),
+            TriggerHint(rng.choice(app.callback_names), url_ids),
+        ),
+        extra_static_urls=(StaticUrlHint("hinted", "http://hint/"),),
+    )
+    return trace, (app, ia.app, apply_hints(ia, hints).app)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_memoized_oracle_matches_rebuilding_reference(seed):
+    trace, apps = _oracle_forms(seed)
+    for app in apps:
+        replay, reference = replay_trace(app, Trace(())), RebuildingReplay(app)
+        variables = sorted(app.index.definitions) + ["no_such_var"]
+        for k, step in enumerate(trace.steps):
+            replay.run_step(k, step)
+            reference.run_step(k, step)
+            assert [(tp.callback, tp.considered, tp.prefetchable)
+                    for tp in replay.trigger_points] == reference.trigger_points
+            for var in variables:
+                assert (replay.last_definition_of(var)
+                        == reference.last_definition_of(var))
 
 
 # ---------------------------------------------------------------------------

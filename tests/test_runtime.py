@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from appgen import make_app
 from fetchahead.app_ir import build_ecg, parse_app
@@ -9,10 +11,15 @@ from fetchahead.errors import RunError
 from fetchahead.instrumenter import RewriteRule, instrument
 from fetchahead.mbm import generate_case
 from fetchahead.runtime import (
+    Demand,
+    DefinitionUpdate,
     NetModel,
+    Prefetch,
     ProxyState,
+    RunLog,
     Trace,
     TraceStep,
+    TriggerEval,
     on_fetch_from_proxy,
     on_send_definition,
     on_trigger_prefetch,
@@ -487,3 +494,68 @@ def test_definition_updates_track_last_executed_definition():
                 last = replay.last_definition_of(part.value)
                 if last is not None:
                     assert updates and updates[-1] == last.value
+
+
+# ---------------------------------------------------------------------------
+# canonical_json writes what json.dumps writes
+# ---------------------------------------------------------------------------
+
+# any code point, lone surrogates included, with the characters JSON
+# escapes drawn often
+_texts = st.text(st.one_of(
+    st.characters(blacklist_categories=()),
+    st.sampled_from('"\\/\n\t\x00\x7f\u00e9\u2028\U0001f600'),
+), max_size=6)
+_ints = st.integers(-(2**70), 2**70)
+_ids = st.lists(_texts, max_size=4).map(tuple)
+_events = st.one_of(
+    st.builds(Prefetch, _texts, _texts, _ints, _ints),
+    st.builds(Demand, _texts, _texts, _ints, _texts, _ints, _ints, _texts,
+              _texts, _texts),
+    st.builds(DefinitionUpdate, _texts, _ints, _texts, _ints),
+    st.builds(TriggerEval, _texts, _ints, _ids, _ids, _ids, _ids),
+)
+_run_logs = st.builds(RunLog, _texts, st.booleans(),
+                      st.lists(_events, max_size=6), _ints,
+                      st.dictionaries(_texts, _ints, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_run_logs)
+def test_canonical_json_is_the_json_dumps_form(log):
+    reference = json.dumps(log.to_json_obj(), sort_keys=True, indent=2) + "\n"
+    assert log.canonical_json() == reference
+
+
+def test_canonical_json_of_an_empty_log():
+    log = RunLog("a", False, [], 0, {})
+    assert log.canonical_json() == json.dumps(
+        log.to_json_obj(), sort_keys=True, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the proxy's known URL strings stay current
+# ---------------------------------------------------------------------------
+
+_parts = st.one_of(st.none(), st.text(max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from("abcd"),
+                       st.lists(_parts, min_size=1, max_size=3), min_size=1),
+       st.data())
+def test_known_urls_follow_every_send_definition(runtime_map, data):
+    state = ProxyState({u: list(p) for u, p in runtime_map.items()})
+    for _ in range(data.draw(st.integers(0, 12))):
+        url_id = data.draw(st.sampled_from(sorted(runtime_map)))
+        m = data.draw(st.integers(1, len(runtime_map[url_id])))
+        on_send_definition(state, url_id, m, data.draw(st.text(max_size=3)))
+        expected = {
+            u: "".join(parts) for u, parts in state.runtime_url_map.items()
+            if all(p is not None for p in parts)
+        }
+        assert state.known == expected
+        for u in runtime_map:
+            assert state.is_known(u) == (u in expected)
+            if u in expected:
+                assert state.url_string(u) == expected[u]

@@ -22,7 +22,8 @@ from .errors import (
     RunError,
 )
 from .instrumenter import Hints, InstrumentedApp, apply_hints, instrument
-from .mbm import Prefetchability, classify, generate_case, run_benchmark
+from .cli import Pipeline, run_benchmark, run_pipeline
+from .mbm import Prefetchability, classify, generate_case
 from .metrics import compute_accuracy, compute_effectiveness, compute_oracle
 from .runtime import NetModel, RunLog, Trace, TraceStep, run_trace
 from .string_analysis import UrlMap, analyze_urls, static_value_of
@@ -36,7 +37,8 @@ __all__ = [
     "AnalysisError", "FetchaheadError", "InstrumentError", "MetricsError",
     "ParseError", "RunError",
     "Hints", "InstrumentedApp", "apply_hints", "instrument",
-    "Prefetchability", "classify", "generate_case", "run_benchmark",
+    "Pipeline", "run_benchmark", "run_pipeline",
+    "Prefetchability", "classify", "generate_case",
     "compute_accuracy", "compute_effectiveness", "compute_oracle",
     "NetModel", "RunLog", "Trace", "TraceStep", "run_trace",
     "UrlMap", "analyze_urls", "static_value_of",

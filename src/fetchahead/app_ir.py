@@ -237,8 +237,7 @@ class Ecg:
 class ProgramIndex:
     """Whole-program lookup tables of one App (see the module docstring).
 
-    The tables are shared by every caller and must not be mutated; the
-    App accessors that hand them out return copies.
+    The tables are shared by every caller and must not be mutated.
     """
 
     # name -> body of the first container with that name, in program order
@@ -318,18 +317,6 @@ class App:
     def index(self) -> ProgramIndex:
         """The program's lookup tables, built on first use."""
         return _build_index(self)
-
-    def body_of(self, name: str) -> tuple[Stmt, ...] | None:
-        return self.index.bodies.get(name)
-
-    def url_spots(self) -> dict[str, tuple[str, int, BuildUrl]]:
-        """url id -> (container, statement index, BuildUrl) in program order."""
-        return dict(self.index.url_spots)
-
-    def fetch_method_for(self, url_id: str) -> str | None:
-        """Net method used at the first fetch statement for a URL, if any;
-        a fetch_from_proxy takes precedence over a plain net call."""
-        return self.index.fetch_methods.get(url_id)
 
     @property
     def is_instrumented(self) -> bool:

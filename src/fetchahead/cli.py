@@ -5,6 +5,10 @@ chains the others and writes every intermediate artifact). All artifacts
 are plain JSON (or `.papp` text), so developer hints can be applied by
 editing the files between stages.
 
+`run_pipeline` alone decides the stage order, for `pipeline` and `bench`.
+It calls every stage through the names imported here: the traced
+benchmark wraps those.
+
 Exit codes: 0 success, 1 usage error, 2 analysis/run error.
 """
 
@@ -13,11 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
-from .app_ir import build_ecg, parse_app, print_app
+from .app_ir import App, build_ecg, parse_app, print_app
 from .callback_analysis import (
     FetchSignature,
+    TriggerMap,
     heuristic_fetch_signature,
     identify_trigger_callbacks,
     profile_fetch_signature,
@@ -26,9 +32,18 @@ from .callback_analysis import (
     trigger_map_to_json_obj,
 )
 from .errors import FetchaheadError
-from .instrumenter import apply_hints, hints_from_json_obj, instrument
+from .instrumenter import (
+    Hints,
+    InstrumentedApp,
+    apply_hints,
+    hints_from_json_obj,
+    instrument,
+)
+from .mbm import ALL_CASES, BenchReport, generate_case, score_case
 from .metrics import (
+    Metrics,
     PairStats,
+    accuracy_counts,
     compute_accuracy,
     compute_effectiveness,
     compute_oracle,
@@ -36,15 +51,79 @@ from .metrics import (
     oracle_from_json_obj,
     summarize_pairs,
 )
-from .mbm import run_benchmark
 from .runtime import (
     NetModel,
+    RunLog,
+    Trace,
     net_model_from_json_obj,
     run_log_from_json_obj,
     run_trace,
     trace_from_json_obj,
 )
-from .string_analysis import analyze_urls, url_map_from_json_obj, url_map_to_json_obj
+from .string_analysis import (
+    UrlMap,
+    analyze_urls,
+    url_map_from_json_obj,
+    url_map_to_json_obj,
+)
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """Every result of one `run_pipeline` call, in stage order."""
+
+    url_map: UrlMap
+    sig: FetchSignature
+    trigger_map: TriggerMap
+    ia: InstrumentedApp
+    base: RunLog
+    opt: RunLog
+    oracle: list[dict]
+
+
+def run_pipeline(app: App, trace: Trace, net: NetModel,
+                 hints: Hints | None = None,
+                 sig: FetchSignature | None = None) -> Pipeline:
+    """String analysis, baseline run, callback analysis, instrumentation
+    (plus hints), optimized run and oracle, in that order. Unless `sig` is
+    given, the baseline run is also the profiling run that picks it."""
+    url_map = analyze_urls(app)
+    base = run_trace(app, trace, net)
+    if sig is None:
+        sig = signature_from_log(base)
+    trigger_map = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
+    ia = instrument(app, url_map, trigger_map, sig)
+    if hints is not None:
+        ia = apply_hints(ia, hints)
+    # ia, not ia.app: the traced benchmark tells the two runs apart by it
+    opt = run_trace(ia, trace, net, seed_url_map=url_map, hints=hints)
+    oracle = compute_oracle(ia, trace)
+    return Pipeline(url_map, sig, trigger_map, ia, base, opt, oracle)
+
+
+def run_benchmark(latency_ms: int, think_ms: int) -> BenchReport:
+    """Run all 25 microbenchmark cases through `run_pipeline`."""
+    if latency_ms <= 0:
+        raise FetchaheadError("latency must be positive")
+    rows, counts = [], (0, 0, 0, 0)
+    for case_id in ALL_CASES:
+        app, trace, net, _ = generate_case(case_id, latency_ms, think_ms)
+        p = run_pipeline(app, trace, net)
+        rows.append(score_case(case_id, p.base, p.opt))
+        counts = tuple(map(sum, zip(counts, accuracy_counts(p.opt, p.oracle))))
+    # micro-averaged over all cases, as compute_accuracy does for one run
+    np, dp, nr, dr = counts
+    return BenchReport(latency_ms, think_ms, rows,
+                       precision=np / dp if dp else 1.0,
+                       recall=nr / dr if dr else 1.0)
+
+
+def _scored(base: RunLog, opt: RunLog, oracle: list[dict] | None) -> Metrics:
+    """Effectiveness of one run pair, plus accuracy if there is an oracle."""
+    m = compute_effectiveness(base, opt)
+    if oracle is not None:
+        m.precision, m.recall = compute_accuracy(opt, oracle)
+    return m
 
 
 class UsageError(Exception):
@@ -56,19 +135,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_text(path: str) -> str:
+def _load(path: str | None, decode, as_json: bool = True):
+    """`decode` of the file's JSON value (of its text if not `as_json`),
+    None if there is no file. Every error raised on the way starts with
+    the file's path."""
+    if path is None:
+        return None
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
+        return decode(json.loads(text) if as_json else text)
     except OSError as e:
-        raise FetchaheadError(f"cannot read {path}: {e.strerror or e}") from e
-
-
-def _read_json(path: str):
-    text = _read_text(path)
-    try:
-        return json.loads(text)
+        raise FetchaheadError(f"{path}: cannot read: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise FetchaheadError(f"{path}: not UTF-8 text: {e.reason}") from e
     except json.JSONDecodeError as e:
-        raise FetchaheadError(f"malformed JSON in {path}: {e}") from e
+        raise FetchaheadError(f"{path}: malformed JSON: {e}") from e
+    except FetchaheadError as e:
+        e.args = (f"{path}: {e}",)
+        raise
 
 
 def _write_text(path: str, text: str) -> None:
@@ -78,28 +162,27 @@ def _write_text(path: str, text: str) -> None:
         raise FetchaheadError(f"cannot write {path}: {e.strerror or e}") from e
 
 
+def _write_json(path: str, obj) -> None:
+    """`_dump_json(obj)`, written piece by piece as the (pure Python)
+    indenting encoder yields it: the joined pieces take far more memory."""
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(obj, f, sort_keys=True, indent=2)
+            f.write("\n")
+    except OSError as e:
+        raise FetchaheadError(f"cannot write {path}: {e.strerror or e}") from e
+
+
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _load_app(path: str):
-    return parse_app(_read_text(path))
-
-
-def _load_trace(path: str):
-    return trace_from_json_obj(_read_json(path))
+    return _load(path, parse_app, as_json=False)
 
 
 def _load_net(path: str | None) -> NetModel:
-    if path is None:
-        return NetModel()
-    return net_model_from_json_obj(_read_json(path))
-
-
-def _load_hints(path: str | None):
-    if path is None:
-        return None
-    return hints_from_json_obj(_read_json(path))
+    return _load(path, net_model_from_json_obj) or NetModel()
 
 
 def _pick_signature(app, args) -> FetchSignature:
@@ -108,7 +191,7 @@ def _pick_signature(app, args) -> FetchSignature:
     if getattr(args, "signature", None):
         return FetchSignature(args.signature)
     if getattr(args, "trace", None):
-        trace = _load_trace(args.trace)
+        trace = _load(args.trace, trace_from_json_obj)
         net = _load_net(getattr(args, "net", None))
         return profile_fetch_signature(app, trace, net)
     return heuristic_fetch_signature(app)
@@ -123,8 +206,8 @@ def _cmd_analyze(args) -> int:
     url_map = analyze_urls(app)
     sig = _pick_signature(app, args)
     trigger_map = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
-    _write_text(args.urlmap_out, _dump_json(url_map_to_json_obj(url_map)))
-    _write_text(args.triggermap_out, _dump_json(trigger_map_to_json_obj(trigger_map)))
+    _write_json(args.urlmap_out, url_map_to_json_obj(url_map))
+    _write_json(args.triggermap_out, trigger_map_to_json_obj(trigger_map))
     result = {
         "signature": sig.net_method,
         "urlmap": args.urlmap_out,
@@ -140,11 +223,11 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_instrument(args) -> int:
     app = _load_app(args.app)
-    url_map = url_map_from_json_obj(_read_json(args.urlmap))
-    trigger_map = trigger_map_from_json_obj(_read_json(args.triggermap))
+    url_map = _load(args.urlmap, url_map_from_json_obj)
+    trigger_map = _load(args.triggermap, trigger_map_from_json_obj)
     sig = _pick_signature(app, args)
     ia = instrument(app, url_map, trigger_map, sig)
-    hints = _load_hints(args.hints)
+    hints = _load(args.hints, hints_from_json_obj)
     if hints is not None:
         ia = apply_hints(ia, hints)
     _write_text(args.out, print_app(ia.app))
@@ -157,18 +240,16 @@ def _cmd_instrument(args) -> int:
 
 def _cmd_run(args) -> int:
     app = _load_app(args.app)
-    trace = _load_trace(args.trace)
+    trace = _load(args.trace, trace_from_json_obj)
     net = _load_net(args.net)
-    seed = None
-    if args.seed_urlmap:
-        seed = url_map_from_json_obj(_read_json(args.seed_urlmap))
-    hints = _load_hints(args.hints)
+    seed = _load(args.seed_urlmap, url_map_from_json_obj)
+    hints = _load(args.hints, hints_from_json_obj)
     log = run_trace(app, trace, net, seed_url_map=seed, hints=hints)
     _write_text(args.out, log.canonical_json())
     if args.oracle_out:
         if not app.is_instrumented:
             raise FetchaheadError("--oracle-out requires an instrumented app")
-        _write_text(args.oracle_out, _dump_json(compute_oracle(app, trace)))
+        _write_json(args.oracle_out, compute_oracle(app, trace))
     if args.json:
         print(_dump_json({"out": args.out, "final_ms": log.final_ms}), end="")
     else:
@@ -185,7 +266,7 @@ def _cmd_bench(args) -> int:
     report = run_benchmark(args.latency_ms, args.think_ms)
     if args.out:
         if args.out.endswith(".json"):
-            _write_text(args.out, _dump_json(report.to_json_obj()))
+            _write_json(args.out, report.to_json_obj())
         else:
             _write_text(args.out, report.to_tsv())
     if args.json:
@@ -208,12 +289,10 @@ def _cmd_report(args) -> int:
     pairs = []
     stats = []
     for i, (bpath, opath) in enumerate(zip(bases, opts)):
-        base = run_log_from_json_obj(_read_json(bpath))
-        opt = run_log_from_json_obj(_read_json(opath))
-        m = compute_effectiveness(base, opt)
-        if oracles:
-            oracle = oracle_from_json_obj(_read_json(oracles[i]))
-            m.precision, m.recall = compute_accuracy(opt, oracle)
+        base = _load(bpath, run_log_from_json_obj)
+        opt = _load(opath, run_log_from_json_obj)
+        oracle = _load(oracles[i], oracle_from_json_obj) if oracles else None
+        m = _scored(base, opt, oracle)
         pairs.append(m.to_json_obj())
         stats.append(PairStats(
             requests=len(opt.demands()),
@@ -224,7 +303,7 @@ def _cmd_report(args) -> int:
     if len(stats) > 1:
         result["summary"] = summarize_pairs(stats)
     if args.out:
-        _write_text(args.out, _dump_json(result))
+        _write_json(args.out, result)
     if args.json:
         print(_dump_json(result), end="")
     else:
@@ -242,46 +321,29 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    app = _load_app(args.app)
+    trace = _load(args.trace, trace_from_json_obj)
+    net = _load_net(args.net)
+    hints = _load(args.hints, hints_from_json_obj)
+    sig = FetchSignature(args.signature) if args.signature else None
+    p = run_pipeline(app, trace, net, hints, sig)
+    m = _scored(p.base, p.opt, p.oracle)
+
+    # nothing is written unless every stage succeeded
     outdir = Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise FetchaheadError(f"cannot create {outdir}: {e.strerror or e}") from e
-
-    app = _load_app(args.app)
-    trace = _load_trace(args.trace)
-    net = _load_net(args.net)
-    hints = _load_hints(args.hints)
-
-    url_map = analyze_urls(app)
-    # the baseline run doubles as the profiling run
-    base = run_trace(app, trace, net)
-    if args.signature:
-        sig = FetchSignature(args.signature)
-    else:
-        sig = signature_from_log(base)
-    trigger_map = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
-    _write_text(str(outdir / "urlmap.json"), _dump_json(url_map_to_json_obj(url_map)))
-    _write_text(str(outdir / "triggermap.json"),
-                _dump_json(trigger_map_to_json_obj(trigger_map)))
-
-    ia = instrument(app, url_map, trigger_map, sig)
-    if hints is not None:
-        ia = apply_hints(ia, hints)
-    _write_text(str(outdir / "optimized.papp"), print_app(ia.app))
-
-    opt = run_trace(ia, trace, net, seed_url_map=url_map, hints=hints)
-    _write_text(str(outdir / "runlog_base.json"), base.canonical_json())
-    _write_text(str(outdir / "runlog_opt.json"), opt.canonical_json())
-
-    oracle = compute_oracle(ia, trace)
-    _write_text(str(outdir / "oracle.json"), _dump_json(oracle))
-
-    m = compute_effectiveness(base, opt)
-    m.precision, m.recall = compute_accuracy(opt, oracle)
+    _write_json(str(outdir / "urlmap.json"), url_map_to_json_obj(p.url_map))
+    _write_json(str(outdir / "triggermap.json"), trigger_map_to_json_obj(p.trigger_map))
+    _write_text(str(outdir / "optimized.papp"), print_app(p.ia.app))
+    _write_text(str(outdir / "runlog_base.json"), p.base.canonical_json())
+    _write_text(str(outdir / "runlog_opt.json"), p.opt.canonical_json())
+    _write_json(str(outdir / "oracle.json"), p.oracle)
     # same shape the report subcommand writes, so the two paths are
     # byte-identical
-    _write_text(str(outdir / "metrics.json"), _dump_json({"pairs": [m.to_json_obj()]}))
+    _write_json(str(outdir / "metrics.json"), {"pairs": [m.to_json_obj()]})
 
     if args.json:
         print(_dump_json({"outdir": str(outdir), "metrics": m.to_json_obj()}),

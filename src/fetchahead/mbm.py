@@ -18,6 +18,9 @@ with two spots each. For a value with two spots, the spot before the
 trigger point is its first definition in program order. Each generated
 app gives every definition spot a distinct value, so a redefinition after
 the trigger point provably demands a different URL than was prefetched.
+
+This module generates the cases and scores each from its two run logs;
+`cli.run_benchmark` runs them through the pipeline.
 """
 
 from __future__ import annotations
@@ -34,14 +37,9 @@ from .app_ir import (
     NetCall,
     NetMethodDecl,
     UrlPart,
-    build_ecg,
 )
-from .callback_analysis import identify_trigger_callbacks, signature_from_log
 from .errors import FetchaheadError
-from .instrumenter import instrument
-from .metrics import accuracy_counts, compute_oracle
-from .runtime import NetModel, RunLog, Trace, TraceStep, run_trace
-from .string_analysis import analyze_urls
+from .runtime import NetModel, RunLog, Trace, TraceStep
 
 BEFORE = "before"
 AFTER = "after"
@@ -269,29 +267,13 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
-def run_case(
-    case_id: int, latency_ms: int, think_ms: int
-) -> tuple[CaseResult, tuple[int, int, int, int]]:
-    """Full pipeline for one case; returns the row and its accuracy
-    counts (precision/recall numerators and denominators)."""
-    app, trace, net, expected = generate_case(case_id, latency_ms, think_ms)
-    url_map = analyze_urls(app)
-    # the baseline run doubles as the profiling run
-    base = run_trace(app, trace, net)
-    sig = signature_from_log(base)
-    trigger_map = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
-    ia = instrument(app, url_map, trigger_map, sig)
-
-    opt = run_trace(ia, trace, net, seed_url_map=url_map)
-    counts = accuracy_counts(opt, compute_oracle(ia, trace))
-
-    base_demand = next(d for d in base.demands() if d.url_id == "u")
-    opt_demand = next(d for d in opt.demands() if d.url_id == "u")
-    orig_ms = base_demand.response_time_ms
-    opt_ms = opt_demand.response_time_ms
+def score_case(case_id: int, base: RunLog, opt: RunLog) -> CaseResult:
+    """One report row from a case's baseline and optimized run logs."""
+    orig_ms = next(d for d in base.demands() if d.url_id == "u").response_time_ms
+    opt_ms = next(d for d in opt.demands() if d.url_id == "u").response_time_ms
     overhead = opt.total_overhead_ms()
     reduction = ((orig_ms - opt_ms - overhead) / orig_ms * 100.0) if orig_ms else 0.0
-    row = CaseResult(
+    return CaseResult(
         case_id=case_id,
         sd_ms=opt.overhead_ms["send_definition"],
         tp_ms=opt.overhead_ms["trigger_prefetch"],
@@ -299,29 +281,6 @@ def run_case(
         orig_ms=orig_ms,
         opt_ms=opt_ms,
         reduction_pct=reduction,
-        expected=expected,
+        expected=FIG4_LABELS[case_id],
         observed=observed_outcome(opt),
-    )
-    return row, counts
-
-
-def run_benchmark(latency_ms: int, think_ms: int) -> BenchReport:
-    """Run all 25 cases through the full pipeline."""
-    if latency_ms <= 0:
-        raise FetchaheadError("latency must be positive")
-    rows = []
-    np = dp = nr = dr = 0
-    for case_id in ALL_CASES:
-        row, (cnp, cdp, cnr, cdr) = run_case(case_id, latency_ms, think_ms)
-        rows.append(row)
-        np += cnp
-        dp += cdp
-        nr += cnr
-        dr += cdr
-    return BenchReport(
-        latency_ms=latency_ms,
-        think_ms=think_ms,
-        rows=rows,
-        precision=np / dp if dp else 1.0,
-        recall=nr / dr if dr else 1.0,
     )

@@ -440,15 +440,6 @@ class ProxyState:
                       for url_id, parts in self.runtime_url_map.items()
                       if None not in parts}
 
-    def is_known(self, url_id: str) -> bool:
-        return url_id in self.known
-
-    def url_string(self, url_id: str) -> str:
-        return self.known[url_id]
-
-    def in_flight(self, now: int) -> int:
-        return sum(1 for e in self.cache.values() if e.ready_at_ms > now)
-
 
 def seed_proxy_state(
     url_map: UrlMap,
@@ -697,10 +688,13 @@ class _Session(Walk):
         return self.net.latency_for(method, self.declared.get(method))
 
     def _prefetch_latency(self, url_id: str) -> int:
-        method = self.app.fetch_method_for(url_id)
+        method = self.app.index.fetch_methods.get(url_id)
         if method is not None:
             return self._latency(method)
-        return self.net.default_latency_ms or 0
+        if self.net.default_latency_ms is None:  # e.g. a hint URL
+            raise RunError(f"url '{url_id}' has no fetch statement to take a "
+                           "latency from; set the net config's default_latency_ms")
+        return self.net.default_latency_ms
 
     def _charge(self, call: str, ms: int) -> None:
         self.overhead[call] += ms

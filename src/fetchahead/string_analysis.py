@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .app_ir import App, BuildUrl, DefineDynamic, Stmt
+from .app_ir import App, BuildUrl, DefineDynamic
 from .errors import AnalysisError, expect_json
 
 
@@ -59,11 +59,6 @@ class UrlMap:
     """url id -> per-part states, in URL-spot program order."""
 
     entries: dict[str, tuple[UrlPartState, ...]]
-
-
-def definitions_of(app: App, var: str) -> list[tuple[str, int, Stmt]]:
-    """All definitions of `var` in program order."""
-    return list(app.index.definitions.get(var, ()))
 
 
 def static_value_of(app: App, var: str) -> str | None:

@@ -2,11 +2,9 @@ from pathlib import Path
 
 import pytest
 
-from fetchahead.app_ir import build_ecg, parse_app
-from fetchahead.callback_analysis import identify_trigger_callbacks, profile_fetch_signature
-from fetchahead.instrumenter import instrument
+from fetchahead.app_ir import parse_app
+from fetchahead.cli import run_pipeline
 from fetchahead.runtime import NetModel, Trace, TraceStep
-from fetchahead.string_analysis import analyze_urls
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -38,11 +36,5 @@ def weather_net():
 
 @pytest.fixture()
 def weather_pipeline(weather_app, weather_trace, weather_net):
-    """(app, url_map, signature, trigger_map, instrumented) tuple."""
-    url_map = analyze_urls(weather_app)
-    sig = profile_fetch_signature(weather_app, weather_trace, weather_net)
-    trigger_map = identify_trigger_callbacks(
-        weather_app, weather_app.ccfg, build_ecg(weather_app), sig
-    )
-    ia = instrument(weather_app, url_map, trigger_map, sig)
-    return weather_app, url_map, sig, trigger_map, ia
+    """The `Pipeline` of the worked scenario."""
+    return run_pipeline(weather_app, weather_trace, weather_net)

@@ -24,6 +24,7 @@ from fetchahead.app_ir import (
     build_ecg,
 )
 from fetchahead.callback_analysis import FetchSignature, identify_trigger_callbacks
+from fetchahead.cli import run_benchmark, run_pipeline
 from fetchahead.instrumenter import instrument
 from fetchahead.mbm import (
     ALL_CASES,
@@ -32,7 +33,6 @@ from fetchahead.mbm import (
     HIT_CASES,
     Prefetchability,
     classify,
-    run_benchmark,
 )
 from fetchahead.metrics import (
     PairStats,
@@ -106,12 +106,8 @@ def test_criterion_4_wait_semantics():
     from fetchahead.mbm import generate_case
 
     app, trace, net, _ = generate_case(1, 1000, 300)
-    url_map = analyze_urls(app)
-    sig = FetchSignature("fetch")
-    tm = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
-    ia = instrument(app, url_map, tm, sig)
-    base = run_trace(app, trace, net)
-    opt = run_trace(ia, trace, net, seed_url_map=url_map)
+    p = run_pipeline(app, trace, net)
+    base, opt = p.base, p.opt
     (demand,) = opt.demands()
     origin_fetches = len(opt.prefetches()) + sum(
         1 for d in opt.demands() if d.served_from == "origin"
@@ -131,7 +127,7 @@ def test_criterion_4_wait_semantics():
 
 
 def test_criterion_5_worked_example(weather_pipeline):
-    _, url_map, sig, trigger_map, ia = weather_pipeline
+    url_map, trigger_map = weather_pipeline.url_map, weather_pipeline.trigger_map
 
     url2_ok = url_map.entries["url2"] == (
         Concrete("http://weatherapi/"),
@@ -143,10 +139,10 @@ def test_criterion_5_worked_example(weather_pipeline):
         "onItemSelected": ("url1", "url2", "url3"),
     }
 
-    app = ia.app
-    on_create = app.body_of("onCreate")
-    on_item = app.body_of("onItemSelected")
-    on_click = app.body_of("onClick")
+    bodies = weather_pipeline.ia.app.index.bodies
+    on_create = bodies["onCreate"]
+    on_item = bodies["onItemSelected"]
+    on_click = bodies["onClick"]
     placement_ok = (
         isinstance(on_create[-1], TriggerPrefetch) and len(on_create) == 2
         and on_item[1] == SendDefinition("cityName", "url2", 3)
@@ -205,7 +201,7 @@ def test_criterion_7_conservative_spot_soundness():
         replay = replay_trace(app, trace)
         spots_by_var: dict[str, set] = {}
         for url_id, parts in url_map.entries.items():
-            spot = app.url_spots()[url_id]
+            spot = app.index.url_spots[url_id]
             for part, state in zip(spot[2].parts, parts):
                 if isinstance(state, Unknown):
                     spots_by_var.setdefault(part.value, set()).update(
@@ -239,12 +235,9 @@ def test_criterion_8_threshold():
         netlib=(NetMethodDecl("fetch", 500),),
     )
     trace = Trace((TraceStep("prepare", 0, {}), TraceStep("show", 1000, {})))
-    url_map = analyze_urls(app)
-    sig = FetchSignature("fetch")
-    tm = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
-    assert tm.entries == {"prepare": tuple(f"u{i}" for i in range(7))}
-    ia = instrument(app, url_map, tm, sig)
-    log = run_trace(ia, trace, NetModel(), seed_url_map=url_map)
+    p = run_pipeline(app, trace, NetModel())
+    assert p.trigger_map.entries == {"prepare": tuple(f"u{i}" for i in range(7))}
+    log = p.opt
     (trigger,) = log.trigger_evals()
     ok = (
         len(trigger.issued) == 5
@@ -287,25 +280,17 @@ def _one_hit_in_13_logs():
         TraceStep("browse", 0, {}),
         TraceStep("show", 2000, inputs),
     ))
-    net = NetModel()
-    url_map = analyze_urls(app)
-    sig = FetchSignature("fetch")
-    tm = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
-    ia = instrument(app, url_map, tm, sig)
-    base = run_trace(app, trace, net)
-    opt = run_trace(ia, trace, net, seed_url_map=url_map)
-    return base, opt
+    p = run_pipeline(app, trace, NetModel())
+    return p.base, p.opt
 
 
-def test_criterion_9_hit_rate_reporting(weather_pipeline, weather_trace, weather_net):
+def test_criterion_9_hit_rate_reporting(weather_pipeline):
     base13, opt13 = _one_hit_in_13_logs()
     rate = hit_rate(opt13)
     m13 = compute_effectiveness(base13, opt13)
 
-    app, url_map, _, _, ia = weather_pipeline
-    base_w = run_trace(app, weather_trace, weather_net)
-    opt_w = run_trace(ia, weather_trace, weather_net, seed_url_map=url_map)
-    m_w = compute_effectiveness(base_w, opt_w)
+    opt_w = weather_pipeline.opt
+    m_w = compute_effectiveness(weather_pipeline.base, opt_w)
 
     summary = summarize_pairs([
         PairStats(len(opt13.demands()), m13.hit_rate, m13.mean_reduction_pct),

@@ -33,7 +33,7 @@ def test_weather_app_structure(weather_app):
     assert weather_app.ccfg.wait_nodes == ("wn1",)
     assert ("onCreate", "wn1") in weather_app.ccfg.edges
     assert ("onClick", "DisplayActivity.onCreate") in weather_app.ccfg.edges
-    on_click = weather_app.body_of("onClick")
+    on_click = weather_app.index.bodies["onClick"]
     assert isinstance(on_click[0], DefineDynamic)
     assert [st.url_id for st in on_click if isinstance(st, BuildUrl)] == [
         "url1", "url2", "url3",
@@ -47,7 +47,7 @@ def test_weather_app_structure(weather_app):
 def test_empty_app():
     app = parse_app("app empty\n")
     assert app.callbacks == ()
-    assert app.url_spots() == {}
+    assert app.index.url_spots == {}
 
 
 def test_unresolved_url_is_reported():
@@ -136,7 +136,7 @@ ccfg {
 """
     app = parse_app(src)
     assert app.resources["r"] == "http://x/#notacomment"
-    assert len(app.body_of("c")) == 3
+    assert len(app.index.bodies["c"]) == 3
 
 
 def test_weather_round_trip(weather_app):
@@ -227,7 +227,7 @@ def test_names_that_do_not_round_trip_are_rejected(app):
 
 
 def test_round_trip_instrumented(weather_pipeline):
-    ia = weather_pipeline[4]
+    ia = weather_pipeline.ia
     assert parse_app(print_app(ia.app)) == ia.app
 
 
@@ -286,7 +286,7 @@ def test_ecg_deterministic():
 def test_every_netcall_has_one_url_spot():
     for seed in range(40):
         app, _, _ = make_app(random.Random(seed))
-        spots = app.url_spots()
+        spots = app.index.url_spots
         for _, body in app.containers():
             for stmt in body:
                 if isinstance(stmt, NetCall):

@@ -88,7 +88,7 @@ def test_heuristic_signature_max_declared_latency():
 
 
 def test_weather_trigger_map(weather_pipeline):
-    _, _, _, trigger_map, _ = weather_pipeline
+    trigger_map = weather_pipeline.trigger_map
     assert trigger_map.entries == {
         "onCreate": ("url1", "url2", "url3"),
         "onItemSelected": ("url1", "url2", "url3"),
@@ -98,7 +98,7 @@ def test_weather_trigger_map(weather_pipeline):
 def test_no_wait_node_means_no_trigger(weather_pipeline):
     # onClick -> DisplayActivity.onCreate has no wait node between them,
     # so onClick never becomes a trigger for anything.
-    _, _, _, trigger_map, _ = weather_pipeline
+    trigger_map = weather_pipeline.trigger_map
     assert "onClick" not in trigger_map.entries
 
 
@@ -263,8 +263,8 @@ ccfg {
     assert tm.entries == {"a": ("u",)}
 
 
-def test_trigger_paths_have_length_two(weather_pipeline):
-    app, _, _, trigger_map, _ = weather_pipeline
+def test_trigger_paths_have_length_two(weather_app, weather_pipeline):
+    app, trigger_map = weather_app, weather_pipeline.trigger_map
     waits = set(app.ccfg.wait_nodes)
     targets = {"onClick"}
     for trigger in trigger_map.entries:
@@ -276,7 +276,7 @@ def test_trigger_paths_have_length_two(weather_pipeline):
 
 
 def test_monotonic_under_added_ccfg_edge(weather_app, weather_pipeline):
-    _, _, sig, before, _ = weather_pipeline
+    sig, before = weather_pipeline.sig, weather_pipeline.trigger_map
     extended = Ccfg(
         weather_app.ccfg.wait_nodes,
         weather_app.ccfg.edges + (("DisplayActivity.onCreate", "wn1"),),
@@ -290,16 +290,17 @@ def test_monotonic_under_added_ccfg_edge(weather_app, weather_pipeline):
 
 
 def test_url_order_follows_fetch_spot_program_order(weather_pipeline):
-    _, _, _, trigger_map, _ = weather_pipeline
+    trigger_map = weather_pipeline.trigger_map
     assert trigger_map.entries["onCreate"] == ("url1", "url2", "url3")
 
 
 def test_trigger_map_json_round_trip(weather_pipeline):
-    tm = weather_pipeline[3]
+    tm = weather_pipeline.trigger_map
     assert trigger_map_from_json_obj(trigger_map_to_json_obj(tm)) == tm
 
 
 def test_analysis_rejects_instrumented_app(weather_pipeline):
-    app, _, sig, _, ia = weather_pipeline
+    app = weather_pipeline.ia.app
     with pytest.raises(AnalysisError):
-        identify_trigger_callbacks(ia.app, app.ccfg, build_ecg(ia.app), sig)
+        identify_trigger_callbacks(app, app.ccfg, build_ecg(app),
+                                   weather_pipeline.sig)

@@ -71,10 +71,20 @@ def test_malformed_json_is_run_error(workdir, capsys):
     assert "malformed JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "bad.bin"],
+    ["run", "--app", "weather.papp", "--trace", "bad.bin"],
+], ids=["papp", "json"])
+def test_non_utf8_input_is_run_error(workdir, capsys, argv):
+    (workdir / "bad.bin").write_bytes(b"\xff\xfe")
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: bad.bin: not UTF-8 text")
+
+
 def test_parse_error_exit_code(workdir, capsys):
     (workdir / "broken.papp").write_text("app x\ncallback c {\n  let = no\n}\n")
     assert main(["analyze", "broken.papp"]) == 2
-    assert "line 3" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: broken.papp: line 3")
 
 
 def test_instrument_and_run(workdir):
@@ -222,6 +232,9 @@ def test_pipeline_metrics_content(workdir):
 
 
 def test_hints_file_flows_through(workdir):
+    # the hint URL has no fetch statement, so its prefetch is charged the
+    # net model's default latency
+    (workdir / "net.json").write_text(json.dumps({"default_latency_ms": 800}))
     (workdir / "hints.json").write_text(json.dumps({
         "extra_static_urls": [
             {"url_id": "urlHome", "url": "http://weatherapi/home"}
@@ -243,8 +256,8 @@ def test_hints_file_flows_through(workdir):
     # the written hinted app parses and runs again (hint url has no URL spot)
     assert main([
         "run", "--app", "hinted/optimized.papp", "--trace", "trace.json",
-        "--seed-urlmap", "hinted/urlmap.json", "--hints", "hints.json",
-        "--out", "hinted/rerun.json",
+        "--net", "net.json", "--seed-urlmap", "hinted/urlmap.json",
+        "--hints", "hints.json", "--out", "hinted/rerun.json",
     ]) == 0
     rerun = json.loads((workdir / "hinted" / "rerun.json").read_text())
     assert rerun == json.loads(
@@ -311,7 +324,7 @@ def test_malformed_trace_is_run_error(workdir, capsys, trace):
     code = main(["run", "--app", "weather.papp", "--trace", "bad_trace.json",
                  "--out", "runlog.json"])
     assert code == 2
-    assert "trace step 1" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: bad_trace.json: trace step 1")
     assert not (workdir / "runlog.json").exists()
 
 
@@ -325,7 +338,7 @@ def test_malformed_net_is_run_error(workdir, capsys, net):
     code = main(["run", "--app", "weather.papp", "--trace", "trace.json",
                  "--net", "bad_net.json", "--out", "runlog.json"])
     assert code == 2
-    assert "net config" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: bad_net.json: net config")
     assert not (workdir / "runlog.json").exists()
 
 
@@ -362,7 +375,7 @@ def test_malformed_artifact_is_error(workdir, capsys, artifact, edit, message):
             "--oracle", "oracle.json",
         ])
     assert code == 2
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {artifact}: {message}")
 
 
 @pytest.mark.parametrize("hints, message", [
@@ -386,8 +399,8 @@ def test_malformed_hints_is_error(workdir, capsys, hints, message):
     code = main(["pipeline", "weather.papp", "--trace", "trace.json",
                  "--hints", "h.json", "--outdir", "out"])
     assert code == 2
-    assert message in capsys.readouterr().err
-    assert not (workdir / "out" / "urlmap.json").exists()
+    assert capsys.readouterr().err.startswith(f"error: h.json: {message}")
+    assert not (workdir / "out").exists()
 
 
 @pytest.mark.parametrize("m", [0, 99])
@@ -407,3 +420,50 @@ def test_url_map_spot_part_outside_the_url_is_error(workdir, capsys, m):
     assert code == 2
     assert f"missing part url2[{m}]" in capsys.readouterr().err
     assert not (workdir / "again.papp").exists()
+
+
+def test_failed_pipeline_writes_nothing(workdir, capsys):
+    # apply_hints is the fifth stage; the earlier ones all succeed
+    (workdir / "hints.json").write_text(json.dumps({
+        "extra_trigger_entries": [{"callback": "ghost", "url_ids": ["url1"]}],
+    }))
+    (workdir / "out").mkdir()
+    code = main(["pipeline", "weather.papp", "--trace", "trace.json",
+                 "--hints", "hints.json", "--outdir", "out"])
+    assert code == 2
+    assert "unknown callback 'ghost'" in capsys.readouterr().err
+    assert list((workdir / "out").iterdir()) == []
+
+
+def _hint_for_url3(workdir, net: dict) -> int:
+    """A hint URL equal to url3's string, prefetched at the end of
+    onItemSelected, 10 ms before onClick demands url3."""
+    trace = [dict(step) for step in WEATHER_TRACE]
+    trace[2]["think_ms"] = 10
+    (workdir / "trace10.json").write_text(json.dumps(trace))
+    (workdir / "hint_net.json").write_text(json.dumps(net))
+    (workdir / "hints.json").write_text(json.dumps({
+        "extra_static_urls": [
+            {"url_id": "urlHint", "url": "http://weatherapi/weather?cityId=842"}
+        ],
+        "extra_trigger_entries": [
+            {"callback": "onItemSelected", "url_ids": ["urlHint"], "at": "end"}
+        ],
+    }))
+    return main(["pipeline", "weather.papp", "--trace", "trace10.json",
+                 "--net", "hint_net.json", "--hints", "hints.json",
+                 "--outdir", "out"])
+
+
+def test_hint_url_without_a_latency_is_error(workdir, capsys):
+    assert _hint_for_url3(workdir, {}) == 2
+    assert "urlHint" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+def test_hint_url_is_charged_the_default_latency(workdir):
+    assert _hint_for_url3(workdir, {"default_latency_ms": 500}) == 0
+    log = json.loads((workdir / "out" / "runlog_opt.json").read_text())
+    (hint,) = [e for e in log["events"]
+               if e["type"] == "prefetch" and e["url_id"] == "urlHint"]
+    assert hint["ready_at"] - hint["issued_at"] == 500

@@ -12,10 +12,10 @@ from fetchahead.app_ir import (
     SendDefinition,
     Transition,
     TriggerPrefetch,
-    build_ecg,
     parse_app,
 )
-from fetchahead.callback_analysis import FetchSignature, TriggerMap, identify_trigger_callbacks
+from fetchahead.callback_analysis import FetchSignature, TriggerMap
+from fetchahead.cli import run_pipeline
 from fetchahead.errors import InstrumentError
 from fetchahead.instrumenter import (
     Hints,
@@ -28,27 +28,26 @@ from fetchahead.instrumenter import (
     instrument,
 )
 from fetchahead.metrics import compute_effectiveness
-from fetchahead.runtime import run_trace
 from fetchahead.string_analysis import Concrete, DefinitionSpot, Unknown, UrlMap, analyze_urls
 
 
 def test_weather_insertion_sites(weather_pipeline):
     """Each rewrite lands at its expected position in each callback."""
-    _, _, _, _, ia = weather_pipeline
+    ia = weather_pipeline.ia
     app = ia.app
 
-    on_create = app.body_of("onCreate")
+    on_create = app.index.bodies["onCreate"]
     assert isinstance(on_create[0], DefineStatic)
     assert on_create[1] == TriggerPrefetch(("url1", "url2", "url3"))
     assert len(on_create) == 2
 
-    on_item = app.body_of("onItemSelected")
+    on_item = app.index.bodies["onItemSelected"]
     assert isinstance(on_item[0], DefineDynamic)
     assert on_item[1] == SendDefinition("cityName", "url2", 3)
     assert on_item[2] == TriggerPrefetch(("url1", "url2", "url3"))
     assert len(on_item) == 3
 
-    on_click = app.body_of("onClick")
+    on_click = app.index.bodies["onClick"]
     assert isinstance(on_click[0], DefineDynamic)
     assert on_click[1] == SendDefinition("cityId", "url3", 3)
     assert all(isinstance(st, BuildUrl) for st in on_click[2:5])
@@ -75,7 +74,7 @@ ccfg {
 }
 """)
     ia = instrument(app, analyze_urls(app), TriggerMap({}), FetchSignature("get"))
-    body = ia.app.body_of("c")
+    body = ia.app.index.bodies["c"]
     assert isinstance(body[0], BuildUrl)
     assert body[1] == FetchFromProxy("u", "get")
     assert not any(isinstance(st, (SendDefinition, TriggerPrefetch)) for st in body)
@@ -95,7 +94,7 @@ ccfg {
 }
 """)
     ia = instrument(app, analyze_urls(app), TriggerMap({}), FetchSignature("read"))
-    body = ia.app.body_of("c")
+    body = ia.app.index.bodies["c"]
     assert body[1] == NetCall("open", "u")
     assert body[2] == FetchFromProxy("u", "read")
 
@@ -124,7 +123,7 @@ ccfg {
     ]
     assert served == [("a", 2), ("b", 3)]
     ia = instrument(app, url_map, TriggerMap({}), FetchSignature("get"))
-    body = ia.app.body_of("c")
+    body = ia.app.index.bodies["c"]
     assert body[1] == SendDefinition("v", "a", 2)
     assert body[2] == SendDefinition("v", "b", 3)
 
@@ -157,68 +156,69 @@ ccfg {
     direct = instrument(app, url_map, TriggerMap({}), sig)
     via_json = instrument(app, round_tripped, TriggerMap({}), sig)
     assert direct.app == via_json.app
-    body = direct.app.body_of("c")
+    body = direct.app.index.bodies["c"]
     # sends follow URL program order: zebra (part 2) before alpha (part 2)
     assert body[1] == SendDefinition("v", "zebra", 2)
     assert body[2] == SendDefinition("v", "alpha", 2)
 
 
 def test_double_instrumentation_rejected(weather_pipeline):
-    app, url_map, sig, trigger_map, ia = weather_pipeline
+    p = weather_pipeline
     with pytest.raises(InstrumentError, match="already instrumented"):
-        instrument(ia.app, url_map, trigger_map, sig)
+        instrument(p.ia.app, p.url_map, p.trigger_map, p.sig)
 
 
-def test_trigger_map_with_unknown_callback_rejected(weather_pipeline):
-    app, url_map, sig, _, _ = weather_pipeline
+def test_trigger_map_with_unknown_callback_rejected(weather_app, weather_pipeline):
+    p = weather_pipeline
     with pytest.raises(InstrumentError, match="unknown callback"):
-        instrument(app, url_map, TriggerMap({"ghost": ("url1",)}), sig)
+        instrument(weather_app, p.url_map, TriggerMap({"ghost": ("url1",)}), p.sig)
 
 
 @pytest.mark.parametrize("container, stmt", [
     ("ghost", 0), ("onItemSelected", 99), ("onItemSelected", -1),
 ])
-def test_url_map_spot_outside_the_app_rejected(weather_pipeline, container, stmt):
-    app, url_map, sig, trigger_map, _ = weather_pipeline
+def test_url_map_spot_outside_the_app_rejected(weather_app, weather_pipeline,
+                                               container, stmt):
+    p = weather_pipeline
     url_map = UrlMap({"url2": (Unknown((DefinitionSpot(container, stmt, 1, 1),)),)})
     with pytest.raises(InstrumentError, match="is not a definition"):
-        instrument(app, url_map, trigger_map, sig)
+        instrument(weather_app, url_map, p.trigger_map, p.sig)
 
 
-def test_url_map_url_outside_the_app_rejected(weather_pipeline):
-    app, url_map, sig, trigger_map, _ = weather_pipeline
-    url_map = UrlMap({**url_map.entries, "ghost": (Concrete("http://x/"),)})
+def test_url_map_url_outside_the_app_rejected(weather_app, weather_pipeline):
+    p = weather_pipeline
+    url_map = UrlMap({**p.url_map.entries, "ghost": (Concrete("http://x/"),)})
     with pytest.raises(InstrumentError, match="unknown url 'ghost'"):
-        instrument(app, url_map, trigger_map, sig)
+        instrument(weather_app, url_map, p.trigger_map, p.sig)
 
 
 @pytest.mark.parametrize("m", [0, 4, 99])
-def test_url_map_spot_part_outside_the_url_rejected(weather_pipeline, m):
+def test_url_map_spot_part_outside_the_url_rejected(weather_app, weather_pipeline, m):
     # url2 has three parts; without the check the rewritten app holds a
     # send_definition that its own parser rejects
-    app, url_map, sig, trigger_map, _ = weather_pipeline
-    url_map = UrlMap({**url_map.entries, "url2": (
+    p = weather_pipeline
+    url_map = UrlMap({**p.url_map.entries, "url2": (
         Unknown((DefinitionSpot("onItemSelected", 0, m, 1),)),
     )})
     with pytest.raises(InstrumentError, match=rf"missing part url2\[{m}\]"):
-        instrument(app, url_map, trigger_map, sig)
+        instrument(weather_app, url_map, p.trigger_map, p.sig)
 
 
 def test_provenance_records_insertions(weather_pipeline):
-    ia = weather_pipeline[4]
+    ia = weather_pipeline.ia
     assert ia.provenance[("onCreate", 1)] == "trigger point"
     assert ia.provenance[("onItemSelected", 1)].startswith("definition spot")
     assert ia.provenance[("onClick", 5)] == "fetch spot redirect"
 
 
 def test_launch_hint_inserts_at_position_zero(weather_pipeline):
-    _, _, _, _, ia = weather_pipeline
+    ia = weather_pipeline.ia
     hints = Hints(
         extra_trigger_entries=(TriggerHint("onCreate", ("urlHome",), at_launch=True),),
         extra_static_urls=(StaticUrlHint("urlHome", "http://weatherapi/home"),),
     )
     hinted = apply_hints(ia, hints)
-    on_create = hinted.app.body_of("onCreate")
+    on_create = hinted.app.index.bodies["onCreate"]
     assert on_create[0] == TriggerPrefetch(("urlHome",))
     assert hinted.provenance[("onCreate", 0)] == "hint: prefetch at launch"
     # previously recorded provenance shifted down by one
@@ -226,24 +226,24 @@ def test_launch_hint_inserts_at_position_zero(weather_pipeline):
 
 
 def test_end_hint_merges_into_trailing_trigger(weather_pipeline):
-    _, _, _, _, ia = weather_pipeline
+    ia = weather_pipeline.ia
     hints = Hints(
         extra_trigger_entries=(TriggerHint("onItemSelected", ("urlHome", "url1")),),
         extra_static_urls=(StaticUrlHint("urlHome", "http://weatherapi/home"),),
     )
     hinted = apply_hints(ia, hints)
-    body = hinted.app.body_of("onItemSelected")
+    body = hinted.app.index.bodies["onItemSelected"]
     assert body[-1] == TriggerPrefetch(("url1", "url2", "url3", "urlHome"))
     assert sum(isinstance(st, TriggerPrefetch) for st in body) == 1
 
 
 def test_empty_hints_identity(weather_pipeline):
-    ia = weather_pipeline[4]
+    ia = weather_pipeline.ia
     assert apply_hints(ia, Hints()).app == ia.app
 
 
 def test_hint_unknown_callback_rejected(weather_pipeline):
-    ia = weather_pipeline[4]
+    ia = weather_pipeline.ia
     with pytest.raises(InstrumentError, match="unknown callback"):
         apply_hints(ia, Hints(
             extra_trigger_entries=(TriggerHint("nope", ("url1",)),),
@@ -251,7 +251,7 @@ def test_hint_unknown_callback_rejected(weather_pipeline):
 
 
 def test_hint_unknown_url_rejected(weather_pipeline):
-    ia = weather_pipeline[4]
+    ia = weather_pipeline.ia
     with pytest.raises(InstrumentError, match="unknown url"):
         apply_hints(ia, Hints(
             extra_trigger_entries=(TriggerHint("onCreate", ("ghost",)),),
@@ -259,7 +259,7 @@ def test_hint_unknown_url_rejected(weather_pipeline):
 
 
 def test_hint_url_may_not_shadow_existing(weather_pipeline):
-    ia = weather_pipeline[4]
+    ia = weather_pipeline.ia
     with pytest.raises(InstrumentError, match="already exists"):
         apply_hints(ia, Hints(
             extra_static_urls=(StaticUrlHint("url1", "http://elsewhere/"),),
@@ -267,7 +267,7 @@ def test_hint_url_may_not_shadow_existing(weather_pipeline):
 
 
 def test_rewrite_rule_bounds_checked(weather_pipeline):
-    ia = weather_pipeline[4]
+    ia = weather_pipeline.ia
     with pytest.raises(InstrumentError, match="missing part"):
         apply_hints(ia, Hints(
             rewrite_rules=(RewriteRule("url1", 9, "a", "b"),),
@@ -288,12 +288,8 @@ def test_behavioral_transparency_on_random_apps():
     sequence under the same trace."""
     for seed in range(40):
         app, trace, net = make_app(random.Random(seed))
-        url_map = analyze_urls(app)
-        sig = FetchSignature("fetch")
-        trigger_map = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
-        ia = instrument(app, url_map, trigger_map, sig)
-        base = run_trace(app, trace, net)
-        opt = run_trace(ia, trace, net, seed_url_map=url_map)
+        p = run_pipeline(app, trace, net, sig=FetchSignature("fetch"))
+        base, opt = p.base, p.opt
         assert [(d.url_id, d.url) for d in base.demands()] == \
                [(d.url_id, d.url) for d in opt.demands()]
         # compute_effectiveness accepts them (would raise otherwise)

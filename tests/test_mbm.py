@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from fetchahead.cli import run_benchmark
 from fetchahead.errors import FetchaheadError
 from fetchahead.mbm import (
     AFTER,
@@ -15,8 +16,6 @@ from fetchahead.mbm import (
     classify,
     generate_case,
     observed_outcome,
-    run_benchmark,
-    run_case,
 )
 
 
@@ -144,7 +143,7 @@ def test_generate_case_structure():
 def test_generate_case_0_all_static():
     app, _, _, expected = generate_case(0)
     assert expected is Prefetchability.HIT
-    spot = app.url_spots()["u"][2]
+    spot = app.index.url_spots["u"][2]
     assert all(p.kind == "literal" for p in spot.parts)
 
 
@@ -169,9 +168,8 @@ def test_generated_cases_reclassify_to_their_labels():
 @pytest.mark.parametrize("think_ms", [0, 300, 2000])
 def test_simulated_outcome_matches_classification(think_ms):
     # waited demands count as hits, so the label holds for any think time
-    for case_id in ALL_CASES:
-        row, _ = run_case(case_id, 1000, think_ms)
-        assert row.observed is FIG4_LABELS[case_id], (case_id, think_ms)
+    for row in run_benchmark(1000, think_ms).rows:
+        assert row.observed is FIG4_LABELS[row.case_id], (row.case_id, think_ms)
 
 
 def test_benchmark_report_contents():

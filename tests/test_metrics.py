@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from appgen import make_app
 from fetchahead.app_ir import build_ecg
 from fetchahead.callback_analysis import FetchSignature, identify_trigger_callbacks
+from fetchahead.cli import run_pipeline
 from fetchahead.errors import MetricsError, RunError
 from fetchahead.instrumenter import (
     Hints,
@@ -39,30 +40,21 @@ from fetchahead.runtime import (
 from fetchahead.string_analysis import analyze_urls
 
 
-def _case_logs(case_id, latency, think):
+def _case_pipeline(case_id, latency, think):
     app, trace, net, _ = generate_case(case_id, latency, think)
-    url_map = analyze_urls(app)
-    sig = FetchSignature("fetch")
-    tm = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
-    ia = instrument(app, url_map, tm, sig)
-    base = run_trace(app, trace, net)
-    opt = run_trace(ia, trace, net, seed_url_map=url_map)
-    return base, opt, ia, trace
+    return run_pipeline(app, trace, net)
 
 
 # ---------------------------------------------------------------------------
 # accuracy
 # ---------------------------------------------------------------------------
 
-def test_weather_oracle_and_accuracy(weather_pipeline, weather_trace, weather_net):
-    _, url_map, _, _, ia = weather_pipeline
-    opt = run_trace(ia, weather_trace, weather_net, seed_url_map=url_map)
-    oracle = compute_oracle(ia, weather_trace)
-    assert oracle == [
+def test_weather_oracle_and_accuracy(weather_pipeline):
+    assert weather_pipeline.oracle == [
         {"callback": "onCreate", "prefetchable": ["url1"]},
         {"callback": "onItemSelected", "prefetchable": ["url2"]},
     ]
-    assert compute_accuracy(opt, oracle) == (1.0, 1.0)
+    assert compute_accuracy(weather_pipeline.opt, weather_pipeline.oracle) == (1.0, 1.0)
 
 
 @pytest.mark.parametrize("steps, message", [
@@ -72,10 +64,9 @@ def test_weather_oracle_and_accuracy(weather_pipeline, weather_trace, weather_ne
     ((TraceStep("onClick", 0, {"cityIdText": "1"}),), "not an entry callback"),
 ], ids=["unknown-event", "missing-input", "unreachable-event"])
 def test_oracle_rejects_what_the_runtime_rejects(weather_pipeline, steps, message):
-    _, url_map, _, _, ia = weather_pipeline
-    trace = Trace(steps)
+    ia, trace = weather_pipeline.ia, Trace(steps)
     with pytest.raises(RunError, match=message):
-        run_trace(ia, trace, NetModel(), seed_url_map=url_map)
+        run_trace(ia, trace, NetModel(), seed_url_map=weather_pipeline.url_map)
     with pytest.raises(RunError, match=message):
         compute_oracle(ia, trace)
 
@@ -147,25 +138,19 @@ ccfg {
         TraceStep("show", 500, {"t2": "b"}),
         TraceStep("show", 500, {"t2": "c"}),
     ))
-    url_map = analyze_urls(app)
-    sig = FetchSignature("fetch")
-    tm = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
-    ia = instrument(app, url_map, tm, sig)
-    opt = run_trace(ia, trace, NetModel(), seed_url_map=url_map)
-    demands = opt.demands()
+    p = run_pipeline(app, trace, NetModel())
+    demands = p.opt.demands()
     # both demands hit: each demanded URL was built with the value the
     # previous trigger prefetched under
     assert [d.url for d in demands] == ["http://x/a", "http://x/b"]
     assert all(d.served_from in ("cache", "waited") for d in demands)
-    oracle = compute_oracle(ia, trace)
-    assert compute_accuracy(opt, oracle) == (1.0, 1.0)
+    assert compute_accuracy(p.opt, p.oracle) == (1.0, 1.0)
 
 
 def test_mbm_cases_perfect_accuracy():
     for case_id in (0, 1, 4, 9, 13, 16, 24):
-        base, opt, ia, trace = _case_logs(case_id, 1000, 2000)
-        oracle = compute_oracle(ia, trace)
-        assert compute_accuracy(opt, oracle) == (1.0, 1.0), case_id
+        p = _case_pipeline(case_id, 1000, 2000)
+        assert compute_accuracy(p.opt, p.oracle) == (1.0, 1.0), case_id
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +196,7 @@ class RebuildingReplay(Walk):
         self.trigger_points.append((container, st.url_ids, tuple(prefetchable)))
 
     def url_of(self, url_id):
-        spot = self.app.url_spots().get(url_id)
+        spot = self.app.index.url_spots.get(url_id)
         if spot is None:
             return f"<static:{url_id}>"
         values = []
@@ -234,7 +219,7 @@ def _oracle_forms(seed):
     sig = FetchSignature("fetch")
     tm = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
     ia = instrument(app, analyze_urls(app), tm, sig)
-    url_ids = tuple(app.url_spots())
+    url_ids = tuple(app.index.url_spots)
     hints = Hints(
         extra_trigger_entries=(
             TriggerHint("cb0", ("hinted", rng.choice(url_ids)), at_launch=True),
@@ -267,8 +252,8 @@ def test_memoized_oracle_matches_rebuilding_reference(seed):
 # ---------------------------------------------------------------------------
 
 def test_hit_case_full_reduction():
-    base, opt, _, _ = _case_logs(1, 1000, 2000)
-    m = compute_effectiveness(base, opt)
+    p = _case_pipeline(1, 1000, 2000)
+    m = compute_effectiveness(p.base, p.opt)
     assert m.latency_reduction_pct == [100.0]
     assert m.mean_reduction_pct == 100.0
     assert m.hit_rate == 1.0
@@ -276,28 +261,27 @@ def test_hit_case_full_reduction():
 
 
 def test_waited_demand_partial_reduction():
-    base, opt, _, _ = _case_logs(1, 1000, 300)
-    m = compute_effectiveness(base, opt)
+    p = _case_pipeline(1, 1000, 300)
+    m = compute_effectiveness(p.base, p.opt)
     # waited 700 of 1000: 30% saved
     assert m.latency_reduction_pct == [30.0]
     assert m.hit_rate == 1.0  # waited still counts as a hit
 
 
 def test_non_prefetchable_zero_reduction():
-    base, opt, _, _ = _case_logs(2, 1000, 2000)
-    m = compute_effectiveness(base, opt)
+    p = _case_pipeline(2, 1000, 2000)
+    m = compute_effectiveness(p.base, p.opt)
     assert m.latency_reduction_pct == [0.0]
     assert m.hit_rate == 0.0
 
 
 def test_mismatched_logs_rejected(weather_pipeline, weather_trace, weather_net):
-    app, url_map, _, _, ia = weather_pipeline
-    base = run_trace(app, weather_trace, weather_net)
+    p = weather_pipeline
     shorter = Trace(weather_trace.steps[:2])
     # a different trace demands nothing: request sets differ
-    opt = run_trace(ia, shorter, weather_net, seed_url_map=url_map)
+    opt = run_trace(p.ia, shorter, weather_net, seed_url_map=p.url_map)
     with pytest.raises(MetricsError, match="request sets differ"):
-        compute_effectiveness(base, opt)
+        compute_effectiveness(p.base, opt)
 
 
 def test_hit_rate_of_empty_log():
@@ -305,7 +289,7 @@ def test_hit_rate_of_empty_log():
 
 
 def test_hit_rate_invariant_once_think_exceeds_latency(weather_pipeline, weather_net):
-    _, url_map, _, _, ia = weather_pipeline
+    p = weather_pipeline
     rates = []
     for think in (800, 2000, 10_000):
         trace = Trace((
@@ -313,7 +297,7 @@ def test_hit_rate_invariant_once_think_exceeds_latency(weather_pipeline, weather
             TraceStep("onItemSelected", think, {"citySelection": "Oslo"}),
             TraceStep("onClick", think, {"cityIdText": "7"}),
         ))
-        log = run_trace(ia, trace, weather_net, seed_url_map=url_map)
+        log = run_trace(p.ia, trace, weather_net, seed_url_map=p.url_map)
         rates.append(hit_rate(log))
     assert rates == [rates[0]] * len(rates)
 

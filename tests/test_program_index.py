@@ -1,8 +1,8 @@
 """The program index against the linear scans it replaced.
 
 Each reference below is the whole-program scan that the corresponding
-lookup used before `App.index` existed; every index-backed lookup must
-agree with it on random apps, their instrumented forms, and forms that
+lookup used before `App.index` existed; every index table must agree
+with it on random apps, their instrumented forms, and forms that
 mix plain net calls with proxy fetches or shadow a callback name.
 """
 
@@ -30,7 +30,7 @@ from fetchahead.callback_analysis import (
     identify_trigger_callbacks,
 )
 from fetchahead.instrumenter import instrument
-from fetchahead.string_analysis import analyze_urls, definitions_of
+from fetchahead.string_analysis import analyze_urls
 
 
 def ref_definitions_of(app, var):
@@ -121,7 +121,7 @@ def _forms(seed):
     app, _, _ = make_app(random.Random(seed))
     sig = FetchSignature("fetch")
     tm = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
-    # body_of is first-match: a helper named like a callback is shadowed
+    # bodies is first-match: a helper named like a callback is shadowed
     shadowed = replace(app, methods=app.methods + (
         HelperMethod(app.callbacks[0].name, ()),
     ))
@@ -132,15 +132,17 @@ def _forms(seed):
 def _check(app):
     variables = {st.var for _, body in app.containers() for st in body
                  if isinstance(st, (DefineStatic, DefineDynamic))}
+    index = app.index
     for var in sorted(variables) + ["no_such_var"]:
-        assert definitions_of(app, var) == ref_definitions_of(app, var)
-    assert app.url_spots() == ref_url_spots(app)
-    assert list(app.url_spots()) == list(ref_url_spots(app))
+        assert index.definitions.get(var, []) == ref_definitions_of(app, var)
+    assert index.url_spots == ref_url_spots(app)
+    assert list(index.url_spots) == list(ref_url_spots(app))
     for url_id in list(ref_url_spots(app)) + ["no_such_url"]:
-        assert app.fetch_method_for(url_id) == ref_fetch_method_for(app, url_id)
+        assert (index.fetch_methods.get(url_id)
+                == ref_fetch_method_for(app, url_id))
     names = [name for name, _ in app.containers()]
     for name in names + ["no_such_body"]:
-        assert app.body_of(name) == ref_body_of(app, name)
+        assert index.bodies.get(name) == ref_body_of(app, name)
     assert app.is_instrumented == ref_is_instrumented(app)
     nodes = {n for edge in app.ccfg.edges for n in edge}
     for node in sorted(nodes | set(app.ccfg.wait_nodes)) + ["no_such_node"]:
@@ -161,13 +163,6 @@ def test_index_matches_linear_scans(seed):
 
 def test_lookups_hand_out_copies():
     app, _, _ = make_app(random.Random(3))
-    spots = app.url_spots()
-    spots.clear()
-    assert app.url_spots() == ref_url_spots(app)
-    var = next(iter(app.index.definitions))
-    defs = definitions_of(app, var)
-    defs.clear()
-    assert definitions_of(app, var) == ref_definitions_of(app, var)
     succ = app.ccfg.successors("cb0")
     succ.append("bogus")
     assert app.ccfg.successors("cb0") == ref_successors(app.ccfg, "cb0")

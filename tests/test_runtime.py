@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from appgen import make_app
-from fetchahead.app_ir import build_ecg, parse_app
-from fetchahead.callback_analysis import FetchSignature, identify_trigger_callbacks
+from fetchahead.app_ir import parse_app
+from fetchahead.callback_analysis import FetchSignature
+from fetchahead.cli import run_pipeline
 from fetchahead.errors import RunError
-from fetchahead.instrumenter import RewriteRule, instrument
+from fetchahead.instrumenter import Hints, RewriteRule, StaticUrlHint, TriggerHint
 from fetchahead.mbm import generate_case
 from fetchahead.runtime import (
     Demand,
@@ -31,14 +32,9 @@ from fetchahead.string_analysis import analyze_urls
 import json
 
 
-def _instrumented_case(case_id, latency, think):
+def _case_pipeline(case_id, latency, think):
     app, trace, net, _ = generate_case(case_id, latency, think)
-    url_map = analyze_urls(app)
-    tm = identify_trigger_callbacks(
-        app, app.ccfg, build_ecg(app), FetchSignature("fetch")
-    )
-    ia = instrument(app, url_map, tm, FetchSignature("fetch"))
-    return app, ia, trace, net, url_map
+    return run_pipeline(app, trace, net)
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +43,7 @@ def _instrumented_case(case_id, latency, think):
 
 def test_hit_case_timeline_cache():
     # prefetch at trigger end (t=0), ready at 1000, demand at 2000
-    _, ia, trace, net, url_map = _instrumented_case(1, 1000, 2000)
-    log = run_trace(ia, trace, net, seed_url_map=url_map)
+    log = _case_pipeline(1, 1000, 2000).opt
     (prefetch,) = log.prefetches()
     assert (prefetch.issued_at, prefetch.ready_at) == (0, 1000)
     (demand,) = log.demands()
@@ -59,8 +54,7 @@ def test_hit_case_timeline_cache():
 
 def test_hit_case_timeline_waited():
     # demand at 300 waits until the prefetch lands at 1000
-    _, ia, trace, net, url_map = _instrumented_case(1, 1000, 300)
-    log = run_trace(ia, trace, net, seed_url_map=url_map)
+    log = _case_pipeline(1, 1000, 300).opt
     (demand,) = log.demands()
     assert demand.served_from == "waited"
     assert demand.waited_ms == 700
@@ -71,8 +65,7 @@ def test_hit_case_timeline_waited():
 
 
 def test_original_app_all_origin():
-    app, _, trace, net, _ = _instrumented_case(1, 1000, 2000)
-    log = run_trace(app, trace, net)
+    log = _case_pipeline(1, 1000, 2000).base
     assert not log.instrumented
     for d in log.demands():
         assert d.served_from == "origin"
@@ -117,9 +110,8 @@ def test_missing_input_is_an_error(weather_app, weather_net):
 
 
 def test_instrumented_requires_seed_map(weather_pipeline, weather_trace, weather_net):
-    ia = weather_pipeline[4]
     with pytest.raises(RunError, match="seed url map"):
-        run_trace(ia, weather_trace, weather_net)
+        run_trace(weather_pipeline.ia, weather_trace, weather_net)
 
 
 def test_unselected_city_defaults_to_empty(weather_app, weather_net):
@@ -135,19 +127,18 @@ def test_unselected_city_defaults_to_empty(weather_app, weather_net):
 
 def test_skipped_selection_scenario(weather_pipeline, weather_net):
     # url1 from cache; url2 and url3 go to the origin
-    _, url_map, _, _, ia = weather_pipeline
     trace = Trace((
         TraceStep("onCreate", 0, {}),
         TraceStep("onClick", 2000, {"cityIdText": "842"}),
     ))
-    log = run_trace(ia, trace, weather_net, seed_url_map=url_map)
+    log = run_trace(weather_pipeline.ia, trace, weather_net,
+                    seed_url_map=weather_pipeline.url_map)
     served = {d.url_id: d.served_from for d in log.demands()}
     assert served == {"url1": "cache", "url2": "origin", "url3": "origin"}
 
 
-def test_full_weather_scenario(weather_pipeline, weather_trace, weather_net):
-    _, url_map, _, _, ia = weather_pipeline
-    log = run_trace(ia, weather_trace, weather_net, seed_url_map=url_map)
+def test_full_weather_scenario(weather_pipeline):
+    log = weather_pipeline.opt
     first, second = log.trigger_evals()
     assert first.issued == ("url1",)
     assert first.skipped_unknown == ("url2", "url3")
@@ -157,28 +148,26 @@ def test_full_weather_scenario(weather_pipeline, weather_trace, weather_net):
     assert served == {"url1": "cache", "url2": "cache", "url3": "origin"}
 
 
-def test_run_log_json_round_trip(weather_pipeline, weather_trace, weather_net):
-    _, url_map, _, _, ia = weather_pipeline
-    log = run_trace(ia, weather_trace, weather_net, seed_url_map=url_map)
+def test_run_log_json_round_trip(weather_pipeline):
+    log = weather_pipeline.opt
     restored = run_log_from_json_obj(json.loads(log.canonical_json()))
     assert restored.canonical_json() == log.canonical_json()
 
 
 def test_determinism_byte_identical(weather_pipeline, weather_trace, weather_net):
-    _, url_map, _, _, ia = weather_pipeline
-    first = run_trace(ia, weather_trace, weather_net, seed_url_map=url_map)
-    second = run_trace(ia, weather_trace, weather_net, seed_url_map=url_map)
-    assert first.canonical_json() == second.canonical_json()
+    p = weather_pipeline
+    second = run_trace(p.ia, weather_trace, weather_net, seed_url_map=p.url_map)
+    assert p.opt.canonical_json() == second.canonical_json()
 
 
 def test_configured_costs_accumulate(weather_pipeline, weather_trace):
     from fetchahead.runtime import Costs
 
-    _, url_map, _, _, ia = weather_pipeline
     net = NetModel(costs=Costs(send_definition_ms=1,
                                trigger_prefetch_ms=2,
                                fetch_from_proxy_ms=3))
-    log = run_trace(ia, weather_trace, net, seed_url_map=url_map)
+    log = run_trace(weather_pipeline.ia, weather_trace, net,
+                    seed_url_map=weather_pipeline.url_map)
     assert log.overhead_ms == {
         "send_definition": 2,   # cityName, cityId
         "trigger_prefetch": 4,  # onCreate, onItemSelected
@@ -192,8 +181,7 @@ def test_configured_costs_accumulate(weather_pipeline, weather_trace):
 # ---------------------------------------------------------------------------
 
 def _weather_proxy(weather_pipeline) -> ProxyState:
-    url_map = weather_pipeline[1]
-    return seed_proxy_state(url_map)
+    return seed_proxy_state(weather_pipeline.url_map)
 
 
 def test_send_definition_updates_map(weather_pipeline):
@@ -377,21 +365,10 @@ def test_net_config_validation():
     assert net_model_from_json_obj(net_model_to_json_obj(net)) == net
 
 
-def test_in_flight_count():
-    state = ProxyState({"u": ["http://x/"]}, {})
-    on_trigger_prefetch(state, ("u",), 0, "c",
-                        latency_for_url=lambda uid: 100,
-                        payload_for=lambda url: "p")
-    assert state.in_flight(50) == 1
-    assert state.in_flight(100) == 0
-
-
 def test_rewrite_rule_turns_non_hit_into_hit():
     """Thumbnail-to-full-image trick: the early definition spot only knows
     the small name; a rewrite rule makes its send warm the large URL that
     the detail page will actually demand."""
-    from fetchahead.instrumenter import Hints, RewriteRule, apply_hints
-
     app = parse_app("""
 app wallpaper
 netmethod fetch latency=400
@@ -413,19 +390,12 @@ ccfg {
         TraceStep("list", 0, {"thumb": "img1_small.jpg"}),
         TraceStep("detail", 2000, {"full": "img1_large.jpg"}),
     ))
-    net = NetModel()
-    url_map = analyze_urls(app)
-    sig = FetchSignature("fetch")
-    tm = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
-    ia = instrument(app, url_map, tm, sig)
-
-    plain = run_trace(ia, trace, net, seed_url_map=url_map)
-    (demand,) = plain.demands()
+    plain = run_pipeline(app, trace, NetModel())
+    (demand,) = plain.opt.demands()
     assert demand.served_from == "origin"  # stale small-name prefetch misses
 
     hints = Hints(rewrite_rules=(RewriteRule("u", 2, "small", "large"),))
-    hinted = apply_hints(ia, hints)
-    log = run_trace(hinted, trace, net, seed_url_map=url_map, hints=hints)
+    log = run_pipeline(app, trace, NetModel(), hints).opt
     (demand,) = log.demands()
     assert demand.url == "http://pics/img1_large.jpg"
     assert demand.served_from == "cache"
@@ -443,11 +413,7 @@ def _event_time(ev) -> int:
 def test_random_apps_cache_transparent_and_deduplicated():
     for seed in range(50):
         app, trace, net = make_app(random.Random(seed))
-        url_map = analyze_urls(app)
-        sig = FetchSignature("fetch")
-        tm = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
-        ia = instrument(app, url_map, tm, sig)
-        log = run_trace(ia, trace, net, seed_url_map=url_map)
+        log = run_pipeline(app, trace, net, sig=FetchSignature("fetch")).opt
         origin_fetches: dict[str, int] = {}
         for p in log.prefetches():
             origin_fetches[p.url] = origin_fetches.get(p.url, 0) + 1
@@ -474,12 +440,10 @@ def test_definition_updates_track_last_executed_definition():
     sig = FetchSignature("fetch")
     for seed in range(60):
         app, trace, net = make_app(random.Random(seed))
-        url_map = analyze_urls(app)
-        tm = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
-        ia = instrument(app, url_map, tm, sig)
-        log = run_trace(ia, trace, net, seed_url_map=url_map)
+        p = run_pipeline(app, trace, net, sig=sig)
+        url_map, log = p.url_map, p.opt
         replay = replay_trace(app, trace)
-        spots = app.url_spots()
+        spots = app.index.url_spots
         for url_id, parts in url_map.entries.items():
             for m, (part, state) in enumerate(
                 zip(spots[url_id][2].parts, parts), start=1
@@ -494,6 +458,47 @@ def test_definition_updates_track_last_executed_definition():
                 last = replay.last_definition_of(part.value)
                 if last is not None:
                     assert updates and updates[-1] == last.value
+
+
+def _clock_violations(log: RunLog) -> list[str]:
+    """Where the virtual clock runs backwards: an event time below the one
+    before it or above `final_ms`, or a prefetch ready before it was
+    issued."""
+    problems = []
+    previous = 0
+    for k, ev in enumerate(log.events):
+        at = _event_time(ev)
+        if at < previous or at > log.final_ms:
+            problems.append(f"event {k} at {at} after {previous}, "
+                            f"final {log.final_ms}")
+        previous = at
+        if isinstance(ev, Prefetch) and ev.ready_at < ev.issued_at:
+            problems.append(f"prefetch {k} ready at {ev.ready_at} before "
+                            f"{ev.issued_at}")
+    return problems
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([0, 300, 1500]))
+def test_virtual_clock_never_runs_backwards(seed, default_latency_ms):
+    """Both run logs of a random app, plain and with hints (a hint URL and
+    an app URL at launch, every URL at the end of a random callback)."""
+    rng = random.Random(seed)
+    app, trace, net = make_app(rng)
+    url_ids = tuple(app.index.url_spots)
+    hints = Hints(
+        extra_trigger_entries=(
+            TriggerHint("cb0", ("hinted", rng.choice(url_ids)), at_launch=True),
+            TriggerHint(rng.choice(app.callback_names), url_ids),
+        ),
+        extra_static_urls=(StaticUrlHint("hinted", "http://hint/"),),
+    )
+    sig = FetchSignature("fetch")
+    hinted_net = NetModel(default_latency_ms=default_latency_ms)
+    for p in (run_pipeline(app, trace, net, sig=sig),
+              run_pipeline(app, trace, hinted_net, hints, sig)):
+        assert _clock_violations(p.base) == []
+        assert _clock_violations(p.opt) == []
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +560,3 @@ def test_known_urls_follow_every_send_definition(runtime_map, data):
             if all(p is not None for p in parts)
         }
         assert state.known == expected
-        for u in runtime_map:
-            assert state.is_known(u) == (u in expected)
-            if u in expected:
-                assert state.url_string(u) == expected[u]

@@ -221,7 +221,7 @@ def test_concrete_parts_are_input_independent():
         url_map = analyze_urls(app)
         replays = [replay_trace(app, t) for t in (trace, other)]
         for url_id, parts in url_map.entries.items():
-            spot = app.url_spots()[url_id]
+            spot = app.index.url_spots[url_id]
             for part, state in zip(spot[2].parts, parts):
                 if part.kind != "var" or not isinstance(state, Concrete):
                     continue
@@ -238,7 +238,7 @@ def test_conservative_soundness_on_random_apps():
         url_map = analyze_urls(app)
         replay = replay_trace(app, trace)
         for url_id, parts in url_map.entries.items():
-            spot = app.url_spots()[url_id]
+            spot = app.index.url_spots[url_id]
             for part, state in zip(spot[2].parts, parts):
                 if not isinstance(state, Unknown):
                     continue

@@ -15,9 +15,12 @@ should be prefetched when it finishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Mapping
 
 from .app_ir import App, Ccfg, Ecg, NetCall
-from .errors import AnalysisError, expect_json
+from .codec import decode, encode, inline
+from .errors import AnalysisError
 from .runtime import NetModel, RunLog, Trace, run_trace
 
 
@@ -29,9 +32,9 @@ class FetchSignature:
 @dataclass(frozen=True)
 class TriggerMap:
     """trigger callback -> URL ids to prefetch at its end, in fetch-spot
-    program order."""
+    program order. JSON form: {callback: [urlIds...]}"""
 
-    entries: dict[str, tuple[str, ...]]
+    entries: Mapping[str, tuple[str, ...]] = inline()
 
 
 def profile_fetch_signature(app: App, trace: Trace, net: NetModel) -> FetchSignature:
@@ -112,22 +115,5 @@ def identify_trigger_callbacks(
     return TriggerMap({k: tuple(v) for k, v in entries.items()})
 
 
-# ---------------------------------------------------------------------------
-# JSON form: {callback: [urlIds...]}
-# ---------------------------------------------------------------------------
-
-def trigger_map_to_json_obj(tm: TriggerMap) -> dict:
-    return {cb: list(urls) for cb, urls in tm.entries.items()}
-
-
-def trigger_map_from_json_obj(obj: dict) -> TriggerMap:
-    """Validated trigger map; raises AnalysisError naming the offending
-    key."""
-    entries = {}
-    for cb, urls in expect_json(obj, dict, "trigger map", AnalysisError).items():
-        what = f"trigger map '{cb}'"
-        entries[cb] = tuple(
-            expect_json(u, str, f"{what} url id", AnalysisError)
-            for u in expect_json(urls, list, what, AnalysisError)
-        )
-    return TriggerMap(entries)
+trigger_map_to_json_obj = encode
+trigger_map_from_json_obj = partial(decode, TriggerMap, error=AnalysisError)

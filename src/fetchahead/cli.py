@@ -31,6 +31,7 @@ from .callback_analysis import (
     trigger_map_from_json_obj,
     trigger_map_to_json_obj,
 )
+from .codec import encode
 from .errors import FetchaheadError
 from .instrumenter import (
     Hints,
@@ -42,6 +43,7 @@ from .instrumenter import (
 from .mbm import ALL_CASES, BenchReport, generate_case, score_case
 from .metrics import (
     Metrics,
+    Oracle,
     PairStats,
     accuracy_counts,
     compute_accuracy,
@@ -78,7 +80,7 @@ class Pipeline:
     ia: InstrumentedApp
     base: RunLog
     opt: RunLog
-    oracle: list[dict]
+    oracle: Oracle
 
 
 def run_pipeline(app: App, trace: Trace, net: NetModel,
@@ -118,7 +120,7 @@ def run_benchmark(latency_ms: int, think_ms: int) -> BenchReport:
                        recall=nr / dr if dr else 1.0)
 
 
-def _scored(base: RunLog, opt: RunLog, oracle: list[dict] | None) -> Metrics:
+def _scored(base: RunLog, opt: RunLog, oracle: Oracle | None) -> Metrics:
     """Effectiveness of one run pair, plus accuracy if there is an oracle."""
     m = compute_effectiveness(base, opt)
     if oracle is not None:
@@ -150,6 +152,8 @@ def _load(path: str | None, decode, as_json: bool = True):
         raise FetchaheadError(f"{path}: not UTF-8 text: {e.reason}") from e
     except json.JSONDecodeError as e:
         raise FetchaheadError(f"{path}: malformed JSON: {e}") from e
+    except RecursionError as e:  # json.loads on arrays nested too deeply
+        raise FetchaheadError(f"{path}: malformed JSON: nested too deeply") from e
     except FetchaheadError as e:
         e.args = (f"{path}: {e}",)
         raise
@@ -249,7 +253,7 @@ def _cmd_run(args) -> int:
     if args.oracle_out:
         if not app.is_instrumented:
             raise FetchaheadError("--oracle-out requires an instrumented app")
-        _write_json(args.oracle_out, compute_oracle(app, trace))
+        _write_json(args.oracle_out, encode(compute_oracle(app, trace)))
     if args.json:
         print(_dump_json({"out": args.out, "final_ms": log.final_ms}), end="")
     else:
@@ -340,7 +344,7 @@ def _cmd_pipeline(args) -> int:
     _write_text(str(outdir / "optimized.papp"), print_app(p.ia.app))
     _write_text(str(outdir / "runlog_base.json"), p.base.canonical_json())
     _write_text(str(outdir / "runlog_opt.json"), p.opt.canonical_json())
-    _write_json(str(outdir / "oracle.json"), p.oracle)
+    _write_json(str(outdir / "oracle.json"), encode(p.oracle))
     # same shape the report subcommand writes, so the two paths are
     # byte-identical
     _write_json(str(outdir / "metrics.json"), {"pairs": [m.to_json_obj()]})

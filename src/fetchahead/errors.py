@@ -34,15 +34,3 @@ class RunError(FetchaheadError):
 class MetricsError(FetchaheadError):
     """Metric computation over inconsistent inputs (mismatched run logs)."""
 
-
-_JSON_KINDS = {dict: "a JSON object", list: "a JSON list", str: "a string",
-               int: "an integer >= 0", bool: "true or false"}
-
-
-def expect_json(value, kind: type, what: str, error: type[FetchaheadError]):
-    """`value` if it has the JSON type `kind`, else raise `error` naming
-    `what`. `int` means an integer >= 0; booleans are not integers."""
-    if (not isinstance(value, kind)
-            or (kind is int and (isinstance(value, bool) or value < 0))):
-        raise error(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
-    return value

@@ -22,6 +22,8 @@ transform values as they are sent to the proxy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Literal
 
 from .app_ir import (
     App,
@@ -35,7 +37,8 @@ from .app_ir import (
     TriggerPrefetch,
 )
 from .callback_analysis import FetchSignature, TriggerMap
-from .errors import InstrumentError, expect_json
+from .codec import decode, renamed
+from .errors import InstrumentError
 from .string_analysis import Unknown, UrlMap
 
 
@@ -44,16 +47,18 @@ class RewriteRule:
     """Replace `find` with `replace` in values sent for a URL part."""
 
     url_id: str
-    part_index: int
+    part_index: int = renamed("m")
     find: str
     replace: str
 
 
 @dataclass(frozen=True)
 class TriggerHint:
+    """Prefetch `url_ids` at the start ("launch") or end of `callback`."""
+
     callback: str
     url_ids: tuple[str, ...]
-    at_launch: bool = False
+    at: Literal["launch", "end"] = "end"
 
 
 @dataclass(frozen=True)
@@ -199,7 +204,7 @@ def apply_hints(ia: InstrumentedApp, hints: Hints) -> InstrumentedApp:
         i = index[entry.callback]
         cb = new_callbacks[i]
         body = list(cb.body)
-        if entry.at_launch:
+        if entry.at == "launch":
             body.insert(0, TriggerPrefetch(entry.url_ids))
             provenance = {
                 ((c, idx + 1) if c == cb.name else (c, idx)): why
@@ -220,75 +225,4 @@ def apply_hints(ia: InstrumentedApp, hints: Hints) -> InstrumentedApp:
     )
 
 
-# ---------------------------------------------------------------------------
-# hints JSON form
-# ---------------------------------------------------------------------------
-
-def hints_to_json_obj(hints: Hints) -> dict:
-    return {
-        "extra_trigger_entries": [
-            {
-                "callback": h.callback,
-                "url_ids": list(h.url_ids),
-                "at": "launch" if h.at_launch else "end",
-            }
-            for h in hints.extra_trigger_entries
-        ],
-        "extra_static_urls": [
-            {"url_id": h.url_id, "url": h.url} for h in hints.extra_static_urls
-        ],
-        "rewrite_rules": [
-            {
-                "url_id": r.url_id,
-                "m": r.part_index,
-                "find": r.find,
-                "replace": r.replace,
-            }
-            for r in hints.rewrite_rules
-        ],
-    }
-
-
-def _hint_field(value, kind: type, what: str):
-    return expect_json(value, kind, f"hints {what}", InstrumentError)
-
-
-def _hint_items(obj: dict, key: str) -> list[tuple[str, dict]]:
-    """(`key k`, item) for every item of the optional list `key`."""
-    return [
-        (f"{key} {k}", _hint_field(item, dict, f"{key} {k}"))
-        for k, item in enumerate(_hint_field(obj.get(key, []), list, key))
-    ]
-
-
-def hints_from_json_obj(obj: dict) -> Hints:
-    """Validated hints; raises InstrumentError naming the offending key."""
-    obj = _hint_field(obj, dict, "file")
-    triggers = []
-    for what, h in _hint_items(obj, "extra_trigger_entries"):
-        at = h.get("at", "end")
-        if at not in ("launch", "end"):
-            raise InstrumentError(
-                f"hints {what} at must be \"launch\" or \"end\", got {at!r}"
-            )
-        triggers.append(TriggerHint(
-            _hint_field(h.get("callback"), str, f"{what} callback"),
-            tuple(_hint_field(u, str, f"{what} url_ids")
-                  for u in _hint_field(h.get("url_ids"), list,
-                                       f"{what} url_ids")),
-            at == "launch",
-        ))
-    return Hints(
-        extra_trigger_entries=tuple(triggers),
-        extra_static_urls=tuple(
-            StaticUrlHint(*(_hint_field(h.get(key), str, f"{what} {key}")
-                            for key in ("url_id", "url")))
-            for what, h in _hint_items(obj, "extra_static_urls")
-        ),
-        rewrite_rules=tuple(
-            RewriteRule(*(_hint_field(r.get(key), kind, f"{what} {key}")
-                          for key, kind in (("url_id", str), ("m", int),
-                                            ("find", str), ("replace", str))))
-            for what, r in _hint_items(obj, "rewrite_rules")
-        ),
-    )
+hints_from_json_obj = partial(decode, Hints, error=InstrumentError)

@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
+from functools import partial
 
 from .app_ir import App, TriggerPrefetch
-from .errors import MetricsError, expect_json
+from .codec import decode, inline
+from .errors import MetricsError
 from .runtime import SERVED_CACHE, SERVED_WAITED, RunLog, Trace, Walk
 
 
@@ -63,8 +65,15 @@ class DefEvent:
 @dataclass(frozen=True)
 class TriggerPoint:
     callback: str
-    considered: tuple[str, ...]
     prefetchable: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Oracle:
+    """Per-trigger-point prefetchable sets, aligned with the run log's
+    trigger evaluations."""
+
+    points: tuple[TriggerPoint, ...] = inline()
 
 
 class Replay(Walk):
@@ -121,7 +130,7 @@ class Replay(Walk):
             ideal_cache.add(concrete)
             prefetchable.append(uid)
         self.trigger_points.append(
-            TriggerPoint(container, st.url_ids, tuple(prefetchable))
+            TriggerPoint(container, tuple(prefetchable))
         )
 
     def _knowable_url(self, url_id: str) -> str | None:
@@ -152,27 +161,11 @@ def replay_trace(app_like, trace: Trace) -> Replay:
     return replay
 
 
-def compute_oracle(app_like, trace: Trace) -> list[dict]:
-    """Per-trigger-point prefetchable sets, aligned with the run log's
-    trigger evaluations. JSON-ready."""
-    replay = replay_trace(app_like, trace)
-    return [
-        {"callback": tp.callback, "prefetchable": list(tp.prefetchable)}
-        for tp in replay.trigger_points
-    ]
+def compute_oracle(app_like, trace: Trace) -> Oracle:
+    return Oracle(tuple(replay_trace(app_like, trace).trigger_points))
 
 
-def oracle_from_json_obj(obj) -> list[dict]:
-    """The oracle JSON as `compute_oracle` returns it, checked; raises
-    MetricsError naming the offending entry."""
-    for k, entry in enumerate(expect_json(obj, list, "oracle", MetricsError)):
-        what = f"oracle entry {k}"
-        entry = expect_json(entry, dict, what, MetricsError)
-        expect_json(entry.get("callback"), str, f"{what} callback", MetricsError)
-        for url_id in expect_json(entry.get("prefetchable"), list,
-                                  f"{what} prefetchable", MetricsError):
-            expect_json(url_id, str, f"{what} url id", MetricsError)
-    return obj
+oracle_from_json_obj = partial(decode, Oracle, error=MetricsError)
 
 
 # ---------------------------------------------------------------------------
@@ -180,24 +173,24 @@ def oracle_from_json_obj(obj) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def accuracy_counts(
-    run_log: RunLog, oracle: list[dict]
+    run_log: RunLog, oracle: Oracle
 ) -> tuple[int, int, int, int]:
     """Micro-average components: (precision num, precision den,
     recall num, recall den) summed over trigger points."""
     evals = run_log.trigger_evals()
-    if len(oracle) != len(evals):
+    if len(oracle.points) != len(evals):
         raise MetricsError(
-            f"oracle covers {len(oracle)} trigger points, run log has "
+            f"oracle covers {len(oracle.points)} trigger points, run log has "
             f"{len(evals)}"
         )
     np = dp = nr = dr = 0
-    for ev, entry in zip(evals, oracle):
-        if entry["callback"] != ev.callback:
+    for ev, point in zip(evals, oracle.points):
+        if point.callback != ev.callback:
             raise MetricsError(
-                f"oracle trigger point '{entry['callback']}' does not match "
+                f"oracle trigger point '{point.callback}' does not match "
                 f"run log '{ev.callback}'"
             )
-        prefetchable = set(entry["prefetchable"])
+        prefetchable = set(point.prefetchable)
         issued = set(ev.issued)
         np += len(issued & prefetchable)
         dp += len(issued)
@@ -206,7 +199,7 @@ def accuracy_counts(
     return np, dp, nr, dr
 
 
-def compute_accuracy(run_log: RunLog, oracle: list[dict]) -> tuple[float, float]:
+def compute_accuracy(run_log: RunLog, oracle: Oracle) -> tuple[float, float]:
     """(precision, recall); empty denominators count as 1.0."""
     np, dp, nr, dr = accuracy_counts(run_log, oracle)
     precision = np / dp if dp else 1.0

@@ -18,8 +18,9 @@ Identical inputs produce a byte-identical run log.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Mapping, Union
 
 from .app_ir import (
     App,
@@ -34,7 +35,8 @@ from .app_ir import (
     Transition,
     TriggerPrefetch,
 )
-from .errors import RunError, expect_json
+from .codec import decode, encode, inline, renamed
+from .errors import RunError
 from .string_analysis import Concrete, UrlMap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -58,7 +60,7 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class Trace:
-    steps: tuple[TraceStep, ...]
+    steps: tuple[TraceStep, ...] = inline()
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,11 @@ class NetModel:
     threshold: int = 5
     costs: Costs = field(default_factory=Costs)
 
+    def __post_init__(self):
+        if self.threshold < 1:
+            raise RunError(f"net config threshold must be >= 1, got "
+                           f"{self.threshold}")
+
     def latency_for(self, method: str, declared: int | None) -> int:
         if method in self.per_method:
             return self.per_method[method]
@@ -106,8 +113,11 @@ SERVED_WAITED = "waited"
 SERVED_ORIGIN = "origin"
 
 
+# each event's JSON form carries its class's `type`
+
 @dataclass(frozen=True)
 class Prefetch:
+    type: ClassVar[str] = "prefetch"
     url_id: str
     url: str
     issued_at: int
@@ -116,6 +126,7 @@ class Prefetch:
 
 @dataclass(frozen=True)
 class Demand:
+    type: ClassVar[str] = "demand"
     url_id: str
     url: str
     at: int
@@ -129,8 +140,9 @@ class Demand:
 
 @dataclass(frozen=True)
 class DefinitionUpdate:
+    type: ClassVar[str] = "definition_update"
     url_id: str
-    part_index: int
+    part_index: int = renamed("m")
     value: str
     at: int
 
@@ -140,6 +152,7 @@ class TriggerEval:
     """One trigger point evaluation. `considered` lists every URL handed
     to the proxy; URLs beyond the prefetch threshold appear only there."""
 
+    type: ClassVar[str] = "trigger_eval"
     callback: str
     at: int
     considered: tuple[str, ...]
@@ -155,9 +168,9 @@ Event = Union[Prefetch, Demand, DefinitionUpdate, TriggerEval]
 class RunLog:
     app: str
     instrumented: bool
-    events: list[Event]
+    events: tuple[Event, ...]
     final_ms: int
-    overhead_ms: dict[str, int]
+    overhead_ms: Mapping[str, int]
 
     def demands(self) -> list[Demand]:
         return [e for e in self.events if isinstance(e, Demand)]
@@ -171,45 +184,8 @@ class RunLog:
     def total_overhead_ms(self) -> int:
         return sum(self.overhead_ms.values())
 
-    def to_json_obj(self) -> dict:
-        events = []
-        for ev in self.events:
-            if isinstance(ev, Prefetch):
-                events.append({
-                    "type": "prefetch", "url_id": ev.url_id, "url": ev.url,
-                    "issued_at": ev.issued_at, "ready_at": ev.ready_at,
-                })
-            elif isinstance(ev, Demand):
-                events.append({
-                    "type": "demand", "url_id": ev.url_id, "url": ev.url,
-                    "at": ev.at, "served_from": ev.served_from,
-                    "waited_ms": ev.waited_ms,
-                    "response_time_ms": ev.response_time_ms,
-                    "method": ev.method, "via": ev.via, "payload": ev.payload,
-                })
-            elif isinstance(ev, DefinitionUpdate):
-                events.append({
-                    "type": "definition_update", "url_id": ev.url_id,
-                    "m": ev.part_index, "value": ev.value, "at": ev.at,
-                })
-            else:
-                events.append({
-                    "type": "trigger_eval", "callback": ev.callback,
-                    "at": ev.at, "considered": list(ev.considered),
-                    "issued": list(ev.issued),
-                    "skipped_known_cached": list(ev.skipped_known_cached),
-                    "skipped_unknown": list(ev.skipped_unknown),
-                })
-        return {
-            "app": self.app,
-            "instrumented": self.instrumented,
-            "events": events,
-            "final_ms": self.final_ms,
-            "overhead_ms": dict(self.overhead_ms),
-        }
-
     def canonical_json(self) -> str:
-        """`json.dumps(self.to_json_obj(), sort_keys=True, indent=2)` plus
+        """`json.dumps(encode(self), sort_keys=True, indent=2)` plus
         a newline, byte for byte, written from one template per event
         type without building the JSON form."""
         events = ",\n".join([_EVENT_JSON[type(ev)](ev) for ev in self.events])
@@ -276,137 +252,11 @@ _EVENT_JSON: dict[type, Callable[..., str]] = {
 }
 
 
-# run-log event type -> (event class, {JSON key: JSON type} in
-# constructor order); the lists hold url ids
-_EVENT_FORMS = {
-    "prefetch": (Prefetch, {"url_id": str, "url": str, "issued_at": int,
-                            "ready_at": int}),
-    "demand": (Demand, {"url_id": str, "url": str, "at": int,
-                        "served_from": str, "waited_ms": int,
-                        "response_time_ms": int, "method": str, "via": str,
-                        "payload": str}),
-    "definition_update": (DefinitionUpdate, {"url_id": str, "m": int,
-                                             "value": str, "at": int}),
-    "trigger_eval": (TriggerEval, {"callback": str, "at": int,
-                                   "considered": list, "issued": list,
-                                   "skipped_known_cached": list,
-                                   "skipped_unknown": list}),
-}
-
-
-def _event_field(value, kind: type, what: str):
-    value = expect_json(value, kind, what, RunError)
-    if kind is list:
-        return tuple(expect_json(u, str, what, RunError) for u in value)
-    return value
-
-
-def run_log_from_json_obj(obj: dict) -> RunLog:
-    """Validated run log; raises RunError naming the offending key."""
-    obj = _object(obj, "run log")
-    events: list[Event] = []
-    raw = expect_json(obj.get("events"), list, "run log events", RunError)
-    for k, e in enumerate(raw):
-        e = _object(e, f"run log event {k}")
-        if e.get("type") not in _EVENT_FORMS:
-            raise RunError(f"run log event {k} has unknown type "
-                           f"{e.get('type')!r}")
-        cls, form = _EVENT_FORMS[e["type"]]
-        events.append(cls(*(
-            _event_field(e.get(key), kind, f"run log event {k} {key}")
-            for key, kind in form.items()
-        )))
-    overhead = _object(obj.get("overhead_ms"), "run log overhead_ms")
-    for call, ms in overhead.items():
-        _count(ms, f"run log overhead_ms {call}")
-    return RunLog(
-        expect_json(obj.get("app"), str, "run log app", RunError),
-        expect_json(obj.get("instrumented"), bool, "run log instrumented",
-                    RunError),
-        events, _count(obj.get("final_ms"), "run log final_ms"), dict(overhead),
-    )
-
-
-# ---------------------------------------------------------------------------
-# trace / net model JSON forms
-# ---------------------------------------------------------------------------
-
-def trace_to_json_obj(trace: Trace) -> list:
-    return [
-        {"event": s.event, "think_ms": s.think_ms, "inputs": dict(s.inputs)}
-        for s in trace.steps
-    ]
-
-
-def _count(value, what: str) -> int:
-    return expect_json(value, int, what, RunError)
-
-
-def _object(value, what: str) -> dict:
-    return expect_json(value, dict, what, RunError)
-
-
-def trace_from_json_obj(obj: list) -> Trace:
-    """Validated trace; raises RunError naming the offending step."""
-    if not isinstance(obj, list):
-        raise RunError("trace must be a JSON list of steps")
-    steps = []
-    for k, s in enumerate(obj):
-        s = _object(s, f"trace step {k}")
-        if not isinstance(s.get("event"), str):
-            raise RunError(f"trace step {k} needs an 'event' string")
-        inputs = _object(s.get("inputs", {}), f"trace step {k} inputs")
-        for tag, value in inputs.items():
-            if not isinstance(value, str):
-                raise RunError(f"trace step {k} input '{tag}' must be a string")
-        think_ms = _count(s.get("think_ms", 0), f"trace step {k} think_ms")
-        steps.append(TraceStep(s["event"], think_ms, dict(inputs)))
-    return Trace(tuple(steps))
-
-
-def net_model_to_json_obj(net: NetModel) -> dict:
-    obj: dict = {
-        "per_method": dict(net.per_method),
-        "server": dict(net.server),
-        "threshold": net.threshold,
-    }
-    if net.default_latency_ms is not None:
-        obj["default_latency_ms"] = net.default_latency_ms
-    costs = net.costs
-    if costs != Costs():
-        obj["costs"] = {
-            "send_definition_ms": costs.send_definition_ms,
-            "trigger_prefetch_ms": costs.trigger_prefetch_ms,
-            "fetch_from_proxy_ms": costs.fetch_from_proxy_ms,
-        }
-    return obj
-
-
-def net_model_from_json_obj(obj: dict) -> NetModel:
-    """Validated net model; raises RunError naming the offending key."""
-    obj = _object(obj, "net config")
-    threshold = _count(obj.get("threshold", 5), "net config threshold")
-    if threshold < 1:
-        raise RunError("net config threshold must be >= 1")
-    default = obj.get("default_latency_ms")
-    if default is not None:
-        _count(default, "net config default_latency_ms")
-    per_method = _object(obj.get("per_method", {}), "net config per_method")
-    for method, ms in per_method.items():
-        _count(ms, f"net config latency of '{method}'")
-    server = _object(obj.get("server", {}), "net config server")
-    costs = _object(obj.get("costs", {}), "net config costs")
-    return NetModel(
-        default_latency_ms=default,
-        per_method=dict(per_method),
-        server=dict(server),
-        threshold=threshold,
-        costs=Costs(**{
-            key: _count(costs.get(key, 0), f"net config costs {key}")
-            for key in ("send_definition_ms", "trigger_prefetch_ms",
-                        "fetch_from_proxy_ms")
-        }),
-    )
+# the JSON forms of the run log, the trace and the net config
+run_log_from_json_obj = partial(decode, RunLog, error=RunError)
+trace_from_json_obj = partial(decode, Trace, error=RunError)
+net_model_from_json_obj = partial(decode, NetModel, error=RunError)
+trace_to_json_obj = net_model_to_json_obj = encode
 
 
 # ---------------------------------------------------------------------------
@@ -759,5 +609,5 @@ def run_trace(
     for k, step in enumerate(trace.steps):
         session.clock += step.think_ms
         session.run_step(k, step)
-    return RunLog(app.name, app.is_instrumented, session.events,
+    return RunLog(app.name, app.is_instrumented, tuple(session.events),
                   session.clock, session.overhead)

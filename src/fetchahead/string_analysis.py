@@ -20,10 +20,12 @@ in the spot set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from functools import partial
+from typing import Mapping, Union
 
 from .app_ir import App, BuildUrl, DefineDynamic
-from .errors import AnalysisError, expect_json
+from .codec import decode, encode, inline, renamed
+from .errors import AnalysisError
 
 
 @dataclass(frozen=True)
@@ -36,14 +38,14 @@ class DefinitionSpot:
     """
 
     container: str
-    stmt_index: int
-    part_index: int
-    ordinal: int
+    stmt_index: int = renamed("stmt")
+    part_index: int = renamed("m")
+    ordinal: int = renamed("n")
 
 
 @dataclass(frozen=True)
 class Concrete:
-    value: str
+    value: str = renamed("concrete")
 
 
 @dataclass(frozen=True)
@@ -56,9 +58,10 @@ UrlPartState = Union[Concrete, Unknown]
 
 @dataclass(frozen=True)
 class UrlMap:
-    """url id -> per-part states, in URL-spot program order."""
+    """url id -> per-part states, in URL-spot program order. JSON form:
+    {urlId: [{"concrete": s} | {"spots": [{container, stmt, m, n}]}]}"""
 
-    entries: dict[str, tuple[UrlPartState, ...]]
+    entries: Mapping[str, tuple[UrlPartState, ...]] = inline()
 
 
 def static_value_of(app: App, var: str) -> str | None:
@@ -107,57 +110,5 @@ def _analyze_parts(app: App, spot: BuildUrl) -> tuple[UrlPartState, ...]:
     return tuple(states)
 
 
-# ---------------------------------------------------------------------------
-# JSON form: {urlId: [{"concrete": s} | {"spots": [{container, stmt, m, n}]}]}
-# ---------------------------------------------------------------------------
-
-def url_map_to_json_obj(url_map: UrlMap) -> dict:
-    obj: dict[str, list] = {}
-    for url_id, parts in url_map.entries.items():
-        row = []
-        for p in parts:
-            if isinstance(p, Concrete):
-                row.append({"concrete": p.value})
-            else:
-                row.append({
-                    "spots": [
-                        {
-                            "container": s.container,
-                            "stmt": s.stmt_index,
-                            "m": s.part_index,
-                            "n": s.ordinal,
-                        }
-                        for s in p.spots
-                    ]
-                })
-        obj[url_id] = row
-    return obj
-
-
-def _check(value, kind: type, what: str):
-    return expect_json(value, kind, f"url map {what}", AnalysisError)
-
-
-def url_map_from_json_obj(obj: dict) -> UrlMap:
-    """Validated url map; raises AnalysisError naming the offending key."""
-    entries: dict[str, tuple[UrlPartState, ...]] = {}
-    for url_id, row in expect_json(obj, dict, "url map", AnalysisError).items():
-        parts: list[UrlPartState] = []
-        for m, item in enumerate(_check(row, list, f"'{url_id}'"), start=1):
-            where = f"'{url_id}' part {m}"
-            item = _check(item, dict, where)
-            if "concrete" in item:
-                parts.append(Concrete(_check(item["concrete"], str,
-                                             f"{where} concrete")))
-                continue
-            spots = []
-            for s in _check(item.get("spots"), list, f"{where} spots"):
-                s = _check(s, dict, f"{where} spot")
-                spots.append(DefinitionSpot(
-                    _check(s.get("container"), str, f"{where} spot container"),
-                    *(_check(s.get(key), int, f"{where} spot {key}")
-                      for key in ("stmt", "m", "n")),
-                ))
-            parts.append(Unknown(tuple(spots)))
-        entries[url_id] = tuple(parts)
-    return UrlMap(entries)
+url_map_to_json_obj = encode
+url_map_from_json_obj = partial(decode, UrlMap, error=AnalysisError)

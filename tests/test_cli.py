@@ -64,11 +64,15 @@ def test_missing_file_is_run_error(workdir, capsys):
     assert "missing.papp" in capsys.readouterr().err
 
 
-def test_malformed_json_is_run_error(workdir, capsys):
-    (workdir / "bad.json").write_text("{not json")
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "malformed JSON: "),
+    ("[" * 200_000, "malformed JSON: nested too deeply"),
+], ids=["syntax", "nested-too-deeply"])
+def test_malformed_json_is_run_error(workdir, capsys, text, message):
+    (workdir / "bad.json").write_text(text)
     code = main(["run", "--app", "weather.papp", "--trace", "bad.json"])
     assert code == 2
-    assert "malformed JSON" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: bad.json: {message}")
 
 
 @pytest.mark.parametrize("argv", [
@@ -312,34 +316,47 @@ def _weather_trace_with(**changes):
             WEATHER_TRACE[2]]
 
 
-@pytest.mark.parametrize("trace", [
-    _weather_trace_with(event=None),
-    _weather_trace_with(think_ms="x"),
-    _weather_trace_with(think_ms=-5000),
-    _weather_trace_with(inputs=["citySelection"]),
+@pytest.mark.parametrize("trace, message", [
+    (_weather_trace_with(event=None), "$[1].event is missing"),
+    (_weather_trace_with(think_ms="x"),
+     "$[1].think_ms must be an integer >= 0, got 'x'"),
+    (_weather_trace_with(think_ms=-5000),
+     "$[1].think_ms must be an integer >= 0, got -5000"),
+    (_weather_trace_with(inputs=["citySelection"]),
+     "$[1].inputs must be a JSON object, got ['citySelection']"),
 ], ids=["missing-event", "non-integer-think", "negative-think",
         "non-object-inputs"])
-def test_malformed_trace_is_run_error(workdir, capsys, trace):
+def test_malformed_trace_is_run_error(workdir, capsys, trace, message):
     (workdir / "bad_trace.json").write_text(json.dumps(trace))
     code = main(["run", "--app", "weather.papp", "--trace", "bad_trace.json",
                  "--out", "runlog.json"])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: bad_trace.json: trace step 1")
+    assert capsys.readouterr().err.startswith(f"error: bad_trace.json: {message}")
     assert not (workdir / "runlog.json").exists()
 
 
-@pytest.mark.parametrize("net", [
-    {"threshold": "x"},
-    {"per_method": {"getInputStream": -800}},
-    {"costs": {"send_definition_ms": -1}},
-], ids=["non-integer-threshold", "negative-latency", "negative-cost"])
-def test_malformed_net_is_run_error(workdir, capsys, net):
+@pytest.mark.parametrize("net, message", [
+    ({"threshold": "x"}, "$.threshold must be an integer >= 0, got 'x'"),
+    ({"per_method": {"getInputStream": -800}},
+     "$.per_method.getInputStream must be an integer >= 0, got -800"),
+    ({"costs": {"send_definition_ms": -1}},
+     "$.costs.send_definition_ms must be an integer >= 0, got -1"),
+    ({"server": {"http://weatherapi/weather?cityId=842": 5}},
+     '$.server["http://weatherapi/weather?cityId=842"] must be a string, '
+     "got 5"),
+], ids=["non-integer-threshold", "negative-latency", "negative-cost",
+        "non-string-payload"])
+def test_malformed_net_is_run_error(workdir, capsys, net, message):
     (workdir / "bad_net.json").write_text(json.dumps(net))
     code = main(["run", "--app", "weather.papp", "--trace", "trace.json",
                  "--net", "bad_net.json", "--out", "runlog.json"])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: bad_net.json: net config")
+    assert capsys.readouterr().err.startswith(f"error: bad_net.json: {message}")
     assert not (workdir / "runlog.json").exists()
+    code = main(["pipeline", "weather.papp", "--trace", "trace.json",
+                 "--net", "bad_net.json", "--outdir", "out"])
+    assert code == 2
+    assert not (workdir / "out").exists()
 
 
 def _url2_spot_stmt_as_string(url_map):
@@ -349,14 +366,14 @@ def _url2_spot_stmt_as_string(url_map):
 
 @pytest.mark.parametrize("artifact, edit, message", [
     ("urlmap.json", _url2_spot_stmt_as_string,
-     "url map 'url2' part 3 spot stmt must be an integer"),
+     "$.url2[2].spots[0].stmt must be an integer >= 0, got '0'"),
     ("triggermap.json", lambda tm: {"onCreate": "url1"},
-     "trigger map 'onCreate' must be a JSON list"),
+     "$.onCreate must be a JSON list, got 'url1'"),
     ("runlog_opt.json",
      lambda log: {k: v for k, v in log.items() if k != "events"},
-     "run log events must be a JSON list"),
+     "$.events is missing"),
     ("oracle.json", lambda oracle: [{"callback": oracle[0]["callback"]}],
-     "oracle entry 0 prefetchable must be a JSON list"),
+     "$[0].prefetchable is missing"),
 ], ids=["urlmap", "triggermap", "runlog", "oracle"])
 def test_malformed_artifact_is_error(workdir, capsys, artifact, edit, message):
     _run_pipeline_by_hand(workdir)
@@ -379,19 +396,20 @@ def test_malformed_artifact_is_error(workdir, capsys, artifact, edit, message):
 
 
 @pytest.mark.parametrize("hints, message", [
-    ([], "hints file must be a JSON object"),
+    ([], "$ must be a JSON object, got []"),
     ({"extra_static_urls": [{"url": "x"}]},
-     "hints extra_static_urls 0 url_id must be a string"),
+     "$.extra_static_urls[0].url_id is missing"),
     ({"extra_static_urls": {"url_id": "u", "url": "x"}},
-     "hints extra_static_urls must be a JSON list"),
+     "$.extra_static_urls must be a JSON list, got {"),
     ({"extra_trigger_entries": [{"callback": "onCreate", "url_ids": "url1"}]},
-     "hints extra_trigger_entries 0 url_ids must be a JSON list"),
+     "$.extra_trigger_entries[0].url_ids must be a JSON list, got 'url1'"),
     ({"extra_trigger_entries": [
         {"callback": "onCreate", "url_ids": ["url1"], "at": "start"}]},
-     "hints extra_trigger_entries 0 at must be"),
+     '$.extra_trigger_entries[0].at must be one of "launch", "end", '
+     "got 'start'"),
     ({"rewrite_rules": [
         {"url_id": "url2", "m": "3", "find": "a", "replace": "b"}]},
-     "hints rewrite_rules 0 m must be an integer"),
+     "$.rewrite_rules[0].m must be an integer >= 0, got '3'"),
 ], ids=["list", "static-url-without-id", "static-urls-object",
         "url-ids-string", "unknown-at", "string-part-index"])
 def test_malformed_hints_is_error(workdir, capsys, hints, message):

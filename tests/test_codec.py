@@ -1,0 +1,254 @@
+"""The JSON codec behind the seven artifact loaders.
+
+Every loader either returns an object whose fields have their annotated
+types or raises its own `FetchaheadError`, whatever JSON value it is
+given: values drawn at random, and the weather fixture's artifacts with
+one key dropped, one value's type swapped or one number made negative.
+Every artifact of a random pipeline survives `decode(T, encode(x))`.
+"""
+
+import dataclasses
+import json
+import random
+import types
+import typing
+from collections.abc import Mapping
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from appgen import make_app
+from fetchahead.callback_analysis import (
+    FetchSignature,
+    TriggerMap,
+    trigger_map_from_json_obj,
+)
+from fetchahead.cli import run_pipeline
+from fetchahead.codec import decode, encode
+from fetchahead.errors import (
+    AnalysisError,
+    FetchaheadError,
+    InstrumentError,
+    MetricsError,
+    RunError,
+)
+from fetchahead.instrumenter import (
+    Hints,
+    RewriteRule,
+    StaticUrlHint,
+    TriggerHint,
+    hints_from_json_obj,
+)
+from fetchahead.metrics import Oracle, oracle_from_json_obj
+from fetchahead.runtime import (
+    Costs,
+    NetModel,
+    RunLog,
+    Trace,
+    net_model_from_json_obj,
+    run_log_from_json_obj,
+    trace_from_json_obj,
+)
+from fetchahead.string_analysis import UrlMap, url_map_from_json_obj
+
+# (loader, the type it returns, its error class)
+LOADERS = {
+    "trace": (trace_from_json_obj, Trace, RunError),
+    "net": (net_model_from_json_obj, NetModel, RunError),
+    "hints": (hints_from_json_obj, Hints, InstrumentError),
+    "urlmap": (url_map_from_json_obj, UrlMap, AnalysisError),
+    "triggermap": (trigger_map_from_json_obj, TriggerMap, AnalysisError),
+    "runlog": (run_log_from_json_obj, RunLog, RunError),
+    "oracle": (oracle_from_json_obj, Oracle, MetricsError),
+}
+
+WEATHER_NET = NetModel(
+    default_latency_ms=700, per_method={"getInputStream": 800},
+    server={"http://weatherapi/weather?cityId=842": "sunny"}, threshold=2,
+    costs=Costs(1, 2, 3),
+)
+WEATHER_HINTS = Hints(
+    extra_trigger_entries=(TriggerHint("onCreate", ("urlHome",), "launch"),),
+    extra_static_urls=(StaticUrlHint("urlHome", "http://weatherapi/home"),),
+    rewrite_rules=(RewriteRule("url2", 3, "small", "large"),),
+)
+
+
+def conforms(tp, value) -> bool:
+    """`value` has the type `tp`, in the codec's terms; written apart from
+    the codec as the reference it is checked against."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp is int:
+        return type(value) is int and value >= 0
+    if tp in (str, bool):
+        return type(value) is tp
+    if origin is typing.Literal:
+        return value in args
+    if origin is tuple:
+        return type(value) is tuple and all(conforms(args[0], x) for x in value)
+    if origin is Mapping:
+        return isinstance(value, dict) and all(
+            type(k) is str and conforms(args[1], x) for k, x in value.items())
+    if origin in (typing.Union, types.UnionType):
+        return any(value is None if a is type(None) else conforms(a, value)
+                   for a in args)
+    hints = typing.get_type_hints(tp)
+    return type(value) is tp and all(
+        conforms(hints[f.name], getattr(value, f.name))
+        for f in dataclasses.fields(tp))
+
+
+def _weather_artifacts(weather_pipeline, weather_trace) -> dict:
+    p = weather_pipeline
+    values = {
+        "trace": weather_trace, "net": WEATHER_NET, "hints": WEATHER_HINTS,
+        "urlmap": p.url_map, "triggermap": p.trigger_map, "runlog": p.opt,
+        "oracle": p.oracle,
+    }
+    return {name: json.loads(json.dumps(encode(x)))
+            for name, x in values.items()}
+
+
+def _positions(value, path=()):
+    """The path of every value nested in a JSON value, itself included."""
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, x in items:
+        yield from _positions(x, path + (key,))
+
+
+_OTHER_TYPES = (None, True, 7, 2.5, "s", [], {})
+
+
+def _mutated(value, path, how: int):
+    """`value` with the value at `path` dropped (a key), made negative (a
+    number) or replaced by a value of another JSON type."""
+    if not path:
+        return _swapped(value, how)
+    value = json.loads(json.dumps(value))
+    *outer, last = path
+    parent = value
+    for key in outer:
+        parent = parent[key]
+    target = parent[last]
+    if how == 0 and isinstance(parent, dict):
+        del parent[last]
+    elif how == 1 and type(target) is int and target > 0:
+        parent[last] = -target
+    else:
+        parent[last] = _swapped(target, how)
+    return value
+
+
+def _swapped(value, how: int):
+    others = [x for x in _OTHER_TYPES if type(x) is not type(value)]
+    return others[how % len(others)]
+
+
+def _check_loader(name: str, value) -> None:
+    load, tp, error = LOADERS[name]
+    try:
+        result = load(value)
+    except FetchaheadError as e:
+        assert type(e) is error, (name, e)
+    else:
+        assert conforms(tp, result), (name, result)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-1, 1)
+    | st.sampled_from(["", "end", "launch", "prefetch", "demand", "url1"]),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(
+        st.sampled_from(["type", "event", "concrete", "spots", "at", "m",
+                         "events", "threshold", "server", "url_id",
+                         "callback", "prefetchable"]),
+        children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(LOADERS)), _json)
+def test_loaders_on_any_json_value(name, value):
+    _check_loader(name, value)
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_loaders_on_mutated_weather_artifacts(name, weather_pipeline,
+                                              weather_trace):
+    """Every position of the artifact, each with all three mutations."""
+    valid = _weather_artifacts(weather_pipeline, weather_trace)[name]
+    _check_loader(name, valid)
+    for path in _positions(valid):
+        for how in range(len(_OTHER_TYPES)):
+            _check_loader(name, _mutated(valid, path, how))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_every_artifact_round_trips(seed):
+    rng = random.Random(seed)
+    app, trace, _ = make_app(rng)
+    url_ids = tuple(app.index.url_spots)
+    hints = Hints(
+        extra_trigger_entries=(
+            TriggerHint("cb0", ("hinted", rng.choice(url_ids)), "launch"),
+            TriggerHint(rng.choice(app.callback_names), url_ids),
+        ),
+        extra_static_urls=(StaticUrlHint("hinted", "http://hint/"),),
+        rewrite_rules=(RewriteRule(url_ids[0], 1, "http", "https"),),
+    )
+    net = NetModel(
+        default_latency_ms=rng.choice([0, 300]),  # prices the hint URL
+        per_method={"fetch": rng.randrange(1000)} if rng.random() < 0.5 else {},
+        server={"http://hint/": "hinted payload"},
+        threshold=rng.randint(1, 6),
+        costs=Costs(*(rng.randrange(3) for _ in range(3))),
+    )
+    p = run_pipeline(app, trace, net, hints, FetchSignature("fetch"))
+    unset = dataclasses.replace(net, default_latency_ms=None)
+    for tp, x in ((Trace, trace), (NetModel, net), (NetModel, unset),
+                  (Hints, hints),
+                  (UrlMap, p.url_map), (TriggerMap, p.trigger_map),
+                  (RunLog, p.base), (RunLog, p.opt), (Oracle, p.oracle)):
+        assert decode(tp, json.loads(json.dumps(encode(x))), RunError) == x
+    for log in (p.base, p.opt):
+        assert decode(RunLog, json.loads(log.canonical_json()), RunError) == log
+
+
+def _run_log(*events):
+    return {"app": "a", "instrumented": True, "final_ms": 0,
+            "overhead_ms": {}, "events": list(events)}
+
+
+@pytest.mark.parametrize("tp, value, message", [
+    (RunLog, _run_log({"type": "prefetch", "url_id": "u", "url": "x",
+                       "issued_at": 0, "ready_at": 5},
+                      {"type": "definition_update", "url_id": "u", "m": 1,
+                       "value": "v", "at": -1}),
+     "$.events[1].at must be an integer >= 0, got -1"),
+    (RunLog, _run_log({"type": "bogus"}),
+     '$.events[0].type must be one of "prefetch", "demand", '
+     '"definition_update", "trigger_eval", got \'bogus\''),
+    (UrlMap, {"u": [{"concrete": "http://x/"}, {}]},
+     '$.u[1] must be a JSON object with the key "concrete" or "spots", '
+     "got {}"),
+    (Trace, [{"event": "e", "inputs": {"a b": 1}}],
+     '$[0].inputs["a b"] must be a string, got 1'),
+    (NetModel, {"default_latency_ms": True},
+     "$.default_latency_ms must be an integer >= 0, got True"),
+], ids=["event-field", "event-type", "url-part", "quoted-key", "bool-int"])
+def test_errors_name_the_json_path(tp, value, message):
+    with pytest.raises(RunError) as e:
+        decode(tp, value, RunError)
+    assert str(e.value) == message
+
+
+def test_errors_abbreviate_the_bad_value():
+    events = {str(k): k for k in range(10_000)}
+    with pytest.raises(RunError) as e:
+        decode(RunLog, {**_run_log(), "events": events}, RunError)
+    assert str(e.value).startswith("$.events must be a JSON list, got {'0': 0,")
+    assert len(str(e.value)) < 200

@@ -15,6 +15,7 @@ from fetchahead.app_ir import (
     parse_app,
 )
 from fetchahead.callback_analysis import FetchSignature, TriggerMap
+from fetchahead.codec import encode
 from fetchahead.cli import run_pipeline
 from fetchahead.errors import InstrumentError
 from fetchahead.instrumenter import (
@@ -24,7 +25,6 @@ from fetchahead.instrumenter import (
     TriggerHint,
     apply_hints,
     hints_from_json_obj,
-    hints_to_json_obj,
     instrument,
 )
 from fetchahead.metrics import compute_effectiveness
@@ -214,7 +214,7 @@ def test_provenance_records_insertions(weather_pipeline):
 def test_launch_hint_inserts_at_position_zero(weather_pipeline):
     ia = weather_pipeline.ia
     hints = Hints(
-        extra_trigger_entries=(TriggerHint("onCreate", ("urlHome",), at_launch=True),),
+        extra_trigger_entries=(TriggerHint("onCreate", ("urlHome",), at="launch"),),
         extra_static_urls=(StaticUrlHint("urlHome", "http://weatherapi/home"),),
     )
     hinted = apply_hints(ia, hints)
@@ -276,11 +276,11 @@ def test_rewrite_rule_bounds_checked(weather_pipeline):
 
 def test_hints_json_round_trip():
     hints = Hints(
-        extra_trigger_entries=(TriggerHint("c", ("u1", "u2"), True),),
+        extra_trigger_entries=(TriggerHint("c", ("u1", "u2"), "launch"),),
         extra_static_urls=(StaticUrlHint("u9", "http://x/"),),
         rewrite_rules=(RewriteRule("u1", 2, "small", "large"),),
     )
-    assert hints_from_json_obj(hints_to_json_obj(hints)) == hints
+    assert hints_from_json_obj(encode(hints)) == hints
 
 
 def test_behavioral_transparency_on_random_apps():

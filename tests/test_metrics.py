@@ -19,7 +19,9 @@ from fetchahead.instrumenter import (
 from fetchahead.mbm import generate_case
 from fetchahead.metrics import (
     DefEvent,
+    Oracle,
     PairStats,
+    TriggerPoint,
     compute_accuracy,
     compute_effectiveness,
     compute_oracle,
@@ -50,10 +52,10 @@ def _case_pipeline(case_id, latency, think):
 # ---------------------------------------------------------------------------
 
 def test_weather_oracle_and_accuracy(weather_pipeline):
-    assert weather_pipeline.oracle == [
-        {"callback": "onCreate", "prefetchable": ["url1"]},
-        {"callback": "onItemSelected", "prefetchable": ["url2"]},
-    ]
+    assert weather_pipeline.oracle == Oracle((
+        TriggerPoint("onCreate", ("url1",)),
+        TriggerPoint("onItemSelected", ("url2",)),
+    ))
     assert compute_accuracy(weather_pipeline.opt, weather_pipeline.oracle) == (1.0, 1.0)
 
 
@@ -73,14 +75,14 @@ def test_oracle_rejects_what_the_runtime_rejects(weather_pipeline, steps, messag
 
 def test_no_triggers_is_vacuously_perfect():
     log = RunLog("x", True, [], 0, {})
-    assert compute_accuracy(log, []) == (1.0, 1.0)
+    assert compute_accuracy(log, Oracle(())) == (1.0, 1.0)
 
 
 def test_zero_issued_with_prefetchable_gives_zero_recall():
     log = RunLog("x", True, [
         TriggerEval("c", 0, ("u",), (), (), ("u",)),
     ], 0, {})
-    oracle = [{"callback": "c", "prefetchable": ["u"]}]
+    oracle = Oracle((TriggerPoint("c", ("u",)),))
     precision, recall = compute_accuracy(log, oracle)
     assert precision == 1.0  # nothing issued, nothing wrong
     assert recall == 0.0
@@ -91,9 +93,9 @@ def test_oracle_must_cover_every_trigger_point():
         TriggerEval("c", 0, ("u",), ("u",), (), ()),
     ], 0, {})
     with pytest.raises(MetricsError, match="trigger point"):
-        compute_accuracy(log, [])
+        compute_accuracy(log, Oracle(()))
     with pytest.raises(MetricsError, match="does not match"):
-        compute_accuracy(log, [{"callback": "other", "prefetchable": []}])
+        compute_accuracy(log, Oracle((TriggerPoint("other", ()),)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -104,7 +106,7 @@ def test_accuracy_invariant_under_url_reordering(order):
                     tuple(u for u in order if u != "url3"), (),
                     tuple(u for u in order if u == "url3")),
     ], 0, {})
-    oracle = [{"callback": "c", "prefetchable": ["url2", "url1"]}]
+    oracle = Oracle((TriggerPoint("c", ("url2", "url1")),))
     assert compute_accuracy(log, oracle) == (1.0, 1.0)
 
 
@@ -193,7 +195,7 @@ class RebuildingReplay(Walk):
                 continue
             self.ideal_cache.add(url)
             prefetchable.append(uid)
-        self.trigger_points.append((container, st.url_ids, tuple(prefetchable)))
+        self.trigger_points.append((container, tuple(prefetchable)))
 
     def url_of(self, url_id):
         spot = self.app.index.url_spots.get(url_id)
@@ -222,7 +224,7 @@ def _oracle_forms(seed):
     url_ids = tuple(app.index.url_spots)
     hints = Hints(
         extra_trigger_entries=(
-            TriggerHint("cb0", ("hinted", rng.choice(url_ids)), at_launch=True),
+            TriggerHint("cb0", ("hinted", rng.choice(url_ids)), at="launch"),
             TriggerHint(rng.choice(app.callback_names), url_ids),
         ),
         extra_static_urls=(StaticUrlHint("hinted", "http://hint/"),),
@@ -240,7 +242,7 @@ def test_memoized_oracle_matches_rebuilding_reference(seed):
         for k, step in enumerate(trace.steps):
             replay.run_step(k, step)
             reference.run_step(k, step)
-            assert [(tp.callback, tp.considered, tp.prefetchable)
+            assert [(tp.callback, tp.prefetchable)
                     for tp in replay.trigger_points] == reference.trigger_points
             for var in variables:
                 assert (replay.last_definition_of(var)

@@ -8,6 +8,7 @@ from appgen import make_app
 from fetchahead.app_ir import parse_app
 from fetchahead.callback_analysis import FetchSignature
 from fetchahead.cli import run_pipeline
+from fetchahead.codec import encode
 from fetchahead.errors import RunError
 from fetchahead.instrumenter import Hints, RewriteRule, StaticUrlHint, TriggerHint
 from fetchahead.mbm import generate_case
@@ -488,7 +489,7 @@ def test_virtual_clock_never_runs_backwards(seed, default_latency_ms):
     url_ids = tuple(app.index.url_spots)
     hints = Hints(
         extra_trigger_entries=(
-            TriggerHint("cb0", ("hinted", rng.choice(url_ids)), at_launch=True),
+            TriggerHint("cb0", ("hinted", rng.choice(url_ids)), at="launch"),
             TriggerHint(rng.choice(app.callback_names), url_ids),
         ),
         extra_static_urls=(StaticUrlHint("hinted", "http://hint/"),),
@@ -521,21 +522,21 @@ _events = st.one_of(
     st.builds(TriggerEval, _texts, _ints, _ids, _ids, _ids, _ids),
 )
 _run_logs = st.builds(RunLog, _texts, st.booleans(),
-                      st.lists(_events, max_size=6), _ints,
+                      st.lists(_events, max_size=6).map(tuple), _ints,
                       st.dictionaries(_texts, _ints, max_size=4))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_run_logs)
 def test_canonical_json_is_the_json_dumps_form(log):
-    reference = json.dumps(log.to_json_obj(), sort_keys=True, indent=2) + "\n"
+    reference = json.dumps(encode(log), sort_keys=True, indent=2) + "\n"
     assert log.canonical_json() == reference
 
 
 def test_canonical_json_of_an_empty_log():
-    log = RunLog("a", False, [], 0, {})
+    log = RunLog("a", False, (), 0, {})
     assert log.canonical_json() == json.dumps(
-        log.to_json_obj(), sort_keys=True, indent=2) + "\n"
+        encode(log), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

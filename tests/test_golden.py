@@ -4,8 +4,9 @@
 `appgen.make_app` seeds 0-49 (each with its own trace and net model), the
 exit code of `fetchahead pipeline` and the sha256 of each artifact it
 wrote, plus the sha256 of the `fetchahead bench` TSV at its default
-settings. A change that alters any of them must say why. To record the
-fixture again:
+settings. It also holds the sha256 of what `bench`, `report` and
+`pipeline` write or print as JSON and text besides those artifacts. A
+change that alters any of them must say why. To record the fixture again:
 
     PYTHONPATH=src python tests/test_golden.py > tests/fixtures/golden.json
 """
@@ -42,6 +43,8 @@ ARTIFACTS = ("urlmap.json", "triggermap.json", "optimized.papp",
              "runlog_base.json", "runlog_opt.json", "oracle.json",
              "metrics.json")
 APPGEN_SEEDS = range(50)
+# the run-log pairs that `report` reads, and the `pipeline --json` inputs
+REPORT_INPUTS = ("weather", "appgen-9")
 
 WEATHER_TRACE = Trace((
     TraceStep("onCreate", 0, {}),
@@ -67,6 +70,14 @@ def _sha256(data: bytes) -> str:
 def _quiet_main(argv: list[str]) -> int:
     with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
         return main(argv)
+
+
+def _stdout_of(argv: list[str]) -> str:
+    """What a `main` call that must succeed prints."""
+    out = StringIO()
+    with redirect_stdout(out), redirect_stderr(StringIO()):
+        assert main(argv) == 0, argv
+    return out.getvalue()
 
 
 def pipeline_digest(name: str, workdir: Path) -> dict:
@@ -96,6 +107,48 @@ def bench_digest(workdir: Path) -> str:
     return _sha256(tsv.read_bytes())
 
 
+def output_digests(workdir: Path) -> dict:
+    """sha256 of the `bench` JSON, of the `report` JSON and text over one
+    pair (no oracle) and over two pairs (with oracles and a summary), and
+    of the `pipeline --json` and text stdout, whose temporary outdir is
+    written as `<outdir>`."""
+    def sha(text: str) -> str:
+        return _sha256(text.encode())
+
+    digests = {}
+    bench = workdir / "bench.json"
+    digests["bench --json"] = sha(_stdout_of(["bench", "--json", "--out", str(bench)]))
+    digests["bench --out .json"] = _sha256(bench.read_bytes())
+
+    pairs = []
+    for name in REPORT_INPUTS:
+        inputs = workdir / name
+        inputs.mkdir()
+        assert pipeline_digest(name, inputs)["exit"] == 0
+        logs = inputs / "out"
+        pairs.append(["--base", str(logs / "runlog_base.json"),
+                      "--opt", str(logs / "runlog_opt.json")])
+        for flag in ("--json", None):
+            argv = ["pipeline", str(inputs / "app.papp"),
+                    "--trace", str(inputs / "trace.json"),
+                    "--net", str(inputs / "net.json"),
+                    "--outdir", str(inputs / "again")]
+            stdout = _stdout_of(argv + ([flag] if flag else []))
+            digests[f"pipeline {name} {flag or 'text'}"] = sha(
+                stdout.replace(str(inputs / "again"), "<outdir>"))
+
+    one_pair = pairs[0]
+    two_pairs = [arg for i, pair in enumerate(pairs) for arg in pair + [
+        "--oracle", str(workdir / REPORT_INPUTS[i] / "out" / "oracle.json")]]
+    for label, argv in (("1 pair", one_pair), ("2 pairs", two_pairs)):
+        out = workdir / f"report {label}.json"
+        digests[f"report {label} --json"] = sha(
+            _stdout_of(["report", *argv, "--json", "--out", str(out)]))
+        digests[f"report {label} --out"] = _sha256(out.read_bytes())
+        digests[f"report {label} text"] = sha(_stdout_of(["report", *argv]))
+    return digests
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text())
@@ -110,10 +163,16 @@ def test_bench_tsv_unchanged(golden, tmp_path):
     assert bench_digest(tmp_path) == golden["bench_tsv"]
 
 
+def test_cli_outputs_unchanged(golden, tmp_path):
+    assert output_digests(tmp_path) == golden["outputs"]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         record = {"pipeline": {}, "bench_tsv": bench_digest(root)}
+        (root / "outputs").mkdir()
+        record["outputs"] = output_digests(root / "outputs")
         for name in INPUTS:
             workdir = root / name
             workdir.mkdir()

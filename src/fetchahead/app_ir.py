@@ -724,20 +724,11 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
         check_name(None, m.name, "method")
     netmethods = {m.name for m in app.netlib}
     callbacks = set(app.callback_names)
-
-    url_owner: dict[str, tuple[str, int]] = {}
-    defined_vars: set[str] = set()
-    for name, body in app.containers():
-        for idx, st in enumerate(body):
-            if isinstance(st, BuildUrl):
-                if st.url_id in url_owner:
-                    problems.append(
-                        ((name, idx), f"duplicate url spot for '{st.url_id}'")
-                    )
-                else:
-                    url_owner[st.url_id] = (name, idx)
-            elif isinstance(st, (DefineStatic, DefineDynamic)):
-                defined_vars.add(st.var)
+    # built here, the index is the one a parsed App's analyses read
+    url_spots, defined_vars = app.index.url_spots, app.index.definitions
+    # url ids whose first spot the walk has passed: a later spot is a
+    # duplicate, also in a second container of the same name
+    spotted: set[str] = set()
 
     for name, body in app.containers():
         for idx, st in enumerate(body):
@@ -745,14 +736,14 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
             if isinstance(st, NetCall):
                 if st.method not in netmethods:
                     problems.append((loc, f"unresolved netmethod '{st.method}'"))
-                if st.url_id not in url_owner:
+                if st.url_id not in url_spots:
                     problems.append((loc, f"unresolved url '{st.url_id}'"))
             elif isinstance(st, FetchFromProxy):
                 if st.original_method not in netmethods:
                     problems.append(
                         (loc, f"unresolved netmethod '{st.original_method}'")
                     )
-                if st.url_id not in url_owner:
+                if st.url_id not in url_spots:
                     problems.append((loc, f"unresolved url '{st.url_id}'"))
             elif isinstance(st, (Call, AsyncCall)):
                 if st.target not in names:
@@ -761,6 +752,9 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
                 if st.target not in callbacks:
                     problems.append((loc, f"unresolved callback '{st.target}'"))
             elif isinstance(st, BuildUrl):
+                if st.url_id in spotted:
+                    problems.append((loc, f"duplicate url spot for '{st.url_id}'"))
+                spotted.add(st.url_id)
                 check_name(loc, st.url_id, "url id")
                 for part in st.parts:
                     if part.kind == "var" and part.value not in defined_vars:
@@ -787,10 +781,10 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
                 check_name(loc, st.var, "variable", ("resource",))
                 check_name(loc, st.input_tag, "input tag")
             elif isinstance(st, SendDefinition):
-                if st.url_id not in url_owner:
+                if st.url_id not in url_spots:
                     problems.append((loc, f"unresolved url '{st.url_id}'"))
                 else:
-                    arity = len(app.index.url_spots[st.url_id][2].parts)
+                    arity = len(url_spots[st.url_id][2].parts)
                     if not 1 <= st.part_index <= arity:
                         problems.append(
                             (loc, f"url '{st.url_id}' has no part {st.part_index}")

@@ -40,17 +40,17 @@ from .instrumenter import (
     hints_from_json_obj,
     instrument,
 )
-from .mbm import ALL_CASES, BenchReport, generate_case, score_case
+from .mbm import ALL_CASES, Accuracy, BenchReport, generate_case, score_case
 from .metrics import (
     Metrics,
     Oracle,
-    PairStats,
     accuracy_counts,
     compute_accuracy,
     compute_effectiveness,
     compute_oracle,
     format_summary,
     oracle_from_json_obj,
+    precision_recall,
     summarize_pairs,
 )
 from .runtime import (
@@ -107,17 +107,15 @@ def run_benchmark(latency_ms: int, think_ms: int) -> BenchReport:
     """Run all 25 microbenchmark cases through `run_pipeline`."""
     if latency_ms <= 0:
         raise FetchaheadError("latency must be positive")
-    rows, counts = [], (0, 0, 0, 0)
+    rows, counts = [], (0, 0, 0)
     for case_id in ALL_CASES:
         app, trace, net, _ = generate_case(case_id, latency_ms, think_ms)
         p = run_pipeline(app, trace, net)
         rows.append(score_case(case_id, p.base, p.opt))
         counts = tuple(map(sum, zip(counts, accuracy_counts(p.opt, p.oracle))))
     # micro-averaged over all cases, as compute_accuracy does for one run
-    np, dp, nr, dr = counts
-    return BenchReport(latency_ms, think_ms, rows,
-                       precision=np / dp if dp else 1.0,
-                       recall=nr / dr if dr else 1.0)
+    return BenchReport(latency_ms, think_ms, tuple(rows),
+                       Accuracy(*precision_recall(*counts)))
 
 
 def _scored(base: RunLog, opt: RunLog, oracle: Oracle | None) -> Metrics:
@@ -270,11 +268,11 @@ def _cmd_bench(args) -> int:
     report = run_benchmark(args.latency_ms, args.think_ms)
     if args.out:
         if args.out.endswith(".json"):
-            _write_json(args.out, report.to_json_obj())
+            _write_json(args.out, encode(report))
         else:
             _write_text(args.out, report.to_tsv())
     if args.json:
-        print(_dump_json(report.to_json_obj()), end="")
+        print(_dump_json(encode(report)), end="")
     elif not args.out:
         print(report.to_tsv(), end="")
     else:
@@ -291,33 +289,24 @@ def _cmd_report(args) -> int:
     if oracles and len(oracles) != len(bases):
         raise UsageError("--oracle must be given once per pair (or not at all)")
     pairs = []
-    stats = []
     for i, (bpath, opath) in enumerate(zip(bases, opts)):
         base = _load(bpath, run_log_from_json_obj)
         opt = _load(opath, run_log_from_json_obj)
         oracle = _load(oracles[i], oracle_from_json_obj) if oracles else None
-        m = _scored(base, opt, oracle)
-        pairs.append(m.to_json_obj())
-        stats.append(PairStats(
-            requests=len(opt.demands()),
-            hit_rate=m.hit_rate,
-            mean_reduction_pct=m.mean_reduction_pct,
-        ))
-    result: dict = {"pairs": pairs}
-    if len(stats) > 1:
-        result["summary"] = summarize_pairs(stats)
+        pairs.append(_scored(base, opt, oracle))
+    result: dict = {"pairs": [encode(m) for m in pairs]}
+    if len(pairs) > 1:
+        result["summary"] = summarize_pairs(pairs)
     if args.out:
         _write_json(args.out, result)
     if args.json:
         print(_dump_json(result), end="")
     else:
         for i, m in enumerate(pairs):
-            hit = m["hit_rate"]
-            red = m["latency_reduction_pct"]["mean"]
-            line = f"pair {i}: hit rate {hit * 100:.1f}%, mean reduction {red:.1f}%"
-            if m["precision"] is not None:
-                line += (f", precision {m['precision']:.3f}, "
-                         f"recall {m['recall']:.3f}")
+            line = (f"pair {i}: hit rate {m.hit_rate * 100:.1f}%, mean reduction "
+                    f"{m.latency_reduction_pct.mean:.1f}%")
+            if m.precision is not None:
+                line += f", precision {m.precision:.3f}, recall {m.recall:.3f}"
             print(line)
         if "summary" in result:
             print(format_summary(result["summary"]))
@@ -347,15 +336,14 @@ def _cmd_pipeline(args) -> int:
     _write_json(str(outdir / "oracle.json"), encode(p.oracle))
     # same shape the report subcommand writes, so the two paths are
     # byte-identical
-    _write_json(str(outdir / "metrics.json"), {"pairs": [m.to_json_obj()]})
+    _write_json(str(outdir / "metrics.json"), {"pairs": [encode(m)]})
 
     if args.json:
-        print(_dump_json({"outdir": str(outdir), "metrics": m.to_json_obj()}),
-              end="")
+        print(_dump_json({"outdir": str(outdir), "metrics": encode(m)}), end="")
     else:
         print(f"pipeline artifacts in {outdir}")
         print(f"hit rate {m.hit_rate * 100:.1f}%, mean reduction "
-              f"{m.mean_reduction_pct:.1f}%, precision {m.precision:.3f}, "
+              f"{m.latency_reduction_pct.mean:.1f}%, precision {m.precision:.3f}, "
               f"recall {m.recall:.3f}")
     return 0
 

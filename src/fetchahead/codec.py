@@ -14,6 +14,9 @@ value of a dataclass. Both follow the type hints:
 - a union of dataclasses, told apart by their class attribute `type`,
   kept under the key "type", or else by which member's first key is there.
 
+Two more forms only encode, for scores that are written but never read
+back: a `float` as it is, and an `Enum` as its `.value`.
+
 A decode error names the JSON path of the bad value:
 `$.events[3].at must be an integer >= 0, got -1`. Each type's decoder and
 encoder is built once, on first use, so no value pays for reflection.
@@ -28,6 +31,7 @@ import types
 import typing
 from collections.abc import Mapping
 from dataclasses import MISSING
+from enum import Enum
 from functools import cache
 from typing import Any, Literal, Union
 
@@ -204,8 +208,10 @@ def _encoding(tp, var: str, namespace: dict, depth: int) -> str:
     """A Python expression for the JSON value of `var`, a `tp`; it binds
     the classes it tests for in `namespace`."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if tp in _LEAVES or origin is Literal:
+    if tp in _LEAVES or tp is float or origin is Literal:
         return var
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return f"{var}.value"
     x, k = f"x{depth}", f"k{depth}"
     if origin is tuple:
         item = _encoding(args[0], x, namespace, depth + 1)

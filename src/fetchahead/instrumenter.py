@@ -74,9 +74,6 @@ class Hints:
     rewrite_rules: tuple[RewriteRule, ...] = ()
 
 
-EMPTY_HINTS = Hints()
-
-
 @dataclass(frozen=True)
 class InstrumentedApp:
     """Rewritten app plus why each inserted statement is there, keyed by

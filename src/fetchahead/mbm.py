@@ -38,6 +38,7 @@ from .app_ir import (
     NetMethodDecl,
     UrlPart,
 )
+from .codec import renamed
 from .errors import FetchaheadError
 from .runtime import NetModel, RunLog, Trace, TraceStep
 
@@ -213,9 +214,9 @@ def observed_outcome(opt_log: RunLog, url_id: str = "u") -> Prefetchability:
     return Prefetchability.NON_PREFETCHABLE
 
 
-@dataclass
+@dataclass(frozen=True)
 class CaseResult:
-    case_id: int
+    case_id: int = renamed("case")
     sd_ms: int
     tp_ms: int
     ffp_ms: int
@@ -225,35 +226,22 @@ class CaseResult:
     expected: Prefetchability
     observed: Prefetchability
 
-    def to_json_obj(self) -> dict:
-        return {
-            "case": self.case_id,
-            "sd_ms": self.sd_ms,
-            "tp_ms": self.tp_ms,
-            "ffp_ms": self.ffp_ms,
-            "orig_ms": self.orig_ms,
-            "opt_ms": self.opt_ms,
-            "reduction_pct": self.reduction_pct,
-            "expected": self.expected.value,
-            "observed": self.observed.value,
-        }
 
-
-@dataclass
-class BenchReport:
-    latency_ms: int
-    think_ms: int
-    rows: list[CaseResult]
+@dataclass(frozen=True)
+class Accuracy:
     precision: float
     recall: float
 
-    def to_json_obj(self) -> dict:
-        return {
-            "latency_ms": self.latency_ms,
-            "think_ms": self.think_ms,
-            "rows": [r.to_json_obj() for r in self.rows],
-            "accuracy": {"precision": self.precision, "recall": self.recall},
-        }
+
+@dataclass(frozen=True)
+class BenchReport:
+    """The 25 rows and their micro-averaged accuracy, in the shape
+    `codec.encode` writes them."""
+
+    latency_ms: int
+    think_ms: int
+    rows: tuple[CaseResult, ...]
+    accuracy: Accuracy
 
     def to_tsv(self) -> str:
         header = "Case\tSD\tTP\tFFP\tOrig\tOpt\tRed/OH\tExpected\tObserved"

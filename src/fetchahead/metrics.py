@@ -28,26 +28,21 @@ from .errors import MetricsError
 from .runtime import SERVED_CACHE, SERVED_WAITED, RunLog, Trace, Walk
 
 
+@dataclass(frozen=True)
+class Reduction:
+    per_request: tuple[float, ...]
+    mean: float
+
+
 @dataclass
 class Metrics:
+    """One run pair's scores, in the shape `codec.encode` writes them."""
+
     precision: float | None
     recall: float | None
     hit_rate: float
-    latency_reduction_pct: list[float]
-    mean_reduction_pct: float
+    latency_reduction_pct: Reduction
     overhead_ms: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "hit_rate": self.hit_rate,
-            "latency_reduction_pct": {
-                "per_request": self.latency_reduction_pct,
-                "mean": self.mean_reduction_pct,
-            },
-            "overhead_ms": self.overhead_ms,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -172,39 +167,40 @@ oracle_from_json_obj = partial(decode, Oracle, error=MetricsError)
 # accuracy
 # ---------------------------------------------------------------------------
 
-def accuracy_counts(
-    run_log: RunLog, oracle: Oracle
-) -> tuple[int, int, int, int]:
-    """Micro-average components: (precision num, precision den,
-    recall num, recall den) summed over trigger points."""
+def accuracy_counts(run_log: RunLog, oracle: Oracle) -> tuple[int, int, int]:
+    """(useful, issued, prefetchable) prefetches summed over trigger
+    points: useful ones were both issued and prefetchable."""
     evals = run_log.trigger_evals()
     if len(oracle.points) != len(evals):
         raise MetricsError(
             f"oracle covers {len(oracle.points)} trigger points, run log has "
             f"{len(evals)}"
         )
-    np = dp = nr = dr = 0
+    useful = issued = prefetchable = 0
     for ev, point in zip(evals, oracle.points):
         if point.callback != ev.callback:
             raise MetricsError(
                 f"oracle trigger point '{point.callback}' does not match "
                 f"run log '{ev.callback}'"
             )
-        prefetchable = set(point.prefetchable)
-        issued = set(ev.issued)
-        np += len(issued & prefetchable)
-        dp += len(issued)
-        nr += len(issued & prefetchable)
-        dr += len(prefetchable)
-    return np, dp, nr, dr
+        sent, wanted = set(ev.issued), set(point.prefetchable)
+        useful += len(sent & wanted)
+        issued += len(sent)
+        prefetchable += len(wanted)
+    return useful, issued, prefetchable
+
+
+def precision_recall(useful: int, issued: int,
+                     prefetchable: int) -> tuple[float, float]:
+    """Micro-averaged (precision, recall) of summed `accuracy_counts`;
+    empty denominators count as 1.0."""
+    return (useful / issued if issued else 1.0,
+            useful / prefetchable if prefetchable else 1.0)
 
 
 def compute_accuracy(run_log: RunLog, oracle: Oracle) -> tuple[float, float]:
-    """(precision, recall); empty denominators count as 1.0."""
-    np, dp, nr, dr = accuracy_counts(run_log, oracle)
-    precision = np / dp if dp else 1.0
-    recall = nr / dr if dr else 1.0
-    return precision, recall
+    """(precision, recall) of one run."""
+    return precision_recall(*accuracy_counts(run_log, oracle))
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +235,9 @@ def compute_effectiveness(base: RunLog, opt: RunLog) -> Metrics:
         precision=None,
         recall=None,
         hit_rate=hit_rate(opt),
-        latency_reduction_pct=reductions,
-        mean_reduction_pct=(sum(reductions) / len(reductions)) if reductions else 0.0,
+        latency_reduction_pct=Reduction(
+            tuple(reductions),
+            (sum(reductions) / len(reductions)) if reductions else 0.0),
         overhead_ms=opt.total_overhead_ms(),
     )
 
@@ -260,13 +257,6 @@ def hit_rate(run_log: RunLog) -> float:
 # multi-pair summary (min/max/avg/stddev table)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairStats:
-    requests: int
-    hit_rate: float
-    mean_reduction_pct: float
-
-
 def _spread(values: list[float]) -> dict:
     return {
         "min": min(values),
@@ -276,15 +266,17 @@ def _spread(values: list[float]) -> dict:
     }
 
 
-def summarize_pairs(stats: list[PairStats]) -> dict:
-    """Table-style summary across app/trace pairs."""
-    if not stats:
+def summarize_pairs(pairs: list[Metrics]) -> dict:
+    """Table-style summary across app/trace pairs; a pair's requests are
+    its demands, one reduction each."""
+    if not pairs:
         raise MetricsError("nothing to summarize")
+    reductions = [m.latency_reduction_pct for m in pairs]
     return {
-        "pairs": len(stats),
-        "runtime_requests": _spread([float(s.requests) for s in stats]),
-        "hit_rate": _spread([s.hit_rate for s in stats]),
-        "latency_reduction_pct": _spread([s.mean_reduction_pct for s in stats]),
+        "pairs": len(pairs),
+        "runtime_requests": _spread([float(len(r.per_request)) for r in reductions]),
+        "hit_rate": _spread([m.hit_rate for m in pairs]),
+        "latency_reduction_pct": _spread([r.mean for r in reductions]),
     }
 
 

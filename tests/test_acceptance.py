@@ -35,7 +35,6 @@ from fetchahead.mbm import (
     classify,
 )
 from fetchahead.metrics import (
-    PairStats,
     compute_effectiveness,
     format_summary,
     hit_rate,
@@ -70,9 +69,10 @@ def test_criterion_2_accuracy():
     report = run_benchmark(1000, 2000)
     elapsed = time.monotonic() - start
     _report(
-        f"criterion 2: full benchmark precision={report.precision} "
-        f"recall={report.recall} ({elapsed:.1f}s)",
-        report.precision == 1.0 and report.recall == 1.0 and elapsed < 5.0,
+        f"criterion 2: full benchmark precision={report.accuracy.precision} "
+        f"recall={report.accuracy.recall} ({elapsed:.1f}s)",
+        report.accuracy.precision == 1.0 and report.accuracy.recall == 1.0
+        and elapsed < 5.0,
     )
 
 
@@ -117,11 +117,11 @@ def test_criterion_4_wait_semantics():
         origin_fetches == 1
         and demand.served_from == "waited"
         and demand.waited_ms == 700
-        and metrics.latency_reduction_pct == [30.0]
+        and metrics.latency_reduction_pct.per_request == (30.0,)
     )
     _report(
         "criterion 4: think=300/latency=1000 gives one origin fetch, "
-        f"waited 700ms, reduction {metrics.latency_reduction_pct[0]}%",
+        f"waited 700ms, reduction {metrics.latency_reduction_pct.per_request[0]}%",
         ok,
     )
 
@@ -292,10 +292,7 @@ def test_criterion_9_hit_rate_reporting(weather_pipeline):
     opt_w = weather_pipeline.opt
     m_w = compute_effectiveness(weather_pipeline.base, opt_w)
 
-    summary = summarize_pairs([
-        PairStats(len(opt13.demands()), m13.hit_rate, m13.mean_reduction_pct),
-        PairStats(len(opt_w.demands()), m_w.hit_rate, m_w.mean_reduction_pct),
-    ])
+    summary = summarize_pairs([m13, m_w])
     text = format_summary(summary)
     ok = (
         len(opt13.demands()) == 13

@@ -99,6 +99,16 @@ ccfg {
     assert any("duplicate url spot" in msg for _, msg in err.value.diagnostics)
 
 
+def test_duplicate_url_spot_in_a_same_named_container_rejected():
+    body = (BuildUrl("u", (UrlPart("literal", "http://h/"),)), NetCall("get", "u"))
+    app = App("dup", callbacks=(Callback("a", body), Callback("a", body)),
+              netlib=(NetMethodDecl("get", 5),))
+    with pytest.raises(ParseError) as err:
+        validate_app(app)
+    assert [msg for _, msg in err.value.diagnostics] == [
+        "duplicate name 'a'", "duplicate url spot for 'u'"]
+
+
 def test_wait_node_needs_edges():
     src = """
 app w

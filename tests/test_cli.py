@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fetchahead
 from fetchahead.cli import main
 from fetchahead.runtime import trace_to_json_obj
 
@@ -131,6 +136,17 @@ def test_bench_tsv(workdir, capsys):
         assert rows[case][6] == "100.00%"
     for case in (2, 5, 24):
         assert rows[case][6] == "0.00%"
+
+
+def test_python_m_fetchahead_runs_without_warnings(tmp_path):
+    src = Path(fetchahead.__file__).parent.parent
+    out = tmp_path / "bench.tsv"
+    done = subprocess.run(
+        [sys.executable, "-m", "fetchahead", "bench", "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert out.read_text().startswith("Case\tSD\tTP")
 
 
 def test_bench_usage_errors(workdir, capsys):

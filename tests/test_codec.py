@@ -40,7 +40,8 @@ from fetchahead.instrumenter import (
     TriggerHint,
     hints_from_json_obj,
 )
-from fetchahead.metrics import Oracle, oracle_from_json_obj
+from fetchahead.mbm import Accuracy, BenchReport, CaseResult, Prefetchability
+from fetchahead.metrics import Metrics, Oracle, Reduction, oracle_from_json_obj
 from fetchahead.runtime import (
     Costs,
     NetModel,
@@ -252,3 +253,21 @@ def test_errors_abbreviate_the_bad_value():
         decode(RunLog, {**_run_log(), "events": events}, RunError)
     assert str(e.value).startswith("$.events must be a JSON list, got {'0': 0,")
     assert len(str(e.value)) < 200
+
+
+def test_scores_encode_floats_as_is_and_enums_as_values():
+    metrics = Metrics(None, 0.5, 2 / 3, Reduction((100.0, 0.0), 50.0), 7)
+    assert encode(metrics) == {
+        "precision": None, "recall": 0.5, "hit_rate": 2 / 3,
+        "latency_reduction_pct": {"per_request": [100.0, 0.0], "mean": 50.0},
+        "overhead_ms": 7,
+    }
+    row = CaseResult(4, 1, 2, 3, 1000, 0, 99.4, Prefetchability.NON_HIT,
+                     Prefetchability.HIT)
+    assert encode(BenchReport(1000, 2000, (row,), Accuracy(1.0, 0.75))) == {
+        "latency_ms": 1000, "think_ms": 2000,
+        "rows": [{"case": 4, "sd_ms": 1, "tp_ms": 2, "ffp_ms": 3,
+                  "orig_ms": 1000, "opt_ms": 0, "reduction_pct": 99.4,
+                  "expected": "non_hit", "observed": "hit"}],
+        "accuracy": {"precision": 1.0, "recall": 0.75},
+    }

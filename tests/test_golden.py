@@ -120,14 +120,12 @@ def output_digests(workdir: Path) -> dict:
     digests["bench --json"] = sha(_stdout_of(["bench", "--json", "--out", str(bench)]))
     digests["bench --out .json"] = _sha256(bench.read_bytes())
 
-    pairs = []
+    outs = []
     for name in REPORT_INPUTS:
         inputs = workdir / name
         inputs.mkdir()
         assert pipeline_digest(name, inputs)["exit"] == 0
-        logs = inputs / "out"
-        pairs.append(["--base", str(logs / "runlog_base.json"),
-                      "--opt", str(logs / "runlog_opt.json")])
+        outs.append(inputs / "out")
         for flag in ("--json", None):
             argv = ["pipeline", str(inputs / "app.papp"),
                     "--trace", str(inputs / "trace.json"),
@@ -137,14 +135,17 @@ def output_digests(workdir: Path) -> dict:
             digests[f"pipeline {name} {flag or 'text'}"] = sha(
                 stdout.replace(str(inputs / "again"), "<outdir>"))
 
-    one_pair = pairs[0]
-    two_pairs = [arg for i, pair in enumerate(pairs) for arg in pair + [
-        "--oracle", str(workdir / REPORT_INPUTS[i] / "out" / "oracle.json")]]
-    for label, argv in (("1 pair", one_pair), ("2 pairs", two_pairs)):
-        out = workdir / f"report {label}.json"
+    def pair(out: Path) -> list[str]:
+        return ["--base", str(out / "runlog_base.json"),
+                "--opt", str(out / "runlog_opt.json")]
+
+    two_pairs = [arg for out in outs
+                 for arg in pair(out) + ["--oracle", str(out / "oracle.json")]]
+    for label, argv in (("1 pair", pair(outs[0])), ("2 pairs", two_pairs)):
+        path = workdir / f"report {label}.json"
         digests[f"report {label} --json"] = sha(
-            _stdout_of(["report", *argv, "--json", "--out", str(out)]))
-        digests[f"report {label} --out"] = _sha256(out.read_bytes())
+            _stdout_of(["report", *argv, "--json", "--out", str(path)]))
+        digests[f"report {label} --out"] = _sha256(path.read_bytes())
         digests[f"report {label} text"] = sha(_stdout_of(["report", *argv]))
     return digests
 

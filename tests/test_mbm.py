@@ -175,8 +175,8 @@ def test_simulated_outcome_matches_classification(think_ms):
 def test_benchmark_report_contents():
     report = run_benchmark(1000, 2000)
     assert len(report.rows) == 25
-    assert report.precision == 1.0
-    assert report.recall == 1.0
+    assert report.accuracy.precision == 1.0
+    assert report.accuracy.recall == 1.0
     for row in report.rows:
         assert row.expected is row.observed
         assert row.orig_ms == 1000

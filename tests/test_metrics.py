@@ -19,8 +19,9 @@ from fetchahead.instrumenter import (
 from fetchahead.mbm import generate_case
 from fetchahead.metrics import (
     DefEvent,
+    Metrics,
     Oracle,
-    PairStats,
+    Reduction,
     TriggerPoint,
     compute_accuracy,
     compute_effectiveness,
@@ -256,8 +257,8 @@ def test_memoized_oracle_matches_rebuilding_reference(seed):
 def test_hit_case_full_reduction():
     p = _case_pipeline(1, 1000, 2000)
     m = compute_effectiveness(p.base, p.opt)
-    assert m.latency_reduction_pct == [100.0]
-    assert m.mean_reduction_pct == 100.0
+    assert m.latency_reduction_pct.per_request == (100.0,)
+    assert m.latency_reduction_pct.mean == 100.0
     assert m.hit_rate == 1.0
     assert m.overhead_ms == 0
 
@@ -266,14 +267,14 @@ def test_waited_demand_partial_reduction():
     p = _case_pipeline(1, 1000, 300)
     m = compute_effectiveness(p.base, p.opt)
     # waited 700 of 1000: 30% saved
-    assert m.latency_reduction_pct == [30.0]
+    assert m.latency_reduction_pct.per_request == (30.0,)
     assert m.hit_rate == 1.0  # waited still counts as a hit
 
 
 def test_non_prefetchable_zero_reduction():
     p = _case_pipeline(2, 1000, 2000)
     m = compute_effectiveness(p.base, p.opt)
-    assert m.latency_reduction_pct == [0.0]
+    assert m.latency_reduction_pct.per_request == (0.0,)
     assert m.hit_rate == 0.0
 
 
@@ -309,12 +310,14 @@ def test_hit_rate_invariant_once_think_exceeds_latency(weather_pipeline, weather
 # ---------------------------------------------------------------------------
 
 def test_summarize_pairs_shape():
-    stats = [
-        PairStats(requests=13, hit_rate=1 / 13, mean_reduction_pct=7.7),
-        PairStats(requests=3, hit_rate=1.0, mean_reduction_pct=100.0),
+    pairs = [
+        Metrics(None, None, 1 / 13, Reduction((100.0,) + (0.0,) * 12, 7.7), 0),
+        Metrics(1.0, 1.0, 1.0, Reduction((100.0,) * 3, 100.0), 0),
     ]
-    summary = summarize_pairs(stats)
+    summary = summarize_pairs(pairs)
     assert summary["pairs"] == 2
+    assert (summary["runtime_requests"]["min"],
+            summary["runtime_requests"]["max"]) == (3.0, 13.0)
     assert summary["hit_rate"]["min"] == pytest.approx(1 / 13)
     assert summary["hit_rate"]["max"] == 1.0
     text = format_summary(summary)

@@ -23,6 +23,7 @@ from fetchahead.app_ir import (
     NetCall,
     PSEUDO_STMTS,
     build_ecg,
+    parse_app,
 )
 from fetchahead.callback_analysis import (
     FetchSignature,
@@ -178,3 +179,9 @@ def test_rewrite_gets_a_fresh_index():
     assert ia.app.is_instrumented
     assert not app.is_instrumented
     assert ia.app.index is not app.index
+
+
+def test_parsed_app_keeps_the_index_validation_built(weather_text):
+    app = parse_app(weather_text)
+    assert "index" in vars(app)  # analyses read it, no second walk
+    _check(app)

@@ -711,6 +711,9 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
     check_name(None, app.name, "app name")
     for m in app.netlib:
         check_name(None, m.name, "netmethod", _STATEMENT_KEYWORDS)
+        if m.latency_ms < 0:
+            problems.append((None, f"netmethod '{m.name}' has a negative "
+                                   f"latency {m.latency_ms}"))
     for w in app.ccfg.wait_nodes:
         check_name(None, w, "wait node", ("wait",))
     names: set[str] = set()
@@ -756,8 +759,13 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
                     problems.append((loc, f"duplicate url spot for '{st.url_id}'"))
                 spotted.add(st.url_id)
                 check_name(loc, st.url_id, "url id")
+                if not st.parts:
+                    problems.append((loc, f"url '{st.url_id}' has no parts"))
                 for part in st.parts:
-                    if part.kind == "var" and part.value not in defined_vars:
+                    if part.kind not in ("literal", "resource", "var"):
+                        problems.append((loc, f"url part kind '{part.kind}' is "
+                                              "not literal, resource or var"))
+                    elif part.kind == "var" and part.value not in defined_vars:
                         problems.append(
                             (loc, f"unresolved variable '{part.value}'")
                         )
@@ -770,7 +778,10 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
             elif isinstance(st, DefineStatic):
                 check_name(loc, st.var, "variable", ("resource",))
                 table = app.resources if st.source_kind == "resource" else app.settings
-                if st.source_kind == "literal":
+                if st.source_kind not in ("literal", "resource", "setting"):
+                    problems.append((loc, f"static source kind '{st.source_kind}' "
+                                          "is not literal, resource or setting"))
+                elif st.source_kind == "literal":
                     if not _printable(st.source):
                         problems.append((loc, _unprintable(st.source)))
                 elif st.source not in table:

@@ -102,6 +102,9 @@ def identify_trigger_callbacks(
     """Build the trigger map for every fetch spot matching the signature."""
     if app.is_instrumented:
         raise AnalysisError("trigger analysis runs on the original app")
+    if not any(m.name == sig.net_method for m in app.netlib):
+        raise AnalysisError(f"fetch signature '{sig.net_method}' is not a "
+                            "declared net method")
     entries: dict[str, list[str]] = {}
     for container, body in app.containers():
         for st in body:

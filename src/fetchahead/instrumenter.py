@@ -86,9 +86,13 @@ class InstrumentedApp:
 def instrument(
     app: App, url_map: UrlMap, trigger_map: TriggerMap, sig: FetchSignature
 ) -> InstrumentedApp:
-    """Apply the three rewrites. Rejects an already instrumented app."""
+    """Apply the three rewrites. Rejects an already instrumented app and
+    a signature the app does not declare."""
     if app.is_instrumented:
         raise InstrumentError("app is already instrumented")
+    if not any(m.name == sig.net_method for m in app.netlib):
+        raise InstrumentError(f"fetch signature '{sig.net_method}' is not a "
+                              "declared net method")
 
     # (container, stmt index) -> send_definition statements it must be
     # followed by; one definition may feed several (url, part) slots.

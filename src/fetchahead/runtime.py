@@ -115,7 +115,7 @@ SERVED_ORIGIN = "origin"
 
 # each event's JSON form carries its class's `type`
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prefetch:
     type: ClassVar[str] = "prefetch"
     url_id: str
@@ -124,7 +124,7 @@ class Prefetch:
     ready_at: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Demand:
     type: ClassVar[str] = "demand"
     url_id: str
@@ -138,7 +138,7 @@ class Demand:
     payload: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DefinitionUpdate:
     type: ClassVar[str] = "definition_update"
     url_id: str
@@ -147,7 +147,7 @@ class DefinitionUpdate:
     at: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriggerEval:
     """One trigger point evaluation. `considered` lists every URL handed
     to the proxy; URLs beyond the prefetch threshold appear only there."""
@@ -260,146 +260,119 @@ trace_to_json_obj = net_model_to_json_obj = encode
 
 
 # ---------------------------------------------------------------------------
-# proxy state and operations
+# the proxy
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CacheEntry:
-    """Waiting until `ready_at_ms`, ready afterwards."""
+class Proxy:
+    """The proxy library of one session: the runtime URL map, the response
+    cache and the three operations the instrumented app calls.
 
-    ready_at_ms: int
-    payload: str
+    The map is seeded from the static url map, with concrete parts filled
+    in and dynamic parts empty. Each hint URL becomes a single-part entry;
+    it may not shadow a URL the analysis already knows about. `known`
+    holds the URL string of every url id whose parts are all set, and
+    `send_definition`, the map's only writer, keeps it current.
 
-
-@dataclass
-class ProxyState:
-    """Runtime URL map plus the response cache for one session.
-
-    `known` holds the URL string of every url id whose parts are all
-    set. It is filled from `runtime_url_map` at construction and kept
-    current by `on_send_definition`, the map's only writer afterwards.
+    A cache entry `(ready_at, payload)` is waiting until `ready_at` and
+    ready afterwards. The proxy prices its prefetches and origin fetches
+    from the app's fetch methods and the net model.
     """
 
-    runtime_url_map: dict[str, list[str | None]]
-    cache: dict[str, CacheEntry] = field(default_factory=dict)
-    threshold: int = 5
-    known: dict[str, str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, app: App, url_map: UrlMap, net: NetModel,
+                 hints: "Hints | None" = None):
+        self.app, self.net = app, net
+        self.declared = {m.name: m.latency_ms for m in app.netlib}
+        self.runtime_url_map: dict[str, list[str | None]] = {
+            url_id: [p.value if isinstance(p, Concrete) else None
+                     for p in parts]
+            for url_id, parts in url_map.entries.items()
+        }
+        self.rewrite_rules: tuple["RewriteRule", ...] = ()
+        if hints is not None:
+            for extra in hints.extra_static_urls:
+                if extra.url_id in self.runtime_url_map:
+                    raise RunError(f"hint url '{extra.url_id}' collides with "
+                                   "an analyzed url")
+                self.runtime_url_map[extra.url_id] = [extra.url]
+            self.rewrite_rules = tuple(hints.rewrite_rules)
         self.known = {url_id: "".join(parts)
                       for url_id, parts in self.runtime_url_map.items()
                       if None not in parts}
+        self.cache: dict[str, tuple[int, str]] = {}
 
+    def send_definition(self, url_id: str, m: int, value: str,
+                        now: int) -> DefinitionUpdate:
+        """Record a runtime value for URL part m; last write wins."""
+        parts = self.runtime_url_map.get(url_id)
+        if parts is None or not 1 <= m <= len(parts):
+            raise RunError(f"unknown url part {url_id}[{m}]")
+        for rule in self.rewrite_rules:
+            if rule.url_id == url_id and rule.part_index == m:
+                value = value.replace(rule.find, rule.replace)
+        parts[m - 1] = value
+        if None not in parts:
+            self.known[url_id] = "".join(parts)
+        return DefinitionUpdate(url_id, m, value, now)
 
-def seed_proxy_state(
-    url_map: UrlMap,
-    hints: "Hints | None" = None,
-    threshold: int = 5,
-) -> ProxyState:
-    """Proxy state with concrete parts filled in and dynamic parts empty.
+    def trigger_prefetch(self, callback: str, url_ids: Iterable[str],
+                         now: int) -> list[Event]:
+        """Prefetch every known, uncached URL, up to the threshold; the
+        trigger's evaluation comes first, then one event per prefetch.
 
-    Hint-provided static URLs become additional single-part entries; a
-    hint may not shadow a URL the analysis already knows about.
-    """
-    runtime_map: dict[str, list[str | None]] = {}
-    for url_id, parts in url_map.entries.items():
-        runtime_map[url_id] = [
-            p.value if isinstance(p, Concrete) else None for p in parts
-        ]
-    if hints is not None:
-        for extra in hints.extra_static_urls:
-            if extra.url_id in runtime_map:
-                raise RunError(
-                    f"hint url '{extra.url_id}' collides with an analyzed url"
-                )
-            runtime_map[extra.url_id] = [extra.url]
-    return ProxyState(runtime_map, {}, threshold)
+        A waiting entry counts as cached: re-prefetching it would defeat
+        the wait's purpose of preventing duplicate fetches.
+        """
+        considered = tuple(url_ids)
+        issued: list[str] = []
+        skipped_cached: list[str] = []
+        skipped_unknown: list[str] = []
+        prefetches: list[Event] = []
+        known, cache = self.known, self.cache
+        for url_id in considered:
+            url = known.get(url_id)
+            if url is None:
+                skipped_unknown.append(url_id)
+                continue
+            if url in cache:
+                skipped_cached.append(url_id)
+                continue
+            if len(issued) >= self.net.threshold:
+                continue  # over threshold: considered but not acted on
+            ready_at = now + self._prefetch_latency(url_id)
+            cache[url] = (ready_at, self.net.payload_for(url))
+            issued.append(url_id)
+            prefetches.append(Prefetch(url_id, url, now, ready_at))
+        return [TriggerEval(callback, now, considered, tuple(issued),
+                            tuple(skipped_cached), tuple(skipped_unknown)),
+                *prefetches]
 
+    def fetch_from_proxy(self, url_id: str, url: str, now: int,
+                         method: str) -> Demand:
+        """Serve an on-demand request: cache hit, wait on an in-flight
+        prefetch, or fall back to the origin (and cache the response)."""
+        entry = self.cache.get(url)
+        if entry is not None:
+            ready_at, payload = entry
+            if ready_at > now:
+                waited = ready_at - now
+                return Demand(url_id, url, now, SERVED_WAITED, waited, waited,
+                              method, "proxy", payload)
+            return Demand(url_id, url, now, SERVED_CACHE, 0, 0, method,
+                          "proxy", payload)
+        latency = self.net.latency_for(method, self.declared.get(method))
+        payload = self.net.payload_for(url)
+        self.cache[url] = (now + latency, payload)
+        return Demand(url_id, url, now, SERVED_ORIGIN, 0, latency, method,
+                      "proxy", payload)
 
-def on_send_definition(
-    state: ProxyState,
-    url_id: str,
-    part_index: int,
-    value: str,
-    rewrite_rules: Iterable["RewriteRule"] = (),
-    now: int = 0,
-) -> DefinitionUpdate:
-    """Record a runtime value for a URL part; last write wins."""
-    parts = state.runtime_url_map.get(url_id)
-    if parts is None or not 1 <= part_index <= len(parts):
-        raise RunError(f"unknown url part {url_id}[{part_index}]")
-    for rule in rewrite_rules:
-        if rule.url_id == url_id and rule.part_index == part_index:
-            value = value.replace(rule.find, rule.replace)
-    parts[part_index - 1] = value
-    if None not in parts:
-        state.known[url_id] = "".join(parts)
-    return DefinitionUpdate(url_id, part_index, value, now)
-
-
-def on_trigger_prefetch(
-    state: ProxyState,
-    url_ids: Iterable[str],
-    now: int,
-    callback: str,
-    latency_for_url: Callable[[str], int],
-    payload_for: Callable[[str], str],
-) -> tuple[TriggerEval, list[Prefetch]]:
-    """Issue prefetches for every known, uncached URL, up to the threshold.
-
-    A waiting entry counts as cached: re-prefetching it would defeat the
-    wait flag's purpose of preventing duplicate fetches.
-    """
-    considered = tuple(url_ids)
-    issued: list[str] = []
-    skipped_cached: list[str] = []
-    skipped_unknown: list[str] = []
-    prefetches: list[Prefetch] = []
-    known, cache = state.known, state.cache
-    for url_id in considered:
-        url = known.get(url_id)
-        if url is None:
-            skipped_unknown.append(url_id)
-            continue
-        if url in cache:
-            skipped_cached.append(url_id)
-            continue
-        if len(issued) >= state.threshold:
-            continue  # over threshold: considered but not acted on
-        ready_at = now + latency_for_url(url_id)
-        cache[url] = CacheEntry(ready_at, payload_for(url))
-        issued.append(url_id)
-        prefetches.append(Prefetch(url_id, url, now, ready_at))
-    ev = TriggerEval(
-        callback, now, considered, tuple(issued),
-        tuple(skipped_cached), tuple(skipped_unknown),
-    )
-    return ev, prefetches
-
-
-def on_fetch_from_proxy(
-    state: ProxyState,
-    url_id: str,
-    url: str,
-    now: int,
-    origin_latency: int,
-    payload_for: Callable[[str], str],
-    method: str,
-) -> Demand:
-    """Serve an on-demand request: cache hit, wait on in-flight prefetch,
-    or fall back to the origin (and cache the response)."""
-    entry = state.cache.get(url)
-    if entry is not None:
-        if entry.ready_at_ms > now:
-            waited = entry.ready_at_ms - now
-            return Demand(url_id, url, now, SERVED_WAITED, waited, waited,
-                          method, "proxy", entry.payload)
-        return Demand(url_id, url, now, SERVED_CACHE, 0, 0, method, "proxy",
-                      entry.payload)
-    payload = payload_for(url)
-    state.cache[url] = CacheEntry(now + origin_latency, payload)
-    return Demand(url_id, url, now, SERVED_ORIGIN, 0, origin_latency, method,
-                  "proxy", payload)
+    def _prefetch_latency(self, url_id: str) -> int:
+        method = self.app.index.fetch_methods.get(url_id)
+        if method is not None:
+            return self.net.latency_for(method, self.declared.get(method))
+        if self.net.default_latency_ms is None:  # e.g. a hint URL
+            raise RunError(f"url '{url_id}' has no fetch statement to take a "
+                           "latency from; set the net config's default_latency_ms")
+        return self.net.default_latency_ms
 
 
 # ---------------------------------------------------------------------------
@@ -516,35 +489,21 @@ class Walk:
 # ---------------------------------------------------------------------------
 
 class _Session(Walk):
-    """The runtime's walk: the virtual clock, the proxy and the run log.
+    """The runtime's walk: the virtual clock, the overhead and the run log.
 
     `proxy` is None only for an app without instrumentation, which has
     none of the statements that use it.
     """
 
-    def __init__(self, app: App, net: NetModel, proxy: ProxyState | None,
-                 rewrite_rules: tuple["RewriteRule", ...]):
+    def __init__(self, app: App, net: NetModel, proxy: Proxy | None):
         super().__init__(app)
         self.net = net
         self.proxy = proxy
-        self.rewrite_rules = rewrite_rules
         self.declared = {m.name: m.latency_ms for m in app.netlib}
         self.clock = 0
         self.events: list[Event] = []
         self.overhead = {"send_definition": 0, "trigger_prefetch": 0,
                          "fetch_from_proxy": 0}
-
-    def _latency(self, method: str) -> int:
-        return self.net.latency_for(method, self.declared.get(method))
-
-    def _prefetch_latency(self, url_id: str) -> int:
-        method = self.app.index.fetch_methods.get(url_id)
-        if method is not None:
-            return self._latency(method)
-        if self.net.default_latency_ms is None:  # e.g. a hint URL
-            raise RunError(f"url '{url_id}' has no fetch statement to take a "
-                           "latency from; set the net config's default_latency_ms")
-        return self.net.default_latency_ms
 
     def _charge(self, call: str, ms: int) -> None:
         self.overhead[call] += ms
@@ -555,7 +514,7 @@ class _Session(Walk):
         pass  # values reach the run log only through built URLs
 
     def net_call(self, st: NetCall, url: str) -> None:
-        rt = self._latency(st.method)
+        rt = self.net.latency_for(st.method, self.declared.get(st.method))
         self.events.append(Demand(
             st.url_id, url, self.clock, SERVED_ORIGIN, 0, rt, st.method,
             "direct", self.net.payload_for(url),
@@ -563,27 +522,18 @@ class _Session(Walk):
         self.clock += rt
 
     def send_definition(self, st: SendDefinition, value: str) -> None:
-        self.events.append(on_send_definition(
-            self.proxy, st.url_id, st.part_index, value, self.rewrite_rules,
-            now=self.clock,
-        ))
+        self.events.append(self.proxy.send_definition(
+            st.url_id, st.part_index, value, self.clock))
         self._charge("send_definition", self.net.costs.send_definition_ms)
 
     def trigger_prefetch(self, container: str, st: TriggerPrefetch) -> None:
-        ev, prefetches = on_trigger_prefetch(
-            self.proxy, st.url_ids, self.clock, container,
-            self._prefetch_latency, self.net.payload_for,
-        )
-        self.events.append(ev)
-        self.events.extend(prefetches)
+        self.events += self.proxy.trigger_prefetch(container, st.url_ids,
+                                                   self.clock)
         self._charge("trigger_prefetch", self.net.costs.trigger_prefetch_ms)
 
     def fetch_from_proxy(self, st: FetchFromProxy, url: str) -> None:
-        demand = on_fetch_from_proxy(
-            self.proxy, st.url_id, url, self.clock,
-            self._latency(st.original_method), self.net.payload_for,
-            st.original_method,
-        )
+        demand = self.proxy.fetch_from_proxy(st.url_id, url, self.clock,
+                                             st.original_method)
         self.events.append(demand)
         self.clock = demand.at + demand.response_time_ms
         self._charge("fetch_from_proxy", self.net.costs.fetch_from_proxy_ms)
@@ -599,13 +549,12 @@ def run_trace(
     """Execute a trace and return the complete run log."""
     app = getattr(app, "app", app)  # accept an InstrumentedApp wrapper
     net = net or NetModel()
-    proxy: ProxyState | None = None
+    proxy: Proxy | None = None
     if app.is_instrumented:
         if seed_url_map is None:
             raise RunError("an instrumented app requires a seed url map")
-        proxy = seed_proxy_state(seed_url_map, hints, net.threshold)
-    rewrite_rules = tuple(hints.rewrite_rules) if hints is not None else ()
-    session = _Session(app, net, proxy, rewrite_rules)
+        proxy = Proxy(app, seed_url_map, net, hints)
+    session = _Session(app, net, proxy)
     for k, step in enumerate(trace.steps):
         session.clock += step.think_ms
         session.run_step(k, step)

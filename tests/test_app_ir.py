@@ -225,14 +225,30 @@ def test_every_valid_app_round_trips(value, where):
     assert parse_app(print_app(app)) == app
 
 
-@pytest.mark.parametrize("app", [
-    App("a", callbacks=(Callback("a b", ()),)),
-    App("a", callbacks=(Callback("c", (
+def _fetching_app(*stmts, latency_ms: int = 5,
+                  part: UrlPart = UrlPart("literal", "http://x/")) -> App:
+    """One callback: `stmts`, then a fetch of `u`, built from `part`."""
+    return App("a", settings={"k": "v"}, callbacks=(Callback("c", (
+        *stmts, BuildUrl("u", (part,)), NetCall("get", "u"),
+    )),), netlib=(NetMethodDecl("get", latency_ms),))
+
+
+@pytest.mark.parametrize("app, message", [
+    (App("a", callbacks=(Callback("a b", ()),)), "not an identifier"),
+    (App("a", callbacks=(Callback("c", (
         BuildUrl("u", (UrlPart("literal", "http://x/"),)), NetCall("let", "u"),
-    )),), netlib=(NetMethodDecl("let", 5),)),
-], ids=["space-in-callback-name", "netmethod-named-let"])
-def test_names_that_do_not_round_trip_are_rejected(app):
-    with pytest.raises(ParseError, match="not an identifier|reserved word"):
+    )),), netlib=(NetMethodDecl("let", 5),)), "reserved word"),
+    (App("a", callbacks=(Callback("c", (BuildUrl("u", ()),)),)),
+     "url 'u' has no parts"),
+    (_fetching_app(latency_ms=-5), "netmethod 'get' has a negative latency -5"),
+    (_fetching_app(part=UrlPart("setting", "k")),
+     "url part kind 'setting' is not literal, resource or var"),
+    (_fetching_app(DefineStatic("v", "input", "k")),
+     "static source kind 'input' is not literal, resource or setting"),
+], ids=["space-in-callback-name", "netmethod-named-let", "url-without-parts",
+        "negative-latency", "setting-url-part", "input-static-source"])
+def test_names_that_do_not_round_trip_are_rejected(app, message):
+    with pytest.raises(ParseError, match=message):
         validate_app(app)
 
 

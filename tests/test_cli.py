@@ -59,6 +59,22 @@ def test_analyze_signature_bypasses_profiling(workdir, capsys):
     assert set(trigger_map) == {"onCreate", "onItemSelected"}
 
 
+@pytest.mark.parametrize("argv, output", [
+    (["analyze", "weather.papp", "--triggermap-out", "t2.json"], "t2.json"),
+    (["instrument", "weather.papp", "--urlmap", "urlmap.json",
+      "--triggermap", "triggermap.json"], "optimized.papp"),
+    (["pipeline", "weather.papp", "--trace", "trace.json", "--outdir", "out"],
+     "out"),
+], ids=["analyze", "instrument", "pipeline"])
+def test_undeclared_signature_exits_2(workdir, capsys, argv, output):
+    assert main(["analyze", "weather.papp"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--signature", "nosuch"]) == 2
+    assert ("fetch signature 'nosuch' is not a declared net method"
+            in capsys.readouterr().err)
+    assert not (workdir / output).exists()
+
+
 def test_unknown_flag_is_usage_error(workdir, capsys):
     assert main(["analyze", "weather.papp", "--bogus"]) == 1
     assert "usage error" in capsys.readouterr().err
@@ -501,3 +517,18 @@ def test_hint_url_is_charged_the_default_latency(workdir):
     (hint,) = [e for e in log["events"]
                if e["type"] == "prefetch" and e["url_id"] == "urlHint"]
     assert hint["ready_at"] - hint["issued_at"] == 500
+
+
+def test_hint_url_colliding_with_an_analyzed_url_exits_2(workdir, capsys):
+    assert main(["analyze", "weather.papp"]) == 0
+    assert main(["instrument", "weather.papp", "--urlmap", "urlmap.json",
+                 "--triggermap", "triggermap.json"]) == 0
+    (workdir / "hints.json").write_text(json.dumps({
+        "extra_static_urls": [{"url_id": "url1", "url": "http://other/"}],
+    }))
+    capsys.readouterr()
+    code = main(["run", "--app", "optimized.papp", "--trace", "trace.json",
+                 "--seed-urlmap", "urlmap.json", "--hints", "hints.json"])
+    assert code == 2
+    assert ("hint url 'url1' collides with an analyzed url"
+            in capsys.readouterr().err)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from appgen import make_app
-from fetchahead.app_ir import parse_app
+from fetchahead.app_ir import App, parse_app
 from fetchahead.callback_analysis import FetchSignature
 from fetchahead.cli import run_pipeline
 from fetchahead.codec import encode
@@ -17,19 +17,15 @@ from fetchahead.runtime import (
     DefinitionUpdate,
     NetModel,
     Prefetch,
-    ProxyState,
+    Proxy,
     RunLog,
     Trace,
     TraceStep,
     TriggerEval,
-    on_fetch_from_proxy,
-    on_send_definition,
-    on_trigger_prefetch,
     run_log_from_json_obj,
     run_trace,
-    seed_proxy_state,
 )
-from fetchahead.string_analysis import analyze_urls
+from fetchahead.string_analysis import Concrete, Unknown, UrlMap, analyze_urls
 import json
 
 
@@ -181,13 +177,28 @@ def test_configured_costs_accumulate(weather_pipeline, weather_trace):
 # proxy operations in isolation
 # ---------------------------------------------------------------------------
 
-def _weather_proxy(weather_pipeline) -> ProxyState:
-    return seed_proxy_state(weather_pipeline.url_map)
+def _weather_proxy(weather_pipeline, hints=None) -> Proxy:
+    """Prefetches cost the 800 ms that the app declares."""
+    return Proxy(weather_pipeline.ia.app, weather_pipeline.url_map,
+                 NetModel(), hints)
+
+
+def _proxy(runtime_map, latency_ms=100, threshold=5, server=None) -> Proxy:
+    """A proxy over an app with no statements, seeded with `runtime_map`
+    (None for a part not known statically); every fetch costs
+    `latency_ms`."""
+    url_map = UrlMap({
+        url_id: tuple(Unknown(()) if p is None else Concrete(p) for p in parts)
+        for url_id, parts in runtime_map.items()
+    })
+    net = NetModel(default_latency_ms=latency_ms, server=server or {},
+                   threshold=threshold)
+    return Proxy(App("isolated"), url_map, net)
 
 
 def test_send_definition_updates_map(weather_pipeline):
     state = _weather_proxy(weather_pipeline)
-    on_send_definition(state, "url2", 3, "Gothenburg", now=5)
+    state.send_definition("url2", 3, "Gothenburg", 5)
     assert state.runtime_url_map["url2"] == [
         "http://weatherapi/", "weather?&cityName=", "Gothenburg",
     ]
@@ -195,15 +206,15 @@ def test_send_definition_updates_map(weather_pipeline):
 
 def test_send_definition_last_write_wins(weather_pipeline):
     state = _weather_proxy(weather_pipeline)
-    on_send_definition(state, "url2", 3, "Oslo")
-    on_send_definition(state, "url2", 3, "Bergen")
+    state.send_definition("url2", 3, "Oslo", 0)
+    state.send_definition("url2", 3, "Bergen", 0)
     assert state.runtime_url_map["url2"][2] == "Bergen"
 
 
 def test_send_definition_applies_rewrite_rules(weather_pipeline):
-    state = _weather_proxy(weather_pipeline)
     rules = (RewriteRule("url2", 3, "small", "large"),)
-    ev = on_send_definition(state, "url2", 3, "img1_small", rules)
+    state = _weather_proxy(weather_pipeline, hints=Hints(rewrite_rules=rules))
+    ev = state.send_definition("url2", 3, "img1_small", 0)
     assert ev.value == "img1_large"
     assert state.runtime_url_map["url2"][2] == "img1_large"
 
@@ -211,17 +222,15 @@ def test_send_definition_applies_rewrite_rules(weather_pipeline):
 def test_send_definition_unknown_part_errors(weather_pipeline):
     state = _weather_proxy(weather_pipeline)
     with pytest.raises(RunError, match="unknown url part"):
-        on_send_definition(state, "url2", 9, "x")
+        state.send_definition("url2", 9, "x", 0)
     with pytest.raises(RunError, match="unknown url part"):
-        on_send_definition(state, "ghost", 1, "x")
+        state.send_definition("ghost", 1, "x", 0)
 
 
 def test_trigger_prefetch_only_known_uncached(weather_pipeline):
     state = _weather_proxy(weather_pipeline)
-    ev, prefetches = on_trigger_prefetch(
-        state, ("url1", "url2", "url3"), 0, "onCreate",
-        latency_for_url=lambda uid: 800, payload_for=lambda url: "p",
-    )
+    ev, *prefetches = state.trigger_prefetch(
+        "onCreate", ("url1", "url2", "url3"), 0)
     assert ev.issued == ("url1",)
     assert ev.skipped_unknown == ("url2", "url3")
     assert len(prefetches) == 1
@@ -230,21 +239,16 @@ def test_trigger_prefetch_only_known_uncached(weather_pipeline):
 
 def test_trigger_prefetch_skips_cached(weather_pipeline):
     state = _weather_proxy(weather_pipeline)
-    args = dict(latency_for_url=lambda uid: 800, payload_for=lambda url: "p")
-    on_trigger_prefetch(state, ("url1",), 0, "onCreate", **args)
-    ev, prefetches = on_trigger_prefetch(state, ("url1",), 10, "again", **args)
+    state.trigger_prefetch("onCreate", ("url1",), 0)
+    ev, *prefetches = state.trigger_prefetch("again", ("url1",), 10)
     assert ev.skipped_known_cached == ("url1",)
     assert not prefetches
 
 
 def test_trigger_prefetch_threshold():
-    state = ProxyState(
-        {f"u{i}": [f"http://x/{i}"] for i in range(7)}, {}, threshold=5,
-    )
-    ev, prefetches = on_trigger_prefetch(
-        state, tuple(f"u{i}" for i in range(7)), 0, "c",
-        latency_for_url=lambda uid: 100, payload_for=lambda url: "p",
-    )
+    state = _proxy({f"u{i}": [f"http://x/{i}"] for i in range(7)}, threshold=5)
+    ev, *prefetches = state.trigger_prefetch(
+        "c", tuple(f"u{i}" for i in range(7)), 0)
     assert len(ev.issued) == 5
     assert len(prefetches) == 5
     assert len(ev.considered) == 7
@@ -253,46 +257,37 @@ def test_trigger_prefetch_threshold():
 
 def test_same_concrete_url_not_prefetched_twice():
     # two url ids resolving to the same string: one fetch, one skip
-    state = ProxyState({"a": ["http://x/same"], "b": ["http://x/same"]}, {})
-    ev, prefetches = on_trigger_prefetch(
-        state, ("a", "b"), 0, "c",
-        latency_for_url=lambda uid: 100, payload_for=lambda url: "p",
-    )
+    state = _proxy({"a": ["http://x/same"], "b": ["http://x/same"]})
+    ev, *prefetches = state.trigger_prefetch("c", ("a", "b"), 0)
     assert ev.issued == ("a",)
     assert ev.skipped_known_cached == ("b",)
     assert len(prefetches) == 1
 
 
 def test_fetch_from_proxy_three_ways():
-    state = ProxyState({"u": ["http://x/"]}, {})
-    payloads = {"http://x/": "P"}
+    state = _proxy({"u": ["http://x/"]}, latency_ms=500,
+                   server={"http://x/": "P"})
 
-    origin = on_fetch_from_proxy(state, "u", "http://x/", 0, 500,
-                                 payloads.get, "get")
+    origin = state.fetch_from_proxy("u", "http://x/", 0, "get")
     assert origin.served_from == "origin"
     assert origin.response_time_ms == 500
     assert origin.payload == "P"
 
     # cached now (ready at 500); a demand at 200 waits 300
-    waited = on_fetch_from_proxy(state, "u", "http://x/", 200, 500,
-                                 payloads.get, "get")
+    waited = state.fetch_from_proxy("u", "http://x/", 200, "get")
     assert waited.served_from == "waited"
     assert waited.waited_ms == 300
 
-    cached = on_fetch_from_proxy(state, "u", "http://x/", 600, 500,
-                                 payloads.get, "get")
+    cached = state.fetch_from_proxy("u", "http://x/", 600, "get")
     assert cached.served_from == "cache"
     assert cached.response_time_ms == 0
 
 
 def test_stale_prefetch_misses_on_different_url():
     # prefetched ...v1, demanded ...v2: exact-string keys force a miss
-    state = ProxyState({"u": ["http://x/", "v1"]}, {})
-    on_trigger_prefetch(state, ("u",), 0, "c",
-                        latency_for_url=lambda uid: 100,
-                        payload_for=lambda url: "p")
-    demand = on_fetch_from_proxy(state, "u", "http://x/v2", 50, 100,
-                                 lambda url: "q", "get")
+    state = _proxy({"u": ["http://x/", "v1"]})
+    state.trigger_prefetch("c", ("u",), 0)
+    demand = state.fetch_from_proxy("u", "http://x/v2", 50, "get")
     assert demand.served_from == "origin"
 
 
@@ -551,11 +546,11 @@ _parts = st.one_of(st.none(), st.text(max_size=3))
                        st.lists(_parts, min_size=1, max_size=3), min_size=1),
        st.data())
 def test_known_urls_follow_every_send_definition(runtime_map, data):
-    state = ProxyState({u: list(p) for u, p in runtime_map.items()})
+    state = _proxy(runtime_map)
     for _ in range(data.draw(st.integers(0, 12))):
         url_id = data.draw(st.sampled_from(sorted(runtime_map)))
         m = data.draw(st.integers(1, len(runtime_map[url_id])))
-        on_send_definition(state, url_id, m, data.draw(st.text(max_size=3)))
+        state.send_definition(url_id, m, data.draw(st.text(max_size=3)), 0)
         expected = {
             u: "".join(parts) for u, parts in state.runtime_url_map.items()
             if all(p is not None for p in parts)

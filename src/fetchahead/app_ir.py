@@ -337,25 +337,30 @@ class App:
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_.]*"
 
+# a string token consumes any '#' inside it, so `#` starts a comment only
+# outside string literals
 _TOKEN_RE = re.compile(
     r'\s*(?:(?P<str>"[^"]*")'
     r"|(?P<arrow>->)"
     rf"|(?P<ident>{_IDENT})"
     r"|(?P<num>\d+)"
     r"|(?P<sym>[={}()+,;])"
+    r"|(?P<comment>#.*)"
     r"|(?P<bad>\S))"
 )
 
 
 def _tokenize(line: str) -> list[tuple[str, str]]:
-    """Tokens as (kind, text); raises ValueError on an illegal character."""
+    """Tokens as (kind, text) up to any comment; raises ValueError on an
+    illegal character."""
     toks = []
     for m in _TOKEN_RE.finditer(line):
         kind = m.lastgroup
-        text = m.group()
+        if kind == "comment":
+            break
         if kind == "bad":
-            raise ValueError(f"unexpected character {text.strip()!r}")
-        toks.append((kind, text.strip()))
+            raise ValueError(f"unexpected character {m.group(kind)!r}")
+        toks.append((kind, m.group(kind)))
     return toks
 
 
@@ -364,15 +369,11 @@ class _Cursor:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def next(self) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
+        if self.pos >= len(self.tokens):
             raise ValueError("unexpected end of line")
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
     def expect(self, kind: str, text: str | None = None) -> str:
         k, t = self.next()
@@ -381,12 +382,20 @@ class _Cursor:
             raise ValueError(f"expected {want!r}, found {t!r}")
         return t
 
-    def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[1] == text
+    def args(self, *kinds: str) -> list[str]:
+        """The texts of an argument list `( a , b , ... )`, one argument of
+        each kind."""
+        self.expect("sym", "(")
+        out = []
+        for i, kind in enumerate(kinds):
+            if i:
+                self.expect("sym", ",")
+            out.append(self.expect(kind))
+        self.expect("sym", ")")
+        return out
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
+        if self.pos < len(self.tokens) and self.tokens[self.pos][1] == text:
             self.pos += 1
             return True
         return False
@@ -413,68 +422,48 @@ _STATEMENT_KEYWORDS = frozenset({
 
 def _parse_stmt(cur: _Cursor) -> Stmt:
     kind, text = cur.next()
-    if kind == "ident" and text == "let":
+    if kind != "ident":
+        raise ValueError(f"bad statement start {text!r}")
+    if text == "let":
         var = cur.expect("ident")
         cur.expect("sym", "=")
         k, t = cur.next()
         if k == "str":
             return DefineStatic(var, "literal", _unquote(t))
-        if k == "ident" and t in ("resource", "setting"):
-            cur.expect("sym", "(")
-            key = cur.expect("ident")
-            cur.expect("sym", ")")
-            return DefineStatic(var, t, key)
-        if k == "ident" and t == "input":
-            cur.expect("sym", "(")
-            tag = cur.expect("ident")
-            cur.expect("sym", ")")
-            return DefineDynamic(var, tag)
+        if k == "ident" and t in ("resource", "setting", "input"):
+            (key,) = cur.args("ident")
+            return DefineDynamic(var, key) if t == "input" else DefineStatic(var, t, key)
         raise ValueError(f"bad definition source {t!r}")
-    if kind == "ident" and text == "url":
+    if text == "url":
         url_id = cur.expect("ident")
         cur.expect("sym", "=")
         parts = [_parse_url_part(cur)]
         while cur.accept("+"):
             parts.append(_parse_url_part(cur))
         return BuildUrl(url_id, tuple(parts))
-    if kind == "ident" and text == "call":
+    if text == "call":
         return Call(cur.expect("ident"))
-    if kind == "ident" and text == "asynccall":
+    if text == "asynccall":
         return AsyncCall(cur.expect("ident"))
-    if kind == "ident" and text == "goto":
+    if text == "goto":
         return Transition(cur.expect("ident"))
-    if kind == "ident" and text == "send_definition":
-        cur.expect("sym", "(")
-        var = cur.expect("ident")
-        cur.expect("sym", ",")
-        url_id = cur.expect("ident")
-        cur.expect("sym", ",")
-        m = int(cur.expect("num"))
-        cur.expect("sym", ")")
-        return SendDefinition(var, url_id, m)
-    if kind == "ident" and text == "trigger_prefetch":
+    if text == "send_definition":
+        var, url_id, m = cur.args("ident", "ident", "num")
+        return SendDefinition(var, url_id, int(m))
+    if text == "trigger_prefetch":
         cur.expect("sym", "(")
         urls = [cur.expect("ident")]
         while cur.accept(","):
             urls.append(cur.expect("ident"))
         cur.expect("sym", ")")
         return TriggerPrefetch(tuple(urls))
-    if kind == "ident" and text == "fetch_from_proxy":
-        cur.expect("sym", "(")
-        method = cur.expect("ident")
-        cur.expect("sym", ",")
-        url_id = cur.expect("ident")
-        cur.expect("sym", ")")
+    if text == "fetch_from_proxy":
+        method, url_id = cur.args("ident", "ident")
         return FetchFromProxy(url_id, method)
-    if kind == "ident":
-        # bare `<name>(<urlId>)` is a network call
-        if text in _STATEMENT_KEYWORDS:
-            raise ValueError(f"{text!r} cannot start a statement")
-        cur.expect("sym", "(")
-        url_id = cur.expect("ident")
-        cur.expect("sym", ")")
-        return NetCall(text, url_id)
-    raise ValueError(f"bad statement start {text!r}")
+    # bare `<name>(<urlId>)` is a network call
+    if text in _STATEMENT_KEYWORDS:
+        raise ValueError(f"{text!r} cannot start a statement")
+    return NetCall(text, *cur.args("ident"))
 
 
 def _parse_url_part(cur: _Cursor) -> UrlPart:
@@ -482,26 +471,10 @@ def _parse_url_part(cur: _Cursor) -> UrlPart:
     if k == "str":
         return UrlPart("literal", _unquote(t))
     if k == "ident" and t == "resource":
-        cur.expect("sym", "(")
-        key = cur.expect("ident")
-        cur.expect("sym", ")")
-        return UrlPart("resource", key)
+        return UrlPart("resource", *cur.args("ident"))
     if k == "ident":
         return UrlPart("var", t)
     raise ValueError(f"bad url part {t!r}")
-
-
-def _strip_comment(line: str) -> str:
-    # '#' starts a comment unless inside a string literal
-    out = []
-    in_str = False
-    for ch in line:
-        if ch == '"':
-            in_str = not in_str
-        if ch == "#" and not in_str:
-            break
-        out.append(ch)
-    return "".join(out)
 
 
 def parse_app(text: str) -> App:
@@ -515,68 +488,49 @@ def parse_app(text: str) -> App:
     resources: dict[str, str] = {}
     settings: dict[str, str] = {}
     netlib: list[NetMethodDecl] = []
-    callbacks: list[Callback] = []
-    methods: list[HelperMethod] = []
+    # (declaration word, name, body) of each callback and method
+    containers: list[tuple[str, str, list[Stmt]]] = []
     wait_nodes: list[str] = []
     ccfg_edges: list[tuple[str, str]] = []
     stmt_lines: dict[tuple[str, int], int] = {}
     decl_lines: dict[str, int] = {}
+    # the open { } block as (its line, container name, body); the ccfg
+    # block has no body
+    block: tuple[int, str, list[Stmt] | None] | None = None
 
-    lines = text.splitlines()
-    i = 0
-    n = len(lines)
-
-    def block_lines(start: int) -> tuple[list[tuple[int, list[tuple[str, str]]]], int]:
-        """Tokenized statement lines of a { } block starting after `start`."""
-        rows = []
-        j = start + 1
-        while j < n:
-            raw = _strip_comment(lines[j])
-            try:
-                toks = _tokenize(raw)
-            except ValueError as e:
-                diags.append((j + 1, str(e)))
-                j += 1
-                continue
-            if len(toks) == 1 and toks[0][1] == "}":
-                return rows, j
-            if toks:
-                rows.append((j, toks))
-            j += 1
-        diags.append((start + 1, "unterminated block"))
-        return rows, n - 1
-
-    def parse_body(rows) -> tuple[Stmt, ...]:
-        body: list[Stmt] = []
-        for lineno, toks in rows:
-            cur = _Cursor(toks)
-            while not cur.done():
-                try:
-                    st = _parse_stmt(cur)
-                except ValueError as e:
-                    diags.append((lineno + 1, str(e)))
-                    break
-                body.append(st)
-                stmt_lines[(current_container[0], len(body) - 1)] = lineno + 1
-                if not cur.done() and not cur.accept(";"):
-                    diags.append((lineno + 1, "trailing tokens after statement"))
-                    break
-        return tuple(body)
-
-    current_container = [""]
-
-    while i < n:
-        raw = _strip_comment(lines[i])
+    for lineno, line in enumerate(text.splitlines(), 1):
         try:
-            toks = _tokenize(raw)
+            toks = _tokenize(line)
         except ValueError as e:
-            diags.append((i + 1, str(e)))
-            i += 1
+            diags.append((lineno, str(e)))
             continue
         if not toks:
-            i += 1
             continue
         cur = _Cursor(toks)
+        if block is not None:
+            if len(toks) == 1 and toks[0][1] == "}":
+                block = None
+                continue
+            _, cname, body = block
+            while not cur.done():
+                try:
+                    if body is not None:
+                        body.append(_parse_stmt(cur))
+                        stmt_lines[(cname, len(body) - 1)] = lineno
+                    elif cur.accept("wait"):
+                        wait_nodes.append(cur.expect("ident"))
+                    else:
+                        a = cur.expect("ident")
+                        cur.expect("arrow")
+                        ccfg_edges.append((a, cur.expect("ident")))
+                except ValueError as e:
+                    diags.append((lineno, str(e)))
+                    break
+                if not cur.done() and not cur.accept(";"):
+                    what = "edge" if body is None else "statement"
+                    diags.append((lineno, f"trailing tokens after {what}"))
+                    break
+            continue
         _, head = cur.next()
         try:
             if head == "app":
@@ -595,57 +549,28 @@ def parse_app(text: str) -> App:
                 mname = cur.expect("ident")
                 cur.expect("ident", "latency")
                 cur.expect("sym", "=")
-                ms = int(cur.expect("num"))
-                if any(m.name == mname for m in netlib):
-                    raise ValueError(f"duplicate netmethod '{mname}'")
-                netlib.append(NetMethodDecl(mname, ms))
-            elif head in ("callback", "method"):
-                cname = cur.expect("ident")
+                netlib.append(NetMethodDecl(mname, int(cur.expect("num"))))
+            elif head in ("callback", "method", "ccfg"):
+                cname = "" if head == "ccfg" else cur.expect("ident")
                 cur.expect("sym", "{")
                 if not cur.done():
-                    diags.append((i + 1, "statements must start on the next line"))
-                decl_lines.setdefault(cname, i + 1)
-                current_container[0] = cname
-                rows, close = block_lines(i)
-                body = parse_body(rows)
-                if head == "callback":
-                    callbacks.append(Callback(cname, body))
-                else:
-                    methods.append(HelperMethod(cname, body))
-                i = close
-            elif head == "ccfg":
-                cur.expect("sym", "{")
-                if not cur.done():
-                    diags.append((i + 1, "edges must start on the next line"))
-                rows, close = block_lines(i)
-                for lineno, rtoks in rows:
-                    rcur = _Cursor(rtoks)
-                    while not rcur.done():
-                        try:
-                            if rcur.accept("wait"):
-                                wname = rcur.expect("ident")
-                                if wname in wait_nodes:
-                                    raise ValueError(f"duplicate wait node '{wname}'")
-                                wait_nodes.append(wname)
-                            else:
-                                a = rcur.expect("ident")
-                                rcur.expect("arrow")
-                                b = rcur.expect("ident")
-                                ccfg_edges.append((a, b))
-                        except ValueError as e:
-                            diags.append((lineno + 1, str(e)))
-                            break
-                        if not rcur.done() and not rcur.accept(";"):
-                            diags.append((lineno + 1, "trailing tokens after edge"))
-                            break
-                i = close
+                    what = "edges" if head == "ccfg" else "statements"
+                    diags.append((lineno, f"{what} must start on the next line"))
+                body = None
+                if head != "ccfg":
+                    body = []
+                    containers.append((head, cname, body))
+                    decl_lines.setdefault(cname, lineno)
+                block = (lineno, cname, body)
+                continue
             else:
                 raise ValueError(f"unknown declaration '{head}'")
-            if head not in ("callback", "method", "ccfg") and not cur.done():
+            if not cur.done():
                 raise ValueError("trailing tokens after declaration")
         except ValueError as e:
-            diags.append((i + 1, str(e)))
-        i += 1
+            diags.append((lineno, str(e)))
+    if block is not None:
+        diags.append((block[0], "unterminated block"))
 
     if name is None:
         diags.append((1, "missing app declaration"))
@@ -655,8 +580,10 @@ def parse_app(text: str) -> App:
         name=name,
         resources=resources,
         settings=settings,
-        callbacks=tuple(callbacks),
-        methods=tuple(methods),
+        callbacks=tuple(Callback(n, tuple(b)) for h, n, b in containers
+                        if h == "callback"),
+        methods=tuple(HelperMethod(n, tuple(b)) for h, n, b in containers
+                      if h == "method"),
         ccfg=Ccfg(tuple(wait_nodes), tuple(ccfg_edges)),
         netlib=tuple(netlib),
     )
@@ -709,13 +636,16 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
             problems.append((loc, f"{what} '{name}' is a reserved word"))
 
     check_name(None, app.name, "app name")
+    netmethods: set[str] = set()
     for m in app.netlib:
+        if m.name in netmethods:
+            problems.append((None, f"duplicate netmethod '{m.name}'"))
+            continue
+        netmethods.add(m.name)
         check_name(None, m.name, "netmethod", _STATEMENT_KEYWORDS)
         if m.latency_ms < 0:
             problems.append((None, f"netmethod '{m.name}' has a negative "
                                    f"latency {m.latency_ms}"))
-    for w in app.ccfg.wait_nodes:
-        check_name(None, w, "wait node", ("wait",))
     names: set[str] = set()
     for cname in list(app.callback_names) + list(app.method_names):
         if cname in names:
@@ -725,7 +655,6 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
         check_name(None, c.name, "callback", ("wait",))
     for m in app.methods:
         check_name(None, m.name, "method")
-    netmethods = {m.name for m in app.netlib}
     callbacks = set(app.callback_names)
     # built here, the index is the one a parsed App's analyses read
     url_spots, defined_vars = app.index.url_spots, app.index.definitions
@@ -816,16 +745,20 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
             if not _printable(value):
                 problems.append((None, f"{kind} '{key}': {_unprintable(value)}"))
 
-    waits = set(app.ccfg.wait_nodes)
-    ccfg_nodes = callbacks | waits
-    for w in waits:
-        if w in names:
-            problems.append((None, f"wait node '{w}' collides with a callback or method name"))
+    ccfg_nodes = callbacks | app.ccfg.wait_set
     for a, b in app.ccfg.edges:
         for endpoint in (a, b):
             if endpoint not in ccfg_nodes:
                 problems.append((None, f"unknown ccfg node '{endpoint}'"))
+    waits: set[str] = set()
     for w in app.ccfg.wait_nodes:
+        if w in waits:
+            problems.append((None, f"duplicate wait node '{w}'"))
+            continue
+        waits.add(w)
+        check_name(None, w, "wait node", ("wait",))
+        if w in names:
+            problems.append((None, f"wait node '{w}' collides with a callback or method name"))
         if not app.ccfg.predecessors(w):
             problems.append((None, f"wait node '{w}' has no incoming edge"))
         if not app.ccfg.successors(w):

@@ -554,6 +554,8 @@ def run_trace(
         if seed_url_map is None:
             raise RunError("an instrumented app requires a seed url map")
         proxy = Proxy(app, seed_url_map, net, hints)
+    elif seed_url_map is not None or hints is not None:
+        raise RunError("a seed url map or hints need an instrumented app")
     session = _Session(app, net, proxy)
     for k, step in enumerate(trace.steps):
         session.clock += step.think_ms

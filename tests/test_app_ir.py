@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -149,6 +150,43 @@ ccfg {
     assert len(app.index.bodies["c"]) == 3
 
 
+@pytest.mark.parametrize("text, diagnostics", [
+    ("app a\nresource r = \"x\" $\n", [(2, "unexpected character '$'")]),
+    ("app a\nresource r =\n", [(2, "unexpected end of line")]),
+    ('app a\nresource r "x"\n', [(2, "expected '=', found '\"x\"'")]),
+    ("app a\ncallback c {\n  let v = 5\n}\n", [(3, "bad definition source '5'")]),
+    ("app a\ncallback c {\n  url u = 5\n}\n", [(3, "bad url part '5'")]),
+    ("app a\ncallback c {\n  = c\n}\n", [(3, "bad statement start '='")]),
+    ("app a\ncallback c {\n  input(t)\n}\n",
+     [(3, "'input' cannot start a statement")]),
+    ("app a\ncallback c {\n  goto c c\n}\n", [(3, "trailing tokens after statement")]),
+    ("app a\ncallback c {\n}\nccfg {\n  c -> c c\n}\n",
+     [(5, "trailing tokens after edge")]),
+    ("app a b\n", [(1, "trailing tokens after declaration")]),
+    ("app a\ncallback c { goto c\n}\n",
+     [(2, "statements must start on the next line")]),
+    ("app a\ncallback c {\n}\nccfg { c -> c\n}\n",
+     [(4, "edges must start on the next line")]),
+    ("app a\ncallback c {\n  goto c\n", [(2, "unterminated block")]),
+    ("app a\nscreen s\n", [(2, "unknown declaration 'screen'")]),
+    ("app a\napp b\n", [(2, "duplicate app declaration")]),
+    ('app a\nresource r = "x"\nresource r = "y"\nsetting k = "x"\nsetting k = "y"\n',
+     [(3, "duplicate resource key 'r'"), (5, "duplicate setting key 'k'")]),
+    ('resource r = "x"\n', [(1, "missing app declaration")]),
+    ('app a\nresource r = "x#y" z  # a comment\n',
+     [(2, "trailing tokens after declaration")]),
+], ids=["unexpected-character", "end-of-line", "expected-found",
+        "definition-source", "url-part", "statement-start", "keyword-statement",
+        "trailing-statement", "trailing-edge", "trailing-declaration",
+        "statements-on-brace-line", "edges-on-brace-line", "unterminated-block",
+        "unknown-declaration", "duplicate-app", "duplicate-keys", "missing-app",
+        "hash-in-string"])
+def test_parser_diagnostics(text, diagnostics):
+    with pytest.raises(ParseError) as err:
+        parse_app(text)
+    assert err.value.diagnostics == diagnostics
+
+
 def test_weather_round_trip(weather_app):
     assert parse_app(print_app(weather_app)) == weather_app
 
@@ -157,6 +195,48 @@ def test_weather_round_trip(weather_app):
 @given(st.integers(0, 10**9))
 def test_round_trip_random_apps(seed):
     app, _, _ = make_app(random.Random(seed))
+    assert parse_app(print_app(app)) == app
+
+
+# texts to mutate: the weather fixture and a few printed random apps
+_PAPP_TEXTS = [(Path(__file__).parent / "fixtures" / "weather.papp").read_text()] + [
+    print_app(make_app(random.Random(seed))[0]) for seed in range(4)]
+# what an insertion adds: arbitrary text, or text made of the format's own
+# characters and words
+_INSERTS = st.one_of(st.text(max_size=6), st.lists(
+    st.sampled_from(['\n', ' ', '{', '}', '#', '"', ';', ',', '(', ')', '->', '=',
+                     '+', '7', 'wait ', 'app a', 'netmethod get latency=5\n',
+                     'callback ', 'ccfg', 'let ', 'url ', 'resource']),
+    max_size=4).map("".join))
+
+
+@st.composite
+def _papp_inputs(draw) -> str:
+    """Arbitrary text, or a `.papp` text after random insertions, deletions
+    and copied spans."""
+    text = draw(st.one_of(st.text(), st.sampled_from(_PAPP_TEXTS)))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(text)))
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 80)))
+        edit = draw(st.sampled_from(["insert", "delete", "copy"]))
+        if edit == "insert":
+            text = text[:at] + draw(_INSERTS) + text[at:]
+        elif edit == "delete":
+            text = text[:start] + text[end:]
+        else:
+            text = text[:at] + text[start:end] + text[at:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_papp_inputs())
+def test_parse_app_returns_a_valid_app_or_raises_parse_error(text):
+    try:
+        app = parse_app(text)
+    except ParseError:
+        return
+    validate_app(app)
     assert parse_app(print_app(app)) == app
 
 
@@ -245,8 +325,16 @@ def _fetching_app(*stmts, latency_ms: int = 5,
      "url part kind 'setting' is not literal, resource or var"),
     (_fetching_app(DefineStatic("v", "input", "k")),
      "static source kind 'input' is not literal, resource or setting"),
+    (App("a", callbacks=(Callback("c", (
+        BuildUrl("u", (UrlPart("literal", "http://x/"),)), NetCall("get", "u"),
+    )),), netlib=(NetMethodDecl("get", 5), NetMethodDecl("get", 7))),
+     "^line 0: duplicate netmethod 'get'$"),
+    (App("a", callbacks=(Callback("c", ()),),
+         ccfg=Ccfg(("w", "w"), (("c", "w"), ("w", "c")))),
+     "^line 0: duplicate wait node 'w'$"),
 ], ids=["space-in-callback-name", "netmethod-named-let", "url-without-parts",
-        "negative-latency", "setting-url-part", "input-static-source"])
+        "negative-latency", "setting-url-part", "input-static-source",
+        "duplicate-netmethod", "duplicate-wait-node"])
 def test_names_that_do_not_round_trip_are_rejected(app, message):
     with pytest.raises(ParseError, match=message):
         validate_app(app)

@@ -329,6 +329,22 @@ def test_report_multi_pair_prints_summary(workdir, capsys):
     assert summary["hit_rate"]["stddev"] == 0.0
 
 
+@pytest.mark.parametrize("flags", [
+    ["--seed-urlmap", "urlmap.json"],
+    ["--hints", "hints.json"],
+    ["--seed-urlmap", "urlmap.json", "--hints", "hints.json"],
+], ids=["seed-urlmap", "hints", "both"])
+def test_run_rejects_proxy_inputs_for_an_uninstrumented_app(workdir, capsys, flags):
+    assert main(["analyze", "weather.papp"]) == 0
+    (workdir / "hints.json").write_text(json.dumps({}))
+    capsys.readouterr()
+    code = main(["run", "--app", "weather.papp", "--trace", "trace.json",
+                 "--out", "runlog.json", *flags])
+    assert code == 2
+    assert "instrumented app" in capsys.readouterr().err
+    assert not (workdir / "runlog.json").exists()
+
+
 def test_oracle_out_requires_instrumented_app(workdir, capsys):
     code = main([
         "run", "--app", "weather.papp", "--trace", "trace.json",

@@ -4,8 +4,9 @@
 `appgen.make_app` seeds 0-49 (each with its own trace and net model), the
 exit code of `fetchahead pipeline` and the sha256 of each artifact it
 wrote, plus the sha256 of the `fetchahead bench` TSV at its default
-settings. It also holds the sha256 of what `bench`, `report` and
-`pipeline` write or print as JSON and text besides those artifacts. A
+settings. It also holds the sha256 of what `bench`, `report`,
+`pipeline`, `analyze`, `instrument` and `run` write or print as JSON and
+text besides those artifacts. A
 change that alters any of them must say why. To record the fixture again:
 
     PYTHONPATH=src python tests/test_golden.py > tests/fixtures/golden.json
@@ -107,11 +108,43 @@ def bench_digest(workdir: Path) -> str:
     return _sha256(tsv.read_bytes())
 
 
+def stage_digests(name: str, inputs: Path) -> dict:
+    """sha256 of what `analyze`, `instrument` and `run` write and print
+    with `--json` on the inputs of one `pipeline_digest` call, with
+    `inputs` written as `<dir>`; `run` executes the instrumented app and
+    writes its oracle."""
+    def sha_stdout(argv: list[str]) -> str:
+        stdout = _stdout_of(argv + ["--json"])
+        return _sha256(stdout.replace(str(inputs), "<dir>").encode())
+
+    profile = ["--trace", str(inputs / "trace.json"),
+               "--net", str(inputs / "net.json")]
+    urlmap, triggermap = inputs / "urlmap.json", inputs / "triggermap.json"
+    app, out = str(inputs / "app.papp"), inputs / "out"
+    log, oracle = inputs / "runlog.json", inputs / "oracle.json"
+    return {
+        f"analyze {name} --json": sha_stdout(
+            ["analyze", app, *profile, "--urlmap-out", str(urlmap),
+             "--triggermap-out", str(triggermap)]),
+        f"analyze {name} --urlmap-out": _sha256(urlmap.read_bytes()),
+        f"analyze {name} --triggermap-out": _sha256(triggermap.read_bytes()),
+        f"instrument {name} --json": sha_stdout(
+            ["instrument", app, "--urlmap", str(urlmap),
+             "--triggermap", str(triggermap), *profile,
+             "--out", str(inputs / "optimized.papp")]),
+        f"run {name} --json": sha_stdout(
+            ["run", "--app", str(out / "optimized.papp"), *profile,
+             "--seed-urlmap", str(out / "urlmap.json"), "--out", str(log),
+             "--oracle-out", str(oracle)]),
+        f"run {name} --oracle-out": _sha256(oracle.read_bytes()),
+    }
+
+
 def output_digests(workdir: Path) -> dict:
     """sha256 of the `bench` JSON, of the `report` JSON and text over one
-    pair (no oracle) and over two pairs (with oracles and a summary), and
-    of the `pipeline --json` and text stdout, whose temporary outdir is
-    written as `<outdir>`."""
+    pair (no oracle) and over two pairs (with oracles and a summary), of
+    the `pipeline --json` and text stdout, whose temporary outdir is
+    written as `<outdir>`, and the `stage_digests` of each input."""
     def sha(text: str) -> str:
         return _sha256(text.encode())
 
@@ -134,6 +167,7 @@ def output_digests(workdir: Path) -> dict:
             stdout = _stdout_of(argv + ([flag] if flag else []))
             digests[f"pipeline {name} {flag or 'text'}"] = sha(
                 stdout.replace(str(inputs / "again"), "<outdir>"))
+        digests.update(stage_digests(name, inputs))
 
     def pair(out: Path) -> list[str]:
         return ["--base", str(out / "runlog_base.json"),

@@ -31,7 +31,7 @@ from .callback_analysis import (
     trigger_map_from_json_obj,
     trigger_map_to_json_obj,
 )
-from .codec import encode
+from .codec import dumps, encode
 from .errors import FetchaheadError
 from .instrumenter import (
     Hints,
@@ -165,18 +165,10 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_json(path: str, obj) -> None:
-    """`_dump_json(obj)`, written piece by piece as the (pure Python)
-    indenting encoder yields it: the joined pieces take far more memory."""
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(obj, f, sort_keys=True, indent=2)
-            f.write("\n")
-    except OSError as e:
-        raise FetchaheadError(f"cannot write {path}: {e.strerror or e}") from e
-
-
-def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The JSON value `obj` as `codec.dumps` writes it: the one form of
+    every JSON artifact, so a file that no stage changed is byte-identical
+    from run to run."""
+    _write_text(path, dumps(obj))
 
 
 def _load_app(path: str):
@@ -216,7 +208,7 @@ def _cmd_analyze(args) -> int:
         "triggermap": args.triggermap_out,
     }
     if args.json:
-        print(_dump_json(result), end="")
+        print(dumps(result), end="")
     else:
         print(f"signature: {sig.net_method}")
         print(f"wrote {args.urlmap_out} and {args.triggermap_out}")
@@ -234,7 +226,7 @@ def _cmd_instrument(args) -> int:
         ia = apply_hints(ia, hints)
     _write_text(args.out, print_app(ia.app))
     if args.json:
-        print(_dump_json({"out": args.out, "signature": sig.net_method}), end="")
+        print(dumps({"out": args.out, "signature": sig.net_method}), end="")
     else:
         print(f"wrote {args.out}")
     return 0
@@ -246,14 +238,14 @@ def _cmd_run(args) -> int:
     net = _load_net(args.net)
     seed = _load(args.seed_urlmap, url_map_from_json_obj)
     hints = _load(args.hints, hints_from_json_obj)
+    if args.oracle_out and not app.is_instrumented:
+        raise FetchaheadError("--oracle-out requires an instrumented app")
     log = run_trace(app, trace, net, seed_url_map=seed, hints=hints)
     _write_text(args.out, log.canonical_json())
     if args.oracle_out:
-        if not app.is_instrumented:
-            raise FetchaheadError("--oracle-out requires an instrumented app")
         _write_json(args.oracle_out, encode(compute_oracle(app, trace)))
     if args.json:
-        print(_dump_json({"out": args.out, "final_ms": log.final_ms}), end="")
+        print(dumps({"out": args.out, "final_ms": log.final_ms}), end="")
     else:
         print(f"wrote {args.out} ({len(log.demands())} demands, "
               f"{log.final_ms}ms virtual time)")
@@ -272,7 +264,7 @@ def _cmd_bench(args) -> int:
         else:
             _write_text(args.out, report.to_tsv())
     if args.json:
-        print(_dump_json(encode(report)), end="")
+        print(dumps(encode(report)), end="")
     elif not args.out:
         print(report.to_tsv(), end="")
     else:
@@ -300,7 +292,7 @@ def _cmd_report(args) -> int:
     if args.out:
         _write_json(args.out, result)
     if args.json:
-        print(_dump_json(result), end="")
+        print(dumps(result), end="")
     else:
         for i, m in enumerate(pairs):
             line = (f"pair {i}: hit rate {m.hit_rate * 100:.1f}%, mean reduction "
@@ -339,7 +331,7 @@ def _cmd_pipeline(args) -> int:
     _write_json(str(outdir / "metrics.json"), {"pairs": [encode(m)]})
 
     if args.json:
-        print(_dump_json({"outdir": str(outdir), "metrics": encode(m)}), end="")
+        print(dumps({"outdir": str(outdir), "metrics": encode(m)}), end="")
     else:
         print(f"pipeline artifacts in {outdir}")
         print(f"hit rate {m.hit_rate * 100:.1f}%, mean reduction "

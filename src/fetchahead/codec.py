@@ -17,6 +17,9 @@ value of a dataclass. Both follow the type hints:
 Two more forms only encode, for scores that are written but never read
 back: a `float` as it is, and an `Enum` as its `.value`.
 
+`dumps(value)` writes a JSON value as every JSON artifact is written:
+keys sorted, two-space indent, ASCII only, and a final newline.
+
 A decode error names the JSON path of the bad value:
 `$.events[3].at must be an integer >= 0, got -1`. Each type's decoder and
 encoder is built once, on first use, so no value pays for reflection.
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import reprlib
 import types
 import typing
@@ -33,6 +37,7 @@ from collections.abc import Mapping
 from dataclasses import MISSING
 from enum import Enum
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import Any, Literal, Union
 
 
@@ -75,6 +80,55 @@ def decode(tp, value, error: type[Exception]):
 def encode(value):
     """The JSON value of a dataclass instance."""
     return _encoder(type(value))(value)
+
+
+def dumps(value) -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)` plus a newline, byte
+    for byte, for a JSON value: dicts with `str` keys, lists, `str`, `int`,
+    `float`, `bool` and None, exactly those types. Raises TypeError on
+    anything else. On CPython 3.11 `json.dumps` runs its pure-Python
+    encoder when it indents, and yields the text piece by piece; this
+    joins each container's items in one call, in about half the time."""
+    return _dumps(value, "\n") + "\n"
+
+
+def _float(f: float) -> str:
+    if f != f:
+        return "NaN"
+    if f == math.inf:
+        return "Infinity"
+    if f == -math.inf:
+        return "-Infinity"
+    return float.__repr__(f)
+
+
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _float,
+            bool: lambda b: "true" if b else "false",
+            type(None): lambda _: "null"}
+
+
+def _dumps(v, newline: str) -> str:
+    """`v` as indented JSON whose lines after the first start with
+    `newline`."""
+    t = type(v)
+    if t is dict:
+        if not v:
+            return "{}"
+        inner = newline + "  "
+        # a key that is not a string fails to sort or to encode: TypeError
+        return ("{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k) + ": " + _dumps(v[k], inner)
+            for k in sorted(v)]) + newline + "}")
+    if t is list:
+        if not v:
+            return "[]"
+        inner = newline + "  "
+        return ("[" + inner + ("," + inner).join([_dumps(x, inner) for x in v])
+                + newline + "]")
+    scalar = _SCALARS.get(t)
+    if scalar is None:
+        raise TypeError(f"Object of type {t.__name__} is not a JSON value")
+    return scalar(v)
 
 
 def _fields(cls) -> list[tuple[str, dataclasses.Field, Any]]:

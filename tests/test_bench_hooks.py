@@ -1,15 +1,18 @@
 """The traced benchmark (`perfbench/spans.py`) wraps names it looks up by
 module and attribute, such as `fetchahead.cli.compute_oracle`; a rename
 or a moved import would break its traced run, and a stage called by any
-other name would silently read 0 in the per-layer metrics."""
+other name would silently read 0 in the per-layer metrics.
 
+`fetchahead.cli` is looked up when a test runs, not imported here: the
+benchmark's own tests import the package afresh, and the tracer wraps the
+module that `sys.modules` holds at that time."""
+
+import importlib
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
-
-import fetchahead.cli as cli
 
 _SPEC = importlib.util.spec_from_file_location(
     "perfbench_spans", Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -45,6 +48,7 @@ def test_every_wrapped_name_records_a_span(tmp_path, weather_text, capsys):
                      "--net", str(net), "--outdir", str(tmp_path / "out")],
         "bench": ["bench", "--out", str(tmp_path / "bench.tsv")],
     }
+    cli = importlib.import_module("fetchahead.cli")
     tracer = spans.Tracer()
     with tracer.installed():
         for command, argv in commands.items():

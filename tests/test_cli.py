@@ -348,10 +348,12 @@ def test_run_rejects_proxy_inputs_for_an_uninstrumented_app(workdir, capsys, fla
 def test_oracle_out_requires_instrumented_app(workdir, capsys):
     code = main([
         "run", "--app", "weather.papp", "--trace", "trace.json",
-        "--oracle-out", "oracle.json",
+        "--oracle-out", "oracle.json", "--out", "runlog.json",
     ])
     assert code == 2
     assert "instrumented" in capsys.readouterr().err
+    assert not (workdir / "runlog.json").exists()
+    assert not (workdir / "oracle.json").exists()
 
 
 def test_trace_json_round_trip(weather_trace):

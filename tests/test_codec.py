@@ -5,17 +5,20 @@ types or raises its own `FetchaheadError`, whatever JSON value it is
 given: values drawn at random, and the weather fixture's artifacts with
 one key dropped, one value's type swapped or one number made negative.
 Every artifact of a random pipeline survives `decode(T, encode(x))`.
+`dumps` writes any JSON value exactly as the standard library's indenting
+encoder does, and rejects anything else.
 """
 
 import dataclasses
 import json
+import math
 import random
 import types
 import typing
 from collections.abc import Mapping
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from appgen import make_app
@@ -25,7 +28,7 @@ from fetchahead.callback_analysis import (
     trigger_map_from_json_obj,
 )
 from fetchahead.cli import run_pipeline
-from fetchahead.codec import decode, encode
+from fetchahead.codec import decode, dumps, encode
 from fetchahead.errors import (
     AnalysisError,
     FetchaheadError,
@@ -271,3 +274,36 @@ def test_scores_encode_floats_as_is_and_enums_as_values():
                   "expected": "non_hit", "observed": "hit"}],
         "accuracy": {"precision": 1.0, "recall": 0.75},
     }
+
+
+# every category, lone surrogates (Cs) and control characters (Cc) too
+_chars = st.characters(exclude_categories=()) | st.sampled_from(
+    ["\x00", "\x1f", "\x7f", '"', "\\", "/", "\u00e9", "\u2028", "\ud800",
+     "\udfff", "\U0001f600"])
+_text = st.text(_chars, max_size=8)
+_writable = st.recursive(
+    st.none() | st.booleans() | _text
+    | st.integers() | st.sampled_from([-(2**63), 2**64, -(10**30)])
+    | st.floats()
+    | st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_text, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_writable)
+@example([[], {}, [[]], {"": {"": []}}])
+@example({"\ud800": "\udfff", "\x00": [-0.0, 5e-324, 1e16, math.nan]})
+def test_dumps_is_the_indenting_encoder(value):
+    assert dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    (1, 2), {1, 2}, object(), {"a": [(1,)]}, [{"a"}], {1: 2}, {"a": 1, 2: 3},
+], ids=["tuple", "set", "object", "nested-tuple", "nested-set", "int-key",
+        "mixed-keys"])
+def test_dumps_rejects_what_is_not_a_json_value(value):
+    with pytest.raises(TypeError):
+        dumps(value)

@@ -6,8 +6,8 @@ exit code of `fetchahead pipeline` and the sha256 of each artifact it
 wrote, plus the sha256 of the `fetchahead bench` TSV at its default
 settings. It also holds the sha256 of what `bench`, `report`,
 `pipeline`, `analyze`, `instrument` and `run` write or print as JSON and
-text besides those artifacts. A
-change that alters any of them must say why. To record the fixture again:
+text besides those artifacts. A change that alters any of them must say
+why. To record the fixture again:
 
     PYTHONPATH=src python tests/test_golden.py > tests/fixtures/golden.json
 """

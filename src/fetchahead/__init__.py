@@ -6,7 +6,7 @@ proxy calls, then execute it on a deterministic virtual clock against a
 simulated origin server and measure what prefetching bought.
 """
 
-from .app_ir import App, Ccfg, Ecg, build_ecg, parse_app, print_app, validate_app
+from .app_ir import App, Ccfg, build_ecg, parse_app, print_app, validate_app
 from .callback_analysis import (
     FetchSignature,
     TriggerMap,
@@ -31,7 +31,7 @@ from .string_analysis import UrlMap, analyze_urls, static_value_of
 __version__ = "0.1.0"
 
 __all__ = [
-    "App", "Ccfg", "Ecg", "build_ecg", "parse_app", "print_app", "validate_app",
+    "App", "Ccfg", "build_ecg", "parse_app", "print_app", "validate_app",
     "FetchSignature", "TriggerMap", "identify_trigger_callbacks",
     "profile_fetch_signature",
     "AnalysisError", "FetchaheadError", "InstrumentError", "MetricsError",

@@ -36,14 +36,12 @@ no escapes.
 Every `App` carries a `ProgramIndex` (`App.index`): the lookup tables that
 analysis, instrumentation and the runtime consult (definitions by
 variable, URL spot and fetch method by url id, body by name, whether the
-app is instrumented, callback declaration order), built in one pass over
-`App.containers()` on first use and cached on the instance. The index
-needs no invalidation: an `App` is frozen and its bodies are tuples of
-frozen statements, so the program it indexes cannot change, and every
-rewrite (`dataclasses.replace`) makes a new `App` with a fresh index.
-`Ccfg` and `Ecg` cache their adjacency the same way on their own
-instances, because trigger analysis also accepts graphs that are not the
-app's own.
+app is instrumented, callback declaration order, the CCFG's roots and
+wait-node predecessors), built on first use and cached on the instance.
+The index needs no invalidation: an `App` is frozen and its bodies are
+tuples of frozen statements, so the program it indexes cannot change, and
+every rewrite (`dataclasses.replace`) makes a new `App` with a fresh
+index. `Ccfg` caches its adjacency the same way on its own instance.
 """
 
 from __future__ import annotations
@@ -106,8 +104,8 @@ class Call:
 
 @dataclass(frozen=True)
 class AsyncCall:
-    """Framework-mediated call (worker-style); same runtime semantics as
-    Call, but its call-graph edge is tagged as a framework edge."""
+    """Framework-mediated call (worker-style); same runtime semantics and
+    call-graph edge as Call."""
 
     target: str
 
@@ -209,31 +207,6 @@ class Ccfg:
 
 
 @dataclass(frozen=True)
-class EcgEdge:
-    src: str
-    dst: str
-    kind: str  # "direct" | "framework"
-
-
-@dataclass(frozen=True)
-class Ecg:
-    """Call graph over callbacks and helper methods, extended with
-    framework-induced direct edges (from AsyncCall statements)."""
-
-    nodes: tuple[str, ...]
-    edges: tuple[EcgEdge, ...]
-
-    @cached_property
-    def callers(self) -> dict[str, list[str]]:
-        """Reverse graph: node -> sources of its incoming edges, in edge
-        order. Shared; do not mutate."""
-        reverse: dict[str, list[str]] = {}
-        for e in self.edges:
-            reverse.setdefault(e.dst, []).append(e.src)
-        return reverse
-
-
-@dataclass(frozen=True)
 class ProgramIndex:
     """Whole-program lookup tables of one App (see the module docstring).
 
@@ -253,6 +226,12 @@ class ProgramIndex:
     instrumented: bool
     # callback name -> position in declaration order
     callback_order: dict[str, int]
+    # callbacks that no ccfg edge enters, in declaration order
+    roots: tuple[str, ...]
+    # callback -> the callbacks p with ccfg edges p -> wait node -> it, in
+    # declaration order; the relation behind both trigger analysis and the
+    # trace's event order
+    wait_predecessors: dict[str, tuple[str, ...]]
 
 
 def _build_index(app: "App") -> ProgramIndex:
@@ -275,13 +254,25 @@ def _build_index(app: "App") -> ProgramIndex:
                 instrumented = True
                 if isinstance(st, FetchFromProxy):
                     proxy_methods.setdefault(st.url_id, st.original_method)
+    order = {c.name: i for i, c in enumerate(app.callbacks)}
+    ccfg = app.ccfg
+    targets = {b for _, b in ccfg.edges}
+    preds: dict[str, set[str]] = {}
+    for p, w in ccfg.edges:
+        if p in order and w in ccfg.wait_set:
+            for b in ccfg.successors(w):
+                if b in order:
+                    preds.setdefault(b, set()).add(p)
     return ProgramIndex(
         bodies=bodies,
         definitions=definitions,
         url_spots=url_spots,
         fetch_methods={**net_methods, **proxy_methods},
         instrumented=instrumented,
-        callback_order={c.name: i for i, c in enumerate(app.callbacks)},
+        callback_order=order,
+        roots=tuple(c for c in order if c not in targets),
+        wait_predecessors={b: tuple(sorted(ps, key=order.__getitem__))
+                           for b, ps in preds.items()},
     )
 
 
@@ -839,22 +830,15 @@ def print_app(app: App) -> str:
 # extended call graph
 # ---------------------------------------------------------------------------
 
-def build_ecg(app: App) -> Ecg:
-    """Call graph from Call/AsyncCall statements; AsyncCall edges are
-    tagged "framework". Deterministic: first-encounter order."""
-    nodes = tuple(app.callback_names) + tuple(app.method_names)
-    edges: list[EcgEdge] = []
-    seen: set[tuple[str, str, str]] = set()
+def build_ecg(app: App) -> dict[str, list[str]]:
+    """The extended call graph (ECG, after Yang et al., ICSE 2015) of
+    Call and AsyncCall statements, reversed: callee -> its callers, each
+    list in first-encounter order."""
+    callers: dict[str, list[str]] = {}
+    seen: set[tuple[str, str]] = set()
     for name, body in app.containers():
         for st in body:
-            if isinstance(st, Call):
-                dst, kind = st.target, "direct"
-            elif isinstance(st, AsyncCall):
-                dst, kind = st.target, "framework"
-            else:
-                continue
-            key = (name, dst, kind)
-            if key not in seen:
-                seen.add(key)
-                edges.append(EcgEdge(name, dst, kind))
-    return Ecg(nodes, tuple(edges))
+            if isinstance(st, (Call, AsyncCall)) and (name, st.target) not in seen:
+                seen.add((name, st.target))
+                callers.setdefault(st.target, []).append(name)
+    return callers

@@ -3,10 +3,11 @@
 Profiling a run of the original app identifies the fetch signature (the
 net-library method that dominates cumulative network time). Every call to
 that method is a fetch spot; its enclosing body is a target method; the
-callbacks reaching that method in the extended call graph are target
-callbacks. Trigger callbacks are the CCFG predecessors of a target
-callback separated from it by exactly one wait node: prefetching at the
-end of such a callback exploits the user's think time at the wait node.
+callbacks reaching that method in the extended call graph (`build_ecg`)
+are target callbacks. Trigger callbacks are the CCFG predecessors of a
+target callback separated from it by exactly one wait node, the app's
+`index.wait_predecessors`: prefetching at the end of such a callback
+exploits the user's think time at the wait node.
 
 The resulting trigger map sends each trigger callback to the URLs that
 should be prefetched when it finishes.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Mapping
 
-from .app_ir import App, Ccfg, Ecg, NetCall
+from .app_ir import App, NetCall
 from .codec import decode, encode, inline
 from .errors import AnalysisError
 from .runtime import NetModel, RunLog, Trace, run_trace
@@ -67,10 +68,11 @@ def heuristic_fetch_signature(app: App) -> FetchSignature:
     return FetchSignature(best)
 
 
-def _entry_callbacks(app: App, ecg: Ecg, method: str) -> list[str]:
-    """Callbacks that can reach `method` in the ECG (the method itself if
-    it is a callback), in declaration order."""
-    callers = ecg.callers
+def _entry_callbacks(app: App, callers: dict[str, list[str]],
+                     method: str) -> list[str]:
+    """Callbacks that can reach `method` in the call graph given by
+    `callers` (callee -> callers), the method itself if it is a callback,
+    in declaration order."""
     seen = {method}
     stack = [method]
     while stack:
@@ -83,35 +85,24 @@ def _entry_callbacks(app: App, ecg: Ecg, method: str) -> list[str]:
     return sorted((n for n in seen if n in order), key=order.__getitem__)
 
 
-def _wait_separated_predecessors(app: App, ccfg: Ccfg, target: str) -> list[str]:
-    """Callbacks p with a path p -> wait -> target of length exactly two."""
-    order = app.index.callback_order
-    preds = []
-    for w in ccfg.predecessors(target):
-        if w not in ccfg.wait_set:
-            continue
-        for p in ccfg.predecessors(w):
-            if p in order and p not in preds:
-                preds.append(p)
-    return sorted(preds, key=order.__getitem__)
-
-
 def identify_trigger_callbacks(
-    app: App, ccfg: Ccfg, ecg: Ecg, sig: FetchSignature
+    app: App, callers: dict[str, list[str]], sig: FetchSignature
 ) -> TriggerMap:
-    """Build the trigger map for every fetch spot matching the signature."""
+    """Build the trigger map for every fetch spot matching the signature;
+    `callers` is `build_ecg(app)`."""
     if app.is_instrumented:
         raise AnalysisError("trigger analysis runs on the original app")
     if not any(m.name == sig.net_method for m in app.netlib):
         raise AnalysisError(f"fetch signature '{sig.net_method}' is not a "
                             "declared net method")
+    wait_predecessors = app.index.wait_predecessors
     entries: dict[str, list[str]] = {}
     for container, body in app.containers():
         for st in body:
             if not (isinstance(st, NetCall) and st.method == sig.net_method):
                 continue
-            for target_cb in _entry_callbacks(app, ecg, container):
-                for trigger in _wait_separated_predecessors(app, ccfg, target_cb):
+            for target_cb in _entry_callbacks(app, callers, container):
+                for trigger in wait_predecessors.get(target_cb, ()):
                     urls = entries.setdefault(trigger, [])
                     if st.url_id not in urls:
                         urls.append(st.url_id)

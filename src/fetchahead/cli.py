@@ -93,7 +93,7 @@ def run_pipeline(app: App, trace: Trace, net: NetModel,
     base = run_trace(app, trace, net)
     if sig is None:
         sig = signature_from_log(base)
-    trigger_map = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
+    trigger_map = identify_trigger_callbacks(app, build_ecg(app), sig)
     ia = instrument(app, url_map, trigger_map, sig)
     if hints is not None:
         ia = apply_hints(ia, hints)
@@ -199,7 +199,7 @@ def _cmd_analyze(args) -> int:
     app = _load_app(args.app)
     url_map = analyze_urls(app)
     sig = _pick_signature(app, args)
-    trigger_map = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
+    trigger_map = identify_trigger_callbacks(app, build_ecg(app), sig)
     _write_json(args.urlmap_out, url_map_to_json_obj(url_map))
     _write_json(args.triggermap_out, trigger_map_to_json_obj(trigger_map))
     result = {

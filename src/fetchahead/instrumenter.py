@@ -126,6 +126,9 @@ def instrument(
                 insertions.setdefault((spot.container, spot.stmt_index), []).append(
                     SendDefinition(st.var, url_id, spot.part_index)
                 )
+        if len(parts) != arity:
+            raise InstrumentError(f"url map gives url '{url_id}' {len(parts)} "
+                                  f"parts, but the app builds it from {arity}")
     for sends in insertions.values():
         sends.sort(key=lambda sd: (url_order.get(sd.url_id, -1), sd.part_index))
 

@@ -379,11 +379,6 @@ class Proxy:
 # the statement walk
 # ---------------------------------------------------------------------------
 
-def _ccfg_roots(app: App) -> set[str]:
-    targets = {b for _, b in app.ccfg.edges}
-    return {c for c in app.callback_names if c not in targets}
-
-
 class Walk:
     """The statement walk of one session; the runtime and the oracle
     subclass it.
@@ -411,17 +406,15 @@ class Walk:
 
     def run_step(self, k: int, step: TraceStep) -> None:
         """Validate trace step `k` and run its callback."""
-        event, ccfg = step.event, self.app.ccfg
-        if event not in self.app.index.callback_order:
+        event, index = step.event, self.app.index
+        if event not in index.callback_order:
             raise RunError(f"invalid trace step {k}: unknown callback "
                            f"'{event}'")
         if self.current is None:
-            roots = _ccfg_roots(self.app)
-            if roots and event not in roots:
+            if index.roots and event not in index.roots:
                 raise RunError(f"invalid trace step {k}: '{event}' is "
                                f"not an entry callback")
-        elif not any(w in ccfg.wait_set and event in ccfg.successors(w)
-                     for w in ccfg.successors(self.current)):
+        elif self.current not in index.wait_predecessors.get(event, ()):
             raise RunError(
                 f"invalid trace step {k}: no wait-node path from "
                 f"'{self.current}' to '{event}'"
@@ -553,6 +546,14 @@ def run_trace(
     if app.is_instrumented:
         if seed_url_map is None:
             raise RunError("an instrumented app requires a seed url map")
+        url_spots = app.index.url_spots
+        for url_id, parts in seed_url_map.entries.items():
+            if url_id not in url_spots:
+                raise RunError(f"seed url map names unknown url '{url_id}'")
+            arity = len(url_spots[url_id][2].parts)
+            if len(parts) != arity:
+                raise RunError(f"seed url map gives url '{url_id}' {len(parts)} "
+                               f"parts, but the app builds it from {arity}")
         proxy = Proxy(app, seed_url_map, net, hints)
     elif seed_url_map is not None or hints is not None:
         raise RunError("a seed url map or hints need an instrumented app")

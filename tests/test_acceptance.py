@@ -166,7 +166,7 @@ def test_criterion_6_cache_transparency_property_suite():
         rng = random.Random(seed)
         app, trace, net = make_app(rng)
         url_map = analyze_urls(app)
-        tm = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
+        tm = identify_trigger_callbacks(app, build_ecg(app), sig)
         ia = instrument(app, url_map, tm, sig)
         log = run_trace(ia, trace, net, seed_url_map=url_map)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from fetchahead.app_ir import Ccfg, build_ecg, parse_app
@@ -128,9 +130,7 @@ ccfg {
   c -> w2
 }
 """)
-    ecg = build_ecg(app)
-    sig = FetchSignature("get")
-    tm = identify_trigger_callbacks(app, app.ccfg, ecg, sig)
+    tm = identify_trigger_callbacks(app, build_ecg(app), FetchSignature("get"))
     # brute-force oracle over the 5-node fixture: target callbacks of
     # `shared` are b and c; wait-separated predecessors: a -> w1 -> b,
     # b -> w2 -> c, c -> w2 -> c.
@@ -160,7 +160,7 @@ ccfg {
 }
 """)
     tm = identify_trigger_callbacks(
-        app, app.ccfg, build_ecg(app), FetchSignature("get")
+        app, build_ecg(app), FetchSignature("get")
     )
     assert tm.entries == {"home": ("u",)}
 
@@ -182,7 +182,7 @@ ccfg {
 }
 """)
     tm = identify_trigger_callbacks(
-        app, app.ccfg, build_ecg(app), FetchSignature("get")
+        app, build_ecg(app), FetchSignature("get")
     )
     assert tm.entries == {"first": ("u",)}
 
@@ -202,7 +202,7 @@ ccfg {
 }
 """)
     tm = identify_trigger_callbacks(
-        app, app.ccfg, build_ecg(app), FetchSignature("get")
+        app, build_ecg(app), FetchSignature("get")
     )
     assert tm.entries == {"pager": ("u",)}
 
@@ -232,7 +232,7 @@ ccfg {
 }
 """)
     tm = identify_trigger_callbacks(
-        app, app.ccfg, build_ecg(app), FetchSignature("get")
+        app, build_ecg(app), FetchSignature("get")
     )
     assert tm.entries == {"menu": ("u",)}
 
@@ -257,7 +257,7 @@ ccfg {
 }
 """)
     tm = identify_trigger_callbacks(
-        app, app.ccfg, build_ecg(app), FetchSignature("get")
+        app, build_ecg(app), FetchSignature("get")
     )
     # only the length-2 path a -> w1 -> b counts; a -> w2 -> w1 -> b does not
     assert tm.entries == {"a": ("u",)}
@@ -281,9 +281,8 @@ def test_monotonic_under_added_ccfg_edge(weather_app, weather_pipeline):
         weather_app.ccfg.wait_nodes,
         weather_app.ccfg.edges + (("DisplayActivity.onCreate", "wn1"),),
     )
-    after = identify_trigger_callbacks(
-        weather_app, extended, build_ecg(weather_app), sig
-    )
+    app = replace(weather_app, ccfg=extended)
+    after = identify_trigger_callbacks(app, build_ecg(app), sig)
     for callback, urls in before.entries.items():
         assert set(urls) <= set(after.entries[callback])
     assert "DisplayActivity.onCreate" in after.entries
@@ -302,5 +301,5 @@ def test_trigger_map_json_round_trip(weather_pipeline):
 def test_analysis_rejects_instrumented_app(weather_pipeline):
     app = weather_pipeline.ia.app
     with pytest.raises(AnalysisError):
-        identify_trigger_callbacks(app, app.ccfg, build_ecg(app),
+        identify_trigger_callbacks(app, build_ecg(app),
                                    weather_pipeline.sig)

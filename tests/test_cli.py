@@ -490,6 +490,69 @@ def test_url_map_spot_part_outside_the_url_is_error(workdir, capsys, m):
     assert not (workdir / "again.papp").exists()
 
 
+def _extra_part_on_url1(url_map):
+    url_map["url1"].append({"concrete": "EXTRA"})
+
+
+def _last_part_of_url2_dropped(url_map):
+    url_map["url2"].pop()
+
+
+@pytest.mark.parametrize("edit, url_id, given, built", [
+    (_extra_part_on_url1, "url1", 4, 3),
+    (_last_part_of_url2_dropped, "url2", 2, 3),
+], ids=["extra-part", "missing-part"])
+@pytest.mark.parametrize("command", ["instrument", "run"])
+def test_url_map_with_the_wrong_part_count_is_error(workdir, capsys, command,
+                                                    edit, url_id, given, built):
+    # an extra concrete part would make the proxy prefetch a URL that the
+    # app never builds, so the demand misses the cache
+    _run_pipeline_by_hand(workdir)
+    url_map = json.loads((workdir / "urlmap.json").read_text())
+    edit(url_map)
+    (workdir / "bad_urlmap.json").write_text(json.dumps(url_map))
+    capsys.readouterr()
+    if command == "instrument":
+        code = main(["instrument", "weather.papp", "--urlmap", "bad_urlmap.json",
+                     "--triggermap", "triggermap.json", "-o", "again.papp"])
+    else:
+        code = main(["run", "--app", "optimized.papp", "--trace", "trace.json",
+                     "--seed-urlmap", "bad_urlmap.json", "--out", "again.json"])
+    assert code == 2
+    assert (f"url map gives url '{url_id}' {given} parts, but the app builds "
+            f"it from {built}") in capsys.readouterr().err
+    assert not (workdir / "again.papp").exists()
+    assert not (workdir / "again.json").exists()
+
+
+def test_seed_url_map_with_an_unknown_url_is_error(workdir, capsys):
+    _run_pipeline_by_hand(workdir)
+    url_map = json.loads((workdir / "urlmap.json").read_text())
+    url_map["ghost"] = [{"concrete": "http://ghost/"}]
+    (workdir / "bad_urlmap.json").write_text(json.dumps(url_map))
+    capsys.readouterr()
+    code = main(["run", "--app", "optimized.papp", "--trace", "trace.json",
+                 "--seed-urlmap", "bad_urlmap.json", "--out", "again.json"])
+    assert code == 2
+    assert ("seed url map names unknown url 'ghost'"
+            in capsys.readouterr().err)
+    assert not (workdir / "again.json").exists()
+
+
+def test_recursive_call_exits_2_and_writes_nothing(workdir, capsys):
+    (workdir / "loop.papp").write_text(
+        'app loop\nnetmethod get latency=10\n'
+        'callback start {\n  url u = "http://h/"\n  get(u)\n  call again\n}\n'
+        "method again {\n  call again\n}\nccfg {\n}\n"
+    )
+    (workdir / "start.json").write_text(json.dumps([{"event": "start"}]))
+    code = main(["pipeline", "loop.papp", "--trace", "start.json",
+                 "--outdir", "out"])
+    assert code == 2
+    assert "call depth exceeded at 'again'" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
 def test_failed_pipeline_writes_nothing(workdir, capsys):
     # apply_hints is the fifth stage; the earlier ones all succeed
     (workdir / "hints.json").write_text(json.dumps({

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -27,6 +29,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import fetchahead  # noqa: E402
 from appgen import make_app  # noqa: E402
 from fetchahead.app_ir import print_app  # noqa: E402
 from fetchahead.cli import main  # noqa: E402
@@ -213,3 +216,47 @@ if __name__ == "__main__":
             workdir.mkdir()
             record["pipeline"][name] = pipeline_digest(name, workdir)
     print(json.dumps(record, indent=2, sort_keys=True))
+
+
+# each argument names an input directory; its artifacts go to out/<name>
+_PIPELINES = """
+import sys
+from fetchahead.cli import main
+for inputs in sys.argv[1:]:
+    name = inputs.rsplit("/", 1)[-1]
+    code = main(["pipeline", f"{inputs}/app.papp", "--trace", f"{inputs}/trace.json",
+                 "--net", f"{inputs}/net.json", "--outdir", f"out/{name}"])
+    print(name, code)
+"""
+
+
+def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    """`pipeline` writes the same bytes under every PYTHONHASHSEED, so no
+    set or dict order of strings reaches an artifact."""
+    names = ["weather"] + [f"appgen-{seed}" for seed in range(10)]
+    for name in names:
+        text, trace, net = _inputs(name)
+        inputs = tmp_path / name
+        inputs.mkdir()
+        (inputs / "app.papp").write_text(text)
+        (inputs / "trace.json").write_text(json.dumps(trace_to_json_obj(trace)))
+        (inputs / "net.json").write_text(json.dumps(net_model_to_json_obj(net)))
+    src = str(Path(fetchahead.__file__).parent.parent)
+    runs = []
+    for hash_seed in ("0", "1", "12345"):
+        cwd = tmp_path / f"hash-{hash_seed}"
+        cwd.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", _PIPELINES,
+             *(str(tmp_path / name) for name in names)],
+            cwd=cwd, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+        )
+        assert done.returncode == 0, done.stderr
+        files = {str(p.relative_to(cwd)): p.read_bytes()
+                 for p in sorted(cwd.rglob("*")) if p.is_file()}
+        runs.append((done.stdout, done.stderr, files))
+    assert sorted(f for f in runs[0][2] if f.startswith("out/weather/")) == sorted(
+        f"out/weather/{a}" for a in ARTIFACTS)
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]

@@ -220,7 +220,7 @@ def _oracle_forms(seed):
     rng = random.Random(seed)
     app, trace, _ = make_app(rng)
     sig = FetchSignature("fetch")
-    tm = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
+    tm = identify_trigger_callbacks(app, build_ecg(app), sig)
     ia = instrument(app, analyze_urls(app), tm, sig)
     url_ids = tuple(app.index.url_spots)
     hints = Hints(

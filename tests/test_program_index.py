@@ -3,7 +3,9 @@
 Each reference below is the whole-program scan that the corresponding
 lookup used before `App.index` existed; every index table must agree
 with it on random apps, their instrumented forms, and forms that
-mix plain net calls with proxy fetches or shadow a callback name.
+mix plain net calls with proxy fetches or shadow a callback name. The
+CCFG tables (`roots`, `wait_predecessors`) are also checked against
+brute-force scans of the edge list on arbitrary graphs.
 """
 
 import random
@@ -14,8 +16,12 @@ from hypothesis import strategies as st
 
 from appgen import make_app
 from fetchahead.app_ir import (
+    App,
+    AsyncCall,
     BuildUrl,
+    Call,
     Callback,
+    Ccfg,
     DefineDynamic,
     DefineStatic,
     FetchFromProxy,
@@ -84,10 +90,24 @@ def ref_predecessors(ccfg, node):
     return [a for a, b in ccfg.edges if b == node]
 
 
-def ref_entry_callbacks(app, ecg, method):
+def ref_roots(app):
+    return tuple(c for c in app.callback_names
+                 if all(b != c for _, b in app.ccfg.edges))
+
+
+def ref_wait_predecessors(app, callback):
+    edges = set(app.ccfg.edges)
+    return tuple(p for p in app.callback_names
+                 if any((p, w) in edges and (w, callback) in edges
+                        for w in app.ccfg.wait_nodes))
+
+
+def ref_entry_callbacks(app, method):
     reverse = {}
-    for e in ecg.edges:
-        reverse.setdefault(e.dst, []).append(e.src)
+    for name, body in app.containers():
+        for st in body:
+            if isinstance(st, (Call, AsyncCall)):
+                reverse.setdefault(st.target, []).append(name)
     seen = {method}
     stack = [method]
     while stack:
@@ -121,7 +141,7 @@ def _mixed(app):
 def _forms(seed):
     app, _, _ = make_app(random.Random(seed))
     sig = FetchSignature("fetch")
-    tm = identify_trigger_callbacks(app, app.ccfg, build_ecg(app), sig)
+    tm = identify_trigger_callbacks(app, build_ecg(app), sig)
     # bodies is first-match: a helper named like a callback is shadowed
     shadowed = replace(app, methods=app.methods + (
         HelperMethod(app.callbacks[0].name, ()),
@@ -149,10 +169,20 @@ def _check(app):
     for node in sorted(nodes | set(app.ccfg.wait_nodes)) + ["no_such_node"]:
         assert app.ccfg.successors(node) == ref_successors(app.ccfg, node)
         assert app.ccfg.predecessors(node) == ref_predecessors(app.ccfg, node)
-    ecg = build_ecg(app)
+    _check_ccfg_tables(app)
+    callers = build_ecg(app)
     for name in names:
-        assert (_entry_callbacks(app, ecg, name)
-                == ref_entry_callbacks(app, ecg, name))
+        assert (_entry_callbacks(app, callers, name)
+                == ref_entry_callbacks(app, name))
+
+
+def _check_ccfg_tables(app):
+    index = app.index
+    assert index.roots == ref_roots(app)
+    for callback in app.callback_names + ["no_such_callback"]:
+        assert (index.wait_predecessors.get(callback, ())
+                == ref_wait_predecessors(app, callback))
+    assert all(index.wait_predecessors.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -160,6 +190,20 @@ def _check(app):
 def test_index_matches_linear_scans(seed):
     for app in _forms(seed):
         _check(app)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 4), st.data())
+def test_ccfg_tables_match_linear_scans(n_callbacks, n_waits, data):
+    # any graph over the nodes: cycles, self loops, several roots or none,
+    # wait -> wait edges and parallel paths through different wait nodes
+    callbacks = [f"c{i}" for i in range(n_callbacks)]
+    waits = [f"w{i}" for i in range(n_waits)]
+    nodes = st.sampled_from(callbacks + waits)
+    edges = data.draw(st.lists(st.tuples(nodes, nodes), max_size=16))
+    app = App("g", callbacks=tuple(Callback(c, ()) for c in callbacks),
+              ccfg=Ccfg(tuple(waits), tuple(edges)))
+    _check_ccfg_tables(app)
 
 
 def test_lookups_hand_out_copies():
@@ -173,7 +217,7 @@ def test_rewrite_gets_a_fresh_index():
     app, _, _ = make_app(random.Random(5))
     assert not app.is_instrumented
     ia = instrument(app, analyze_urls(app),
-                    identify_trigger_callbacks(app, app.ccfg, build_ecg(app),
+                    identify_trigger_callbacks(app, build_ecg(app),
                                                FetchSignature("fetch")),
                     FetchSignature("fetch"))
     assert ia.app.is_instrumented

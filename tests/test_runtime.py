@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from appgen import make_app
-from fetchahead.app_ir import App, parse_app
+from fetchahead.app_ir import App, Call, Callback, HelperMethod, parse_app
 from fetchahead.callback_analysis import FetchSignature
 from fetchahead.cli import run_pipeline
 from fetchahead.codec import encode
@@ -347,6 +347,23 @@ ccfg {
     trace = Trace((TraceStep("c", 0, {"t": "x"}),))
     with pytest.raises(RunError, match="before 'v' is assigned"):
         run_trace(app, trace, NetModel(), seed_url_map=analyze_urls(app))
+
+
+def _call_chain(calls):
+    """Callback `c` reaches m1, m2, ..., m<calls> through nested calls."""
+    return App("deep", callbacks=(Callback("c", (Call("m1"),)),), methods=tuple(
+        HelperMethod(f"m{i}", (Call(f"m{i + 1}"),) if i < calls else ())
+        for i in range(1, calls + 1)
+    ))
+
+
+def test_call_depth_limit():
+    # the callback runs at depth 0 and each call adds one, so 64 nested
+    # calls are the deepest that run
+    trace = Trace((TraceStep("c"),))
+    assert run_trace(_call_chain(64), trace).events == ()
+    with pytest.raises(RunError, match=r"^call depth exceeded at 'm65'$"):
+        run_trace(_call_chain(65), trace)
 
 
 def test_net_config_validation():

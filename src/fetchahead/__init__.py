@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     RunError,
 )
-from .instrumenter import Hints, InstrumentedApp, apply_hints, instrument
+from .instrumenter import Hints, InstrumentedApp, instrument
 from .cli import Pipeline, run_benchmark, run_pipeline
 from .mbm import Prefetchability, classify, generate_case
 from .metrics import compute_accuracy, compute_effectiveness, compute_oracle
@@ -36,7 +36,7 @@ __all__ = [
     "profile_fetch_signature",
     "AnalysisError", "FetchaheadError", "InstrumentError", "MetricsError",
     "ParseError", "RunError",
-    "Hints", "InstrumentedApp", "apply_hints", "instrument",
+    "Hints", "InstrumentedApp", "instrument",
     "Pipeline", "run_benchmark", "run_pipeline",
     "Prefetchability", "classify", "generate_case",
     "compute_accuracy", "compute_effectiveness", "compute_oracle",

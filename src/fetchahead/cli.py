@@ -33,13 +33,7 @@ from .callback_analysis import (
 )
 from .codec import dumps, encode
 from .errors import FetchaheadError
-from .instrumenter import (
-    Hints,
-    InstrumentedApp,
-    apply_hints,
-    hints_from_json_obj,
-    instrument,
-)
+from .instrumenter import Hints, InstrumentedApp, hints_from_json_obj, instrument
 from .mbm import ALL_CASES, Accuracy, BenchReport, generate_case, score_case
 from .metrics import (
     Metrics,
@@ -87,19 +81,17 @@ def run_pipeline(app: App, trace: Trace, net: NetModel,
                  hints: Hints | None = None,
                  sig: FetchSignature | None = None) -> Pipeline:
     """String analysis, baseline run, callback analysis, instrumentation
-    (plus hints), optimized run and oracle, in that order. Unless `sig` is
+    (with the hints), optimized run and oracle, in that order. Unless `sig` is
     given, the baseline run is also the profiling run that picks it."""
     url_map = analyze_urls(app)
     base = run_trace(app, trace, net)
     if sig is None:
         sig = signature_from_log(base)
     trigger_map = identify_trigger_callbacks(app, build_ecg(app), sig)
-    ia = instrument(app, url_map, trigger_map, sig)
-    if hints is not None:
-        ia = apply_hints(ia, hints)
+    ia = instrument(app, url_map, trigger_map, sig, hints)
     # ia, not ia.app: the traced benchmark tells the two runs apart by it
     opt = run_trace(ia, trace, net, seed_url_map=url_map, hints=hints)
-    oracle = compute_oracle(ia, trace)
+    oracle = compute_oracle(ia, trace, net, hints)
     return Pipeline(url_map, sig, trigger_map, ia, base, opt, oracle)
 
 
@@ -220,10 +212,8 @@ def _cmd_instrument(args) -> int:
     url_map = _load(args.urlmap, url_map_from_json_obj)
     trigger_map = _load(args.triggermap, trigger_map_from_json_obj)
     sig = _pick_signature(app, args)
-    ia = instrument(app, url_map, trigger_map, sig)
     hints = _load(args.hints, hints_from_json_obj)
-    if hints is not None:
-        ia = apply_hints(ia, hints)
+    ia = instrument(app, url_map, trigger_map, sig, hints)
     _write_text(args.out, print_app(ia.app))
     if args.json:
         print(dumps({"out": args.out, "signature": sig.net_method}), end="")
@@ -243,7 +233,7 @@ def _cmd_run(args) -> int:
     log = run_trace(app, trace, net, seed_url_map=seed, hints=hints)
     _write_text(args.out, log.canonical_json())
     if args.oracle_out:
-        _write_json(args.oracle_out, encode(compute_oracle(app, trace)))
+        _write_json(args.oracle_out, encode(compute_oracle(app, trace, net, hints)))
     if args.json:
         print(dumps({"out": args.out, "final_ms": log.final_ms}), end="")
     else:

@@ -73,6 +73,31 @@ class Hints:
     extra_static_urls: tuple[StaticUrlHint, ...] = ()
     rewrite_rules: tuple[RewriteRule, ...] = ()
 
+    def check(self, app: App, error: type[Exception]) -> None:
+        """Raise `error` unless every name the hints use is one the app
+        has: a hint URL may not be a URL the app builds, a rewrite rule
+        names a part of such a URL, and a trigger entry names a callback
+        and at least one app or hint URL."""
+        url_spots = app.index.url_spots
+        for extra in self.extra_static_urls:
+            if extra.url_id in url_spots:
+                raise error(f"hint url '{extra.url_id}' already exists in the app")
+        for rule in self.rewrite_rules:
+            if rule.url_id not in url_spots:
+                raise error(f"rewrite rule names unknown url '{rule.url_id}'")
+            if not 1 <= rule.part_index <= len(url_spots[rule.url_id][2].parts):
+                raise error(f"rewrite rule names missing part "
+                            f"{rule.url_id}[{rule.part_index}]")
+        extra_urls = {h.url_id for h in self.extra_static_urls}
+        for entry in self.extra_trigger_entries:
+            if entry.callback not in app.index.callback_order:
+                raise error(f"hint names unknown callback '{entry.callback}'")
+            if not entry.url_ids:
+                raise error("hint trigger entry has an empty url list")
+            for uid in entry.url_ids:
+                if uid not in url_spots and uid not in extra_urls:
+                    raise error(f"hint names unknown url '{uid}'")
+
 
 @dataclass(frozen=True)
 class InstrumentedApp:
@@ -84,15 +109,28 @@ class InstrumentedApp:
 
 
 def instrument(
-    app: App, url_map: UrlMap, trigger_map: TriggerMap, sig: FetchSignature
+    app: App, url_map: UrlMap, trigger_map: TriggerMap, sig: FetchSignature,
+    hints: Hints | None = None,
 ) -> InstrumentedApp:
-    """Apply the three rewrites. Rejects an already instrumented app and
-    a signature the app does not declare."""
+    """Apply the three rewrites, with the hints' trigger entries. Rejects
+    an already instrumented app, a signature the app does not declare and
+    a url map, trigger map or hints that name what the app does not have.
+
+    A launch entry's trigger_prefetch goes first in its callback, the
+    last entry first; an end entry's URLs join the callback's trailing
+    trigger_prefetch, which keeps the trigger point the final statement.
+    """
     if app.is_instrumented:
         raise InstrumentError("app is already instrumented")
     if not any(m.name == sig.net_method for m in app.netlib):
         raise InstrumentError(f"fetch signature '{sig.net_method}' is not a "
                               "declared net method")
+    url_map.check(app, InstrumentError)
+    for trigger in trigger_map.entries:
+        if trigger not in app.index.callback_order:
+            raise InstrumentError(f"trigger map names unknown callback '{trigger}'")
+    hints = hints or Hints()
+    hints.check(app, InstrumentError)
 
     # (container, stmt index) -> send_definition statements it must be
     # followed by; one definition may feed several (url, part) slots.
@@ -100,17 +138,13 @@ def instrument(
     # order, so a JSON round trip of the map cannot change the output.
     insertions: dict[tuple[str, int], list[SendDefinition]] = {}
     bodies = app.index.bodies
-    url_spots = app.index.url_spots
-    url_order = {uid: i for i, uid in enumerate(url_spots)}
+    url_order = {uid: i for i, uid in enumerate(app.index.url_spots)}
     for url_id, parts in url_map.entries.items():
-        if url_id not in url_spots:
-            raise InstrumentError(f"url map names unknown url '{url_id}'")
-        arity = len(url_spots[url_id][2].parts)
         for state in parts:
             if not isinstance(state, Unknown):
                 continue
             for spot in state.spots:
-                if not 1 <= spot.part_index <= arity:
+                if not 1 <= spot.part_index <= len(parts):
                     raise InstrumentError(
                         f"definition spot {spot.container}[{spot.stmt_index}] "
                         f"names missing part {url_id}[{spot.part_index}]"
@@ -126,16 +160,21 @@ def instrument(
                 insertions.setdefault((spot.container, spot.stmt_index), []).append(
                     SendDefinition(st.var, url_id, spot.part_index)
                 )
-        if len(parts) != arity:
-            raise InstrumentError(f"url map gives url '{url_id}' {len(parts)} "
-                                  f"parts, but the app builds it from {arity}")
     for sends in insertions.values():
-        sends.sort(key=lambda sd: (url_order.get(sd.url_id, -1), sd.part_index))
+        sends.sort(key=lambda sd: (url_order[sd.url_id], sd.part_index))
 
+    launches: dict[str, list[tuple[str, ...]]] = {}
+    ends: dict[str, list[tuple[str, ...]]] = {}
+    for entry in hints.extra_trigger_entries:
+        (launches if entry.at == "launch" else ends).setdefault(
+            entry.callback, []).append(entry.url_ids)
     provenance: dict[tuple[str, int], str] = {}
 
     def rewrite_body(name, body):
         out = []
+        for url_ids in reversed(launches.get(name, ())):
+            out.append(TriggerPrefetch(url_ids))
+            provenance[(name, len(out) - 1)] = "hint: prefetch at launch"
         for idx, st in enumerate(body):
             if isinstance(st, NetCall) and st.method == sig.net_method:
                 out.append(FetchFromProxy(st.url_id, st.method))
@@ -147,9 +186,19 @@ def instrument(
                 provenance[(name, len(out) - 1)] = (
                     f"definition spot {send.url_id}[{send.part_index}]"
                 )
+        merged = ends.get(name, [])
         if name in trigger_map.entries:
-            out.append(TriggerPrefetch(trigger_map.entries[name]))
-            provenance[(name, len(out) - 1)] = "trigger point"
+            tail = list(trigger_map.entries[name])
+            why = "trigger point (hint merged)" if merged else "trigger point"
+        elif merged:
+            tail, merged = list(merged[0]), merged[1:]
+            why = "hint: trigger point"
+        else:
+            return tuple(out)
+        for url_ids in merged:
+            tail.extend(u for u in url_ids if u not in tail)
+        out.append(TriggerPrefetch(tuple(tail)))
+        provenance[(name, len(out) - 1)] = why
         return tuple(out)
 
     callbacks = tuple(
@@ -158,74 +207,8 @@ def instrument(
     methods = tuple(
         HelperMethod(m.name, rewrite_body(m.name, m.body)) for m in app.methods
     )
-    for trigger in trigger_map.entries:
-        if trigger not in app.index.callback_order:
-            raise InstrumentError(f"trigger map names unknown callback '{trigger}'")
     return InstrumentedApp(
         replace(app, callbacks=callbacks, methods=methods), provenance
-    )
-
-
-def apply_hints(ia: InstrumentedApp, hints: Hints) -> InstrumentedApp:
-    """Fold developer hints into an instrumented app.
-
-    Launch entries insert a trigger_prefetch at position 0 of the named
-    callback; end entries merge into the callback's existing trailing
-    trigger_prefetch (or append one), which keeps the trigger point the
-    final statement.
-    """
-    app = ia.app
-    url_spots = app.index.url_spots
-    extra_urls = {h.url_id for h in hints.extra_static_urls}
-    for extra in hints.extra_static_urls:
-        if extra.url_id in url_spots:
-            raise InstrumentError(
-                f"hint url '{extra.url_id}' already exists in the app"
-            )
-    for rule in hints.rewrite_rules:
-        if rule.url_id not in url_spots:
-            raise InstrumentError(f"rewrite rule names unknown url '{rule.url_id}'")
-        if not 1 <= rule.part_index <= len(url_spots[rule.url_id][2].parts):
-            raise InstrumentError(
-                f"rewrite rule names missing part {rule.url_id}[{rule.part_index}]"
-            )
-    for entry in hints.extra_trigger_entries:
-        if entry.callback not in app.index.callback_order:
-            raise InstrumentError(f"hint names unknown callback '{entry.callback}'")
-        if not entry.url_ids:
-            raise InstrumentError("hint trigger entry has an empty url list")
-        for uid in entry.url_ids:
-            if uid not in url_spots and uid not in extra_urls:
-                raise InstrumentError(f"hint names unknown url '{uid}'")
-
-    if not hints.extra_trigger_entries:
-        return ia
-
-    new_callbacks = list(ia.app.callbacks)
-    provenance = dict(ia.provenance)
-    index = {c.name: i for i, c in enumerate(new_callbacks)}
-    for entry in hints.extra_trigger_entries:
-        i = index[entry.callback]
-        cb = new_callbacks[i]
-        body = list(cb.body)
-        if entry.at == "launch":
-            body.insert(0, TriggerPrefetch(entry.url_ids))
-            provenance = {
-                ((c, idx + 1) if c == cb.name else (c, idx)): why
-                for (c, idx), why in provenance.items()
-            }
-            provenance[(cb.name, 0)] = "hint: prefetch at launch"
-        elif body and isinstance(body[-1], TriggerPrefetch):
-            merged = list(body[-1].url_ids)
-            merged.extend(u for u in entry.url_ids if u not in merged)
-            body[-1] = TriggerPrefetch(tuple(merged))
-            provenance[(cb.name, len(body) - 1)] = "trigger point (hint merged)"
-        else:
-            body.append(TriggerPrefetch(entry.url_ids))
-            provenance[(cb.name, len(body) - 1)] = "hint: trigger point"
-        new_callbacks[i] = Callback(cb.name, tuple(body))
-    return InstrumentedApp(
-        replace(ia.app, callbacks=tuple(new_callbacks)), provenance
     )
 
 

@@ -7,8 +7,10 @@ clock and the proxy, so it validates the trace exactly as `run_trace`
 does and raises RunError on the same inputs. A URL is prefetchable at a
 trigger point iff every part is determined by the definitions executed so
 far and an ideal prefetcher would not already hold it (it was neither
-ideally prefetched at an earlier trigger nor already demanded). Each URL
-is built once and kept until a definition of a variable it reads.
+ideally prefetched at an earlier trigger nor already demanded); like the
+proxy, the ideal prefetcher issues at most the net model's threshold of
+URLs per trigger point, and knows a hint URL by its string. Each URL is
+built once and kept until a definition of a variable it reads.
 
 Effectiveness compares a baseline run against an optimized run of the
 same app/trace/network: per-request latency reduction, the hit rate
@@ -25,7 +27,8 @@ from functools import partial
 from .app_ir import App, TriggerPrefetch
 from .codec import decode, inline
 from .errors import MetricsError
-from .runtime import SERVED_CACHE, SERVED_WAITED, RunLog, Trace, Walk
+from .instrumenter import Hints
+from .runtime import SERVED_CACHE, SERVED_WAITED, NetModel, RunLog, Trace, Walk
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,12 @@ class Replay(Walk):
     flow or values, so the values match a full run's whatever the cache
     does."""
 
-    def __init__(self, app: App):
+    def __init__(self, app: App, net: NetModel | None = None,
+                 hints: Hints | None = None):
         super().__init__(app)
+        self.threshold = (net or NetModel()).threshold
+        self._hint_urls = {h.url_id: h.url
+                           for h in (hints or Hints()).extra_static_urls}
         self.trigger_points: list[TriggerPoint] = []
         self._ideal_cache: set[str] = set()
         # var -> (container, stmt index, value) of its last definition; a
@@ -124,17 +131,19 @@ class Replay(Walk):
                 continue
             ideal_cache.add(concrete)
             prefetchable.append(uid)
+            if len(prefetchable) == self.threshold:
+                break
         self.trigger_points.append(
             TriggerPoint(container, tuple(prefetchable))
         )
 
     def _knowable_url(self, url_id: str) -> str | None:
         """Concrete URL under current values, or None while any part is
-        undetermined. Hint-seeded URLs have no URL spot; they are always
-        concrete, modeled with a stable marker string."""
+        undetermined. A url id the app does not build is a hint URL, known
+        by its string, or never knowable."""
         spot = self.app.index.url_spots.get(url_id)
         if spot is None:
-            return f"<static:{url_id}>"
+            return self._hint_urls.get(url_id)
         variables, static_value = self.variables, self.app.static_value
         values = []
         for part in spot[2].parts:
@@ -147,17 +156,19 @@ class Replay(Walk):
         return "".join(values)
 
 
-def replay_trace(app_like, trace: Trace) -> Replay:
-    """Run the trace through the oracle's walk; raises RunError where
-    `run_trace` would."""
-    replay = Replay(getattr(app_like, "app", app_like))
+def replay_trace(app_like, trace: Trace, net: NetModel | None = None,
+                 hints: Hints | None = None) -> Replay:
+    """Run the trace through the oracle's walk; raises RunError on the
+    trace steps that `run_trace` rejects."""
+    replay = Replay(getattr(app_like, "app", app_like), net, hints)
     for k, step in enumerate(trace.steps):
         replay.run_step(k, step)
     return replay
 
 
-def compute_oracle(app_like, trace: Trace) -> Oracle:
-    return Oracle(tuple(replay_trace(app_like, trace).trigger_points))
+def compute_oracle(app_like, trace: Trace, net: NetModel | None = None,
+                   hints: Hints | None = None) -> Oracle:
+    return Oracle(tuple(replay_trace(app_like, trace, net, hints).trigger_points))
 
 
 oracle_from_json_obj = partial(decode, Oracle, error=MetricsError)

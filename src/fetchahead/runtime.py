@@ -269,7 +269,7 @@ class Proxy:
 
     The map is seeded from the static url map, with concrete parts filled
     in and dynamic parts empty. Each hint URL becomes a single-part entry;
-    it may not shadow a URL the analysis already knows about. `known`
+    `run_trace` checks that it is not a URL the app builds. `known`
     holds the URL string of every url id whose parts are all set, and
     `send_definition`, the map's only writer, keeps it current.
 
@@ -290,9 +290,6 @@ class Proxy:
         self.rewrite_rules: tuple["RewriteRule", ...] = ()
         if hints is not None:
             for extra in hints.extra_static_urls:
-                if extra.url_id in self.runtime_url_map:
-                    raise RunError(f"hint url '{extra.url_id}' collides with "
-                                   "an analyzed url")
                 self.runtime_url_map[extra.url_id] = [extra.url]
             self.rewrite_rules = tuple(hints.rewrite_rules)
         self.known = {url_id: "".join(parts)
@@ -546,14 +543,9 @@ def run_trace(
     if app.is_instrumented:
         if seed_url_map is None:
             raise RunError("an instrumented app requires a seed url map")
-        url_spots = app.index.url_spots
-        for url_id, parts in seed_url_map.entries.items():
-            if url_id not in url_spots:
-                raise RunError(f"seed url map names unknown url '{url_id}'")
-            arity = len(url_spots[url_id][2].parts)
-            if len(parts) != arity:
-                raise RunError(f"seed url map gives url '{url_id}' {len(parts)} "
-                               f"parts, but the app builds it from {arity}")
+        seed_url_map.check(app, RunError)
+        if hints is not None:
+            hints.check(app, RunError)
         proxy = Proxy(app, seed_url_map, net, hints)
     elif seed_url_map is not None or hints is not None:
         raise RunError("a seed url map or hints need an instrumented app")

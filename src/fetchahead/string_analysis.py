@@ -63,6 +63,21 @@ class UrlMap:
 
     entries: Mapping[str, tuple[UrlPartState, ...]] = inline()
 
+    def check(self, app: App, error: type[Exception]) -> None:
+        """Raise `error` unless the map gives every URL the app builds, and
+        no other, the app's number of parts."""
+        url_spots = app.index.url_spots
+        for url_id, parts in self.entries.items():
+            if url_id not in url_spots:
+                raise error(f"url map names unknown url '{url_id}'")
+            arity = len(url_spots[url_id][2].parts)
+            if len(parts) != arity:
+                raise error(f"url map gives url '{url_id}' {len(parts)} "
+                            f"parts, but the app builds it from {arity}")
+        for url_id in url_spots:
+            if url_id not in self.entries:
+                raise error(f"url map leaves out url '{url_id}'")
+
 
 def static_value_of(app: App, var: str) -> str | None:
     """The variable's statically determined value, if it has one.

@@ -1,8 +1,10 @@
+import random
 from dataclasses import replace
 
 import pytest
 
-from fetchahead.app_ir import Ccfg, build_ecg, parse_app
+from appgen import make_app
+from fetchahead.app_ir import AsyncCall, Call, Ccfg, NetCall, build_ecg, parse_app
 from fetchahead.callback_analysis import (
     FetchSignature,
     heuristic_fetch_signature,
@@ -273,6 +275,48 @@ def test_trigger_paths_have_length_two(weather_app, weather_pipeline):
             for w in app.ccfg.successors(trigger)
             for t in targets
         )
+
+
+def _trigger_pairs_by_search(app, method):
+    """Every (trigger, url id) with ccfg edges trigger -> wait node -> c,
+    where callback c reaches a `method` fetch of the url through call and
+    asynccall statements; found by breadth-first search over the
+    app's own edges and bodies, not its program index."""
+    bodies = {c.name: c.body for c in app.callbacks + app.methods}
+    callbacks = {c.name for c in app.callbacks}
+    waits = set(app.ccfg.wait_nodes)
+    successors = {}
+    for a, b in app.ccfg.edges:
+        successors.setdefault(a, []).append(b)
+
+    def fetched_from(start):
+        seen, queue, urls = {start}, [start], set()
+        for name in queue:
+            for st in bodies.get(name, ()):
+                if isinstance(st, NetCall) and st.method == method:
+                    urls.add(st.url_id)
+                elif isinstance(st, (Call, AsyncCall)) and st.target not in seen:
+                    seen.add(st.target)
+                    queue.append(st.target)
+        return urls
+
+    return {
+        (trigger, url_id)
+        for trigger in callbacks
+        for w in successors.get(trigger, ()) if w in waits
+        for target in successors.get(w, ()) if target in callbacks
+        for url_id in fetched_from(target)
+    }
+
+
+def test_trigger_pairs_are_real_on_random_apps():
+    """Both ways: every pair in the trigger map has a trigger -> wait ->
+    fetching callback path, and every such path is in the map."""
+    for seed in range(300):
+        app, _, _ = make_app(random.Random(seed))
+        tm = identify_trigger_callbacks(app, build_ecg(app), FetchSignature("fetch"))
+        pairs = {(t, u) for t, urls in tm.entries.items() for u in urls}
+        assert pairs == _trigger_pairs_by_search(app, "fetch"), seed
 
 
 def test_monotonic_under_added_ccfg_edge(weather_app, weather_pipeline):

@@ -165,6 +165,12 @@ def test_python_m_fetchahead_runs_without_warnings(tmp_path):
     assert out.read_text().startswith("Case\tSD\tTP")
 
 
+def test_star_import_binds_every_exported_name():
+    namespace: dict = {}
+    exec("from fetchahead import *", namespace)
+    assert [n for n in fetchahead.__all__ if n not in namespace] == []
+
+
 def test_bench_usage_errors(workdir, capsys):
     assert main(["bench", "--latency-ms", "0"]) == 1
     assert main(["bench", "--think-ms", "-1"]) == 1
@@ -534,8 +540,53 @@ def test_seed_url_map_with_an_unknown_url_is_error(workdir, capsys):
     code = main(["run", "--app", "optimized.papp", "--trace", "trace.json",
                  "--seed-urlmap", "bad_urlmap.json", "--out", "again.json"])
     assert code == 2
-    assert ("seed url map names unknown url 'ghost'"
-            in capsys.readouterr().err)
+    assert "url map names unknown url 'ghost'" in capsys.readouterr().err
+    assert not (workdir / "again.json").exists()
+
+
+@pytest.mark.parametrize("command", ["instrument", "run"])
+def test_url_map_that_leaves_out_a_url_is_error(workdir, capsys, command):
+    # without url1's entry the proxy never knows url1, so its prefetch at
+    # onCreate is lost and the demand goes to the origin
+    _run_pipeline_by_hand(workdir)
+    url_map = json.loads((workdir / "urlmap.json").read_text())
+    del url_map["url1"]
+    (workdir / "bad_urlmap.json").write_text(json.dumps(url_map))
+    capsys.readouterr()
+    if command == "instrument":
+        code = main(["instrument", "weather.papp", "--urlmap", "bad_urlmap.json",
+                     "--triggermap", "triggermap.json", "-o", "again.papp"])
+    else:
+        code = main(["run", "--app", "optimized.papp", "--trace", "trace.json",
+                     "--seed-urlmap", "bad_urlmap.json", "--out", "again.json"])
+    assert code == 2
+    assert "url map leaves out url 'url1'" in capsys.readouterr().err
+    assert not (workdir / "again.papp").exists()
+    assert not (workdir / "again.json").exists()
+
+
+@pytest.mark.parametrize("hints, message", [
+    ({"rewrite_rules": [
+        {"url_id": "nope", "m": 1, "find": "a", "replace": "b"}]},
+     "rewrite rule names unknown url 'nope'"),
+    ({"rewrite_rules": [
+        {"url_id": "url1", "m": 9, "find": "a", "replace": "b"}]},
+     "rewrite rule names missing part url1[9]"),
+    ({"extra_trigger_entries": [{"callback": "ghost", "url_ids": ["url1"]}]},
+     "hint names unknown callback 'ghost'"),
+], ids=["rule-unknown-url", "rule-missing-part", "entry-unknown-callback"])
+def test_run_checks_hints_as_pipeline_does(workdir, capsys, hints, message):
+    _run_pipeline_by_hand(workdir)
+    (workdir / "h.json").write_text(json.dumps(hints))
+    capsys.readouterr()
+    assert main(["pipeline", "weather.papp", "--trace", "trace.json",
+                 "--hints", "h.json", "--outdir", "out"]) == 2
+    assert message in capsys.readouterr().err
+    code = main(["run", "--app", "optimized.papp", "--trace", "trace.json",
+                 "--seed-urlmap", "urlmap.json", "--hints", "h.json",
+                 "--out", "again.json"])
+    assert code == 2
+    assert message in capsys.readouterr().err
     assert not (workdir / "again.json").exists()
 
 
@@ -554,7 +605,8 @@ def test_recursive_call_exits_2_and_writes_nothing(workdir, capsys):
 
 
 def test_failed_pipeline_writes_nothing(workdir, capsys):
-    # apply_hints is the fifth stage; the earlier ones all succeed
+    # instrumentation, the fourth stage, rejects the hints; the earlier
+    # stages all succeed
     (workdir / "hints.json").write_text(json.dumps({
         "extra_trigger_entries": [{"callback": "ghost", "url_ids": ["url1"]}],
     }))
@@ -611,5 +663,4 @@ def test_hint_url_colliding_with_an_analyzed_url_exits_2(workdir, capsys):
     code = main(["run", "--app", "optimized.papp", "--trace", "trace.json",
                  "--seed-urlmap", "urlmap.json", "--hints", "hints.json"])
     assert code == 2
-    assert ("hint url 'url1' collides with an analyzed url"
-            in capsys.readouterr().err)
+    assert "hint url 'url1' already exists in the app" in capsys.readouterr().err

@@ -23,7 +23,6 @@ from fetchahead.instrumenter import (
     RewriteRule,
     StaticUrlHint,
     TriggerHint,
-    apply_hints,
     hints_from_json_obj,
     instrument,
 )
@@ -180,7 +179,7 @@ def test_trigger_map_with_unknown_callback_rejected(weather_app, weather_pipelin
 def test_url_map_spot_outside_the_app_rejected(weather_app, weather_pipeline,
                                                container, stmt):
     p = weather_pipeline
-    url_map = UrlMap({"url2": (Unknown((DefinitionSpot(container, stmt, 1, 1),)),)})
+    url_map = _with_url2_part3(p.url_map, DefinitionSpot(container, stmt, 3, 1))
     with pytest.raises(InstrumentError, match="is not a definition"):
         instrument(weather_app, url_map, p.trigger_map, p.sig)
 
@@ -197,11 +196,25 @@ def test_url_map_spot_part_outside_the_url_rejected(weather_app, weather_pipelin
     # url2 has three parts; without the check the rewritten app holds a
     # send_definition that its own parser rejects
     p = weather_pipeline
-    url_map = UrlMap({**p.url_map.entries, "url2": (
-        Unknown((DefinitionSpot("onItemSelected", 0, m, 1),)),
-    )})
+    url_map = _with_url2_part3(p.url_map,
+                               DefinitionSpot("onItemSelected", 0, m, 1))
     with pytest.raises(InstrumentError, match=rf"missing part url2\[{m}\]"):
         instrument(weather_app, url_map, p.trigger_map, p.sig)
+
+
+def _with_url2_part3(url_map, spot):
+    """The url map with `spot` as the only definition spot of url2's
+    third part, so every url keeps its number of parts."""
+    parts = url_map.entries["url2"]
+    return UrlMap({**url_map.entries, "url2": (*parts[:2], Unknown((spot,)))})
+
+
+def test_url_map_that_leaves_out_a_url_rejected(weather_app, weather_pipeline):
+    p = weather_pipeline
+    entries = dict(p.url_map.entries)
+    del entries["url1"]
+    with pytest.raises(InstrumentError, match="url map leaves out url 'url1'"):
+        instrument(weather_app, UrlMap(entries), p.trigger_map, p.sig)
 
 
 def test_provenance_records_insertions(weather_pipeline):
@@ -211,65 +224,109 @@ def test_provenance_records_insertions(weather_pipeline):
     assert ia.provenance[("onClick", 5)] == "fetch spot redirect"
 
 
-def test_launch_hint_inserts_at_position_zero(weather_pipeline):
-    ia = weather_pipeline.ia
+def _hinted(weather_app, p, hints):
+    return instrument(weather_app, p.url_map, p.trigger_map, p.sig, hints)
+
+
+def test_launch_hint_inserts_at_position_zero(weather_app, weather_pipeline):
     hints = Hints(
         extra_trigger_entries=(TriggerHint("onCreate", ("urlHome",), at="launch"),),
         extra_static_urls=(StaticUrlHint("urlHome", "http://weatherapi/home"),),
     )
-    hinted = apply_hints(ia, hints)
+    hinted = _hinted(weather_app, weather_pipeline, hints)
     on_create = hinted.app.index.bodies["onCreate"]
     assert on_create[0] == TriggerPrefetch(("urlHome",))
     assert hinted.provenance[("onCreate", 0)] == "hint: prefetch at launch"
-    # previously recorded provenance shifted down by one
+    # the statements of the unhinted rewrite follow, one further down
     assert hinted.provenance[("onCreate", 2)] == "trigger point"
 
 
-def test_end_hint_merges_into_trailing_trigger(weather_pipeline):
-    ia = weather_pipeline.ia
+def test_end_hint_merges_into_trailing_trigger(weather_app, weather_pipeline):
     hints = Hints(
         extra_trigger_entries=(TriggerHint("onItemSelected", ("urlHome", "url1")),),
         extra_static_urls=(StaticUrlHint("urlHome", "http://weatherapi/home"),),
     )
-    hinted = apply_hints(ia, hints)
+    hinted = _hinted(weather_app, weather_pipeline, hints)
     body = hinted.app.index.bodies["onItemSelected"]
     assert body[-1] == TriggerPrefetch(("url1", "url2", "url3", "urlHome"))
     assert sum(isinstance(st, TriggerPrefetch) for st in body) == 1
+    assert (hinted.provenance[("onItemSelected", len(body) - 1)]
+            == "trigger point (hint merged)")
 
 
-def test_empty_hints_identity(weather_pipeline):
+def test_hints_on_a_callback_that_is_no_trigger():
+    # launch entries go first, the last one first; the end entries share
+    # one trailing trigger_prefetch, duplicates dropped after the first
+    app = parse_app("""
+app h
+netmethod fetch latency=100
+callback a {
+}
+callback b {
+  url u = "http://h/"
+  fetch(u)
+}
+ccfg {
+  wait w
+  a -> w
+  w -> b
+}
+""")
+    hints = Hints(
+        extra_trigger_entries=(
+            TriggerHint("b", ("x",), at="launch"),
+            TriggerHint("b", ("u", "x")),
+            TriggerHint("b", ("y",), at="launch"),
+            TriggerHint("b", ("x", "y", "y")),
+        ),
+        extra_static_urls=(StaticUrlHint("x", "http://x/"),
+                           StaticUrlHint("y", "http://y/")),
+    )
+    sig = FetchSignature("fetch")
+    ia = instrument(app, analyze_urls(app), TriggerMap({"a": ("u",)}), sig, hints)
+    assert ia.app.index.bodies["b"] == (
+        TriggerPrefetch(("y",)),
+        TriggerPrefetch(("x",)),
+        app.index.bodies["b"][0],
+        FetchFromProxy("u", "fetch"),
+        TriggerPrefetch(("u", "x", "y")),
+    )
+    assert [why for (c, _), why in sorted(ia.provenance.items()) if c == "b"] == [
+        "hint: prefetch at launch", "hint: prefetch at launch",
+        "fetch spot redirect", "hint: trigger point",
+    ]
+
+
+def test_empty_hints_identity(weather_app, weather_pipeline):
     ia = weather_pipeline.ia
-    assert apply_hints(ia, Hints()).app == ia.app
+    hinted = _hinted(weather_app, weather_pipeline, Hints())
+    assert (hinted.app, hinted.provenance) == (ia.app, ia.provenance)
 
 
-def test_hint_unknown_callback_rejected(weather_pipeline):
-    ia = weather_pipeline.ia
+def test_hint_unknown_callback_rejected(weather_app, weather_pipeline):
     with pytest.raises(InstrumentError, match="unknown callback"):
-        apply_hints(ia, Hints(
+        _hinted(weather_app, weather_pipeline, Hints(
             extra_trigger_entries=(TriggerHint("nope", ("url1",)),),
         ))
 
 
-def test_hint_unknown_url_rejected(weather_pipeline):
-    ia = weather_pipeline.ia
+def test_hint_unknown_url_rejected(weather_app, weather_pipeline):
     with pytest.raises(InstrumentError, match="unknown url"):
-        apply_hints(ia, Hints(
+        _hinted(weather_app, weather_pipeline, Hints(
             extra_trigger_entries=(TriggerHint("onCreate", ("ghost",)),),
         ))
 
 
-def test_hint_url_may_not_shadow_existing(weather_pipeline):
-    ia = weather_pipeline.ia
+def test_hint_url_may_not_shadow_existing(weather_app, weather_pipeline):
     with pytest.raises(InstrumentError, match="already exists"):
-        apply_hints(ia, Hints(
+        _hinted(weather_app, weather_pipeline, Hints(
             extra_static_urls=(StaticUrlHint("url1", "http://elsewhere/"),),
         ))
 
 
-def test_rewrite_rule_bounds_checked(weather_pipeline):
-    ia = weather_pipeline.ia
+def test_rewrite_rule_bounds_checked(weather_app, weather_pipeline):
     with pytest.raises(InstrumentError, match="missing part"):
-        apply_hints(ia, Hints(
+        _hinted(weather_app, weather_pipeline, Hints(
             rewrite_rules=(RewriteRule("url1", 9, "a", "b"),),
         ))
 

@@ -13,7 +13,6 @@ from fetchahead.instrumenter import (
     Hints,
     StaticUrlHint,
     TriggerHint,
-    apply_hints,
     instrument,
 )
 from fetchahead.mbm import generate_case
@@ -150,6 +149,55 @@ ccfg {
     assert compute_accuracy(p.opt, p.oracle) == (1.0, 1.0)
 
 
+def test_oracle_caps_each_trigger_at_the_threshold():
+    """Three knowable URLs at one trigger and a threshold of 2: the proxy
+    issues two, so only two are ideal prefetches."""
+    from fetchahead.app_ir import parse_app
+
+    app = parse_app("""
+app cap
+netmethod fetch latency=100
+callback a {
+}
+callback b {
+  url u1 = "http://h/1"
+  url u2 = "http://h/2"
+  url u3 = "http://h/3"
+  fetch(u1)
+  fetch(u2)
+  fetch(u3)
+}
+ccfg {
+  wait w
+  a -> w
+  w -> b
+}
+""")
+    trace = Trace((TraceStep("a"), TraceStep("b", 500)))
+    p = run_pipeline(app, trace, NetModel(threshold=2))
+    (ev,) = p.opt.trigger_evals()
+    assert ev.considered == ("u1", "u2", "u3")
+    assert ev.issued == ("u1", "u2")
+    assert p.oracle == Oracle((TriggerPoint("a", ("u1", "u2")),))
+    assert compute_accuracy(p.opt, p.oracle) == (1.0, 1.0)
+
+
+def test_hint_url_with_an_analyzed_urls_string_counts_once(weather_app,
+                                                            weather_trace):
+    """The proxy keys its cache by URL string, so a hint URL equal to
+    url1 is already cached when onCreate's trigger reaches it."""
+    hints = Hints(
+        extra_trigger_entries=(TriggerHint("onCreate", ("urlHint",)),),
+        extra_static_urls=(StaticUrlHint(
+            "urlHint", "http://weatherapi/weather?&cityId=123"),),
+    )
+    p = run_pipeline(weather_app, weather_trace, NetModel(), hints)
+    first = p.opt.trigger_evals()[0]
+    assert (first.issued, first.skipped_known_cached) == (("url1",), ("urlHint",))
+    assert p.oracle.points[0] == TriggerPoint("onCreate", ("url1",))
+    assert compute_accuracy(p.opt, p.oracle) == (1.0, 1.0)
+
+
 def test_mbm_cases_perfect_accuracy():
     for case_id in (0, 1, 4, 9, 13, 16, 24):
         p = _case_pipeline(case_id, 1000, 2000)
@@ -163,10 +211,14 @@ def test_mbm_cases_perfect_accuracy():
 class RebuildingReplay(Walk):
     """The oracle without its URL memo: every URL is rebuilt from its
     parts at every trigger point, and every definition is kept in a list
-    that `last_definition_of` scans backwards."""
+    that `last_definition_of` scans backwards. Like the proxy, it skips
+    the URLs over the threshold and knows a hint URL by its string."""
 
-    def __init__(self, app):
+    def __init__(self, app, net=None, hints=None):
         super().__init__(app)
+        self.threshold = (net or NetModel()).threshold
+        self.hint_urls = {h.url_id: h.url
+                          for h in (hints or Hints()).extra_static_urls}
         self.definitions = []
         self.trigger_points = []
         self.ideal_cache = set()
@@ -194,6 +246,8 @@ class RebuildingReplay(Walk):
             url = self.url_of(uid)
             if url is None or url in self.ideal_cache:
                 continue
+            if len(prefetchable) >= self.threshold:
+                continue
             self.ideal_cache.add(url)
             prefetchable.append(uid)
         self.trigger_points.append((container, tuple(prefetchable)))
@@ -201,7 +255,7 @@ class RebuildingReplay(Walk):
     def url_of(self, url_id):
         spot = self.app.index.url_spots.get(url_id)
         if spot is None:
-            return f"<static:{url_id}>"
+            return self.hint_urls.get(url_id)
         values = []
         for part in spot[2].parts:
             if part.kind != "var":
@@ -214,14 +268,15 @@ class RebuildingReplay(Walk):
 
 
 def _oracle_forms(seed):
-    """A random app instrumented, and the same with hints: a hint URL and
-    a URL of the app prefetched at launch, every URL at the end of a
-    random callback."""
+    """A random app as (app, net, hints): uninstrumented, instrumented,
+    and instrumented with hints (a hint URL and a URL of the app
+    prefetched at launch, every URL at the end of a random callback)
+    under a threshold of 1 to 3."""
     rng = random.Random(seed)
     app, trace, _ = make_app(rng)
     sig = FetchSignature("fetch")
     tm = identify_trigger_callbacks(app, build_ecg(app), sig)
-    ia = instrument(app, analyze_urls(app), tm, sig)
+    url_map = analyze_urls(app)
     url_ids = tuple(app.index.url_spots)
     hints = Hints(
         extra_trigger_entries=(
@@ -230,15 +285,19 @@ def _oracle_forms(seed):
         ),
         extra_static_urls=(StaticUrlHint("hinted", "http://hint/"),),
     )
-    return trace, (app, ia.app, apply_hints(ia, hints).app)
+    net = NetModel(threshold=rng.randint(1, 3))
+    return trace, ((app, None, None),
+                   (instrument(app, url_map, tm, sig).app, None, None),
+                   (instrument(app, url_map, tm, sig, hints).app, net, hints))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9))
 def test_memoized_oracle_matches_rebuilding_reference(seed):
     trace, apps = _oracle_forms(seed)
-    for app in apps:
-        replay, reference = replay_trace(app, Trace(())), RebuildingReplay(app)
+    for app, net, hints in apps:
+        replay = replay_trace(app, Trace(()), net, hints)
+        reference = RebuildingReplay(app, net, hints)
         variables = sorted(app.index.definitions) + ["no_such_var"]
         for k, step in enumerate(trace.steps):
             replay.run_step(k, step)

@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage error, 2 analysis/run error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -334,7 +335,10 @@ def _cmd_pipeline(args) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The process's one parser, built on the first `main` call. Reuse is
+    safe: argparse keeps no parse state on the parser."""
     parser = _Parser(
         prog="fetchahead",
         description="prefetch analysis, instrumentation, and simulation for "

@@ -222,8 +222,12 @@ def compute_effectiveness(base: RunLog, opt: RunLog) -> Metrics:
     """Compare a baseline run with an optimized run of the same workload.
 
     The demanded (url id, url) sequences must match exactly; anything else
-    means the instrumentation changed the app's behavior.
+    means the instrumentation changed the app's behavior. A base log from
+    an instrumented app is a swapped pair.
     """
+    if base.instrumented:
+        raise MetricsError("the base run log is from an instrumented app; "
+                           "are the base and optimized logs swapped?")
     base_demands = base.demands()
     opt_demands = opt.demands()
     base_reqs = [(d.url_id, d.url) for d in base_demands]

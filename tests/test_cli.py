@@ -229,13 +229,10 @@ def test_report_rejects_a_swapped_pair(workdir, capsys):
     ]) == 0
 
 
-def test_main_reuses_one_parser():
-    assert _build_parser() is _build_parser()
-
-
 def test_the_one_parser_keeps_no_state_between_calls(workdir, capsys):
     """`main` calls in one process share the parser; no call's lists,
     flags or errors reach the next."""
+    assert _build_parser() is _build_parser()
     _run_pipeline_by_hand(workdir)
     pair = ["--base", "runlog_base.json", "--opt", "runlog_opt.json"]
     capsys.readouterr()

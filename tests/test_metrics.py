@@ -346,12 +346,6 @@ def test_mismatched_logs_rejected(weather_pipeline, weather_trace, weather_net):
         compute_effectiveness(p.base, opt)
 
 
-def test_swapped_logs_rejected(weather_pipeline):
-    p = weather_pipeline
-    with pytest.raises(MetricsError, match="base run log is from an instrumented"):
-        compute_effectiveness(p.opt, p.base)
-
-
 def test_hit_rate_of_empty_log():
     assert hit_rate(RunLog("x", True, [], 0, {})) == 0.0
 

@@ -251,8 +251,8 @@ def test_conservative_soundness_on_random_apps():
 
 
 class DefinitionRecorder(Walk):
-    """A walk that records each definition it runs as (container, stmt
-    index, var) and does nothing else."""
+    """A walk of an uninstrumented app that records each definition it
+    runs as (container, stmt index, var)."""
 
     def __init__(self, app):
         super().__init__(app)
@@ -262,14 +262,6 @@ class DefinitionRecorder(Walk):
         self.defined.add((container, stmt_index, var))
 
     def net_call(self, st, url):
-        pass
-
-    fetch_from_proxy = net_call
-
-    def send_definition(self, st, value):
-        pass
-
-    def trigger_prefetch(self, container, st):
         pass
 
 

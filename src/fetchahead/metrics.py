@@ -2,15 +2,15 @@
 
 Accuracy compares what the proxy issued at each trigger point against a
 ground-truth oracle. The oracle runs the trace through the runtime's own
-statement walk (`runtime.Walk`), with an ideal prefetcher in place of the
-clock and the proxy, so it validates the trace exactly as `run_trace`
-does and raises RunError on the same inputs. A URL is prefetchable at a
-trigger point iff every part is determined by the definitions executed so
-far and an ideal prefetcher would not already hold it (it was neither
-ideally prefetched at an earlier trigger nor already demanded); like the
-proxy, the ideal prefetcher issues at most the net model's threshold of
-URLs per trigger point, and knows a hint URL by its string. Each URL is
-built once and kept until a definition of a variable it reads.
+statement walk (`runtime.Walk`), so it validates the trace exactly as
+`run_trace` does and raises RunError on the same inputs. Its ideal
+prefetcher is a `runtime.Proxy` told every definition as it runs, in
+place of the ones the instrumented app sends, and holding every URL the
+app fetches; `Proxy.trigger_prefetch` decides for both which URLs a
+trigger point prefetches (known, neither cached nor waiting, at most the
+net model's threshold, a hint URL known by its string). So the oracle
+differs from the run only in what its proxy is told, and precision and
+recall measure what the analyses know.
 
 Effectiveness compares a baseline run against an optimized run of the
 same app/trace/network: per-request latency reduction, the hit rate
@@ -28,7 +28,7 @@ from .app_ir import App, TriggerPrefetch
 from .codec import decode, inline
 from .errors import MetricsError
 from .instrumenter import Hints
-from .runtime import SERVED_CACHE, SERVED_WAITED, NetModel, RunLog, Trace, Walk
+from .runtime import SERVED_CACHE, SERVED_WAITED, NetModel, Proxy, RunLog, Trace, Walk
 
 
 @dataclass(frozen=True)
@@ -75,31 +75,39 @@ class Oracle:
 
 
 class Replay(Walk):
-    """The oracle's walk. Its ideal cache holds every URL demanded or
-    ideally prefetched so far. Network statements never change control
-    flow or values, so the values match a full run's whatever the cache
-    does."""
+    """The oracle's walk. Its ideal prefetcher is a `runtime.Proxy` that
+    hears every definition, where the app's proxy hears only the ones the
+    instrumented app sends; it is seeded with each URL's literal and
+    resource parts and the hints' static URLs, applies no rewrite rule
+    (the ground truth is the URL the app builds) and holds every URL the
+    app fetches. Network statements never change control flow or values,
+    so the values match a full run's whatever the cache does."""
 
     def __init__(self, app: App, net: NetModel | None = None,
                  hints: Hints | None = None):
         super().__init__(app)
-        self.threshold = (net or NetModel()).threshold
-        self._hint_urls = {h.url_id: h.url
-                           for h in (hints or Hints()).extra_static_urls}
         self.trigger_points: list[TriggerPoint] = []
-        self._ideal_cache: set[str] = set()
         # var -> (container, stmt index, value) of its last definition; a
         # DefEvent is built only on lookup, which is far rarer than a
         # definition
         self._last: dict[str, tuple[str, int, str]] = {}
-        # url id -> its URL under current values (None while a part is
-        # unset); define() drops the URLs that read the variable it writes
-        self._urls: dict[str, str | None] = {}
-        self._readers: dict[str, list[str]] = {}
+        # var -> the (url id, part) slots that read it
+        self._slots: dict[str, list[tuple[str, int]]] = {}
+        seed: dict[str, list[str | None]] = {}
         for url_id, (_, _, spot) in app.index.url_spots.items():
-            for part in spot.parts:
+            parts = seed[url_id] = []
+            for m, part in enumerate(spot.parts, start=1):
                 if part.kind == "var":
-                    self._readers.setdefault(part.value, []).append(url_id)
+                    parts.append(None)
+                    self._slots.setdefault(part.value, []).append((url_id, m))
+                else:
+                    parts.append(app.static_value(part.kind, part.value))
+        if hints is not None:
+            hints = Hints(extra_static_urls=hints.extra_static_urls)
+        # the oracle reports no time, so no prefetch may fail to be priced
+        ideal = NetModel(default_latency_ms=0,
+                         threshold=(net or NetModel()).threshold)
+        self.proxy = Proxy(app, seed, ideal, hints)
 
     def last_definition_of(self, var: str) -> DefEvent | None:
         last = self._last.get(var)
@@ -108,52 +116,21 @@ class Replay(Walk):
     def define(self, container: str, stmt_index: int, var: str,
                value: str) -> None:
         self._last[var] = (container, stmt_index, value)
-        for url_id in self._readers.get(var, ()):
-            self._urls.pop(url_id, None)
+        set_part = self.proxy.set_part
+        for url_id, m in self._slots.get(var, ()):
+            set_part(url_id, m, value)
 
     def net_call(self, st, url: str) -> None:
-        self._ideal_cache.add(url)
+        self.proxy.hold(url)
 
     fetch_from_proxy = net_call
 
     def send_definition(self, st, value: str) -> None:
-        pass  # does not affect ground truth
+        pass  # define() has told the proxy already
 
     def trigger_prefetch(self, container: str, st: TriggerPrefetch) -> None:
-        prefetchable = []
-        urls, ideal_cache = self._urls, self._ideal_cache
-        for uid in st.url_ids:
-            if uid in urls:
-                concrete = urls[uid]
-            else:
-                concrete = urls[uid] = self._knowable_url(uid)
-            if concrete is None or concrete in ideal_cache:
-                continue
-            ideal_cache.add(concrete)
-            prefetchable.append(uid)
-            if len(prefetchable) == self.threshold:
-                break
-        self.trigger_points.append(
-            TriggerPoint(container, tuple(prefetchable))
-        )
-
-    def _knowable_url(self, url_id: str) -> str | None:
-        """Concrete URL under current values, or None while any part is
-        undetermined. A url id the app does not build is a hint URL, known
-        by its string, or never knowable."""
-        spot = self.app.index.url_spots.get(url_id)
-        if spot is None:
-            return self._hint_urls.get(url_id)
-        variables, static_value = self.variables, self.app.static_value
-        values = []
-        for part in spot[2].parts:
-            if part.kind != "var":
-                values.append(static_value(part.kind, part.value))
-            elif part.value in variables:
-                values.append(variables[part.value])
-            else:
-                return None
-        return "".join(values)
+        ev = self.proxy.trigger_prefetch(container, st.url_ids, 0)[0]
+        self.trigger_points.append(TriggerPoint(container, ev.issued))
 
 
 def replay_trace(app_like, trace: Trace, net: NetModel | None = None,

@@ -37,7 +37,7 @@ from .app_ir import (
 )
 from .codec import decode, encode, inline, renamed
 from .errors import RunError
-from .string_analysis import Concrete, UrlMap
+from .string_analysis import UrlMap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .instrumenter import Hints, InstrumentedApp, RewriteRule
@@ -267,26 +267,25 @@ class Proxy:
     """The proxy library of one session: the runtime URL map, the response
     cache and the three operations the instrumented app calls.
 
-    The map is seeded from the static url map, with concrete parts filled
-    in and dynamic parts empty. Each hint URL becomes a single-part entry;
-    `run_trace` checks that it is not a URL the app builds. `known`
-    holds the URL string of every url id whose parts are all set, and
-    `send_definition`, the map's only writer, keeps it current.
+    The map is seeded with each url id's part values, None for a part not
+    known yet; the proxy takes the seed's lists over. Each hint URL becomes
+    a single-part entry; `run_trace` checks that it is not a URL the app
+    builds. `known` holds the URL string of every url id whose parts are
+    all set, and `set_part`, the map's only writer, keeps it current. The
+    app's proxy hears the definitions the instrumented app sends; the
+    oracle's (`metrics.Replay`) hears every definition, so which URLs a
+    trigger point prefetches is decided here for both.
 
     A cache entry `(ready_at, payload)` is waiting until `ready_at` and
     ready afterwards. The proxy prices its prefetches and origin fetches
     from the app's fetch methods and the net model.
     """
 
-    def __init__(self, app: App, url_map: UrlMap, net: NetModel,
-                 hints: "Hints | None" = None):
+    def __init__(self, app: App, seed: dict[str, list[str | None]],
+                 net: NetModel, hints: "Hints | None" = None):
         self.app, self.net = app, net
         self.declared = {m.name: m.latency_ms for m in app.netlib}
-        self.runtime_url_map: dict[str, list[str | None]] = {
-            url_id: [p.value if isinstance(p, Concrete) else None
-                     for p in parts]
-            for url_id, parts in url_map.entries.items()
-        }
+        self.runtime_url_map = seed
         self.rewrite_rules: tuple["RewriteRule", ...] = ()
         if hints is not None:
             for extra in hints.extra_static_urls:
@@ -299,17 +298,24 @@ class Proxy:
 
     def send_definition(self, url_id: str, m: int, value: str,
                         now: int) -> DefinitionUpdate:
-        """Record a runtime value for URL part m; last write wins."""
+        """Record a runtime value for URL part m, rewritten by the hints'
+        rules; last write wins."""
         parts = self.runtime_url_map.get(url_id)
         if parts is None or not 1 <= m <= len(parts):
             raise RunError(f"unknown url part {url_id}[{m}]")
         for rule in self.rewrite_rules:
             if rule.url_id == url_id and rule.part_index == m:
                 value = value.replace(rule.find, rule.replace)
+        self.set_part(url_id, m, value)
+        return DefinitionUpdate(url_id, m, value, now)
+
+    def set_part(self, url_id: str, m: int, value: str) -> None:
+        """Write part m of an existing entry as given and keep `known`
+        current."""
+        parts = self.runtime_url_map[url_id]
         parts[m - 1] = value
         if None not in parts:
             self.known[url_id] = "".join(parts)
-        return DefinitionUpdate(url_id, m, value, now)
 
     def trigger_prefetch(self, callback: str, url_ids: Iterable[str],
                          now: int) -> list[Event]:
@@ -361,6 +367,12 @@ class Proxy:
         self.cache[url] = (now + latency, payload)
         return Demand(url_id, url, now, SERVED_ORIGIN, 0, latency, method,
                       "proxy", payload)
+
+    def hold(self, url: str) -> None:
+        """Cache `url`, ready since time 0, unless it is cached already:
+        the oracle's record of a fetch it does not price."""
+        if url not in self.cache:
+            self.cache[url] = (0, self.net.payload_for(url))
 
     def _prefetch_latency(self, url_id: str) -> int:
         method = self.app.index.fetch_methods.get(url_id)
@@ -546,7 +558,7 @@ def run_trace(
         seed_url_map.check(app, RunError)
         if hints is not None:
             hints.check(app, RunError)
-        proxy = Proxy(app, seed_url_map, net, hints)
+        proxy = Proxy(app, seed_url_map.runtime_seed(), net, hints)
     elif seed_url_map is not None or hints is not None:
         raise RunError("a seed url map or hints need an instrumented app")
     session = _Session(app, net, proxy)

@@ -78,6 +78,13 @@ class UrlMap:
             if url_id not in self.entries:
                 raise error(f"url map leaves out url '{url_id}'")
 
+    def runtime_seed(self) -> dict[str, list[str | None]]:
+        """The runtime URL map this map seeds: each part's concrete value,
+        None for an unknown part."""
+        return {url_id: [p.value if isinstance(p, Concrete) else None
+                         for p in parts]
+                for url_id, parts in self.entries.items()}
+
 
 def static_value_of(app: App, var: str) -> str | None:
     """The variable's statically determined value, if it has one.

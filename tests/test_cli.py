@@ -652,6 +652,32 @@ def test_run_checks_hints_as_pipeline_does(workdir, capsys, hints, message):
     assert not (workdir / "again.json").exists()
 
 
+def test_a_hint_url_id_given_twice_exits_2(workdir, capsys):
+    """The last of the two strings used to win without a word."""
+    _run_pipeline_by_hand(workdir)
+    (workdir / "h.json").write_text(json.dumps({
+        "extra_static_urls": [{"url_id": "h", "url": "http://a/"},
+                              {"url_id": "h", "url": "http://b/"}],
+        "extra_trigger_entries": [{"callback": "onCreate", "url_ids": ["h"]}],
+    }))
+    (workdir / "n.json").write_text(json.dumps({"default_latency_ms": 100}))
+    capsys.readouterr()
+    for argv in (
+        ["instrument", "weather.papp", "--urlmap", "urlmap.json",
+         "--triggermap", "triggermap.json", "--hints", "h.json",
+         "-o", "again.papp"],
+        ["run", "--app", "optimized.papp", "--trace", "trace.json",
+         "--net", "n.json", "--seed-urlmap", "urlmap.json",
+         "--hints", "h.json", "--out", "again.json"],
+        ["pipeline", "weather.papp", "--trace", "trace.json", "--net", "n.json",
+         "--hints", "h.json", "--outdir", "out"],
+    ):
+        assert main(argv) == 2, argv[0]
+        assert "hint url 'h' is given twice" in capsys.readouterr().err
+    for name in ("again.papp", "again.json", "out"):
+        assert not (workdir / name).exists()
+
+
 def test_recursive_call_exits_2_and_writes_nothing(workdir, capsys):
     (workdir / "loop.papp").write_text(
         'app loop\nnetmethod get latency=10\n'
@@ -678,6 +704,22 @@ def test_failed_pipeline_writes_nothing(workdir, capsys):
     assert code == 2
     assert "unknown callback 'ghost'" in capsys.readouterr().err
     assert list((workdir / "out").iterdir()) == []
+
+
+def test_a_failed_write_leaves_the_files_before_it(workdir, capsys):
+    """Every stage succeeds; the oracle's path is a directory, so the
+    sixth of the seven writes fails."""
+    (workdir / "out" / "oracle.json").mkdir(parents=True)
+    code = main(["pipeline", "weather.papp", "--trace", "trace.json",
+                 "--outdir", "out"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "cannot write out/oracle.json" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in (workdir / "out").iterdir()) == [
+        "optimized.papp", "oracle.json", "runlog_base.json",
+        "runlog_opt.json", "triggermap.json", "urlmap.json",
+    ]
 
 
 def _hint_for_url3(workdir, net: dict) -> int:

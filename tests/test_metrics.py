@@ -5,12 +5,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from appgen import make_app
-from fetchahead.app_ir import build_ecg
+from fetchahead.app_ir import (
+    App,
+    BuildUrl,
+    Callback,
+    Ccfg,
+    DefineDynamic,
+    NetCall,
+    NetMethodDecl,
+    UrlPart,
+    build_ecg,
+    validate_app,
+)
 from fetchahead.callback_analysis import FetchSignature, identify_trigger_callbacks
 from fetchahead.cli import run_pipeline
 from fetchahead.errors import MetricsError, RunError
 from fetchahead.instrumenter import (
     Hints,
+    RewriteRule,
     StaticUrlHint,
     TriggerHint,
     instrument,
@@ -205,14 +217,16 @@ def test_mbm_cases_perfect_accuracy():
 
 
 # ---------------------------------------------------------------------------
-# the memoized oracle against one that rebuilds every URL at every trigger
+# the oracle against one that rebuilds every URL at every trigger
 # ---------------------------------------------------------------------------
 
 class RebuildingReplay(Walk):
-    """The oracle without its URL memo: every URL is rebuilt from its
-    parts at every trigger point, and every definition is kept in a list
-    that `last_definition_of` scans backwards. Like the proxy, it skips
-    the URLs over the threshold and knows a hint URL by its string."""
+    """An oracle written apart from the proxy: every URL is rebuilt from
+    its parts at every trigger point, and every definition is kept in a
+    list that `last_definition_of` scans backwards. Like the proxy, it
+    skips the URLs over the threshold and knows a hint URL by its string;
+    it applies no rewrite rule, since the ground truth is the URL the app
+    builds."""
 
     def __init__(self, app, net=None, hints=None):
         super().__init__(app)
@@ -267,16 +281,29 @@ class RebuildingReplay(Walk):
         return "".join(values)
 
 
+def _instrumented(app, hints=None):
+    sig = FetchSignature("fetch")
+    tm = identify_trigger_callbacks(app, build_ecg(app), sig)
+    return instrument(app, analyze_urls(app), tm, sig, hints).app
+
+
+def _rewriting(app, rng, find, replace):
+    """A rewrite rule on a random variable part of the app's URLs (on a
+    literal part if none reads a variable)."""
+    slots = [(url_id, m) for url_id, (_, _, spot) in app.index.url_spots.items()
+             for m, part in enumerate(spot.parts, start=1) if part.kind == "var"]
+    url_id, m = rng.choice(slots or [(next(iter(app.index.url_spots)), 1)])
+    return RewriteRule(url_id, m, find, replace)
+
+
 def _oracle_forms(seed):
     """A random app as (app, net, hints): uninstrumented, instrumented,
     and instrumented with hints (a hint URL and a URL of the app
-    prefetched at launch, every URL at the end of a random callback)
-    under a threshold of 1 to 3."""
+    prefetched at launch, every URL at the end of a random callback, a
+    rewrite rule that hits the trace's input values) under a threshold of
+    1 to 3."""
     rng = random.Random(seed)
     app, trace, _ = make_app(rng)
-    sig = FetchSignature("fetch")
-    tm = identify_trigger_callbacks(app, build_ecg(app), sig)
-    url_map = analyze_urls(app)
     url_ids = tuple(app.index.url_spots)
     hints = Hints(
         extra_trigger_entries=(
@@ -284,29 +311,86 @@ def _oracle_forms(seed):
             TriggerHint(rng.choice(app.callback_names), url_ids),
         ),
         extra_static_urls=(StaticUrlHint("hinted", "http://hint/"),),
+        # appgen draws every input value as "val<n>"
+        rewrite_rules=(_rewriting(app, rng, "val", "img"),),
     )
     net = NetModel(threshold=rng.randint(1, 3))
     return trace, ((app, None, None),
-                   (instrument(app, url_map, tm, sig).app, None, None),
-                   (instrument(app, url_map, tm, sig, hints).app, net, hints))
+                   (_instrumented(app), None, None),
+                   (_instrumented(app, hints), net, hints))
+
+
+def _assert_oracle_matches_reference(app, trace, net, hints):
+    """After every trace step, the same trigger points and the same last
+    definition of every variable."""
+    replay = replay_trace(app, Trace(()), net, hints)
+    reference = RebuildingReplay(app, net, hints)
+    variables = sorted(app.index.definitions) + ["no_such_var"]
+    for k, step in enumerate(trace.steps):
+        replay.run_step(k, step)
+        reference.run_step(k, step)
+        assert [(tp.callback, tp.prefetchable)
+                for tp in replay.trigger_points] == reference.trigger_points
+        for var in variables:
+            assert (replay.last_definition_of(var)
+                    == reference.last_definition_of(var))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9))
-def test_memoized_oracle_matches_rebuilding_reference(seed):
+def test_oracle_matches_rebuilding_reference(seed):
     trace, apps = _oracle_forms(seed)
     for app, net, hints in apps:
-        replay = replay_trace(app, Trace(()), net, hints)
-        reference = RebuildingReplay(app, net, hints)
-        variables = sorted(app.index.definitions) + ["no_such_var"]
-        for k, step in enumerate(trace.steps):
-            replay.run_step(k, step)
-            reference.run_step(k, step)
-            assert [(tp.callback, tp.prefetchable)
-                    for tp in replay.trigger_points] == reference.trigger_points
-            for var in variables:
-                assert (replay.last_definition_of(var)
-                        == reference.last_definition_of(var))
+        _assert_oracle_matches_reference(app, trace, net, hints)
+
+
+def _hub_app(screens):
+    """home -> wait -> screen i -> wait i -> home. Screen i reads a page
+    set at home and its own query, so home's trigger lists every screen's
+    URL; even screens also fetch a static URL."""
+    bodies = {"home": [DefineDynamic("page", "page")]}
+    for i in range(screens):
+        parts = (UrlPart("literal", f"http://s{i}/"), UrlPart("var", "page"),
+                 UrlPart("literal", "/"), UrlPart("var", f"q{i}"))
+        body = [DefineDynamic(f"q{i}", f"q{i}"), BuildUrl(f"u{i}", parts),
+                NetCall("fetch", f"u{i}")]
+        if i % 2 == 0:
+            body += [BuildUrl(f"fixed{i}", (UrlPart("resource", "base"),
+                                             UrlPart("literal", f"{i}"))),
+                     NetCall("fetch", f"fixed{i}")]
+        bodies[f"s{i}"] = body
+    edges = [("home", "w")]
+    for i in range(screens):
+        edges += [("w", f"s{i}"), (f"s{i}", f"w{i}"), (f"w{i}", "home")]
+    app = App(
+        name="hub",
+        resources={"base": "http://static/"},
+        callbacks=tuple(Callback(name, tuple(body))
+                        for name, body in bodies.items()),
+        ccfg=Ccfg(("w", *(f"w{i}" for i in range(screens))), tuple(edges)),
+        netlib=(NetMethodDecl("fetch", 100),),
+    )
+    validate_app(app)
+    return app
+
+
+def test_oracle_matches_rebuilding_reference_on_a_hub():
+    """A CCFG cycle whose trigger list (six screens' URLs and three
+    static ones) is longer than the threshold, over 300 steps that revisit
+    pages and queries."""
+    rng = random.Random(3)
+    app = _hub_app(6)
+    steps = [TraceStep("home", 0, {"page": "p0"})]
+    while len(steps) < 300:
+        i = rng.randrange(6)
+        steps.append(TraceStep(f"s{i}", 100, {f"q{i}": f"val{rng.randrange(3)}"}))
+        steps.append(TraceStep("home", 100, {"page": f"p{rng.randrange(20)}"}))
+    hints = Hints(rewrite_rules=(RewriteRule("u1", 4, "val", "img"),))
+    net = NetModel(threshold=2)
+    trace = Trace(tuple(steps))
+    _assert_oracle_matches_reference(app, trace, net, None)
+    _assert_oracle_matches_reference(_instrumented(app, hints), trace, net,
+                                     hints)
 
 
 # ---------------------------------------------------------------------------

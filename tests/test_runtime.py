@@ -25,7 +25,7 @@ from fetchahead.runtime import (
     run_log_from_json_obj,
     run_trace,
 )
-from fetchahead.string_analysis import Concrete, Unknown, UrlMap, analyze_urls
+from fetchahead.string_analysis import analyze_urls
 import json
 
 
@@ -179,7 +179,7 @@ def test_configured_costs_accumulate(weather_pipeline, weather_trace):
 
 def _weather_proxy(weather_pipeline, hints=None) -> Proxy:
     """Prefetches cost the 800 ms that the app declares."""
-    return Proxy(weather_pipeline.ia.app, weather_pipeline.url_map,
+    return Proxy(weather_pipeline.ia.app, weather_pipeline.url_map.runtime_seed(),
                  NetModel(), hints)
 
 
@@ -187,13 +187,11 @@ def _proxy(runtime_map, latency_ms=100, threshold=5, server=None) -> Proxy:
     """A proxy over an app with no statements, seeded with `runtime_map`
     (None for a part not known statically); every fetch costs
     `latency_ms`."""
-    url_map = UrlMap({
-        url_id: tuple(Unknown(()) if p is None else Concrete(p) for p in parts)
-        for url_id, parts in runtime_map.items()
-    })
     net = NetModel(default_latency_ms=latency_ms, server=server or {},
                    threshold=threshold)
-    return Proxy(App("isolated"), url_map, net)
+    return Proxy(App("isolated"),
+                 {url_id: list(parts) for url_id, parts in runtime_map.items()},
+                 net)
 
 
 def test_send_definition_updates_map(weather_pipeline):

@@ -28,7 +28,9 @@ from .app_ir import App, TriggerPrefetch
 from .codec import decode, inline
 from .errors import MetricsError
 from .instrumenter import Hints
-from .runtime import SERVED_CACHE, SERVED_WAITED, NetModel, Proxy, RunLog, Trace, Walk
+from .runtime import (
+    SERVED_CACHE, SERVED_WAITED, Demand, NetModel, Proxy, RunLog, Trace, Walk,
+)
 
 
 @dataclass(frozen=True)
@@ -226,7 +228,7 @@ def compute_effectiveness(base: RunLog, opt: RunLog) -> Metrics:
     return Metrics(
         precision=None,
         recall=None,
-        hit_rate=hit_rate(opt),
+        hit_rate=_hit_rate(opt_demands),
         latency_reduction_pct=Reduction(
             tuple(reductions),
             (sum(reductions) / len(reductions)) if reductions else 0.0),
@@ -237,7 +239,10 @@ def compute_effectiveness(base: RunLog, opt: RunLog) -> Metrics:
 def hit_rate(run_log: RunLog) -> float:
     """Cache-or-waited demands over all demands; waited requests count as
     hits (the response still comes from the prefetch)."""
-    demands = run_log.demands()
+    return _hit_rate(run_log.demands())
+
+
+def _hit_rate(demands: list[Demand]) -> float:
     if not demands:
         return 0.0
     hits = sum(1 for d in demands

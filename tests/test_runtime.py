@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -155,6 +156,19 @@ def test_determinism_byte_identical(weather_pipeline, weather_trace, weather_net
     p = weather_pipeline
     second = run_trace(p.ia, weather_trace, weather_net, seed_url_map=p.url_map)
     assert p.opt.canonical_json() == second.canonical_json()
+
+
+@pytest.mark.parametrize("event_type",
+                         [Prefetch, Demand, DefinitionUpdate, TriggerEval])
+def test_run_log_events_keep_their_slots(weather_pipeline, event_type):
+    """A long run builds tens of thousands of events: none carries a
+    `__dict__`, and an event equals any event with the same fields."""
+    event = next(ev for ev in weather_pipeline.opt.events
+                 if type(ev) is event_type)
+    assert not hasattr(event, "__dict__")
+    copy = event_type(**{f.name: getattr(event, f.name)
+                         for f in dataclasses.fields(event)})
+    assert copy == event and copy is not event
 
 
 def test_configured_costs_accumulate(weather_pipeline, weather_trace):

@@ -220,9 +220,9 @@ class ProgramIndex:
     definitions: dict[str, list[tuple[str, int, Stmt]]]
     # url id -> (container, stmt index, BuildUrl) of its first URL spot
     url_spots: dict[str, tuple[str, int, BuildUrl]]
-    # url id -> method of its first fetch_from_proxy, else of its first
-    # net call
-    fetch_methods: dict[str, str]
+    # the original method of the first fetch_from_proxy, which `instrument`
+    # writes into all of them; None in an app without one
+    proxy_method: str | None
     instrumented: bool
     # callback name -> position in declaration order
     callback_order: dict[str, int]
@@ -238,8 +238,7 @@ def _build_index(app: "App") -> ProgramIndex:
     bodies: dict[str, tuple[Stmt, ...]] = {}
     definitions: dict[str, list[tuple[str, int, Stmt]]] = {}
     url_spots: dict[str, tuple[str, int, BuildUrl]] = {}
-    net_methods: dict[str, str] = {}
-    proxy_methods: dict[str, str] = {}
+    proxy_method: str | None = None
     instrumented = False
     for name, body in app.containers():
         bodies.setdefault(name, body)
@@ -248,12 +247,10 @@ def _build_index(app: "App") -> ProgramIndex:
                 definitions.setdefault(st.var, []).append((name, idx, st))
             elif isinstance(st, BuildUrl):
                 url_spots.setdefault(st.url_id, (name, idx, st))
-            elif isinstance(st, NetCall):
-                net_methods.setdefault(st.url_id, st.method)
             elif isinstance(st, PSEUDO_STMTS):
                 instrumented = True
-                if isinstance(st, FetchFromProxy):
-                    proxy_methods.setdefault(st.url_id, st.original_method)
+                if isinstance(st, FetchFromProxy) and proxy_method is None:
+                    proxy_method = st.original_method
     order = {c.name: i for i, c in enumerate(app.callbacks)}
     ccfg = app.ccfg
     targets = {b for _, b in ccfg.edges}
@@ -267,7 +264,7 @@ def _build_index(app: "App") -> ProgramIndex:
         bodies=bodies,
         definitions=definitions,
         url_spots=url_spots,
-        fetch_methods={**net_methods, **proxy_methods},
+        proxy_method=proxy_method,
         instrumented=instrumented,
         callback_order=order,
         roots=tuple(c for c in order if c not in targets),
@@ -578,10 +575,7 @@ def parse_app(text: str) -> App:
         ccfg=Ccfg(tuple(wait_nodes), tuple(ccfg_edges)),
         netlib=tuple(netlib),
     )
-    reported = {msg for _, msg in diags}
     for loc, msg in _structural_problems(app):
-        if msg in reported:
-            continue
         if loc is None:
             diags.append((0, msg))
         else:

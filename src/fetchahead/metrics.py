@@ -4,13 +4,14 @@ Accuracy compares what the proxy issued at each trigger point against a
 ground-truth oracle. The oracle runs the trace through the runtime's own
 statement walk (`runtime.Walk`), so it validates the trace exactly as
 `run_trace` does and raises RunError on the same inputs. Its ideal
-prefetcher is a `runtime.Proxy` told every definition as it runs, in
-place of the ones the instrumented app sends, and holding every URL the
-app fetches; `Proxy.trigger_prefetch` decides for both which URLs a
-trigger point prefetches (known, neither cached nor waiting, at most the
-net model's threshold, a hint URL known by its string). So the oracle
-differs from the run only in what its proxy is told, and precision and
-recall measure what the analyses know.
+prefetcher is a `runtime.Proxy` built from the run's app, net model and
+hints, told every definition as it runs, in place of the ones the
+instrumented app sends, and holding every URL the app fetches;
+`Proxy.trigger_prefetch` decides for both which URLs a trigger point
+prefetches (known, neither cached nor waiting, at most the net model's
+threshold, a hint URL known by its string). So the oracle differs from
+the run only in its proxy's seed and in what that proxy is told, and
+precision and recall measure what the analyses know.
 
 Effectiveness compares a baseline run against an optimized run of the
 same app/trace/network: per-request latency reduction, the hit rate
@@ -77,12 +78,13 @@ class Oracle:
 
 
 class Replay(Walk):
-    """The oracle's walk. Its ideal prefetcher is a `runtime.Proxy` that
-    hears every definition, where the app's proxy hears only the ones the
-    instrumented app sends; it is seeded with each URL's literal and
-    resource parts and the hints' static URLs, applies no rewrite rule
-    (the ground truth is the URL the app builds) and holds every URL the
-    app fetches. Network statements never change control flow or values,
+    """The oracle's walk. Its ideal prefetcher is a `runtime.Proxy` built
+    from the run's own app, net model and hints; only its seed differs,
+    each URL's literal and resource parts. It hears every definition,
+    where the app's proxy hears only the ones the instrumented app sends,
+    and holds every URL the app fetches. Its `send_definition` is never
+    called, so the hints' rewrite rules never act: the ground truth is the
+    URL the app builds. Network statements never change control flow or values,
     so the values match a full run's whatever the cache does."""
 
     def __init__(self, app: App, net: NetModel | None = None,
@@ -104,12 +106,7 @@ class Replay(Walk):
                     self._slots.setdefault(part.value, []).append((url_id, m))
                 else:
                     parts.append(app.static_value(part.kind, part.value))
-        if hints is not None:
-            hints = Hints(extra_static_urls=hints.extra_static_urls)
-        # the oracle reports no time, so no prefetch may fail to be priced
-        ideal = NetModel(default_latency_ms=0,
-                         threshold=(net or NetModel()).threshold)
-        self.proxy = Proxy(app, seed, ideal, hints)
+        self.proxy = Proxy(app, seed, net or NetModel(), hints)
 
     def last_definition_of(self, var: str) -> DefEvent | None:
         last = self._last.get(var)

@@ -3,7 +3,8 @@
 A virtual clock in milliseconds drives a single session. Statements cost
 nothing except network operations and any configured instrumentation-call
 costs. Prefetches run in the background: issuing one does not consume app
-time; its response becomes available at issue time + latency.
+time; its response becomes available at issue time + the latency of the
+proxy's own fetch method.
 
 The proxy keeps a runtime URL map (seeded from static analysis, updated
 by send_definition) and a cache keyed by the exact concrete URL string.
@@ -284,14 +285,21 @@ class Proxy:
     trigger point prefetches is decided here for both.
 
     A cache entry `(ready_at, payload)` is waiting until `ready_at` and
-    ready afterwards. The proxy prices its prefetches and origin fetches
-    from the app's fetch methods and the net model.
+    ready afterwards. An origin fetch costs its method's latency under
+    `NetModel.latency_for`. A prefetch is the proxy's own fetch issued
+    early, so every prefetch costs `prefetch_ms`: the latency of the
+    method the app's fetch_from_proxy statements carry.
     """
 
     def __init__(self, app: App, seed: dict[str, list[str | None]],
                  net: NetModel, hints: "Hints | None" = None):
-        self.app, self.net = app, net
+        self.net = net
         self.declared = {m.name: m.latency_ms for m in app.netlib}
+        # an app without fetch_from_proxy never reads the cache, so there
+        # its prefetches cost 0
+        method = app.index.proxy_method
+        self.prefetch_ms = (0 if method is None else
+                            net.latency_for(method, self.declared.get(method)))
         self.runtime_url_map = seed
         self.rewrite_rules: tuple["RewriteRule", ...] = ()
         if hints is not None:
@@ -348,7 +356,7 @@ class Proxy:
                 continue
             if len(issued) >= self.net.threshold:
                 continue  # over threshold: considered but not acted on
-            ready_at = now + self._prefetch_latency(url_id)
+            ready_at = now + self.prefetch_ms
             cache[url] = (ready_at, self.net.payload_for(url))
             issued.append(url_id)
             prefetches.append(Prefetch(url_id, url, now, ready_at))
@@ -380,15 +388,6 @@ class Proxy:
         the oracle's record of a fetch it does not price."""
         if url not in self.cache:
             self.cache[url] = (0, self.net.payload_for(url))
-
-    def _prefetch_latency(self, url_id: str) -> int:
-        method = self.app.index.fetch_methods.get(url_id)
-        if method is not None:
-            return self.net.latency_for(method, self.declared.get(method))
-        if self.net.default_latency_ms is None:  # e.g. a hint URL
-            raise RunError(f"url '{url_id}' has no fetch statement to take a "
-                           "latency from; set the net config's default_latency_ms")
-        return self.net.default_latency_ms
 
 
 # ---------------------------------------------------------------------------

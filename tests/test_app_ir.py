@@ -13,9 +13,12 @@ from fetchahead.app_ir import (
     Ccfg,
     DefineDynamic,
     DefineStatic,
+    FetchFromProxy,
     NetCall,
     NetMethodDecl,
+    SendDefinition,
     Transition,
+    TriggerPrefetch,
     UrlPart,
     build_ecg,
     parse_app,
@@ -331,12 +334,39 @@ def _fetching_app(*stmts, latency_ms: int = 5,
     (App("a", callbacks=(Callback("c", ()),),
          ccfg=Ccfg(("w", "w"), (("c", "w"), ("w", "c")))),
      "^line 0: duplicate wait node 'w'$"),
+    (_fetching_app(FetchFromProxy("u", "nope")),
+     "^line 0: unresolved netmethod 'nope'$"),
+    (_fetching_app(FetchFromProxy("ghost", "get")),
+     "^line 0: unresolved url 'ghost'$"),
+    (_fetching_app(DefineStatic("v", "literal", "x"),
+                   SendDefinition("v", "ghost", 1)),
+     "^line 0: unresolved url 'ghost'$"),
+    (_fetching_app(DefineStatic("v", "literal", "x"),
+                   SendDefinition("v", "u", 2)),
+     "^line 0: url 'u' has no part 2$"),
+    (_fetching_app(SendDefinition("nov", "u", 1)),
+     "^line 0: unresolved variable 'nov'$"),
+    (_fetching_app(TriggerPrefetch(())),
+     "^line 0: trigger_prefetch needs at least one url$"),
 ], ids=["space-in-callback-name", "netmethod-named-let", "url-without-parts",
         "negative-latency", "setting-url-part", "input-static-source",
-        "duplicate-netmethod", "duplicate-wait-node"])
+        "duplicate-netmethod", "duplicate-wait-node",
+        "proxy-fetch-unknown-method", "proxy-fetch-unknown-url",
+        "send-definition-unknown-url", "send-definition-missing-part",
+        "send-definition-undefined-variable", "empty-trigger-prefetch"])
 def test_names_that_do_not_round_trip_are_rejected(app, message):
     with pytest.raises(ParseError, match=message):
         validate_app(app)
+
+
+def test_parse_reports_each_unresolved_proxy_fetch_at_its_line():
+    src = ('app p\nnetmethod get latency=5\ncallback c {\n'
+           '  url u = "http://x/"\n  fetch_from_proxy(nope, u)\n'
+           '  fetch_from_proxy(get, ghost)\n}\nccfg {\n}\n')
+    with pytest.raises(ParseError) as err:
+        parse_app(src)
+    assert err.value.diagnostics == [(5, "unresolved netmethod 'nope'"),
+                                     (6, "unresolved url 'ghost'")]
 
 
 def test_round_trip_instrumented(weather_pipeline):

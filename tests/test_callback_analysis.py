@@ -91,6 +91,20 @@ def test_heuristic_signature_max_declared_latency():
     assert heuristic_fetch_signature(app) == FetchSignature("read")
 
 
+def test_heuristic_signature_needs_a_net_method():
+    app = parse_app("app bare\ncallback c {\n}\nccfg {\n}\n")
+    with pytest.raises(AnalysisError, match="^app declares no net methods$"):
+        heuristic_fetch_signature(app)
+
+
+def test_profiling_rejects_an_instrumented_app(weather_pipeline,
+                                               weather_trace, weather_net):
+    with pytest.raises(AnalysisError,
+                       match="^profiling runs on the original app$"):
+        profile_fetch_signature(weather_pipeline.ia.app, weather_trace,
+                                weather_net)
+
+
 def test_weather_trigger_map(weather_pipeline):
     trigger_map = weather_pipeline.trigger_map
     assert trigger_map.entries == {

@@ -336,9 +336,6 @@ def test_pipeline_metrics_content(workdir):
 
 
 def test_hints_file_flows_through(workdir):
-    # the hint URL has no fetch statement, so its prefetch is charged the
-    # net model's default latency
-    (workdir / "net.json").write_text(json.dumps({"default_latency_ms": 800}))
     (workdir / "hints.json").write_text(json.dumps({
         "extra_static_urls": [
             {"url_id": "urlHome", "url": "http://weatherapi/home"}
@@ -349,7 +346,7 @@ def test_hints_file_flows_through(workdir):
     }))
     assert main([
         "pipeline", "weather.papp", "--trace", "trace.json",
-        "--net", "net.json", "--hints", "hints.json", "--outdir", "hinted",
+        "--hints", "hints.json", "--outdir", "hinted",
     ]) == 0
     optimized = (workdir / "hinted" / "optimized.papp").read_text()
     on_create = optimized.split("callback onCreate {")[1].split("}")[0]
@@ -360,7 +357,7 @@ def test_hints_file_flows_through(workdir):
     # the written hinted app parses and runs again (hint url has no URL spot)
     assert main([
         "run", "--app", "hinted/optimized.papp", "--trace", "trace.json",
-        "--net", "net.json", "--seed-urlmap", "hinted/urlmap.json",
+        "--seed-urlmap", "hinted/urlmap.json",
         "--hints", "hints.json", "--out", "hinted/rerun.json",
     ]) == 0
     rerun = json.loads((workdir / "hinted" / "rerun.json").read_text())
@@ -706,6 +703,17 @@ def test_failed_pipeline_writes_nothing(workdir, capsys):
     assert list((workdir / "out").iterdir()) == []
 
 
+def test_outdir_below_a_regular_file_exits_2(workdir, capsys):
+    (workdir / "plain").write_text("not a directory")
+    code = main(["pipeline", "weather.papp", "--trace", "trace.json",
+                 "--outdir", "plain/out"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: cannot create plain/out: " in err
+    assert "Traceback" not in err
+    assert (workdir / "plain").read_text() == "not a directory"
+
+
 def test_a_failed_write_leaves_the_files_before_it(workdir, capsys):
     """Every stage succeeds; the oracle's path is a directory, so the
     sixth of the seven writes fails."""
@@ -742,18 +750,29 @@ def _hint_for_url3(workdir, net: dict) -> int:
                  "--outdir", "out"])
 
 
-def test_hint_url_without_a_latency_is_error(workdir, capsys):
-    assert _hint_for_url3(workdir, {}) == 2
-    assert "urlHint" in capsys.readouterr().err
-    assert not (workdir / "out").exists()
+def _hint_prefetch_ms(workdir) -> int:
+    log = json.loads((workdir / "out" / "runlog_opt.json").read_text())
+    (hint,) = [e for e in log["events"]
+               if e["type"] == "prefetch" and e["url_id"] == "urlHint"]
+    return hint["ready_at"] - hint["issued_at"]
+
+
+def test_hint_url_without_a_net_config_costs_the_declared_latency(workdir):
+    """A hint prefetch costs what the proxy's own fetch costs: here
+    getInputStream's declared 800 ms."""
+    assert _hint_for_url3(workdir, {}) == 0
+    assert _hint_prefetch_ms(workdir) == 800
 
 
 def test_hint_url_is_charged_the_default_latency(workdir):
     assert _hint_for_url3(workdir, {"default_latency_ms": 500}) == 0
-    log = json.loads((workdir / "out" / "runlog_opt.json").read_text())
-    (hint,) = [e for e in log["events"]
-               if e["type"] == "prefetch" and e["url_id"] == "urlHint"]
-    assert hint["ready_at"] - hint["issued_at"] == 500
+    assert _hint_prefetch_ms(workdir) == 500
+
+
+def test_hint_url_is_charged_the_per_method_latency(workdir):
+    net = {"per_method": {"getInputStream": 300}}
+    assert _hint_for_url3(workdir, net) == 0
+    assert _hint_prefetch_ms(workdir) == 300
 
 
 def test_hint_url_colliding_with_an_analyzed_url_exits_2(workdir, capsys):

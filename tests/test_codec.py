@@ -205,7 +205,7 @@ def test_every_artifact_round_trips(seed):
         rewrite_rules=(RewriteRule(url_ids[0], 1, "http", "https"),),
     )
     net = NetModel(
-        default_latency_ms=rng.choice([0, 300]),  # prices the hint URL
+        default_latency_ms=rng.choice([0, 300]),
         per_method={"fetch": rng.randrange(1000)} if rng.random() < 0.5 else {},
         server={"http://hint/": "hinted payload"},
         threshold=rng.randint(1, 6),

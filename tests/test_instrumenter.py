@@ -317,6 +317,14 @@ def test_hint_unknown_url_rejected(weather_app, weather_pipeline):
         ))
 
 
+def test_hint_trigger_entry_needs_a_url(weather_app, weather_pipeline):
+    with pytest.raises(InstrumentError,
+                       match="^hint trigger entry has an empty url list$"):
+        _hinted(weather_app, weather_pipeline, Hints(
+            extra_trigger_entries=(TriggerHint("onCreate", ()),),
+        ))
+
+
 def test_hint_url_may_not_shadow_existing(weather_app, weather_pipeline):
     with pytest.raises(InstrumentError, match="already exists"):
         _hinted(weather_app, weather_pipeline, Hints(

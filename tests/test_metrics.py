@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -344,6 +345,22 @@ def test_oracle_matches_rebuilding_reference(seed):
         _assert_oracle_matches_reference(app, trace, net, hints)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([None, 0, 7, 5000]),
+       st.integers(0, 3000))
+def test_oracle_does_not_read_latencies(seed, default_latency_ms, fetch_ms):
+    """The oracle's proxy prices its prefetches as the run's does, but
+    what a trigger point may prefetch never depends on the price."""
+    trace, apps = _oracle_forms(seed)
+    for app, net, hints in apps:
+        net = net or NetModel()
+        repriced = dataclasses.replace(
+            net, default_latency_ms=default_latency_ms,
+            per_method={"fetch": fetch_ms})
+        assert (compute_oracle(app, trace, net, hints)
+                == compute_oracle(app, trace, repriced, hints))
+
+
 def _hub_app(screens):
     """home -> wait -> screen i -> wait i -> home. Screen i reads a page
     set at home and its own query, so home's trigger lists every screen's
@@ -419,6 +436,15 @@ def test_non_prefetchable_zero_reduction():
     m = compute_effectiveness(p.base, p.opt)
     assert m.latency_reduction_pct.per_request == (0.0,)
     assert m.hit_rate == 0.0
+
+
+def test_a_free_base_demand_has_no_reduction():
+    """A 0 ms base demand cannot be made faster; it counts as 0%."""
+    p = _case_pipeline(1, 0, 2000)
+    assert [d.response_time_ms for d in p.base.demands()] == [0]
+    m = compute_effectiveness(p.base, p.opt)
+    assert m.latency_reduction_pct.per_request == (0.0,)
+    assert m.latency_reduction_pct.mean == 0.0
 
 
 def test_mismatched_logs_rejected(weather_pipeline, weather_trace, weather_net):

@@ -58,15 +58,11 @@ def ref_url_spots(app):
     return spots
 
 
-def ref_fetch_method_for(app, url_id):
+def ref_proxy_method(app):
     for _, body in app.containers():
         for st in body:
-            if isinstance(st, FetchFromProxy) and st.url_id == url_id:
+            if isinstance(st, FetchFromProxy):
                 return st.original_method
-    for _, body in app.containers():
-        for st in body:
-            if isinstance(st, NetCall) and st.url_id == url_id:
-                return st.method
     return None
 
 
@@ -158,9 +154,7 @@ def _check(app):
         assert index.definitions.get(var, []) == ref_definitions_of(app, var)
     assert index.url_spots == ref_url_spots(app)
     assert list(index.url_spots) == list(ref_url_spots(app))
-    for url_id in list(ref_url_spots(app)) + ["no_such_url"]:
-        assert (index.fetch_methods.get(url_id)
-                == ref_fetch_method_for(app, url_id))
+    assert index.proxy_method == ref_proxy_method(app)
     names = [name for name, _ in app.containers()]
     for name in names + ["no_such_body"]:
         assert index.bodies.get(name) == ref_body_of(app, name)

@@ -6,7 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from appgen import make_app
-from fetchahead.app_ir import App, Call, Callback, HelperMethod, parse_app
+from fetchahead.app_ir import (
+    App,
+    BuildUrl,
+    Call,
+    Callback,
+    HelperMethod,
+    NetCall,
+    UrlPart,
+    parse_app,
+)
 from fetchahead.callback_analysis import FetchSignature
 from fetchahead.cli import run_pipeline
 from fetchahead.codec import encode
@@ -199,8 +208,9 @@ def _weather_proxy(weather_pipeline, hints=None) -> Proxy:
 
 def _proxy(runtime_map, latency_ms=100, threshold=5, server=None) -> Proxy:
     """A proxy over an app with no statements, seeded with `runtime_map`
-    (None for a part not known statically); every fetch costs
-    `latency_ms`."""
+    (None for a part not known statically); every origin fetch costs
+    `latency_ms`, and every prefetch 0 ms (the app has no
+    fetch_from_proxy)."""
     net = NetModel(default_latency_ms=latency_ms, server=server or {},
                    threshold=threshold)
     return Proxy(App("isolated"),
@@ -301,6 +311,48 @@ def test_stale_prefetch_misses_on_different_url():
     state.trigger_prefetch("c", ("u",), 0)
     demand = state.fetch_from_proxy("u", "http://x/v2", 50, "get")
     assert demand.served_from == "origin"
+
+
+def test_a_prefetch_costs_the_proxy_fetch_method(weather_pipeline):
+    for net, ms in ((NetModel(), 800),
+                    (NetModel(per_method={"getInputStream": 300}), 300),
+                    (NetModel(default_latency_ms=40), 40),
+                    (NetModel(per_method={"other": 5}), 800)):
+        proxy = Proxy(weather_pipeline.ia.app,
+                      weather_pipeline.url_map.runtime_seed(), net)
+        assert proxy.prefetch_ms == ms
+
+
+def test_without_fetch_from_proxy_a_prefetch_is_ready_when_issued():
+    """A hand-written instrumented app that prefetches but fetches only
+    directly: its demands never read the cache."""
+    app = parse_app("""
+app direct
+netmethod get latency=300
+callback c {
+  url u = "http://x/"
+  trigger_prefetch(u)
+  get(u)
+}
+ccfg {
+}
+""")
+    log = run_trace(app, Trace((TraceStep("c", 7, {}),)), NetModel(),
+                    analyze_urls(app))
+    (prefetch,) = log.prefetches()
+    assert prefetch.ready_at == prefetch.issued_at == 7
+    (demand,) = log.demands()
+    assert (demand.via, demand.response_time_ms) == ("direct", 300)
+
+
+def test_an_undeclared_net_method_has_no_latency():
+    """Only an app built in code can call a method it does not declare."""
+    app = App("a", callbacks=(Callback("c", (
+        BuildUrl("u", (UrlPart("literal", "http://x/"),)), NetCall("nope", "u"),
+    )),))
+    with pytest.raises(RunError,
+                       match="^no latency known for net method 'nope'$"):
+        run_trace(app, Trace((TraceStep("c"),)), NetModel())
 
 
 def test_per_method_latency_override():
@@ -504,7 +556,7 @@ def _clock_violations(log: RunLog) -> list[str]:
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10**9), st.sampled_from([0, 300, 1500]))
+@given(st.integers(0, 10**9), st.sampled_from([None, 0, 300, 1500]))
 def test_virtual_clock_never_runs_backwards(seed, default_latency_ms):
     """Both run logs of a random app, plain and with hints (a hint URL and
     an app URL at launch, every URL at the end of a random callback)."""

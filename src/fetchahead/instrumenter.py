@@ -21,7 +21,7 @@ transform values as they are sent to the proxy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Literal
 
@@ -104,11 +104,12 @@ class Hints:
 
 @dataclass(frozen=True)
 class InstrumentedApp:
-    """Rewritten app plus why each inserted statement is there, keyed by
-    (container, statement index)."""
+    """The rewritten app. It stays a wrapper, not the `App` itself, because
+    the benchmark's tracer (`perfbench/spans.py`) tells the optimized run
+    from the baseline run by its `app` attribute, and
+    `tests/test_bench_hooks.py` pins that."""
 
     app: App
-    provenance: dict[tuple[str, int], str] = field(default_factory=dict)
 
 
 def instrument(
@@ -120,8 +121,9 @@ def instrument(
     a url map, trigger map or hints that name what the app does not have.
 
     A launch entry's trigger_prefetch goes first in its callback, the
-    last entry first; an end entry's URLs join the callback's trailing
-    trigger_prefetch, which keeps the trigger point the final statement.
+    last entry first. A callback's trailing trigger_prefetch lists its
+    trigger map entry, then each end entry's URLs not listed yet, which
+    keeps the trigger point the final statement.
     """
     if app.is_instrumented:
         raise InstrumentError("app is already instrumented")
@@ -129,20 +131,23 @@ def instrument(
         raise InstrumentError(f"fetch signature '{sig.net_method}' is not a "
                               "declared net method")
     url_map.check(app, InstrumentError)
-    for trigger in trigger_map.entries:
+    for trigger, url_ids in trigger_map.entries.items():
         if trigger not in app.index.callback_order:
             raise InstrumentError(f"trigger map names unknown callback '{trigger}'")
+        if not url_ids:
+            raise InstrumentError(f"trigger map entry '{trigger}' has an "
+                                  "empty url list")
     hints = hints or Hints()
     hints.check(app, InstrumentError)
 
     # (container, stmt index) -> send_definition statements it must be
     # followed by; one definition may feed several (url, part) slots.
-    # Ordered by the app's URL program order, not the url map's dict
-    # order, so a JSON round trip of the map cannot change the output.
+    # The URLs are walked in the app's program order, not the url map's
+    # dict order, so a JSON round trip of the map cannot change the output.
     insertions: dict[tuple[str, int], list[SendDefinition]] = {}
     bodies = app.index.bodies
-    url_order = {uid: i for i, uid in enumerate(app.index.url_spots)}
-    for url_id, parts in url_map.entries.items():
+    for url_id in app.index.url_spots:
+        parts = url_map.entries[url_id]
         for state in parts:
             if not isinstance(state, Unknown):
                 continue
@@ -163,45 +168,30 @@ def instrument(
                 insertions.setdefault((spot.container, spot.stmt_index), []).append(
                     SendDefinition(st.var, url_id, spot.part_index)
                 )
-    for sends in insertions.values():
-        sends.sort(key=lambda sd: (url_order[sd.url_id], sd.part_index))
 
-    launches: dict[str, list[tuple[str, ...]]] = {}
-    ends: dict[str, list[tuple[str, ...]]] = {}
+    # callback -> its leading trigger_prefetch statements, and the URLs
+    # of its trailing one
+    launches: dict[str, list[TriggerPrefetch]] = {}
+    ends = {name: list(url_ids) for name, url_ids in trigger_map.entries.items()}
     for entry in hints.extra_trigger_entries:
-        (launches if entry.at == "launch" else ends).setdefault(
-            entry.callback, []).append(entry.url_ids)
-    provenance: dict[tuple[str, int], str] = {}
+        if entry.at == "launch":
+            launches.setdefault(entry.callback, []).insert(
+                0, TriggerPrefetch(entry.url_ids))
+        else:
+            tail = ends.setdefault(entry.callback, [])
+            for uid in entry.url_ids:
+                if uid not in tail:
+                    tail.append(uid)
 
     def rewrite_body(name, body):
-        out = []
-        for url_ids in reversed(launches.get(name, ())):
-            out.append(TriggerPrefetch(url_ids))
-            provenance[(name, len(out) - 1)] = "hint: prefetch at launch"
+        out = list(launches.get(name, ()))
         for idx, st in enumerate(body):
             if isinstance(st, NetCall) and st.method == sig.net_method:
-                out.append(FetchFromProxy(st.url_id, st.method))
-                provenance[(name, len(out) - 1)] = "fetch spot redirect"
-            else:
-                out.append(st)
-            for send in insertions.get((name, idx), ()):
-                out.append(send)
-                provenance[(name, len(out) - 1)] = (
-                    f"definition spot {send.url_id}[{send.part_index}]"
-                )
-        merged = ends.get(name, [])
-        if name in trigger_map.entries:
-            tail = list(trigger_map.entries[name])
-            why = "trigger point (hint merged)" if merged else "trigger point"
-        elif merged:
-            tail, merged = list(merged[0]), merged[1:]
-            why = "hint: trigger point"
-        else:
-            return tuple(out)
-        for url_ids in merged:
-            tail.extend(u for u in url_ids if u not in tail)
-        out.append(TriggerPrefetch(tuple(tail)))
-        provenance[(name, len(out) - 1)] = why
+                st = FetchFromProxy(st.url_id, st.method)
+            out.append(st)
+            out.extend(insertions.get((name, idx), ()))
+        if name in ends:
+            out.append(TriggerPrefetch(tuple(ends[name])))
         return tuple(out)
 
     callbacks = tuple(
@@ -210,9 +200,7 @@ def instrument(
     methods = tuple(
         HelperMethod(m.name, rewrite_body(m.name, m.body)) for m in app.methods
     )
-    return InstrumentedApp(
-        replace(app, callbacks=callbacks, methods=methods), provenance
-    )
+    return InstrumentedApp(replace(app, callbacks=callbacks, methods=methods))
 
 
 hints_from_json_obj = partial(decode, Hints, error=InstrumentError)

@@ -91,6 +91,12 @@ class NetModel:
         if self.threshold < 1:
             raise RunError(f"net config threshold must be >= 1, got "
                            f"{self.threshold}")
+        times = {"default_latency_ms": self.default_latency_ms or 0,
+                 **{f"per_method.{m}": ms for m, ms in self.per_method.items()},
+                 **{f"costs.{k}": ms for k, ms in vars(self.costs).items()}}
+        for name, ms in times.items():
+            if ms < 0:
+                raise RunError(f"net config {name} must be >= 0, got {ms}")
 
     def latency_for(self, method: str, declared: int | None) -> int:
         if method in self.per_method:
@@ -422,6 +428,9 @@ class Walk:
     def run_step(self, k: int, step: TraceStep) -> None:
         """Validate trace step `k` and run its callback."""
         event, index = step.event, self.app.index
+        if step.think_ms < 0:
+            raise RunError(f"invalid trace step {k}: think_ms "
+                           f"{step.think_ms} is negative")
         if event not in index.callback_order:
             raise RunError(f"invalid trace step {k}: unknown callback "
                            f"'{event}'")

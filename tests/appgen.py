@@ -28,6 +28,7 @@ from fetchahead.app_ir import (
     UrlPart,
     validate_app,
 )
+from fetchahead.instrumenter import Hints, StaticUrlHint, TriggerHint
 from fetchahead.runtime import NetModel, Trace, TraceStep
 
 
@@ -117,6 +118,23 @@ def make_app(rng: random.Random) -> tuple[App, Trace, NetModel]:
 
     trace = _make_trace(rng, app, bodies, latency)
     return app, trace, NetModel()
+
+
+def random_hints(rng: random.Random, app: App) -> Hints:
+    """A hint URL, "hinted"; a launch entry on cb0 with it and an app URL;
+    an end entry on a random callback with every app URL; then up to three
+    entries on random callbacks, at launch or at the end, each drawing
+    app and hint URLs with repeats."""
+    url_ids = tuple(app.index.url_spots)
+    entries = [
+        TriggerHint("cb0", ("hinted", rng.choice(url_ids)), at="launch"),
+        TriggerHint(rng.choice(app.callback_names), url_ids),
+    ]
+    for _ in range(rng.randint(0, 3)):
+        drawn = rng.choices(url_ids + ("hinted",), k=rng.randint(1, 4))
+        entries.append(TriggerHint(rng.choice(app.callback_names),
+                                   tuple(drawn), rng.choice(("launch", "end"))))
+    return Hints(tuple(entries), (StaticUrlHint("hinted", "http://hint/"),))
 
 
 def _step_end(bodies: dict[str, list], event: str) -> str:

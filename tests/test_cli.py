@@ -474,6 +474,21 @@ def test_malformed_net_is_run_error(workdir, capsys, net, message):
     assert not (workdir / "out").exists()
 
 
+def test_trigger_map_with_an_empty_entry_is_error(workdir, capsys):
+    # the written app would hold trigger_prefetch(), which `run --app`
+    # cannot read back
+    _run_pipeline_by_hand(workdir)
+    (workdir / "triggermap.json").write_text(
+        json.dumps({"onCreate": [], "onItemSelected": ["url1"]}))
+    capsys.readouterr()
+    code = main(["instrument", "weather.papp", "--urlmap", "urlmap.json",
+                 "--triggermap", "triggermap.json", "-o", "again.papp"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: trigger map entry 'onCreate' has an empty url list\n")
+    assert not (workdir / "again.papp").exists()
+
+
 def _url2_spot_stmt_as_string(url_map):
     spot = dict(url_map["url2"][2]["spots"][0], stmt="0")
     return {**url_map, "url2": [*url_map["url2"][:2], {"spots": [spot]}]}

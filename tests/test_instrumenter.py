@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from appgen import make_app
+from appgen import make_app, random_hints
 from fetchahead.app_ir import (
     BuildUrl,
     DefineDynamic,
@@ -173,6 +175,15 @@ def test_trigger_map_with_unknown_callback_rejected(weather_app, weather_pipelin
         instrument(weather_app, p.url_map, TriggerMap({"ghost": ("url1",)}), p.sig)
 
 
+def test_trigger_map_entry_needs_a_url(weather_app, weather_pipeline):
+    # an empty entry would write trigger_prefetch(), which the parser rejects
+    p = weather_pipeline
+    trigger_map = TriggerMap({"onCreate": (), "onItemSelected": ("url1",)})
+    with pytest.raises(InstrumentError, match="^trigger map entry 'onCreate' "
+                                              "has an empty url list$"):
+        instrument(weather_app, p.url_map, trigger_map, p.sig)
+
+
 @pytest.mark.parametrize("container, stmt", [
     ("ghost", 0), ("onItemSelected", 99), ("onItemSelected", -1),
 ])
@@ -217,11 +228,18 @@ def test_url_map_that_leaves_out_a_url_rejected(weather_app, weather_pipeline):
         instrument(weather_app, UrlMap(entries), p.trigger_map, p.sig)
 
 
-def test_provenance_records_insertions(weather_pipeline):
-    ia = weather_pipeline.ia
-    assert ia.provenance[("onCreate", 1)] == "trigger point"
-    assert ia.provenance[("onItemSelected", 1)].startswith("definition spot")
-    assert ia.provenance[("onClick", 5)] == "fetch spot redirect"
+def test_inserted_statements_say_why_they_are_there(weather_pipeline):
+    """Each inserted statement names what it serves: the trigger point
+    the trigger map's URLs, a send_definition the definition spot's
+    (url, part), a redirect the fetch it replaced."""
+    p = weather_pipeline
+    bodies = p.ia.app.index.bodies
+    assert bodies["onCreate"][1] == TriggerPrefetch(p.trigger_map.entries["onCreate"])
+    spot = p.url_map.entries["url2"][2].spots[0]
+    assert (spot.container, spot.stmt_index) == ("onItemSelected", 0)
+    assert bodies["onItemSelected"][1] == SendDefinition("cityName", "url2",
+                                                         spot.part_index)
+    assert bodies["onClick"][5] == FetchFromProxy("url1", "getInputStream")
 
 
 def _hinted(weather_app, p, hints):
@@ -236,9 +254,9 @@ def test_launch_hint_inserts_at_position_zero(weather_app, weather_pipeline):
     hinted = _hinted(weather_app, weather_pipeline, hints)
     on_create = hinted.app.index.bodies["onCreate"]
     assert on_create[0] == TriggerPrefetch(("urlHome",))
-    assert hinted.provenance[("onCreate", 0)] == "hint: prefetch at launch"
     # the statements of the unhinted rewrite follow, one further down
-    assert hinted.provenance[("onCreate", 2)] == "trigger point"
+    assert on_create[1:] == weather_pipeline.ia.app.index.bodies["onCreate"]
+    assert on_create[2] == TriggerPrefetch(("url1", "url2", "url3"))
 
 
 def test_end_hint_merges_into_trailing_trigger(weather_app, weather_pipeline):
@@ -248,15 +266,16 @@ def test_end_hint_merges_into_trailing_trigger(weather_app, weather_pipeline):
     )
     hinted = _hinted(weather_app, weather_pipeline, hints)
     body = hinted.app.index.bodies["onItemSelected"]
+    # the trigger map's URLs first, then the hint's new one
     assert body[-1] == TriggerPrefetch(("url1", "url2", "url3", "urlHome"))
     assert sum(isinstance(st, TriggerPrefetch) for st in body) == 1
-    assert (hinted.provenance[("onItemSelected", len(body) - 1)]
-            == "trigger point (hint merged)")
+    assert body[:-1] == weather_pipeline.ia.app.index.bodies["onItemSelected"][:-1]
 
 
 def test_hints_on_a_callback_that_is_no_trigger():
     # launch entries go first, the last one first; the end entries share
-    # one trailing trigger_prefetch, duplicates dropped after the first
+    # one trailing trigger_prefetch, each URL listed once, also when the
+    # first end entry repeats it
     app = parse_app("""
 app h
 netmethod fetch latency=100
@@ -275,7 +294,7 @@ ccfg {
     hints = Hints(
         extra_trigger_entries=(
             TriggerHint("b", ("x",), at="launch"),
-            TriggerHint("b", ("u", "x")),
+            TriggerHint("b", ("u", "x", "u")),
             TriggerHint("b", ("y",), at="launch"),
             TriggerHint("b", ("x", "y", "y")),
         ),
@@ -291,16 +310,14 @@ ccfg {
         FetchFromProxy("u", "fetch"),
         TriggerPrefetch(("u", "x", "y")),
     )
-    assert [why for (c, _), why in sorted(ia.provenance.items()) if c == "b"] == [
-        "hint: prefetch at launch", "hint: prefetch at launch",
-        "fetch spot redirect", "hint: trigger point",
-    ]
+    # the trigger map's callback keeps its own trigger point
+    assert ia.app.index.bodies["a"] == (TriggerPrefetch(("u",)),)
 
 
 def test_empty_hints_identity(weather_app, weather_pipeline):
     ia = weather_pipeline.ia
     hinted = _hinted(weather_app, weather_pipeline, Hints())
-    assert (hinted.app, hinted.provenance) == (ia.app, ia.provenance)
+    assert hinted.app == ia.app
 
 
 def test_hint_unknown_callback_rejected(weather_app, weather_pipeline):
@@ -359,3 +376,37 @@ def test_behavioral_transparency_on_random_apps():
                [(d.url_id, d.url) for d in opt.demands()]
         # compute_effectiveness accepts them (would raise otherwise)
         compute_effectiveness(base, opt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_trigger_points_of_random_hints(seed):
+    """Each callback starts with one trigger_prefetch per launch entry,
+    the last entry first. When it has a trailing one, that lists the
+    trigger map's URLs, then each end entry's URLs not listed yet. The
+    statements between are those of the unhinted rewrite."""
+    rng = random.Random(seed)
+    app, _, _ = make_app(rng)
+    hints = random_hints(rng, app)
+    url_ids = list(app.index.url_spots)
+    trigger_map = TriggerMap({
+        name: tuple(rng.choices(url_ids, k=rng.randint(1, 3)))
+        for name in app.callback_names if rng.random() < 0.5
+    })
+    url_map, sig = analyze_urls(app), FetchSignature("fetch")
+    bodies = instrument(app, url_map, trigger_map, sig, hints).app.index.bodies
+    plain = instrument(app, url_map, TriggerMap({}), sig).app.index.bodies
+    for name in app.callback_names:
+        body = bodies[name]
+        entries = [e for e in hints.extra_trigger_entries if e.callback == name]
+        launches = [TriggerPrefetch(e.url_ids) for e in reversed(entries)
+                    if e.at == "launch"]
+        assert list(body[:len(launches)]) == launches
+        tail = list(trigger_map.entries.get(name, ()))
+        for uid in (u for e in entries if e.at == "end" for u in e.url_ids):
+            if uid not in tail:
+                tail.append(uid)
+        if tail:
+            assert body[-1] == TriggerPrefetch(tuple(tail))
+            body = body[:-1]
+        assert body[len(launches):] == plain[name]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from appgen import make_app
+from appgen import make_app, random_hints
 from fetchahead.app_ir import (
     App,
     BuildUrl,
@@ -17,12 +17,14 @@ from fetchahead.app_ir import (
     parse_app,
 )
 from fetchahead.callback_analysis import FetchSignature
-from fetchahead.cli import run_pipeline
+from fetchahead.cli import run_benchmark, run_pipeline
 from fetchahead.codec import encode
 from fetchahead.errors import RunError
-from fetchahead.instrumenter import Hints, RewriteRule, StaticUrlHint, TriggerHint
+from fetchahead.instrumenter import Hints, RewriteRule
 from fetchahead.mbm import generate_case
+from fetchahead.metrics import compute_oracle
 from fetchahead.runtime import (
+    Costs,
     Demand,
     DefinitionUpdate,
     NetModel,
@@ -442,6 +444,31 @@ def test_net_config_validation():
     assert net_model_from_json_obj(net_model_to_json_obj(net)) == net
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"default_latency_ms": -700}, "default_latency_ms"),
+    ({"per_method": {"fetch": 5, "get": -700}}, "per_method.get"),
+    ({"costs": Costs(trigger_prefetch_ms=-700)}, "costs.trigger_prefetch_ms"),
+], ids=["default", "per-method", "cost"])
+def test_negative_net_times_rejected_in_code(kwargs, name):
+    # the codec rejects these in a net config file; code that builds the
+    # model directly would otherwise get a demand that ends before it starts
+    with pytest.raises(RunError, match=rf"^net config {name} must be >= 0, "
+                                       rf"got -700$"):
+        NetModel(**kwargs)
+
+
+def test_negative_think_time_rejected_by_the_run_and_the_oracle():
+    # case 0 reaches its second step at -4000 ms otherwise
+    app, trace, net, _ = generate_case(0, 1000, -5000)
+    message = r"^invalid trace step 1: think_ms -5000 is negative$"
+    with pytest.raises(RunError, match=message):
+        run_trace(app, trace, net)
+    with pytest.raises(RunError, match=message):
+        compute_oracle(app, trace, net)
+    with pytest.raises(RunError, match=message):
+        run_benchmark(1000, -5000)
+
+
 def test_rewrite_rule_turns_non_hit_into_hit():
     """Thumbnail-to-full-image trick: the early definition spot only knows
     the small name; a rewrite rule makes its send warm the large URL that
@@ -558,18 +585,12 @@ def _clock_violations(log: RunLog) -> list[str]:
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**9), st.sampled_from([None, 0, 300, 1500]))
 def test_virtual_clock_never_runs_backwards(seed, default_latency_ms):
-    """Both run logs of a random app, plain and with hints (a hint URL and
-    an app URL at launch, every URL at the end of a random callback)."""
+    """Both run logs of a random app, plain and with random hints (a hint
+    URL and an app URL at launch, every URL at the end of a random
+    callback, and more entries at random)."""
     rng = random.Random(seed)
     app, trace, net = make_app(rng)
-    url_ids = tuple(app.index.url_spots)
-    hints = Hints(
-        extra_trigger_entries=(
-            TriggerHint("cb0", ("hinted", rng.choice(url_ids)), at="launch"),
-            TriggerHint(rng.choice(app.callback_names), url_ids),
-        ),
-        extra_static_urls=(StaticUrlHint("hinted", "http://hint/"),),
-    )
+    hints = random_hints(rng, app)
     sig = FetchSignature("fetch")
     hinted_net = NetModel(default_latency_ms=default_latency_ms)
     for p in (run_pipeline(app, trace, net, sig=sig),

@@ -35,9 +35,9 @@ no escapes.
 
 Every `App` carries a `ProgramIndex` (`App.index`): the lookup tables that
 analysis, instrumentation and the runtime consult (definitions by
-variable, URL spot and fetch method by url id, body by name, whether the
-app is instrumented, callback declaration order, the CCFG's roots and
-wait-node predecessors), built on first use and cached on the instance.
+variable, URL spot by url id, body by name, the proxy's fetch method,
+whether the app is instrumented, callback declaration order, the CCFG's
+roots and wait-node predecessors), built on first use and cached.
 The index needs no invalidation: an `App` is frozen and its bodies are
 tuples of frozen statements, so the program it indexes cannot change, and
 every rewrite (`dataclasses.replace`) makes a new `App` with a fresh

@@ -28,8 +28,6 @@ from typing import Literal
 from .app_ir import (
     App,
     Callback,
-    DefineDynamic,
-    DefineStatic,
     FetchFromProxy,
     HelperMethod,
     NetCall,
@@ -75,9 +73,8 @@ class Hints:
 
     def check(self, app: App, error: type[Exception]) -> None:
         """Raise `error` unless every name the hints use is one the app
-        has: a hint URL id may be neither a URL the app builds nor given
-        twice, a rewrite rule names a part of such a URL, and a trigger
-        entry names a callback and at least one app or hint URL."""
+        has: a hint URL id is new and given once, a rewrite rule names a part
+        of an app URL, and a trigger entry passes `_check_trigger_entry`."""
         url_spots = app.index.url_spots
         extra_urls = set()
         for extra in self.extra_static_urls:
@@ -93,13 +90,23 @@ class Hints:
                 raise error(f"rewrite rule names missing part "
                             f"{rule.url_id}[{rule.part_index}]")
         for entry in self.extra_trigger_entries:
-            if entry.callback not in app.index.callback_order:
-                raise error(f"hint names unknown callback '{entry.callback}'")
-            if not entry.url_ids:
-                raise error("hint trigger entry has an empty url list")
-            for uid in entry.url_ids:
-                if uid not in url_spots and uid not in extra_urls:
-                    raise error(f"hint names unknown url '{uid}'")
+            _check_trigger_entry(app, self, entry.callback, entry.url_ids,
+                                 "hint", "hint trigger entry", error)
+
+
+def _check_trigger_entry(app: App, hints: Hints, callback: str,
+                         url_ids: tuple[str, ...], source: str, entry: str,
+                         error: type[Exception]) -> None:
+    """The one rule for trigger map and hint trigger entries: a known callback,
+    at least one URL, each built by the app or a hint URL."""
+    if callback not in app.index.callback_order:
+        raise error(f"{source} names unknown callback '{callback}'")
+    if not url_ids:
+        raise error(f"{entry} has an empty url list")
+    for uid in url_ids:
+        if uid not in app.index.url_spots and uid not in {
+                extra.url_id for extra in hints.extra_static_urls}:
+            raise error(f"{source} names unknown url '{uid}'")
 
 
 @dataclass(frozen=True)
@@ -131,43 +138,39 @@ def instrument(
         raise InstrumentError(f"fetch signature '{sig.net_method}' is not a "
                               "declared net method")
     url_map.check(app, InstrumentError)
-    for trigger, url_ids in trigger_map.entries.items():
-        if trigger not in app.index.callback_order:
-            raise InstrumentError(f"trigger map names unknown callback '{trigger}'")
-        if not url_ids:
-            raise InstrumentError(f"trigger map entry '{trigger}' has an "
-                                  "empty url list")
     hints = hints or Hints()
+    for callback, url_ids in trigger_map.entries.items():
+        _check_trigger_entry(app, hints, callback, url_ids, "trigger map",
+                             f"trigger map entry '{callback}'", InstrumentError)
     hints.check(app, InstrumentError)
 
-    # (container, stmt index) -> send_definition statements it must be
-    # followed by; one definition may feed several (url, part) slots.
-    # The URLs are walked in the app's program order, not the url map's
-    # dict order, so a JSON round trip of the map cannot change the output.
+    # (container, stmt index) -> the send_definition statements after it,
+    # one per (url, part) it feeds. The app's URL spots, walked in program
+    # order so a JSON round trip of the map cannot change the output, give
+    # each its var part; the url map only picks definitions of its variable.
+    defined = {(c, i, "var", var) for var, defs in app.index.definitions.items()
+               for c, i, _ in defs}
     insertions: dict[tuple[str, int], list[SendDefinition]] = {}
-    bodies = app.index.bodies
-    for url_id in app.index.url_spots:
-        parts = url_map.entries[url_id]
-        for state in parts:
+    for url_id, (_, _, build) in app.index.url_spots.items():
+        for m, (part, state) in enumerate(
+                zip(build.parts, url_map.entries[url_id]), start=1):
             if not isinstance(state, Unknown):
                 continue
             for spot in state.spots:
-                if not 1 <= spot.part_index <= len(parts):
-                    raise InstrumentError(
-                        f"definition spot {spot.container}[{spot.stmt_index}] "
-                        f"names missing part {url_id}[{spot.part_index}]"
-                    )
-                body = bodies.get(spot.container, ())
-                st = (body[spot.stmt_index]
-                      if 0 <= spot.stmt_index < len(body) else None)
-                if not isinstance(st, (DefineStatic, DefineDynamic)):
-                    raise InstrumentError(
-                        f"definition spot {spot.container}[{spot.stmt_index}] "
-                        f"is not a definition"
-                    )
-                insertions.setdefault((spot.container, spot.stmt_index), []).append(
-                    SendDefinition(st.var, url_id, spot.part_index)
-                )
+                at = (spot.container, spot.stmt_index)
+                if spot.part_index == m and (*at, part.kind, part.value) in defined:
+                    insertions.setdefault(at, []).append(
+                        SendDefinition(part.value, url_id, m))
+                    continue
+                where = f"definition spot {spot.container}[{spot.stmt_index}]"
+                if not 1 <= spot.part_index <= len(build.parts):
+                    raise InstrumentError(f"{where} names missing part "
+                                          f"{url_id}[{spot.part_index}]")
+                if spot.part_index != m:
+                    raise InstrumentError(f"{where} names part {spot.part_index}"
+                                          f" but is listed under {url_id}[{m}]")
+                raise InstrumentError(f"{where} is not a definition of "
+                                      f"{url_id}[{m}] ({part.kind} {part.value})")
 
     # callback -> its leading trigger_prefetch statements, and the URLs
     # of its trailing one
@@ -179,9 +182,7 @@ def instrument(
                 0, TriggerPrefetch(entry.url_ids))
         else:
             tail = ends.setdefault(entry.callback, [])
-            for uid in entry.url_ids:
-                if uid not in tail:
-                    tail.append(uid)
+            tail += [uid for uid in dict.fromkeys(entry.url_ids) if uid not in tail]
 
     def rewrite_body(name, body):
         out = list(launches.get(name, ()))
@@ -194,12 +195,10 @@ def instrument(
             out.append(TriggerPrefetch(tuple(ends[name])))
         return tuple(out)
 
-    callbacks = tuple(
-        Callback(c.name, rewrite_body(c.name, c.body)) for c in app.callbacks
-    )
-    methods = tuple(
-        HelperMethod(m.name, rewrite_body(m.name, m.body)) for m in app.methods
-    )
+    callbacks = tuple(Callback(c.name, rewrite_body(c.name, c.body))
+                      for c in app.callbacks)
+    methods = tuple(HelperMethod(m.name, rewrite_body(m.name, m.body))
+                    for m in app.methods)
     return InstrumentedApp(replace(app, callbacks=callbacks, methods=methods))
 
 

@@ -570,6 +570,58 @@ def test_url_map_spot_part_outside_the_url_is_error(workdir, capsys, m):
     assert not (workdir / "again.papp").exists()
 
 
+def _url2_spot_naming_part_2(url_map):
+    url_map["url2"][2]["spots"][0]["m"] = 2
+
+
+def _url2_spot_under_its_resource_part(url_map):
+    spot = dict(url_map["url2"][2]["spots"][0], m=1)
+    url_map["url2"][0] = {"spots": [spot]}
+
+
+def _url2_spot_at_the_city_id(url_map):
+    url_map["url2"][2]["spots"][0]["container"] = "onClick"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_url2_spot_naming_part_2,
+     "definition spot onItemSelected[0] names part 2 but is listed under url2[3]"),
+    (_url2_spot_under_its_resource_part,
+     "definition spot onItemSelected[0] is not a definition of url2[1] "
+     "(resource domain)"),
+    (_url2_spot_at_the_city_id,
+     "definition spot onClick[0] is not a definition of url2[3] (var cityName)"),
+], ids=["m-of-another-part", "under-a-resource-part", "another-variable"])
+def test_url_map_spot_that_does_not_define_its_part_is_error(workdir, capsys,
+                                                            edit, message):
+    # each map would write a send_definition that makes the proxy prefetch
+    # a URL the app never demands: url2 with its literal part overwritten,
+    # with "Gothenburg" as its host, or with the city id as the city name
+    _run_pipeline_by_hand(workdir)
+    url_map = json.loads((workdir / "urlmap.json").read_text())
+    edit(url_map)
+    (workdir / "urlmap.json").write_text(json.dumps(url_map))
+    capsys.readouterr()
+    code = main(["instrument", "weather.papp", "--urlmap", "urlmap.json",
+                 "--triggermap", "triggermap.json", "-o", "again.papp"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workdir / "again.papp").exists()
+
+
+def test_trigger_map_with_an_unknown_url_is_error(workdir, capsys):
+    _run_pipeline_by_hand(workdir)
+    (workdir / "triggermap.json").write_text(
+        json.dumps({"onCreate": ["ghost"], "onItemSelected": ["url1"]}))
+    capsys.readouterr()
+    code = main(["instrument", "weather.papp", "--urlmap", "urlmap.json",
+                 "--triggermap", "triggermap.json", "-o", "again.papp"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: trigger map names unknown url 'ghost'\n")
+    assert not (workdir / "again.papp").exists()
+
+
 def _extra_part_on_url1(url_map):
     url_map["url1"].append({"concrete": "EXTRA"})
 

@@ -1,4 +1,7 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +17,14 @@ from fetchahead.app_ir import (
     SendDefinition,
     Transition,
     TriggerPrefetch,
+    build_ecg,
     parse_app,
 )
-from fetchahead.callback_analysis import FetchSignature, TriggerMap
+from fetchahead.callback_analysis import (
+    FetchSignature,
+    TriggerMap,
+    identify_trigger_callbacks,
+)
 from fetchahead.codec import encode
 from fetchahead.cli import run_pipeline
 from fetchahead.errors import InstrumentError
@@ -29,6 +37,7 @@ from fetchahead.instrumenter import (
     instrument,
 )
 from fetchahead.metrics import compute_effectiveness
+from fetchahead.runtime import run_trace
 from fetchahead.string_analysis import Concrete, DefinitionSpot, Unknown, UrlMap, analyze_urls
 
 
@@ -184,6 +193,40 @@ def test_trigger_map_entry_needs_a_url(weather_app, weather_pipeline):
         instrument(weather_app, p.url_map, trigger_map, p.sig)
 
 
+def test_trigger_map_with_unknown_url_rejected(weather_app, weather_pipeline):
+    # without the check the app would hold trigger_prefetch(ghost)
+    p = weather_pipeline
+    trigger_map = TriggerMap({**p.trigger_map.entries, "onCreate": ("ghost",)})
+    with pytest.raises(InstrumentError,
+                       match="^trigger map names unknown url 'ghost'$"):
+        instrument(weather_app, p.url_map, trigger_map, p.sig)
+
+
+def test_trigger_entries_may_name_a_hint_url_and_repeat_one(
+        weather_app, weather_pipeline, weather_trace, weather_net):
+    """A trigger map entry follows the hint entries' rule: it may name a
+    hint URL. Both kinds may repeat a URL; the proxy skips the repeat as
+    already cached."""
+    p = weather_pipeline
+    hints = Hints(
+        extra_trigger_entries=(
+            TriggerHint("onItemSelected", ("url1", "url1"), "launch"),),
+        extra_static_urls=(StaticUrlHint("urlHome", "http://weatherapi/home"),),
+    )
+    trigger_map = TriggerMap({**p.trigger_map.entries,
+                              "onCreate": ("urlHome", "url1", "url1")})
+    ia = instrument(weather_app, p.url_map, trigger_map, p.sig, hints)
+    bodies = ia.app.index.bodies
+    assert bodies["onCreate"][-1] == TriggerPrefetch(("urlHome", "url1", "url1"))
+    assert bodies["onItemSelected"][0] == TriggerPrefetch(("url1", "url1"))
+    log = run_trace(ia, weather_trace, weather_net, seed_url_map=p.url_map,
+                    hints=hints)
+    on_create = log.trigger_evals()[0]
+    assert on_create.callback == "onCreate"
+    assert on_create.issued == ("urlHome", "url1")
+    assert on_create.skipped_known_cached == ("url1",)
+
+
 @pytest.mark.parametrize("container, stmt", [
     ("ghost", 0), ("onItemSelected", 99), ("onItemSelected", -1),
 ])
@@ -211,6 +254,74 @@ def test_url_map_spot_part_outside_the_url_rejected(weather_app, weather_pipelin
                                DefinitionSpot("onItemSelected", 0, m, 1))
     with pytest.raises(InstrumentError, match=rf"missing part url2\[{m}\]"):
         instrument(weather_app, url_map, p.trigger_map, p.sig)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_url_map_spot_that_names_another_part_rejected(weather_app,
+                                                       weather_pipeline, m):
+    # without the check the rewritten app holds send_definition(cityName,
+    # url2, m), which overwrites a resource or literal part at run time
+    p = weather_pipeline
+    url_map = _with_url2_part3(p.url_map,
+                               DefinitionSpot("onItemSelected", 0, m, 1))
+    with pytest.raises(InstrumentError,
+                       match=rf"^definition spot onItemSelected\[0\] names "
+                             rf"part {m} but is listed under url2\[3\]$"):
+        instrument(weather_app, url_map, p.trigger_map, p.sig)
+
+
+@pytest.mark.parametrize("m, read", [(1, "resource domain"),
+                                     (2, "literal weather?&cityName=")])
+def test_url_map_spot_under_a_part_without_a_variable_rejected(
+        weather_app, weather_pipeline, m, read):
+    # url2[1] is resource(domain) and url2[2] a literal; no definition
+    # feeds them, so a send there would replace the host or the path
+    p = weather_pipeline
+    parts = list(p.url_map.entries["url2"])
+    parts[m - 1] = Unknown((DefinitionSpot("onItemSelected", 0, m, 1),))
+    url_map = UrlMap({**p.url_map.entries, "url2": tuple(parts)})
+    with pytest.raises(InstrumentError) as raised:
+        instrument(weather_app, url_map, p.trigger_map, p.sig)
+    assert str(raised.value) == (f"definition spot onItemSelected[0] is not a "
+                                 f"definition of url2[{m}] ({read})")
+
+
+def test_url_map_spot_at_another_variables_definition_rejected(
+        weather_app, weather_pipeline):
+    # onClick[0] is `let cityId`; without the check the proxy would take
+    # the city id for url2's city name
+    p = weather_pipeline
+    url_map = _with_url2_part3(p.url_map, DefinitionSpot("onClick", 0, 3, 1))
+    with pytest.raises(InstrumentError,
+                       match=r"^definition spot onClick\[0\] is not a "
+                             r"definition of url2\[3\] \(var cityName\)$"):
+        instrument(weather_app, url_map, p.trigger_map, p.sig)
+
+
+def test_url_map_with_only_some_spots_accepted():
+    # a map may follow fewer definitions than the analysis lists
+    app = parse_app("""
+app subset
+netmethod get latency=5
+callback a {
+  let v = input(x)
+}
+callback b {
+  let v = input(y)
+  url u = "http://h/" + v
+  get(u)
+}
+ccfg {
+}
+""")
+    full = analyze_urls(app)
+    spots = full.entries["u"][1].spots
+    assert len(spots) == 2
+    url_map = UrlMap({"u": (Concrete("http://h/"), Unknown(spots[1:]))})
+    sig = FetchSignature("get")
+    bodies = instrument(app, url_map, TriggerMap({}), sig).app.index.bodies
+    assert bodies["a"] == app.index.bodies["a"]
+    assert bodies["b"][1] == SendDefinition("v", "u", 2)
 
 
 def _with_url2_part3(url_map, spot):
@@ -410,3 +521,143 @@ def test_trigger_points_of_random_hints(seed):
             assert body[-1] == TriggerPrefetch(tuple(tail))
             body = body[:-1]
         assert body[len(launches):] == plain[name]
+
+
+# The changes a hand edit of a url map can make; each seed applies one.
+URL_MAP_EDITS = ("move", "renumber", "other variable", "no variable", "subset")
+
+
+def _edited_url_map(rng, app, url_map, edit):
+    """`url_map` with one definition spot moved to another part,
+    renumbered, pointed at a statement that defines another variable or
+    listed under a URL's first part, a literal (the edit made when the map
+    lists no spot), or with spots dropped. A spot's `n` is read by no
+    stage, so every new spot has n = 1."""
+    entries = {u: list(parts) for u, parts in url_map.entries.items()}
+    listed = [(u, m, spot) for u, parts in entries.items()
+              for m, state in enumerate(parts, start=1)
+              if isinstance(state, Unknown) for spot in state.spots]
+
+    def put(u, m, spot):
+        state = entries[u][m - 1]
+        spots = state.spots if isinstance(state, Unknown) else ()
+        entries[u][m - 1] = Unknown((*spots, spot))
+
+    def take(u, m, spot):
+        entries[u][m - 1] = Unknown(tuple(
+            s for s in entries[u][m - 1].spots if s != spot))
+
+    if edit == "subset":
+        for u, parts in entries.items():
+            for m, state in enumerate(parts, start=1):
+                if isinstance(state, Unknown):
+                    parts[m - 1] = Unknown(tuple(rng.sample(
+                        state.spots, rng.randint(0, len(state.spots)))))
+    elif edit == "no variable" or not listed:
+        u = rng.choice(list(entries))
+        definitions = [(c, i) for defs in app.index.definitions.values()
+                       for c, i, _ in defs]
+        put(u, 1, DefinitionSpot(*rng.choice(definitions), 1, 1))
+    else:
+        u, m, spot = rng.choice(listed)
+        take(u, m, spot)
+        if edit == "move":
+            u, m = rng.choice([(u2, m2) for u2, parts in entries.items()
+                               for m2 in range(1, len(parts) + 1)
+                               if (u2, m2) != (u, m)])
+            spot = DefinitionSpot(spot.container, spot.stmt_index, m, 1)
+        elif edit == "renumber":
+            others = [k for k in range(len(entries[u]) + 2) if k != m]
+            spot = DefinitionSpot(spot.container, spot.stmt_index,
+                                  rng.choice(others), 1)
+        else:
+            # another variable's definition, else the URL's own spot
+            var = app.index.url_spots[u][2].parts[m - 1].value
+            others = [(c, i) for v, defs in app.index.definitions.items()
+                      if v != var for c, i, _ in defs]
+            spot = DefinitionSpot(*rng.choice(others or [app.index.url_spots[u][:2]]),
+                                  m, 1)
+        put(u, m, spot)
+    return UrlMap({u: tuple(parts) for u, parts in entries.items()})
+
+
+def _sends_and_what_they_follow(body):
+    last = None
+    for st in body:
+        if isinstance(st, SendDefinition):
+            yield st, last
+        else:
+            last = st
+
+
+def test_every_send_follows_a_definition_of_its_parts_variable():
+    """Whatever a url map says, `instrument` either rejects it or writes
+    each send_definition(v, u, m) right after a definition of v (other
+    sends may stand between), where v is the variable that part m of u
+    reads. A map that only drops spots is accepted."""
+    outcomes = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        app, _, _ = make_app(rng)
+        edit = URL_MAP_EDITS[seed % len(URL_MAP_EDITS)]
+        url_map = _edited_url_map(rng, app, analyze_urls(app), edit)
+        try:
+            ia = instrument(app, url_map, TriggerMap({}), FetchSignature("fetch"))
+        except InstrumentError:
+            assert edit != "subset", seed
+            outcomes.add("rejected")
+            continue
+        outcomes.add("accepted")
+        for _, body in ia.app.containers():
+            for send, before in _sends_and_what_they_follow(body):
+                part = app.index.url_spots[send.url_id][2].parts[send.part_index - 1]
+                assert (part.kind, part.value) == ("var", send.var), seed
+                assert isinstance(before, (DefineStatic, DefineDynamic)), seed
+                assert before.var == send.var, seed
+    assert outcomes == {"accepted", "rejected"}
+
+
+def _bytecodes(fn, *args):
+    """The bytecodes that `fn(*args)` runs: exact, and the same on every
+    run and every machine with the same Python."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            count += 1
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def test_instrument_cost_is_linear_in_app_size(monkeypatch):
+    """`instrument`'s bytecodes on `perfbench/gen.py`'s `large_app` with
+    25, 50 and 100 callbacks, the variables scaled with them (175 per 400
+    callbacks, as in the benchmark). Each doubling measured x1.95 and
+    x2.09 on Python 3.11: fixed costs keep a small app under x2, and the
+    generator's random placement moves a ratio by a few percent. For a
+    cost a*n + b*n*n the ratio is 2 + 2q, where q is the quadratic share
+    at the smaller size, so the bound x2.5 fails once a quadratic pass is
+    a quarter of the work, while leaving the measured spread a margin."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).resolve().parent.parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # for its dataclasses
+    spec.loader.exec_module(gen)
+    sig = FetchSignature("fetch")
+    counts = []
+    for callbacks in (25, 50, 100):
+        app = gen.large_app(1, callbacks=callbacks,
+                            variables=callbacks * 175 // 400)[0].app
+        trigger_map = identify_trigger_callbacks(app, build_ecg(app), sig)
+        counts.append(_bytecodes(instrument, app, analyze_urls(app),
+                                 trigger_map, sig))
+    ratios = [b / a for a, b in zip(counts, counts[1:])]
+    assert all(r <= 2.5 for r in ratios), (counts, ratios)

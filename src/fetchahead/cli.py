@@ -9,6 +9,16 @@ editing the files between stages.
 It calls every stage through the names imported here: the traced
 benchmark wraps those.
 
+`main` parses and runs each command with the cyclic garbage collector
+paused, and puts back the caller's setting afterwards, on every exit and
+on an uncaught exception: a caller that had it off keeps it off.
+Everything a command builds is freed by reference counting, so the
+collector finds nothing to free; yet a `long_session` pipeline allocates
+enough to start it over 200 times, for 55-80 ms, and a `large_app`
+pipeline about 120 times. The only cycles a process makes here are the
+argparse formatter objects of the parser's first build, which runs
+before the pause.
+
 Exit codes: 0 success, 1 usage error, 2 analysis/run error.
 """
 
@@ -16,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -426,12 +437,10 @@ def _build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    try:
         return args.fn(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
@@ -441,6 +450,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BrokenPipeError:  # pragma: no cover
         return 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -109,6 +109,20 @@ def _check_trigger_entry(app: App, hints: Hints, callback: str,
             raise error(f"{source} names unknown url '{uid}'")
 
 
+def check_trigger_points(app: App, hints: Hints | None,
+                         error: type[Exception]) -> None:
+    """Raise `error` unless every trigger_prefetch statement in `app`
+    passes `_check_trigger_entry` with its container as the callback: the
+    rule for what `instrument` writes, kept by a hand-written app too."""
+    hints = hints or Hints()
+    for name, body in app.containers():
+        for st in body:
+            if isinstance(st, TriggerPrefetch):
+                where = f"trigger_prefetch in '{name}'"
+                _check_trigger_entry(app, hints, name, st.url_ids, where,
+                                     where, error)
+
+
 @dataclass(frozen=True)
 class InstrumentedApp:
     """The rewritten app. It stays a wrapper, not the `App` itself, because

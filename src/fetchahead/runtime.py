@@ -41,7 +41,7 @@ from .errors import RunError
 from .string_analysis import UrlMap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from .instrumenter import Hints, InstrumentedApp, RewriteRule
+    from .instrumenter import Hints, InstrumentedApp
 
 _MAX_CALL_DEPTH = 64
 
@@ -290,6 +290,12 @@ class Proxy:
     oracle's (`metrics.Replay`) hears every definition, so which URLs a
     trigger point prefetches is decided here for both.
 
+    The hints' rewrite rules are kept by the part they name. A value sent
+    for a part without a rule, the common case, is written as sent, with
+    no scan of the rules; a part's rules apply in the hints' order. Only
+    `send_definition` rewrites: `set_part` writes what it is given, so the
+    oracle, which calls it directly, sees the URLs the app builds.
+
     A cache entry `(ready_at, payload)` is waiting until `ready_at` and
     ready afterwards. An origin fetch costs its method's latency under
     `NetModel.latency_for`. A prefetch is the proxy's own fetch issued
@@ -307,11 +313,15 @@ class Proxy:
         self.prefetch_ms = (0 if method is None else
                             net.latency_for(method, self.declared.get(method)))
         self.runtime_url_map = seed
-        self.rewrite_rules: tuple["RewriteRule", ...] = ()
+        # (url id, m) -> the (find, replace) of each rewrite rule on that
+        # part, in the hints' order
+        self.rules: dict[tuple[str, int], list[tuple[str, str]]] = {}
         if hints is not None:
             for extra in hints.extra_static_urls:
                 self.runtime_url_map[extra.url_id] = [extra.url]
-            self.rewrite_rules = tuple(hints.rewrite_rules)
+            for rule in hints.rewrite_rules:
+                self.rules.setdefault((rule.url_id, rule.part_index), []).append(
+                    (rule.find, rule.replace))
         self.known = {url_id: "".join(parts)
                       for url_id, parts in self.runtime_url_map.items()
                       if None not in parts}
@@ -324,9 +334,9 @@ class Proxy:
         parts = self.runtime_url_map.get(url_id)
         if parts is None or not 1 <= m <= len(parts):
             raise RunError(f"unknown url part {url_id}[{m}]")
-        for rule in self.rewrite_rules:
-            if rule.url_id == url_id and rule.part_index == m:
-                value = value.replace(rule.find, rule.replace)
+        if self.rules:
+            for find, replace in self.rules.get((url_id, m), ()):
+                value = value.replace(find, replace)
         self.set_part(url_id, m, value)
         return DefinitionUpdate(url_id, m, value, now)
 
@@ -515,16 +525,14 @@ class _Session(Walk):
     def __init__(self, app: App, net: NetModel, proxy: Proxy | None):
         super().__init__(app)
         self.net = net
+        self.costs = net.costs
         self.proxy = proxy
         self.declared = {m.name: m.latency_ms for m in app.netlib}
         self.clock = 0
         self.events: list[Event] = []
+        # each call's cost is charged only when it is not 0, the default
         self.overhead = {"send_definition": 0, "trigger_prefetch": 0,
                          "fetch_from_proxy": 0}
-
-    def _charge(self, call: str, ms: int) -> None:
-        self.overhead[call] += ms
-        self.clock += ms
 
     def define(self, container: str, stmt_index: int, var: str,
                value: str) -> None:
@@ -541,19 +549,28 @@ class _Session(Walk):
     def send_definition(self, st: SendDefinition, value: str) -> None:
         self.events.append(self.proxy.send_definition(
             st.url_id, st.part_index, value, self.clock))
-        self._charge("send_definition", self.net.costs.send_definition_ms)
+        ms = self.costs.send_definition_ms
+        if ms:
+            self.overhead["send_definition"] += ms
+            self.clock += ms
 
     def trigger_prefetch(self, container: str, st: TriggerPrefetch) -> None:
         self.events += self.proxy.trigger_prefetch(container, st.url_ids,
                                                    self.clock)
-        self._charge("trigger_prefetch", self.net.costs.trigger_prefetch_ms)
+        ms = self.costs.trigger_prefetch_ms
+        if ms:
+            self.overhead["trigger_prefetch"] += ms
+            self.clock += ms
 
     def fetch_from_proxy(self, st: FetchFromProxy, url: str) -> None:
         demand = self.proxy.fetch_from_proxy(st.url_id, url, self.clock,
                                              st.original_method)
         self.events.append(demand)
         self.clock = demand.at + demand.response_time_ms
-        self._charge("fetch_from_proxy", self.net.costs.fetch_from_proxy_ms)
+        ms = self.costs.fetch_from_proxy_ms
+        if ms:
+            self.overhead["fetch_from_proxy"] += ms
+            self.clock += ms
 
 
 def run_trace(
@@ -568,11 +585,15 @@ def run_trace(
     net = net or NetModel()
     proxy: Proxy | None = None
     if app.is_instrumented:
+        # imported here: the instrumenter imports this module
+        from .instrumenter import check_trigger_points
+
         if seed_url_map is None:
             raise RunError("an instrumented app requires a seed url map")
         seed_url_map.check(app, RunError)
         if hints is not None:
             hints.check(app, RunError)
+        check_trigger_points(app, hints, RunError)
         proxy = Proxy(app, seed_url_map.runtime_seed(), net, hints)
     elif seed_url_map is not None or hints is not None:
         raise RunError("a seed url map or hints need an instrumented app")

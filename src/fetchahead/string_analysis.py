@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Union
 
-from .app_ir import App, BuildUrl, DefineDynamic
+from .app_ir import App, BuildUrl, DefineDynamic, UrlPart
 from .codec import decode, encode, inline, renamed
 from .errors import AnalysisError
 
@@ -65,15 +65,25 @@ class UrlMap:
 
     def check(self, app: App, error: type[Exception]) -> None:
         """Raise `error` unless the map gives every URL the app builds, and
-        no other, the app's number of parts."""
+        no other, the app's number of parts, and each part it calls
+        concrete the app's own value (`static_part_value`)."""
         url_spots = app.index.url_spots
         for url_id, parts in self.entries.items():
             if url_id not in url_spots:
                 raise error(f"url map names unknown url '{url_id}'")
-            arity = len(url_spots[url_id][2].parts)
-            if len(parts) != arity:
+            spot_parts = url_spots[url_id][2].parts
+            if len(parts) != len(spot_parts):
                 raise error(f"url map gives url '{url_id}' {len(parts)} "
-                            f"parts, but the app builds it from {arity}")
+                            f"parts, but the app builds it from "
+                            f"{len(spot_parts)}")
+            for m, (state, part) in enumerate(zip(parts, spot_parts), start=1):
+                if isinstance(state, Concrete):
+                    own = static_part_value(app, part)
+                    if state.value != own:
+                        raise error(
+                            f"url map gives part {url_id}[{m}] the concrete "
+                            f"value {state.value!r}, but the app's is "
+                            + ("not static" if own is None else repr(own)))
         for url_id in url_spots:
             if url_id not in self.entries:
                 raise error(f"url map leaves out url '{url_id}'")
@@ -104,6 +114,14 @@ def static_value_of(app: App, var: str) -> str | None:
     return values.pop() if len(values) == 1 else None
 
 
+def static_part_value(app: App, part: UrlPart) -> str | None:
+    """The value of a literal or resource part, or `static_value_of` a
+    variable part."""
+    if part.kind == "var":
+        return static_value_of(app, part.value)
+    return app.static_value(part.kind, part.value)
+
+
 def analyze_urls(app: App) -> UrlMap:
     """Compute the URL map for every URL spot in the app."""
     entries: dict[str, tuple[UrlPartState, ...]] = {}
@@ -115,20 +133,17 @@ def analyze_urls(app: App) -> UrlMap:
 def _analyze_parts(app: App, spot: BuildUrl) -> tuple[UrlPartState, ...]:
     states: list[UrlPartState] = []
     for m, part in enumerate(spot.parts, start=1):
-        if part.kind != "var":
-            states.append(Concrete(app.static_value(part.kind, part.value)))
+        value = static_part_value(app, part)
+        if value is not None:
+            states.append(Concrete(value))
         else:
-            value = static_value_of(app, part.value)
-            if value is not None:
-                states.append(Concrete(value))
-            else:
-                spots = tuple(
-                    DefinitionSpot(container, idx, m, ordinal)
-                    for ordinal, (container, idx, _) in enumerate(
-                        app.index.definitions[part.value], start=1
-                    )
+            spots = tuple(
+                DefinitionSpot(container, idx, m, ordinal)
+                for ordinal, (container, idx, _) in enumerate(
+                    app.index.definitions[part.value], start=1
                 )
-                states.append(Unknown(spots))
+            )
+            states.append(Unknown(spots))
     return tuple(states)
 
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -8,7 +9,10 @@ from pathlib import Path
 import pytest
 
 import fetchahead
-from fetchahead.cli import _build_parser, _write_text, main
+from fetchahead import cli
+from fetchahead.cli import (
+    UsageError, _build_parser, _write_text, main, run_pipeline,
+)
 from fetchahead.errors import FetchaheadError
 from fetchahead.runtime import trace_to_json_obj
 
@@ -670,6 +674,54 @@ def test_seed_url_map_with_an_unknown_url_is_error(workdir, capsys):
     assert not (workdir / "again.json").exists()
 
 
+@pytest.mark.parametrize("url_id, m, value, own", [
+    ("url2", 3, "Stockholm", "not static"),
+    ("url1", 1, "http://elsewhere/", "'http://weatherapi/'"),
+], ids=["variable-part", "resource-part"])
+@pytest.mark.parametrize("command", ["instrument", "run"])
+def test_url_map_with_a_concrete_part_not_the_apps_is_error(
+        workdir, capsys, command, url_id, m, value, own):
+    # the proxy would prefetch a URL built with the map's value, which
+    # the app never builds, and the app's demand would go to the origin
+    _run_pipeline_by_hand(workdir)
+    url_map = json.loads((workdir / "urlmap.json").read_text())
+    url_map[url_id][m - 1] = {"concrete": value}
+    (workdir / "bad_urlmap.json").write_text(json.dumps(url_map))
+    capsys.readouterr()
+    if command == "instrument":
+        code = main(["instrument", "weather.papp", "--urlmap", "bad_urlmap.json",
+                     "--triggermap", "triggermap.json", "-o", "again.papp"])
+    else:
+        code = main(["run", "--app", "optimized.papp", "--trace", "trace.json",
+                     "--seed-urlmap", "bad_urlmap.json", "--out", "again.json"])
+    assert code == 2
+    assert (f"url map gives part {url_id}[{m}] the concrete value {value!r}, "
+            f"but the app's is {own}") in capsys.readouterr().err
+    assert not (workdir / "again.papp").exists()
+    assert not (workdir / "again.json").exists()
+
+
+def test_run_rejects_a_trigger_url_that_neither_app_nor_hints_have(workdir,
+                                                                   capsys):
+    # the proxy would log 'ghost' under skipped_unknown and carry on
+    _run_pipeline_by_hand(workdir)
+    text = (workdir / "optimized.papp").read_text()
+    # onCreate's trigger point comes first
+    (workdir / "ghost.papp").write_text(text.replace(
+        "trigger_prefetch(url1, url2, url3)", "trigger_prefetch(ghost, url1)", 1))
+    argv = ["run", "--app", "ghost.papp", "--trace", "trace.json",
+            "--seed-urlmap", "urlmap.json", "--out", "ghost.json"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert ("trigger_prefetch in 'onCreate' names unknown url 'ghost'"
+            in capsys.readouterr().err)
+    assert not (workdir / "ghost.json").exists()
+    # a hint URL of that id is one the proxy knows
+    (workdir / "hints.json").write_text(json.dumps({"extra_static_urls": [
+        {"url_id": "ghost", "url": "http://weatherapi/ghost"}]}))
+    assert main(argv + ["--hints", "hints.json"]) == 0
+
+
 @pytest.mark.parametrize("command", ["instrument", "run"])
 def test_url_map_that_leaves_out_a_url_is_error(workdir, capsys, command):
     # without url1's entry the proxy never knows url1, so its prefetch at
@@ -854,3 +906,71 @@ def test_hint_url_colliding_with_an_analyzed_url_exits_2(workdir, capsys):
                  "--seed-urlmap", "urlmap.json", "--hints", "hints.json"])
     assert code == 2
     assert "hint url 'url1' already exists in the app" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("outcome, code", [
+    (None, 0), (UsageError("no"), 1), (FetchaheadError("no"), 2),
+    (RuntimeError("no"), None),
+], ids=["exit-0", "exit-1", "exit-2", "uncaught"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_main_pauses_the_collector_and_restores_it(workdir, monkeypatch,
+                                                   outcome, code, enabled):
+    seen = []
+
+    def stage(*args):
+        seen.append(gc.isenabled())
+        if outcome is not None:
+            raise outcome
+        return run_pipeline(*args)
+
+    monkeypatch.setattr(cli, "run_pipeline", stage)
+    argv = ["pipeline", "weather.papp", "--trace", "trace.json",
+            "--outdir", "out"]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if code is None:
+            with pytest.raises(RuntimeError):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert (seen, gc.isenabled()) == ([False], enabled)
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["pipeline", "weather.papp", "--trace", "trace.json", "--outdir", "out"], 0),
+    (["bench"], 0),
+    (["pipeline", "weather.papp", "--trace", "negative.json",
+      "--outdir", "out"], 2),
+], ids=["weather-pipeline", "bench", "exit-2-pipeline"])
+def test_a_command_starts_no_collection_and_leaves_no_cycles(workdir, capsys,
+                                                             argv, code):
+    """No collection starts during a command, even at the lowest
+    allocation threshold, and pausing the collector frees nothing less:
+    whatever a command builds, reference counting frees. The warm-up call
+    builds the parser, whose argparse formatters are the process's one
+    cyclic garbage."""
+    trace = [dict(step) for step in WEATHER_TRACE]
+    trace[1]["think_ms"] = -1
+    (workdir / "negative.json").write_text(json.dumps(trace))
+    assert main(["bench", "--latency-ms", "0"]) == 1
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.collect()
+    threshold = gc.get_threshold()
+    gc.set_threshold(1)
+    gc.callbacks.append(count)
+    try:
+        assert main(argv) == code
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+    assert collections == []
+    assert gc.collect() == 0

@@ -1,13 +1,11 @@
-import importlib.util
 import random
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from appgen import make_app, random_hints
+from costs import bytecodes, perfbench_gen
 from fetchahead.app_ir import (
     BuildUrl,
     DefineDynamic,
@@ -617,26 +615,6 @@ def test_every_send_follows_a_definition_of_its_parts_variable():
     assert outcomes == {"accepted", "rejected"}
 
 
-def _bytecodes(fn, *args):
-    """The bytecodes that `fn(*args)` runs: exact, and the same on every
-    run and every machine with the same Python."""
-    count = 0
-
-    def tracer(frame, event, arg):
-        nonlocal count
-        frame.f_trace_opcodes = True
-        if event == "opcode":
-            count += 1
-        return tracer
-
-    sys.settrace(tracer)
-    try:
-        fn(*args)
-    finally:
-        sys.settrace(None)
-    return count
-
-
 def test_instrument_cost_is_linear_in_app_size(monkeypatch):
     """`instrument`'s bytecodes on `perfbench/gen.py`'s `large_app` with
     25, 50 and 100 callbacks, the variables scaled with them (175 per 400
@@ -646,18 +624,14 @@ def test_instrument_cost_is_linear_in_app_size(monkeypatch):
     cost a*n + b*n*n the ratio is 2 + 2q, where q is the quadratic share
     at the smaller size, so the bound x2.5 fails once a quadratic pass is
     a quarter of the work, while leaving the measured spread a margin."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", Path(__file__).resolve().parent.parent / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, gen)  # for its dataclasses
-    spec.loader.exec_module(gen)
+    gen = perfbench_gen(monkeypatch)
     sig = FetchSignature("fetch")
     counts = []
     for callbacks in (25, 50, 100):
         app = gen.large_app(1, callbacks=callbacks,
                             variables=callbacks * 175 // 400)[0].app
         trigger_map = identify_trigger_callbacks(app, build_ecg(app), sig)
-        counts.append(_bytecodes(instrument, app, analyze_urls(app),
-                                 trigger_map, sig))
+        counts.append(bytecodes(instrument, app, analyze_urls(app),
+                                trigger_map, sig))
     ratios = [b / a for a, b in zip(counts, counts[1:])]
     assert all(r <= 2.5 for r in ratios), (counts, ratios)

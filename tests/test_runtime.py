@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from appgen import make_app, random_hints
+from costs import bytecodes, perfbench_gen
 from fetchahead.app_ir import (
     App,
     BuildUrl,
@@ -658,3 +659,28 @@ def test_known_urls_follow_every_send_definition(runtime_map, data):
             if all(p is not None for p in parts)
         }
         assert state.known == expected
+
+
+def test_run_and_oracle_cost_is_linear_in_trace_length(monkeypatch):
+    """The bytecodes of the optimized run and of the oracle on
+    `perfbench/gen.py`'s `long_session` with 250, 500 and 1,000 steps.
+    The app stays the same, so only the one-off set-up (the proxy, the
+    checks of the url map and the hints) keeps a ratio under x2: each
+    doubling measured x1.97 and x1.99 for the run, x1.98 and x1.99 for the
+    oracle, on Python 3.11. The counts are the same for every seed. For a
+    cost a*n + b*n*n the ratio is 2 + 2q, where q is the quadratic share
+    at the smaller size, so the bound x2.2 fails once a pass quadratic in
+    the trace is a tenth of the work, such as a scan of the run log or of
+    the cache on every step."""
+    gen = perfbench_gen(monkeypatch)
+    net = NetModel()
+    counts = {"run": [], "oracle": []}
+    for steps in (250, 500, 1000):
+        case = gen.long_session(1, steps=steps)[0]
+        p = run_pipeline(case.app, case.trace, net)
+        counts["run"].append(bytecodes(run_trace, p.ia, case.trace, net,
+                                       p.url_map))
+        counts["oracle"].append(bytecodes(compute_oracle, p.ia, case.trace,
+                                          net))
+    for stage, (a, b, c) in counts.items():
+        assert b / a <= 2.2 and c / b <= 2.2, (stage, a, b, c)

@@ -1,0 +1,141 @@
+"""Count the bytecodes of each pipeline stage on one benchmark workload.
+
+    python3 tools/stage_bytecodes.py WORKLOAD [--seed N] [--src DIR]
+
+The inputs are the workload's apps and traces for seed N (default 1),
+written by `perfbench/gen.py` (imported, not changed). Each one runs
+through `fetchahead.cli.main(["pipeline", ...])` under `sys.settrace`
+with opcode events, and each bytecode counts against the innermost stage
+running at the time. The stages are the traced benchmark's spans
+(`perfbench/spans.py`): the same `fetchahead.cli` names, wrapped under
+the same span names, so a stage's count lines up with the per-layer
+metric of that name. What `main` runs outside them counts as `cli.main`
+(the metric `cli.self_s`). The `bench` run that opens each benchmark
+repetition is left out.
+
+Counts are exact: the same on every run with the same Python, whatever
+the host's load. So they show a change's effect, or that it has none,
+before its timed pairs are run; they are not times. Counting makes a
+pipeline 10-20x slower. `--src` is the `src/` directory of the
+`fetchahead` to count, by default this tree's; pointing it at another
+tree's gives the before and after of a change.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (attribute of `fetchahead.cli`, span name) for every stage a pipeline
+# reaches; None names the run by its argument, as the benchmark does
+STAGES = (
+    ("parse_app", "app_ir.parse"),
+    ("print_app", "app_ir.print"),
+    ("build_ecg", "app_ir.build_ecg"),
+    ("analyze_urls", "string_analysis.analyze"),
+    ("url_map_to_json_obj", "string_analysis.codec"),
+    ("identify_trigger_callbacks", "callback_analysis.triggers"),
+    ("trigger_map_to_json_obj", "callback_analysis.codec"),
+    ("instrument", "instrumenter.instrument"),
+    ("run_trace", None),
+    ("trace_from_json_obj", "runtime.codec"),
+    ("net_model_from_json_obj", "runtime.codec"),
+    ("compute_oracle", "metrics.oracle"),
+    ("compute_effectiveness", "metrics.effectiveness"),
+    ("compute_accuracy", "metrics.accuracy"),
+)
+
+
+def count_pipelines(cli, argvs: list[list[str]]) -> tuple[Counter, list[int]]:
+    """Bytecodes per stage over `cli.main(argv)` for each argv, and the
+    exit codes."""
+    counts: Counter = Counter()
+    stack = ["cli.main"]
+
+    def wrap(span, fn):
+        def counted(*args, **kwargs):
+            # the optimized run gets the InstrumentedApp wrapper
+            stack.append(span or ("runtime.run_opt" if hasattr(args[0], "app")
+                                  else "runtime.run_base"))
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+        return counted
+
+    skip = wrap(None, None).__code__  # the wrappers' own bytecodes
+
+    def tracer(frame, event, arg):
+        if frame.f_code is skip:
+            return None
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            counts[stack[-1]] += 1
+        return tracer
+
+    run_log = sys.modules["fetchahead.runtime"].RunLog
+    owners = [(cli, attr, span) for attr, span in STAGES]
+    owners.append((run_log, "canonical_json", "runtime.codec"))
+    saved = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in owners]
+    codes = []
+    try:
+        for owner, attr, span in owners:
+            setattr(owner, attr, wrap(span, getattr(owner, attr)))
+        for argv in argvs:
+            sys.settrace(tracer)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    codes.append(cli.main(argv))
+            finally:
+                sys.settrace(None)
+    finally:
+        for owner, attr, original in saved:
+            setattr(owner, attr, original)
+    return counts, codes
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workload",
+                        choices=("large_app", "long_session", "corpus"))
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    args = parser.parse_args(argv)
+    sys.path[:0] = [str(args.src), str(ROOT / "perfbench")]
+    import gen
+    from fetchahead import cli
+
+    if args.src.resolve() not in Path(cli.__file__).resolve().parents:
+        raise ImportError(f"fetchahead imported from {cli.__file__}, "
+                          f"not from {args.src}")
+    with tempfile.TemporaryDirectory(prefix="stage_bytecodes-") as tmp:
+        work = Path(tmp)
+        written = gen.write_cases(gen.GENERATORS[args.workload](args.seed),
+                                  work / "inputs")
+        argvs = [["pipeline", str(w.papp), "--trace", str(w.trace),
+                  "--outdir", str(work / "out" / w.name)] for w in written]
+        counts, codes = count_pipelines(cli, argvs)
+    total = sum(counts.values())
+    print(f"{args.workload}, seed {args.seed}: {len(written)} pipelines, "
+          f"fetchahead from {Path(cli.__file__).parent}")
+    for span, n in counts.most_common():
+        print(f"  {span:<28} {n:>14,} {100 * n / total:6.2f}%")
+    print(f"  {'total':<28} {total:>14,}")
+    wrong = [(w, code) for w, code in zip(written, codes)
+             if code != w.expect_exit]
+    for w, code in wrong:
+        print(f"{w.name}: exit {code}, expected {w.expect_exit}",
+              file=sys.stderr)
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

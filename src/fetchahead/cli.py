@@ -25,6 +25,7 @@ Exit codes: 0 success, 1 usage error, 2 analysis/run error.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import gc
 import json
@@ -32,6 +33,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .app_ir import App, build_ecg, parse_app, print_app
 from .callback_analysis import (
@@ -162,27 +164,55 @@ def _load(path: str | None, decode, as_json: bool = True):
         raise
 
 
-def _write_text(path: str, text: str) -> None:
-    """Overwrite `path` in place, then cut it to length. Truncating on
+def _write_text(path: str,
+                text: str | Callable[[Callable[[str], None]], object]) -> None:
+    """Write `text` to `path`: a string, or a producer such as
+    `RunLog.canonical_json` that hands its pieces to the sink it is
+    called with. Each piece is encoded and written on its own, so the
+    encoded artifact never exists whole; a string is one piece.
+
+    The file is overwritten in place, then cut to length. Truncating on
     open makes ext4 free the old blocks and start writeback on close: on a
     2-vCPU VM a pipeline's seven writes took 1.2-2.1 ms that way, varying
-    with the disk's load, and a steady 0.3 ms in place. A failed write
-    empties the file, as truncating on open did."""
-    data = memoryview(text.encode("utf-8"))
+    with the disk's load, and a steady 0.3 ms in place. A failed write,
+    or a producer that raises, empties the file, as truncating on open
+    did; the producer's exception propagates."""
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
-            rest = data
-            while rest:
-                rest = rest[os.write(fd, rest):]
-            os.ftruncate(fd, len(data))
-        except OSError:
-            os.ftruncate(fd, 0)
+            size = 0
+
+            def put(piece: str) -> None:
+                nonlocal size
+                rest = memoryview(piece.encode("utf-8"))
+                size += len(rest)
+                while rest:
+                    rest = rest[os.write(fd, rest):]
+
+            if isinstance(text, str):
+                put(text)
+            else:
+                text(put)
+            _cut(fd, size)
+        except BaseException:
+            _cut(fd, 0)
             raise
         finally:
             os.close(fd)
     except OSError as e:
         raise FetchaheadError(f"cannot write {path}: {e.strerror or e}") from e
+
+
+def _cut(fd: int, size: int) -> None:
+    """Cut the file to `size` bytes. `ftruncate` fails with EINVAL on
+    what is not a regular file, such as /dev/null or a pipe, which has no
+    length to cut; an `fstat` to tell them apart would cost every write
+    a system call."""
+    try:
+        os.ftruncate(fd, size)
+    except OSError as e:
+        if e.errno != errno.EINVAL:
+            raise
 
 
 def _write_json(path: str, obj) -> None:
@@ -260,7 +290,7 @@ def _cmd_run(args) -> int:
     if args.oracle_out and not app.is_instrumented:
         raise FetchaheadError("--oracle-out requires an instrumented app")
     log = run_trace(app, trace, net, seed_url_map=seed, hints=hints)
-    _write_text(args.out, log.canonical_json())
+    _write_text(args.out, log.canonical_json)
     if args.oracle_out:
         _write_json(args.oracle_out, encode(compute_oracle(app, trace, net, hints)))
     if args.json:
@@ -342,8 +372,8 @@ def _cmd_pipeline(args) -> int:
     _write_json(str(outdir / "urlmap.json"), url_map_to_json_obj(p.url_map))
     _write_json(str(outdir / "triggermap.json"), trigger_map_to_json_obj(p.trigger_map))
     _write_text(str(outdir / "optimized.papp"), print_app(p.ia.app))
-    _write_text(str(outdir / "runlog_base.json"), p.base.canonical_json())
-    _write_text(str(outdir / "runlog_opt.json"), p.opt.canonical_json())
+    _write_text(str(outdir / "runlog_base.json"), p.base.canonical_json)
+    _write_text(str(outdir / "runlog_opt.json"), p.opt.canonical_json)
     _write_json(str(outdir / "oracle.json"), encode(p.oracle))
     # same shape the report subcommand writes, so the two paths are
     # byte-identical

@@ -198,24 +198,47 @@ class RunLog:
     def total_overhead_ms(self) -> int:
         return sum(self.overhead_ms.values())
 
-    def canonical_json(self) -> str:
+    def canonical_json(self, sink: Callable[[str], object] | None = None
+                       ) -> str | None:
         """`json.dumps(encode(self), sort_keys=True, indent=2)` plus
         a newline, byte for byte, written from one template per event
-        type without building the JSON form."""
-        events = ",\n".join([_EVENT_JSON[type(ev)](ev) for ev in self.events])
+        type without building the JSON form.
+
+        The text is made in pieces of at most `_BATCH` events, the first
+        piece holding the head and the last the tail, so a log of up to
+        `_BATCH` events is one piece. With a `sink`, each piece is handed
+        to it in order and None is returned: the whole text never exists
+        at once. Without one, the text is returned, joined once."""
+        pieces: list[str] = []
+        put = pieces.append if sink is None else sink
         overhead = ",\n".join([
             f"    {_quote(call)}: {ms}"
             for call, ms in sorted(self.overhead_ms.items())
         ])
-        events = "[\n" + events + "\n  ]" if events else "[]"
         overhead = "{\n" + overhead + "\n  }" if overhead else "{}"
-        return (
-            f'{{\n  "app": {_quote(self.app)},\n'
-            f'  "events": {events},\n'
-            f'  "final_ms": {self.final_ms},\n'
+        tail = (
+            f'],\n  "final_ms": {self.final_ms},\n'
             f'  "instrumented": {"true" if self.instrumented else "false"},\n'
             f'  "overhead_ms": {overhead}\n}}\n'
         )
+        events = self.events
+        piece = f'{{\n  "app": {_quote(self.app)},\n  "events": ['
+        if events:
+            piece += "\n"
+            for start in range(0, len(events), _BATCH):
+                if start:
+                    put(piece)
+                    piece = ",\n"
+                piece += ",\n".join([_EVENT_JSON[type(ev)](ev)
+                                     for ev in events[start:start + _BATCH]])
+            piece += "\n  "
+        put(piece + tail)
+        return "".join(pieces) if sink is None else None
+
+
+# events per piece of `RunLog.canonical_json`: about 450 KB of text on
+# `long_session`, where the whole optimized log is 17.8 MB
+_BATCH = 2_000
 
 
 # canonical_json's event writers: keys in sorted order, two-space indent,

@@ -4,17 +4,18 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import fetchahead
-from fetchahead import cli
+from fetchahead import cli, runtime
 from fetchahead.cli import (
     UsageError, _build_parser, _write_text, main, run_pipeline,
 )
 from fetchahead.errors import FetchaheadError
-from fetchahead.runtime import trace_to_json_obj
+from fetchahead.runtime import DefinitionUpdate, RunLog, trace_to_json_obj
 
 WEATHER_TRACE = [
     {"event": "onCreate", "think_ms": 0, "inputs": {}},
@@ -278,6 +279,78 @@ def test_a_rewritten_artifact_is_cut_to_length(tmp_path, monkeypatch):
         _write_text(path, "longer than before\n")
     monkeypatch.undo()
     assert Path(path).read_bytes() == b""
+
+
+def test_run_writes_its_log_to_dev_null_and_to_a_pipe(workdir):
+    """What is not a regular file has no length to cut."""
+    run = ["run", "--app", "weather.papp", "--trace", "trace.json", "--out"]
+    assert main(run + ["runlog.json"]) == 0
+    assert main(run + ["/dev/null"]) == 0
+    r, w = os.pipe()
+    try:
+        assert main(run + [f"/dev/fd/{w}"]) == 0
+    finally:
+        os.close(w)
+    with os.fdopen(r, "rb") as pipe:
+        assert pipe.read() == (workdir / "runlog.json").read_bytes()
+
+
+def test_a_write_that_fails_on_the_second_piece_empties_the_file(
+        workdir, capsys, monkeypatch):
+    monkeypatch.setattr(runtime, "_BATCH", 1)
+    (workdir / "runlog.json").write_text("an older run log\n")
+    writes = []
+
+    def fail_second(fd, data):
+        writes.append(bytes(data))
+        if len(writes) == 2:
+            raise OSError(28, "No space left on device")
+        return len(data)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", fail_second)
+        code = main(["run", "--app", "weather.papp", "--trace", "trace.json",
+                     "--out", "runlog.json"])
+    assert code == 2
+    assert len(writes) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write runlog.json: No space left on device\n")
+    assert (workdir / "runlog.json").read_bytes() == b""
+
+
+def test_a_producer_that_raises_empties_the_file(tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text("an older artifact\n")
+    failure = ValueError("no second piece")
+
+    def producer(sink):
+        sink("first piece\n")
+        raise failure
+    with pytest.raises(ValueError) as raised:
+        _write_text(str(path), producer)
+    assert raised.value is failure
+    assert path.read_bytes() == b""
+
+
+def test_writing_a_run_log_takes_memory_of_one_batch_not_of_the_log(tmp_path):
+    """The run log is encoded and written a batch of events at a time, so
+    a log four times as long takes no more memory to write."""
+    path = str(tmp_path / "runlog.json")
+    peaks = []
+    for n in (20_000, 80_000):
+        log = RunLog("a", True, tuple(
+            DefinitionUpdate(f"url{i % 50}", i % 7, f"value{i}", i)
+            for i in range(n)), n, {})
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _write_text(path, log.canonical_json)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert Path(path).stat().st_size == len(log.canonical_json())
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert peaks[1] < 2 * 2**20
 
 
 def _run_pipeline_by_hand(workdir, outdir=None):

@@ -35,6 +35,7 @@ from fetchahead.runtime import (
     Trace,
     TraceStep,
     TriggerEval,
+    _BATCH,
     run_log_from_json_obj,
     run_trace,
 )
@@ -635,6 +636,33 @@ def test_canonical_json_of_an_empty_log():
     log = RunLog("a", False, (), 0, {})
     assert log.canonical_json() == json.dumps(
         encode(log), sort_keys=True, indent=2) + "\n"
+
+
+_ONE_OF_EACH = (
+    Prefetch("url1", "http://a/?q=\"1\"", 0, 40),
+    Demand("url1", "http://a/?q=\"1\"", 50, "cache", 0, 0, "get", "proxy",
+           "p\u00e9"),
+    DefinitionUpdate("url2", 3, "Gothenburg\n", 60),
+    TriggerEval("onClick", 70, ("url1", "url2"), ("url2",), ("url1",), ()),
+)
+
+
+@pytest.mark.parametrize("n", [0, 1, _BATCH - 1, _BATCH, _BATCH + 1,
+                               2 * _BATCH + 1])
+def test_canonical_json_hands_its_sink_one_piece_per_batch(n):
+    """A log of n events goes to the sink in ceil(n / _BATCH) pieces, at
+    least one, that join to the text `canonical_json()` returns."""
+    log = RunLog("a", True, tuple(_ONE_OF_EACH[i % 4] for i in range(n)),
+                 n, {"send_definition": 2, "fetch_from_proxy": 1})
+    pieces = []
+    assert log.canonical_json(pieces.append) is None
+    assert len(pieces) == max(1, -(-n // _BATCH))
+    reference = json.dumps(encode(log), sort_keys=True, indent=2) + "\n"
+    # compared line by line, so that a failure names the first wrong line
+    # instead of diffing a megabyte of text
+    lines = reference.splitlines(keepends=True)
+    assert "".join(pieces).splitlines(keepends=True) == lines
+    assert log.canonical_json().splitlines(keepends=True) == lines
 
 
 # ---------------------------------------------------------------------------

@@ -717,8 +717,7 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
                 if st.var not in defined_vars:
                     problems.append((loc, f"unresolved variable '{st.var}'"))
             elif isinstance(st, TriggerPrefetch):
-                # url ids here may be hint-seeded (no URL spot in the app),
-                # so `run_trace` resolves them, with the hints
+                # url ids here may be hint URLs: `run` checks them with the hints
                 if not st.url_ids:
                     problems.append((loc, "trigger_prefetch needs at least one url"))
                 for url_id in st.url_ids:

@@ -40,8 +40,6 @@ class TriggerMap:
 
 def profile_fetch_signature(app: App, trace: Trace, net: NetModel) -> FetchSignature:
     """Run the original app and pick its fetch signature from the run."""
-    if app.is_instrumented:
-        raise AnalysisError("profiling runs on the original app")
     return signature_from_log(run_trace(app, trace, net))
 
 
@@ -88,13 +86,8 @@ def _entry_callbacks(app: App, callers: dict[str, list[str]],
 def identify_trigger_callbacks(
     app: App, callers: dict[str, list[str]], sig: FetchSignature
 ) -> TriggerMap:
-    """Build the trigger map for every fetch spot matching the signature;
-    `callers` is `build_ecg(app)`."""
-    if app.is_instrumented:
-        raise AnalysisError("trigger analysis runs on the original app")
-    if not any(m.name == sig.net_method for m in app.netlib):
-        raise AnalysisError(f"fetch signature '{sig.net_method}' is not a "
-                            "declared net method")
+    """Build the original app's trigger map for every fetch spot matching
+    the signature, which it declares; `callers` is `build_ecg(app)`."""
     wait_predecessors = app.index.wait_predecessors
     entries: dict[str, list[str]] = {}
     for container, body in app.containers():

@@ -7,7 +7,8 @@ editing the files between stages.
 
 `run_pipeline` alone decides the stage order, for `pipeline` and `bench`.
 It calls every stage through the names imported here: the traced
-benchmark wraps those.
+benchmark wraps those. Each command checks each input once, as it reads
+it, and the stages trust their arguments.
 
 `main` parses and runs each command with the cyclic garbage collector
 paused, and puts back the caller's setting afterwards, on every exit and
@@ -48,7 +49,8 @@ from .callback_analysis import (
 )
 from .codec import dumps, encode
 from .errors import FetchaheadError
-from .instrumenter import Hints, InstrumentedApp, hints_from_json_obj, instrument
+from .instrumenter import (Hints, InstrumentedApp, check_trigger_map,
+                           check_trigger_points, hints_from_json_obj, instrument)
 from .mbm import ALL_CASES, Accuracy, BenchReport, generate_case, score_case
 from .metrics import (
     Metrics,
@@ -97,7 +99,8 @@ def run_pipeline(app: App, trace: Trace, net: NetModel,
                  sig: FetchSignature | None = None) -> Pipeline:
     """String analysis, baseline run, callback analysis, instrumentation
     (with the hints), optimized run and oracle, in that order. Unless `sig` is
-    given, the baseline run is also the profiling run that picks it."""
+    given, the baseline run is also the profiling run that picks it. Assumes
+    the original app, checked hints and a declared `sig`."""
     url_map = analyze_urls(app)
     base = run_trace(app, trace, net)
     if sig is None:
@@ -222,8 +225,11 @@ def _write_json(path: str, obj) -> None:
     _write_text(path, dumps(obj))
 
 
-def _load_app(path: str):
-    return _load(path, parse_app, as_json=False)
+def _load_original(path: str) -> App:
+    app = _load(path, parse_app, as_json=False)
+    if app.is_instrumented:
+        raise FetchaheadError("app is already instrumented")
+    return app
 
 
 def _load_net(path: str | None) -> NetModel:
@@ -233,12 +239,14 @@ def _load_net(path: str | None) -> NetModel:
 def _pick_signature(app, args) -> FetchSignature:
     """--signature wins; else profile when a trace is given; else fall
     back to the highest declared latency."""
-    if getattr(args, "signature", None):
+    if args.signature:
+        if not any(m.name == args.signature for m in app.netlib):
+            raise FetchaheadError(f"fetch signature '{args.signature}' is not "
+                                  "a declared net method")
         return FetchSignature(args.signature)
-    if getattr(args, "trace", None):
+    if args.trace:
         trace = _load(args.trace, trace_from_json_obj)
-        net = _load_net(getattr(args, "net", None))
-        return profile_fetch_signature(app, trace, net)
+        return profile_fetch_signature(app, trace, _load_net(args.net))
     return heuristic_fetch_signature(app)
 
 
@@ -247,7 +255,7 @@ def _pick_signature(app, args) -> FetchSignature:
 # ---------------------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
-    app = _load_app(args.app)
+    app = _load_original(args.app)
     url_map = analyze_urls(app)
     sig = _pick_signature(app, args)
     trigger_map = identify_trigger_callbacks(app, build_ecg(app), sig)
@@ -267,11 +275,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_instrument(args) -> int:
-    app = _load_app(args.app)
+    app = _load_original(args.app)
     url_map = _load(args.urlmap, url_map_from_json_obj)
+    url_map.check(app)
     trigger_map = _load(args.triggermap, trigger_map_from_json_obj)
     sig = _pick_signature(app, args)
-    hints = _load(args.hints, hints_from_json_obj)
+    hints = _load(args.hints, hints_from_json_obj) or Hints()
+    hints.check(app)
+    check_trigger_map(app, trigger_map, hints)
     ia = instrument(app, url_map, trigger_map, sig, hints)
     _write_text(args.out, print_app(ia.app))
     if args.json:
@@ -282,13 +293,22 @@ def _cmd_instrument(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    app = _load_app(args.app)
+    app = _load(args.app, parse_app, as_json=False)
     trace = _load(args.trace, trace_from_json_obj)
     net = _load_net(args.net)
-    seed = _load(args.seed_urlmap, url_map_from_json_obj)
-    hints = _load(args.hints, hints_from_json_obj)
-    if args.oracle_out and not app.is_instrumented:
+    seed = hints = None
+    if app.is_instrumented:
+        if args.seed_urlmap is None:
+            raise FetchaheadError("an instrumented app requires a seed url map")
+        seed = _load(args.seed_urlmap, url_map_from_json_obj)
+        seed.check(app)
+        hints = _load(args.hints, hints_from_json_obj) or Hints()
+        hints.check(app)
+        check_trigger_points(app, hints)
+    elif args.oracle_out:
         raise FetchaheadError("--oracle-out requires an instrumented app")
+    elif args.seed_urlmap is not None or args.hints is not None:
+        raise FetchaheadError("a seed url map or hints need an instrumented app")
     log = run_trace(app, trace, net, seed_url_map=seed, hints=hints)
     _write_text(args.out, log.canonical_json)
     if args.oracle_out:
@@ -322,15 +342,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    bases = args.base or []
-    opts = args.opt or []
     oracles = args.oracle or []
-    if len(bases) != len(opts):
+    if len(args.base) != len(args.opt):
         raise UsageError("--base and --opt must be given the same number of times")
-    if oracles and len(oracles) != len(bases):
+    if oracles and len(oracles) != len(args.base):
         raise UsageError("--oracle must be given once per pair (or not at all)")
     pairs = []
-    for i, (bpath, opath) in enumerate(zip(bases, opts)):
+    for i, (bpath, opath) in enumerate(zip(args.base, args.opt)):
         base = _load(bpath, run_log_from_json_obj)
         opt = _load(opath, run_log_from_json_obj)
         oracle = _load(oracles[i], oracle_from_json_obj) if oracles else None
@@ -355,11 +373,12 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    app = _load_app(args.app)
+    app = _load_original(args.app)
     trace = _load(args.trace, trace_from_json_obj)
     net = _load_net(args.net)
-    hints = _load(args.hints, hints_from_json_obj)
-    sig = FetchSignature(args.signature) if args.signature else None
+    hints = _load(args.hints, hints_from_json_obj) or Hints()
+    hints.check(app)
+    sig = _pick_signature(app, args) if args.signature else None
     p = run_pipeline(app, trace, net, hints, sig)
     m = _scored(p.base, p.opt, p.oracle)
 

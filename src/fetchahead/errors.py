@@ -24,7 +24,7 @@ class AnalysisError(FetchaheadError):
 
 
 class InstrumentError(FetchaheadError):
-    """Invalid instrumentation request (e.g. double instrumentation)."""
+    """Invalid instrumentation input (e.g. a hint naming an unknown URL)."""
 
 
 class RunError(FetchaheadError):
@@ -33,4 +33,3 @@ class RunError(FetchaheadError):
 
 class MetricsError(FetchaheadError):
     """Metric computation over inconsistent inputs (mismatched run logs)."""
-

@@ -71,56 +71,61 @@ class Hints:
     extra_static_urls: tuple[StaticUrlHint, ...] = ()
     rewrite_rules: tuple[RewriteRule, ...] = ()
 
-    def check(self, app: App, error: type[Exception]) -> None:
-        """Raise `error` unless every name the hints use is one the app
-        has: a hint URL id is new and given once, a rewrite rule names a part
-        of an app URL, and a trigger entry passes `_check_trigger_entry`."""
+    def check(self, app: App) -> None:
+        """Raise InstrumentError unless a hint URL id is new and given once,
+        a rewrite rule names a part of an app URL, and a trigger entry passes
+        `_check_trigger_entry`."""
         url_spots = app.index.url_spots
         extra_urls = set()
         for extra in self.extra_static_urls:
             if extra.url_id in url_spots:
-                raise error(f"hint url '{extra.url_id}' already exists in the app")
+                raise InstrumentError(f"hint url '{extra.url_id}' already "
+                                      "exists in the app")
             if extra.url_id in extra_urls:
-                raise error(f"hint url '{extra.url_id}' is given twice")
+                raise InstrumentError(f"hint url '{extra.url_id}' is given twice")
             extra_urls.add(extra.url_id)
         for rule in self.rewrite_rules:
             if rule.url_id not in url_spots:
-                raise error(f"rewrite rule names unknown url '{rule.url_id}'")
+                raise InstrumentError(f"rewrite rule names unknown url "
+                                      f"'{rule.url_id}'")
             if not 1 <= rule.part_index <= len(url_spots[rule.url_id][2].parts):
-                raise error(f"rewrite rule names missing part "
-                            f"{rule.url_id}[{rule.part_index}]")
+                raise InstrumentError(f"rewrite rule names missing part "
+                                      f"{rule.url_id}[{rule.part_index}]")
         for entry in self.extra_trigger_entries:
             _check_trigger_entry(app, self, entry.callback, entry.url_ids,
-                                 "hint", "hint trigger entry", error)
+                                 "hint", "hint trigger entry")
 
 
 def _check_trigger_entry(app: App, hints: Hints, callback: str,
-                         url_ids: tuple[str, ...], source: str, entry: str,
-                         error: type[Exception]) -> None:
-    """The one rule for trigger map and hint trigger entries: a known callback,
-    at least one URL, each built by the app or a hint URL."""
+                         url_ids: tuple[str, ...], source: str, entry: str) -> None:
+    """The one rule for trigger map, hint and trigger point entries: a known
+    callback, at least one URL, each built by the app or a hint URL."""
     if callback not in app.index.callback_order:
-        raise error(f"{source} names unknown callback '{callback}'")
+        raise InstrumentError(f"{source} names unknown callback '{callback}'")
     if not url_ids:
-        raise error(f"{entry} has an empty url list")
+        raise InstrumentError(f"{entry} has an empty url list")
     for uid in url_ids:
         if uid not in app.index.url_spots and uid not in {
                 extra.url_id for extra in hints.extra_static_urls}:
-            raise error(f"{source} names unknown url '{uid}'")
+            raise InstrumentError(f"{source} names unknown url '{uid}'")
 
 
-def check_trigger_points(app: App, hints: Hints | None,
-                         error: type[Exception]) -> None:
-    """Raise `error` unless every trigger_prefetch statement in `app`
-    passes `_check_trigger_entry` with its container as the callback: the
-    rule for what `instrument` writes, kept by a hand-written app too."""
-    hints = hints or Hints()
+def check_trigger_map(app: App, trigger_map: TriggerMap, hints: Hints) -> None:
+    """Raise InstrumentError unless each entry passes `_check_trigger_entry`."""
+    for callback, url_ids in trigger_map.entries.items():
+        _check_trigger_entry(app, hints, callback, url_ids, "trigger map",
+                             f"trigger map entry '{callback}'")
+
+
+def check_trigger_points(app: App, hints: Hints) -> None:
+    """Raise InstrumentError unless every trigger_prefetch statement in
+    `app`, as `instrument` writes them or by hand, passes
+    `_check_trigger_entry` with its container as the callback."""
     for name, body in app.containers():
         for st in body:
             if isinstance(st, TriggerPrefetch):
                 where = f"trigger_prefetch in '{name}'"
-                _check_trigger_entry(app, hints, name, st.url_ids, where,
-                                     where, error)
+                _check_trigger_entry(app, hints, name, st.url_ids, where, where)
 
 
 @dataclass(frozen=True)
@@ -137,33 +142,20 @@ def instrument(
     app: App, url_map: UrlMap, trigger_map: TriggerMap, sig: FetchSignature,
     hints: Hints | None = None,
 ) -> InstrumentedApp:
-    """Apply the three rewrites, with the hints' trigger entries. Rejects
-    an already instrumented app, a signature the app does not declare and
-    a url map, trigger map or hints that name what the app does not have.
+    """Apply the three rewrites, with the hints' trigger entries. Assumes
+    the original app, a signature it declares, and a url map, trigger map
+    and hints that pass `UrlMap.check`, `check_trigger_map` and `Hints.check`.
 
     A launch entry's trigger_prefetch goes first in its callback, the
     last entry first. A callback's trailing trigger_prefetch lists its
     trigger map entry, then each end entry's URLs not listed yet, which
     keeps the trigger point the final statement.
     """
-    if app.is_instrumented:
-        raise InstrumentError("app is already instrumented")
-    if not any(m.name == sig.net_method for m in app.netlib):
-        raise InstrumentError(f"fetch signature '{sig.net_method}' is not a "
-                              "declared net method")
-    url_map.check(app, InstrumentError)
     hints = hints or Hints()
-    for callback, url_ids in trigger_map.entries.items():
-        _check_trigger_entry(app, hints, callback, url_ids, "trigger map",
-                             f"trigger map entry '{callback}'", InstrumentError)
-    hints.check(app, InstrumentError)
 
     # (container, stmt index) -> the send_definition statements after it,
-    # one per (url, part) it feeds. The app's URL spots, walked in program
-    # order so a JSON round trip of the map cannot change the output, give
-    # each its var part; the url map only picks definitions of its variable.
-    defined = {(c, i, "var", var) for var, defs in app.index.definitions.items()
-               for c, i, _ in defs}
+    # one per (url, part) it feeds, in the app's URL program order: a JSON
+    # round trip of the url map, which picks the definitions, changes nothing
     insertions: dict[tuple[str, int], list[SendDefinition]] = {}
     for url_id, (_, _, build) in app.index.url_spots.items():
         for m, (part, state) in enumerate(
@@ -172,19 +164,8 @@ def instrument(
                 continue
             for spot in state.spots:
                 at = (spot.container, spot.stmt_index)
-                if spot.part_index == m and (*at, part.kind, part.value) in defined:
-                    insertions.setdefault(at, []).append(
-                        SendDefinition(part.value, url_id, m))
-                    continue
-                where = f"definition spot {spot.container}[{spot.stmt_index}]"
-                if not 1 <= spot.part_index <= len(build.parts):
-                    raise InstrumentError(f"{where} names missing part "
-                                          f"{url_id}[{spot.part_index}]")
-                if spot.part_index != m:
-                    raise InstrumentError(f"{where} names part {spot.part_index}"
-                                          f" but is listed under {url_id}[{m}]")
-                raise InstrumentError(f"{where} is not a definition of "
-                                      f"{url_id}[{m}] ({part.kind} {part.value})")
+                insertions.setdefault(at, []).append(
+                    SendDefinition(part.value, url_id, m))
 
     # callback -> its leading trigger_prefetch statements, and the URLs
     # of its trailing one

@@ -306,7 +306,7 @@ class Proxy:
 
     The map is seeded with each url id's part values, None for a part not
     known yet; the proxy takes the seed's lists over. Each hint URL becomes
-    a single-part entry; `run_trace` checks that it is not a URL the app
+    a single-part entry; `Hints.check` holds it apart from the URLs the app
     builds. `known` holds the URL string of every url id whose parts are
     all set, and `set_part`, the map's only writer, keeps it current. The
     app's proxy hears the definitions the instrumented app sends; the
@@ -352,11 +352,8 @@ class Proxy:
 
     def send_definition(self, url_id: str, m: int, value: str,
                         now: int) -> DefinitionUpdate:
-        """Record a runtime value for URL part m, rewritten by the hints'
-        rules; last write wins."""
-        parts = self.runtime_url_map.get(url_id)
-        if parts is None or not 1 <= m <= len(parts):
-            raise RunError(f"unknown url part {url_id}[{m}]")
+        """Record a value, rewritten by the hints' rules, for URL part m
+        (which exists: see `UrlMap.check`); last write wins."""
         if self.rules:
             for find, replace in self.rules.get((url_id, m), ()):
                 value = value.replace(find, replace)
@@ -483,9 +480,7 @@ class Walk:
     def _execute(self, name: str, depth: int) -> None:
         if depth > _MAX_CALL_DEPTH:
             raise RunError(f"call depth exceeded at '{name}'")
-        body = self.app.index.bodies.get(name)
-        if body is None:
-            raise RunError(f"unknown callback or method '{name}'")
+        body = self.app.index.bodies[name]  # the parser resolved every name
         app, variables, built = self.app, self.variables, self.built
         inputs, define = self._inputs, self.define
         for idx, st in enumerate(body):
@@ -603,23 +598,13 @@ def run_trace(
     seed_url_map: UrlMap | None = None,
     hints: "Hints | None" = None,
 ) -> RunLog:
-    """Execute a trace and return the complete run log."""
+    """Execute a trace, checked step by step, and return the complete run
+    log. An instrumented app takes a `seed_url_map` and `hints` that pass
+    their checks, as its trigger points do; an original app takes neither."""
     app = getattr(app, "app", app)  # accept an InstrumentedApp wrapper
     net = net or NetModel()
-    proxy: Proxy | None = None
-    if app.is_instrumented:
-        # imported here: the instrumenter imports this module
-        from .instrumenter import check_trigger_points
-
-        if seed_url_map is None:
-            raise RunError("an instrumented app requires a seed url map")
-        seed_url_map.check(app, RunError)
-        if hints is not None:
-            hints.check(app, RunError)
-        check_trigger_points(app, hints, RunError)
-        proxy = Proxy(app, seed_url_map.runtime_seed(), net, hints)
-    elif seed_url_map is not None or hints is not None:
-        raise RunError("a seed url map or hints need an instrumented app")
+    proxy = (Proxy(app, seed_url_map.runtime_seed(), net, hints)
+             if app.is_instrumented else None)
     session = _Session(app, net, proxy)
     for k, step in enumerate(trace.steps):
         session.clock += step.think_ms

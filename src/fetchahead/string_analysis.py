@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Union
 
-from .app_ir import App, BuildUrl, DefineDynamic, UrlPart
+from .app_ir import (App, BuildUrl, DefineDynamic, DefineStatic, SendDefinition,
+                     TriggerPrefetch, UrlPart)
 from .codec import decode, encode, inline, renamed
 from .errors import AnalysisError
 
@@ -63,30 +64,52 @@ class UrlMap:
 
     entries: Mapping[str, tuple[UrlPartState, ...]] = inline()
 
-    def check(self, app: App, error: type[Exception]) -> None:
-        """Raise `error` unless the map gives every URL the app builds, and
-        no other, the app's number of parts, and each part it calls
-        concrete the app's own value (`static_part_value`)."""
+    def check(self, app: App) -> None:
+        """Raise AnalysisError unless the map gives every URL the app
+        builds, and no other, the app's number of parts, each part it calls
+        concrete the app's own value (`static_part_value`), and each spot
+        under part m a definition of that part's variable, placed as before
+        `instrument` inserted statements. A spot's `n` is not checked."""
         url_spots = app.index.url_spots
+        defined = set()  # (container, stmt, var) of every definition
+        for name, body in app.containers():
+            own = [st for st in body
+                   if not isinstance(st, (SendDefinition, TriggerPrefetch))]
+            defined.update((name, i, st.var) for i, st in enumerate(own)
+                           if isinstance(st, (DefineStatic, DefineDynamic)))
         for url_id, parts in self.entries.items():
             if url_id not in url_spots:
-                raise error(f"url map names unknown url '{url_id}'")
+                raise AnalysisError(f"url map names unknown url '{url_id}'")
             spot_parts = url_spots[url_id][2].parts
             if len(parts) != len(spot_parts):
-                raise error(f"url map gives url '{url_id}' {len(parts)} "
-                            f"parts, but the app builds it from "
-                            f"{len(spot_parts)}")
+                raise AnalysisError(f"url map gives url '{url_id}' {len(parts)} "
+                                    f"parts, but the app builds it from "
+                                    f"{len(spot_parts)}")
             for m, (state, part) in enumerate(zip(parts, spot_parts), start=1):
                 if isinstance(state, Concrete):
                     own = static_part_value(app, part)
                     if state.value != own:
-                        raise error(
+                        raise AnalysisError(
                             f"url map gives part {url_id}[{m}] the concrete "
                             f"value {state.value!r}, but the app's is "
                             + ("not static" if own is None else repr(own)))
+                    continue
+                for spot in state.spots:
+                    if spot.part_index == m and part.kind == "var" and (
+                            spot.container, spot.stmt_index, part.value) in defined:
+                        continue
+                    where = f"definition spot {spot.container}[{spot.stmt_index}]"
+                    if not 1 <= spot.part_index <= len(spot_parts):
+                        raise AnalysisError(f"{where} names missing part "
+                                            f"{url_id}[{spot.part_index}]")
+                    if spot.part_index != m:
+                        raise AnalysisError(f"{where} names part {spot.part_index}"
+                                            f" but is listed under {url_id}[{m}]")
+                    raise AnalysisError(f"{where} is not a definition of "
+                                        f"{url_id}[{m}] ({part.kind} {part.value})")
         for url_id in url_spots:
             if url_id not in self.entries:
-                raise error(f"url map leaves out url '{url_id}'")
+                raise AnalysisError(f"url map leaves out url '{url_id}'")
 
     def runtime_seed(self) -> dict[str, list[str | None]]:
         """The runtime URL map this map seeds: each part's concrete value,

@@ -1,10 +1,13 @@
+import json
 import random
 from dataclasses import replace
 
 import pytest
 
 from appgen import make_app
-from fetchahead.app_ir import AsyncCall, Call, Ccfg, NetCall, build_ecg, parse_app
+from fetchahead.app_ir import (
+    AsyncCall, Call, Ccfg, NetCall, build_ecg, parse_app, print_app,
+)
 from fetchahead.callback_analysis import (
     FetchSignature,
     heuristic_fetch_signature,
@@ -13,8 +16,9 @@ from fetchahead.callback_analysis import (
     trigger_map_from_json_obj,
     trigger_map_to_json_obj,
 )
+from fetchahead.cli import main
 from fetchahead.errors import AnalysisError
-from fetchahead.runtime import NetModel, Trace, TraceStep
+from fetchahead.runtime import NetModel, Trace, TraceStep, trace_to_json_obj
 
 
 def _profiling_app():
@@ -97,12 +101,23 @@ def test_heuristic_signature_needs_a_net_method():
         heuristic_fetch_signature(app)
 
 
-def test_profiling_rejects_an_instrumented_app(weather_pipeline,
-                                               weather_trace, weather_net):
-    with pytest.raises(AnalysisError,
-                       match="^profiling runs on the original app$"):
-        profile_fetch_signature(weather_pipeline.ia.app, weather_trace,
-                                weather_net)
+def _analyze_instrumented(tmp_path, pipeline, *flags) -> int:
+    """`analyze` of the pipeline's instrumented app: profiling and trigger
+    analysis trust their app, so the command rejects it as it reads it."""
+    (tmp_path / "optimized.papp").write_text(print_app(pipeline.ia.app))
+    return main(["analyze", str(tmp_path / "optimized.papp"), *flags,
+                 "--urlmap-out", str(tmp_path / "urlmap.json"),
+                 "--triggermap-out", str(tmp_path / "triggermap.json")])
+
+
+def test_profiling_rejects_an_instrumented_app(weather_pipeline, weather_trace,
+                                               tmp_path, capsys):
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(trace_to_json_obj(weather_trace)))
+    assert _analyze_instrumented(tmp_path, weather_pipeline,
+                                 "--trace", str(trace)) == 2
+    assert capsys.readouterr().err == "error: app is already instrumented\n"
+    assert not (tmp_path / "urlmap.json").exists()
 
 
 def test_weather_trigger_map(weather_pipeline):
@@ -356,8 +371,8 @@ def test_trigger_map_json_round_trip(weather_pipeline):
     assert trigger_map_from_json_obj(trigger_map_to_json_obj(tm)) == tm
 
 
-def test_analysis_rejects_instrumented_app(weather_pipeline):
-    app = weather_pipeline.ia.app
-    with pytest.raises(AnalysisError):
-        identify_trigger_callbacks(app, build_ecg(app),
-                                   weather_pipeline.sig)
+def test_analysis_rejects_instrumented_app(weather_pipeline, tmp_path, capsys):
+    assert _analyze_instrumented(tmp_path, weather_pipeline) == 2
+    assert capsys.readouterr().err == "error: app is already instrumented\n"
+    assert not (tmp_path / "urlmap.json").exists()
+    assert not (tmp_path / "triggermap.json").exists()

@@ -5,17 +5,20 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import fetchahead
-from fetchahead import cli, runtime
+from fetchahead import cli, instrumenter, runtime
 from fetchahead.cli import (
     UsageError, _build_parser, _write_text, main, run_pipeline,
 )
 from fetchahead.errors import FetchaheadError
+from fetchahead.instrumenter import Hints
 from fetchahead.runtime import DefinitionUpdate, RunLog, trace_to_json_obj
+from fetchahead.string_analysis import UrlMap
 
 WEATHER_TRACE = [
     {"event": "onCreate", "think_ms": 0, "inputs": {}},
@@ -882,8 +885,7 @@ def test_recursive_call_exits_2_and_writes_nothing(workdir, capsys):
 
 
 def test_failed_pipeline_writes_nothing(workdir, capsys):
-    # instrumentation, the fourth stage, rejects the hints; the earlier
-    # stages all succeed
+    # the command rejects the hints as it reads them, before any stage runs
     (workdir / "hints.json").write_text(json.dumps({
         "extra_trigger_entries": [{"callback": "ghost", "url_ids": ["url1"]}],
     }))
@@ -1047,3 +1049,112 @@ def test_a_command_starts_no_collection_and_leaves_no_cycles(workdir, capsys,
         gc.set_threshold(*threshold)
     assert collections == []
     assert gc.collect() == 0
+
+
+HOME_HINTS = {
+    "extra_static_urls": [{"url_id": "urlHome", "url": "http://weatherapi/home"}],
+    "extra_trigger_entries": [
+        {"callback": "onCreate", "url_ids": ["urlHome"], "at": "launch"}],
+}
+
+
+@pytest.mark.parametrize("argv, counts", [
+    (["pipeline", "weather.papp", "--trace", "trace.json",
+      "--hints", "hints.json", "--outdir", "out"], (0, 1, 0, 0)),
+    (["instrument", "weather.papp", "--urlmap", "urlmap.json",
+      "--triggermap", "triggermap.json", "--hints", "hints.json",
+      "-o", "again.papp"], (1, 1, 1, 0)),
+    (["run", "--app", "optimized.papp", "--trace", "trace.json",
+      "--seed-urlmap", "urlmap.json", "--hints", "hints.json",
+      "--out", "again.json"], (1, 1, 0, 1)),
+], ids=["pipeline", "instrument", "run"])
+def test_each_command_checks_each_input_once(workdir, monkeypatch, capsys,
+                                             argv, counts):
+    """The calls of the url map, hints, trigger map and trigger point
+    checks: each input is checked once, where the command reads it, and
+    `pipeline` checks nothing it built itself."""
+    _run_pipeline_by_hand(workdir)
+    (workdir / "hints.json").write_text(json.dumps(HOME_HINTS))
+    calls: Counter = Counter()
+
+    def count(owner, name, key):
+        check = getattr(owner, name)
+
+        def counted(*args):
+            calls[key] += 1
+            return check(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(UrlMap, "check", "url map")
+    count(Hints, "check", "hints")
+    for module in (cli, instrumenter):
+        count(module, "check_trigger_map", "trigger map")
+        count(module, "check_trigger_points", "trigger points")
+    assert main(argv) == 0, capsys.readouterr().err
+    assert tuple(calls[key] for key in (
+        "url map", "hints", "trigger map", "trigger points")) == counts
+
+
+def test_pipeline_rejects_an_instrumented_app(workdir, capsys):
+    # `analyze` does the same (tests/test_callback_analysis.py)
+    assert main(["pipeline", "weather.papp", "--trace", "trace.json",
+                 "--outdir", "out"]) == 0
+    capsys.readouterr()
+    assert main(["pipeline", "out/optimized.papp", "--trace", "trace.json",
+                 "--outdir", "again"]) == 2
+    assert capsys.readouterr().err == "error: app is already instrumented\n"
+    assert not (workdir / "again").exists()
+
+
+SHIFTED_APP = """app shifted
+netmethod get latency=500
+callback a {
+  let x = input(tx)
+  let y = input(ty)
+}
+callback b {
+  url u = "http://h/" + x + y
+  get(u)
+}
+ccfg {
+  wait w
+  a -> w
+  w -> b
+}
+"""
+
+
+def test_run_reads_the_url_map_in_the_positions_of_the_original_app(
+        workdir, capsys):
+    """`instrument` inserts statements before `let y`, a launch trigger
+    point and x's send_definition, so y's definition spot a[1] is a[3]
+    in the instrumented app. `run --seed-urlmap` applies the url map's
+    spot rule with the positions that the url map names, those of the
+    original app, and still rejects a spot that is no definition."""
+    (workdir / "shifted.papp").write_text(SHIFTED_APP)
+    (workdir / "t.json").write_text(json.dumps([
+        {"event": "a", "inputs": {"tx": "1", "ty": "2"}},
+        {"event": "b", "think_ms": 1000}]))
+    (workdir / "h.json").write_text(json.dumps({
+        "extra_static_urls": [{"url_id": "home", "url": "http://h/home"}],
+        "extra_trigger_entries": [
+            {"callback": "a", "url_ids": ["home"], "at": "launch"}]}))
+    assert main(["pipeline", "shifted.papp", "--trace", "t.json",
+                 "--hints", "h.json", "--outdir", "out"]) == 0
+    optimized = (workdir / "out" / "optimized.papp").read_text()
+    assert optimized.index("send_definition(x, u, 2)") < optimized.index("let y")
+    argv = ["run", "--app", "out/optimized.papp", "--trace", "t.json",
+            "--hints", "h.json", "--out", "rerun.json"]
+    assert main(argv + ["--seed-urlmap", "out/urlmap.json"]) == 0
+    assert ((workdir / "rerun.json").read_bytes()
+            == (workdir / "out" / "runlog_opt.json").read_bytes())
+    url_map = json.loads((workdir / "out" / "urlmap.json").read_text())
+    assert url_map["u"][2]["spots"][0] == {"container": "a", "stmt": 1,
+                                           "m": 3, "n": 1}
+    url_map["u"][2]["spots"][0]["stmt"] = 3
+    (workdir / "bad.json").write_text(json.dumps(url_map))
+    capsys.readouterr()
+    assert main(argv + ["--seed-urlmap", "bad.json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: definition spot a[3] is not a definition of u[3] (var y)\n")

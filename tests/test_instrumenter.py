@@ -17,6 +17,7 @@ from fetchahead.app_ir import (
     TriggerPrefetch,
     build_ecg,
     parse_app,
+    print_app,
 )
 from fetchahead.callback_analysis import (
     FetchSignature,
@@ -24,13 +25,14 @@ from fetchahead.callback_analysis import (
     identify_trigger_callbacks,
 )
 from fetchahead.codec import encode
-from fetchahead.cli import run_pipeline
-from fetchahead.errors import InstrumentError
+from fetchahead.cli import _load_original, run_pipeline
+from fetchahead.errors import AnalysisError, FetchaheadError, InstrumentError
 from fetchahead.instrumenter import (
     Hints,
     RewriteRule,
     StaticUrlHint,
     TriggerHint,
+    check_trigger_map,
     hints_from_json_obj,
     instrument,
 )
@@ -170,25 +172,28 @@ ccfg {
     assert body[2] == SendDefinition("v", "alpha", 2)
 
 
-def test_double_instrumentation_rejected(weather_pipeline):
-    p = weather_pipeline
-    with pytest.raises(InstrumentError, match="already instrumented"):
-        instrument(p.ia.app, p.url_map, p.trigger_map, p.sig)
+# The commands check each input where they read it, so the rejections of
+# what `instrument` is given are tests of those checks: the loader's rule
+# for the app, `UrlMap.check`, `check_trigger_map` and `Hints.check`.
+
+def test_double_instrumentation_rejected(weather_pipeline, tmp_path):
+    path = tmp_path / "optimized.papp"
+    path.write_text(print_app(weather_pipeline.ia.app))
+    with pytest.raises(FetchaheadError, match="^app is already instrumented$"):
+        _load_original(str(path))
 
 
-def test_trigger_map_with_unknown_callback_rejected(weather_app, weather_pipeline):
-    p = weather_pipeline
+def test_trigger_map_with_unknown_callback_rejected(weather_app):
     with pytest.raises(InstrumentError, match="unknown callback"):
-        instrument(weather_app, p.url_map, TriggerMap({"ghost": ("url1",)}), p.sig)
+        check_trigger_map(weather_app, TriggerMap({"ghost": ("url1",)}), Hints())
 
 
-def test_trigger_map_entry_needs_a_url(weather_app, weather_pipeline):
+def test_trigger_map_entry_needs_a_url(weather_app):
     # an empty entry would write trigger_prefetch(), which the parser rejects
-    p = weather_pipeline
     trigger_map = TriggerMap({"onCreate": (), "onItemSelected": ("url1",)})
     with pytest.raises(InstrumentError, match="^trigger map entry 'onCreate' "
                                               "has an empty url list$"):
-        instrument(weather_app, p.url_map, trigger_map, p.sig)
+        check_trigger_map(weather_app, trigger_map, Hints())
 
 
 def test_trigger_map_with_unknown_url_rejected(weather_app, weather_pipeline):
@@ -197,7 +202,7 @@ def test_trigger_map_with_unknown_url_rejected(weather_app, weather_pipeline):
     trigger_map = TriggerMap({**p.trigger_map.entries, "onCreate": ("ghost",)})
     with pytest.raises(InstrumentError,
                        match="^trigger map names unknown url 'ghost'$"):
-        instrument(weather_app, p.url_map, trigger_map, p.sig)
+        check_trigger_map(weather_app, trigger_map, Hints())
 
 
 def test_trigger_entries_may_name_a_hint_url_and_repeat_one(
@@ -213,6 +218,7 @@ def test_trigger_entries_may_name_a_hint_url_and_repeat_one(
     )
     trigger_map = TriggerMap({**p.trigger_map.entries,
                               "onCreate": ("urlHome", "url1", "url1")})
+    check_trigger_map(weather_app, trigger_map, hints)
     ia = instrument(weather_app, p.url_map, trigger_map, p.sig, hints)
     bodies = ia.app.index.bodies
     assert bodies["onCreate"][-1] == TriggerPrefetch(("urlHome", "url1", "url1"))
@@ -232,15 +238,15 @@ def test_url_map_spot_outside_the_app_rejected(weather_app, weather_pipeline,
                                                container, stmt):
     p = weather_pipeline
     url_map = _with_url2_part3(p.url_map, DefinitionSpot(container, stmt, 3, 1))
-    with pytest.raises(InstrumentError, match="is not a definition"):
-        instrument(weather_app, url_map, p.trigger_map, p.sig)
+    with pytest.raises(AnalysisError, match="is not a definition"):
+        url_map.check(weather_app)
 
 
 def test_url_map_url_outside_the_app_rejected(weather_app, weather_pipeline):
     p = weather_pipeline
     url_map = UrlMap({**p.url_map.entries, "ghost": (Concrete("http://x/"),)})
-    with pytest.raises(InstrumentError, match="unknown url 'ghost'"):
-        instrument(weather_app, url_map, p.trigger_map, p.sig)
+    with pytest.raises(AnalysisError, match="unknown url 'ghost'"):
+        url_map.check(weather_app)
 
 
 @pytest.mark.parametrize("m", [0, 4, 99])
@@ -250,8 +256,8 @@ def test_url_map_spot_part_outside_the_url_rejected(weather_app, weather_pipelin
     p = weather_pipeline
     url_map = _with_url2_part3(p.url_map,
                                DefinitionSpot("onItemSelected", 0, m, 1))
-    with pytest.raises(InstrumentError, match=rf"missing part url2\[{m}\]"):
-        instrument(weather_app, url_map, p.trigger_map, p.sig)
+    with pytest.raises(AnalysisError, match=rf"missing part url2\[{m}\]"):
+        url_map.check(weather_app)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -262,10 +268,10 @@ def test_url_map_spot_that_names_another_part_rejected(weather_app,
     p = weather_pipeline
     url_map = _with_url2_part3(p.url_map,
                                DefinitionSpot("onItemSelected", 0, m, 1))
-    with pytest.raises(InstrumentError,
+    with pytest.raises(AnalysisError,
                        match=rf"^definition spot onItemSelected\[0\] names "
                              rf"part {m} but is listed under url2\[3\]$"):
-        instrument(weather_app, url_map, p.trigger_map, p.sig)
+        url_map.check(weather_app)
 
 
 @pytest.mark.parametrize("m, read", [(1, "resource domain"),
@@ -278,8 +284,8 @@ def test_url_map_spot_under_a_part_without_a_variable_rejected(
     parts = list(p.url_map.entries["url2"])
     parts[m - 1] = Unknown((DefinitionSpot("onItemSelected", 0, m, 1),))
     url_map = UrlMap({**p.url_map.entries, "url2": tuple(parts)})
-    with pytest.raises(InstrumentError) as raised:
-        instrument(weather_app, url_map, p.trigger_map, p.sig)
+    with pytest.raises(AnalysisError) as raised:
+        url_map.check(weather_app)
     assert str(raised.value) == (f"definition spot onItemSelected[0] is not a "
                                  f"definition of url2[{m}] ({read})")
 
@@ -290,10 +296,10 @@ def test_url_map_spot_at_another_variables_definition_rejected(
     # the city id for url2's city name
     p = weather_pipeline
     url_map = _with_url2_part3(p.url_map, DefinitionSpot("onClick", 0, 3, 1))
-    with pytest.raises(InstrumentError,
+    with pytest.raises(AnalysisError,
                        match=r"^definition spot onClick\[0\] is not a "
                              r"definition of url2\[3\] \(var cityName\)$"):
-        instrument(weather_app, url_map, p.trigger_map, p.sig)
+        url_map.check(weather_app)
 
 
 def test_url_map_with_only_some_spots_accepted():
@@ -316,6 +322,7 @@ ccfg {
     spots = full.entries["u"][1].spots
     assert len(spots) == 2
     url_map = UrlMap({"u": (Concrete("http://h/"), Unknown(spots[1:]))})
+    url_map.check(app)
     sig = FetchSignature("get")
     bodies = instrument(app, url_map, TriggerMap({}), sig).app.index.bodies
     assert bodies["a"] == app.index.bodies["a"]
@@ -333,8 +340,8 @@ def test_url_map_that_leaves_out_a_url_rejected(weather_app, weather_pipeline):
     p = weather_pipeline
     entries = dict(p.url_map.entries)
     del entries["url1"]
-    with pytest.raises(InstrumentError, match="url map leaves out url 'url1'"):
-        instrument(weather_app, UrlMap(entries), p.trigger_map, p.sig)
+    with pytest.raises(AnalysisError, match="url map leaves out url 'url1'"):
+        UrlMap(entries).check(weather_app)
 
 
 def test_inserted_statements_say_why_they_are_there(weather_pipeline):
@@ -429,40 +436,40 @@ def test_empty_hints_identity(weather_app, weather_pipeline):
     assert hinted.app == ia.app
 
 
-def test_hint_unknown_callback_rejected(weather_app, weather_pipeline):
+def test_hint_unknown_callback_rejected(weather_app):
     with pytest.raises(InstrumentError, match="unknown callback"):
-        _hinted(weather_app, weather_pipeline, Hints(
+        Hints(
             extra_trigger_entries=(TriggerHint("nope", ("url1",)),),
-        ))
+        ).check(weather_app)
 
 
-def test_hint_unknown_url_rejected(weather_app, weather_pipeline):
+def test_hint_unknown_url_rejected(weather_app):
     with pytest.raises(InstrumentError, match="unknown url"):
-        _hinted(weather_app, weather_pipeline, Hints(
+        Hints(
             extra_trigger_entries=(TriggerHint("onCreate", ("ghost",)),),
-        ))
+        ).check(weather_app)
 
 
-def test_hint_trigger_entry_needs_a_url(weather_app, weather_pipeline):
+def test_hint_trigger_entry_needs_a_url(weather_app):
     with pytest.raises(InstrumentError,
                        match="^hint trigger entry has an empty url list$"):
-        _hinted(weather_app, weather_pipeline, Hints(
+        Hints(
             extra_trigger_entries=(TriggerHint("onCreate", ()),),
-        ))
+        ).check(weather_app)
 
 
-def test_hint_url_may_not_shadow_existing(weather_app, weather_pipeline):
+def test_hint_url_may_not_shadow_existing(weather_app):
     with pytest.raises(InstrumentError, match="already exists"):
-        _hinted(weather_app, weather_pipeline, Hints(
+        Hints(
             extra_static_urls=(StaticUrlHint("url1", "http://elsewhere/"),),
-        ))
+        ).check(weather_app)
 
 
-def test_rewrite_rule_bounds_checked(weather_app, weather_pipeline):
+def test_rewrite_rule_bounds_checked(weather_app):
     with pytest.raises(InstrumentError, match="missing part"):
-        _hinted(weather_app, weather_pipeline, Hints(
+        Hints(
             rewrite_rules=(RewriteRule("url1", 9, "a", "b"),),
-        ))
+        ).check(weather_app)
 
 
 def test_hints_json_round_trip():
@@ -589,10 +596,11 @@ def _sends_and_what_they_follow(body):
 
 
 def test_every_send_follows_a_definition_of_its_parts_variable():
-    """Whatever a url map says, `instrument` either rejects it or writes
-    each send_definition(v, u, m) right after a definition of v (other
-    sends may stand between), where v is the variable that part m of u
-    reads. A map that only drops spots is accepted."""
+    """Whatever a url map says, `UrlMap.check` either rejects it or
+    `instrument` writes each send_definition(v, u, m) right after a
+    definition of v (other sends may stand between), where v is the
+    variable that part m of u reads. A map that only drops spots is
+    accepted."""
     outcomes = set()
     for seed in range(60):
         rng = random.Random(seed)
@@ -600,11 +608,12 @@ def test_every_send_follows_a_definition_of_its_parts_variable():
         edit = URL_MAP_EDITS[seed % len(URL_MAP_EDITS)]
         url_map = _edited_url_map(rng, app, analyze_urls(app), edit)
         try:
-            ia = instrument(app, url_map, TriggerMap({}), FetchSignature("fetch"))
-        except InstrumentError:
+            url_map.check(app)
+        except AnalysisError:
             assert edit != "subset", seed
             outcomes.add("rejected")
             continue
+        ia = instrument(app, url_map, TriggerMap({}), FetchSignature("fetch"))
         outcomes.add("accepted")
         for _, body in ia.app.containers():
             for send, before in _sends_and_what_they_follow(body):
@@ -619,7 +628,7 @@ def test_instrument_cost_is_linear_in_app_size(monkeypatch):
     """`instrument`'s bytecodes on `perfbench/gen.py`'s `large_app` with
     25, 50 and 100 callbacks, the variables scaled with them (175 per 400
     callbacks, as in the benchmark). Each doubling measured x1.95 and
-    x2.09 on Python 3.11: fixed costs keep a small app under x2, and the
+    x2.08 on Python 3.11: fixed costs keep a small app under x2, and the
     generator's random placement moves a ratio by a few percent. For a
     cost a*n + b*n*n the ratio is 2 + 2q, where q is the quadratic share
     at the smaller size, so the bound x2.5 fails once a quadratic pass is

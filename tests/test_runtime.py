@@ -16,11 +16,12 @@ from fetchahead.app_ir import (
     NetCall,
     UrlPart,
     parse_app,
+    print_app,
 )
 from fetchahead.callback_analysis import FetchSignature
-from fetchahead.cli import run_benchmark, run_pipeline
+from fetchahead.cli import main, run_benchmark, run_pipeline
 from fetchahead.codec import encode
-from fetchahead.errors import RunError
+from fetchahead.errors import AnalysisError, ParseError, RunError
 from fetchahead.instrumenter import Hints, RewriteRule
 from fetchahead.mbm import generate_case
 from fetchahead.metrics import compute_oracle
@@ -39,7 +40,7 @@ from fetchahead.runtime import (
     run_log_from_json_obj,
     run_trace,
 )
-from fetchahead.string_analysis import analyze_urls
+from fetchahead.string_analysis import Concrete, UrlMap, analyze_urls
 import json
 
 
@@ -120,9 +121,18 @@ def test_missing_input_is_an_error(weather_app, weather_net):
         run_trace(weather_app, trace, weather_net)
 
 
-def test_instrumented_requires_seed_map(weather_pipeline, weather_trace, weather_net):
-    with pytest.raises(RunError, match="seed url map"):
-        run_trace(weather_pipeline.ia, weather_trace, weather_net)
+def test_instrumented_requires_seed_map(weather_pipeline, weather_trace,
+                                       tmp_path, capsys):
+    # `run_trace` trusts its arguments; `run` checks what it reads
+    (tmp_path / "optimized.papp").write_text(print_app(weather_pipeline.ia.app))
+    (tmp_path / "trace.json").write_text(json.dumps(encode(weather_trace)))
+    out = tmp_path / "runlog.json"
+    assert main(["run", "--app", str(tmp_path / "optimized.papp"),
+                 "--trace", str(tmp_path / "trace.json"),
+                 "--out", str(out)]) == 2
+    assert (capsys.readouterr().err
+            == "error: an instrumented app requires a seed url map\n")
+    assert not out.exists()
 
 
 def test_unselected_city_defaults_to_empty(weather_app, weather_net):
@@ -245,12 +255,25 @@ def test_send_definition_applies_rewrite_rules(weather_pipeline):
     assert state.runtime_url_map["url2"][2] == "img1_large"
 
 
-def test_send_definition_unknown_part_errors(weather_pipeline):
-    state = _weather_proxy(weather_pipeline)
-    with pytest.raises(RunError, match="unknown url part"):
-        state.send_definition("url2", 9, "x", 0)
-    with pytest.raises(RunError, match="unknown url part"):
-        state.send_definition("ghost", 1, "x", 0)
+def test_send_definition_unknown_part_errors(weather_pipeline, weather_text):
+    """`Proxy.send_definition` trusts its part: neither an app nor a seed
+    url map that would send to a part the proxy lacks gets past its
+    check. The parser holds each send_definition to a part of an app URL,
+    and `UrlMap.check` holds the seed to the app's URLs and part counts."""
+    on_item = "  let cityName = input(citySelection)\n"
+    for url_id, m, message in (("url2", 9, "url 'url2' has no part 9"),
+                               ("ghost", 1, "unresolved url 'ghost'")):
+        text = weather_text.replace(
+            on_item, f"{on_item}  send_definition(cityName, {url_id}, {m})\n")
+        with pytest.raises(ParseError, match=message):
+            parse_app(text)
+    app, url_map = weather_pipeline.ia.app, weather_pipeline.url_map
+    short = UrlMap({**url_map.entries, "url2": url_map.entries["url2"][:2]})
+    with pytest.raises(AnalysisError, match="url map gives url 'url2' 2 parts"):
+        short.check(app)
+    ghost = UrlMap({**url_map.entries, "ghost": (Concrete("http://x/"),)})
+    with pytest.raises(AnalysisError, match="url map names unknown url 'ghost'"):
+        ghost.check(app)
 
 
 def test_trigger_prefetch_only_known_uncached(weather_pipeline):
@@ -692,10 +715,9 @@ def test_known_urls_follow_every_send_definition(runtime_map, data):
 def test_run_and_oracle_cost_is_linear_in_trace_length(monkeypatch):
     """The bytecodes of the optimized run and of the oracle on
     `perfbench/gen.py`'s `long_session` with 250, 500 and 1,000 steps.
-    The app stays the same, so only the one-off set-up (the proxy, the
-    checks of the url map and the hints) keeps a ratio under x2: each
-    doubling measured x1.97 and x1.99 for the run, x1.98 and x1.99 for the
-    oracle, on Python 3.11. The counts are the same for every seed. For a
+    The app stays the same, so only the one-off set-up of the proxy keeps
+    a ratio under x2: each doubling measured x1.98 and x1.99 for the run
+    and for the oracle, on Python 3.11. The counts are the same for every seed. For a
     cost a*n + b*n*n the ratio is 2 + 2q, where q is the quadratic share
     at the smaller size, so the bound x2.2 fails once a pass quadratic in
     the trace is a tenth of the work, such as a scan of the run log or of

@@ -33,6 +33,7 @@ from .app_ir import (
     NetCall,
     SendDefinition,
     TriggerPrefetch,
+    _IDENT_RE,
 )
 from .callback_analysis import FetchSignature, TriggerMap
 from .codec import decode, renamed
@@ -72,18 +73,19 @@ class Hints:
     rewrite_rules: tuple[RewriteRule, ...] = ()
 
     def check(self, app: App) -> None:
-        """Raise InstrumentError unless a hint URL id is new and given once,
-        a rewrite rule names a part of an app URL, and a trigger entry passes
-        `_check_trigger_entry`."""
+        """Raise InstrumentError unless a hint URL id is an identifier, new
+        and given once, a rewrite rule names a part of an app URL, and a
+        trigger entry passes `_check_trigger_entry`."""
         url_spots = app.index.url_spots
         extra_urls = set()
-        for extra in self.extra_static_urls:
-            if extra.url_id in url_spots:
-                raise InstrumentError(f"hint url '{extra.url_id}' already "
-                                      "exists in the app")
-            if extra.url_id in extra_urls:
-                raise InstrumentError(f"hint url '{extra.url_id}' is given twice")
-            extra_urls.add(extra.url_id)
+        for uid in (extra.url_id for extra in self.extra_static_urls):
+            if not _IDENT_RE.fullmatch(uid):
+                raise InstrumentError(f"hint url {uid!r} is not an identifier")
+            if uid in url_spots:
+                raise InstrumentError(f"hint url '{uid}' already exists in the app")
+            if uid in extra_urls:
+                raise InstrumentError(f"hint url '{uid}' is given twice")
+            extra_urls.add(uid)
         for rule in self.rewrite_rules:
             if rule.url_id not in url_spots:
                 raise InstrumentError(f"rewrite rule names unknown url "
@@ -92,40 +94,43 @@ class Hints:
                 raise InstrumentError(f"rewrite rule names missing part "
                                       f"{rule.url_id}[{rule.part_index}]")
         for entry in self.extra_trigger_entries:
-            _check_trigger_entry(app, self, entry.callback, entry.url_ids,
+            _check_trigger_entry(app, extra_urls, entry.callback, entry.url_ids,
                                  "hint", "hint trigger entry")
 
 
-def _check_trigger_entry(app: App, hints: Hints, callback: str,
+def _check_trigger_entry(app: App, hint_urls: set[str], callback: str,
                          url_ids: tuple[str, ...], source: str, entry: str) -> None:
-    """The one rule for trigger map, hint and trigger point entries: a known
-    callback, at least one URL, each built by the app or a hint URL."""
+    """A trigger map or hint entry, which `instrument` puts in a callback, has
+    a known callback and at least one URL, each the app's or a hint's."""
     if callback not in app.index.callback_order:
         raise InstrumentError(f"{source} names unknown callback '{callback}'")
     if not url_ids:
         raise InstrumentError(f"{entry} has an empty url list")
     for uid in url_ids:
-        if uid not in app.index.url_spots and uid not in {
-                extra.url_id for extra in hints.extra_static_urls}:
+        if uid not in app.index.url_spots and uid not in hint_urls:
             raise InstrumentError(f"{source} names unknown url '{uid}'")
 
 
 def check_trigger_map(app: App, trigger_map: TriggerMap, hints: Hints) -> None:
     """Raise InstrumentError unless each entry passes `_check_trigger_entry`."""
+    hint_urls = {extra.url_id for extra in hints.extra_static_urls}
     for callback, url_ids in trigger_map.entries.items():
-        _check_trigger_entry(app, hints, callback, url_ids, "trigger map",
+        _check_trigger_entry(app, hint_urls, callback, url_ids, "trigger map",
                              f"trigger map entry '{callback}'")
 
 
 def check_trigger_points(app: App, hints: Hints) -> None:
-    """Raise InstrumentError unless every trigger_prefetch statement in
-    `app`, as `instrument` writes them or by hand, passes
-    `_check_trigger_entry` with its container as the callback."""
+    """Raise InstrumentError unless each URL of each trigger_prefetch in
+    `app`, as `instrument` writes them or by hand, is the app's or a hint's.
+    A point may sit in any callback or method: the walk runs it there."""
+    hint_urls = {extra.url_id for extra in hints.extra_static_urls}
     for name, body in app.containers():
         for st in body:
             if isinstance(st, TriggerPrefetch):
-                where = f"trigger_prefetch in '{name}'"
-                _check_trigger_entry(app, hints, name, st.url_ids, where, where)
+                for uid in st.url_ids:
+                    if uid not in app.index.url_spots and uid not in hint_urls:
+                        raise InstrumentError(f"trigger_prefetch in '{name}' "
+                                              f"names unknown url '{uid}'")
 
 
 @dataclass(frozen=True)

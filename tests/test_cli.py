@@ -870,6 +870,77 @@ def test_a_hint_url_id_given_twice_exits_2(workdir, capsys):
         assert not (workdir / name).exists()
 
 
+def test_a_hint_url_id_that_is_not_an_identifier_exits_2(workdir, capsys):
+    """`instrument` used to write `trigger_prefetch(bad id)`, which the
+    parser then rejected in `run`."""
+    _run_pipeline_by_hand(workdir)
+    (workdir / "h.json").write_text(json.dumps({
+        "extra_static_urls": [{"url_id": "bad id", "url": "http://x/"}],
+        "extra_trigger_entries": [
+            {"callback": "onCreate", "url_ids": ["bad id"], "at": "launch"}],
+    }))
+    capsys.readouterr()
+    for argv in (
+        ["instrument", "weather.papp", "--urlmap", "urlmap.json",
+         "--triggermap", "triggermap.json", "--hints", "h.json",
+         "-o", "again.papp"],
+        ["pipeline", "weather.papp", "--trace", "trace.json",
+         "--hints", "h.json", "--outdir", "out"],
+    ):
+        assert main(argv) == 2, argv[0]
+        assert capsys.readouterr().err == (
+            "error: hint url 'bad id' is not an identifier\n")
+    for name in ("again.papp", "out"):
+        assert not (workdir / name).exists()
+
+
+HELPER_APP = """app helped
+netmethod get latency=500
+callback a {
+  let x = input(tx)
+  call helper
+}
+method helper {
+}
+callback b {
+  url u = "http://h/" + x
+  get(u)
+}
+ccfg {
+  wait w
+  a -> w
+  w -> b
+}
+"""
+
+
+def test_run_takes_a_trigger_point_in_a_helper_method(workdir):
+    """`instrument` puts trigger points only in callbacks; one written by
+    hand in a helper method runs there, and the run log and the oracle
+    both name the method."""
+    (workdir / "helped.papp").write_text(HELPER_APP)
+    assert main(["analyze", "helped.papp", "--signature", "get"]) == 0
+    (workdir / "opt.papp").write_text(HELPER_APP.replace(
+        "method helper {\n", "method helper {\n  send_definition(x, u, 2)\n"
+        "  trigger_prefetch(u)\n").replace("get(u)", "fetch_from_proxy(get, u)"))
+    (workdir / "t.json").write_text(json.dumps([
+        {"event": "a", "inputs": {"tx": "1"}},
+        {"event": "b", "think_ms": 1000}]))
+    assert main(["run", "--app", "opt.papp", "--trace", "t.json",
+                 "--seed-urlmap", "urlmap.json", "--out", "opt.json",
+                 "--oracle-out", "oracle.json"]) == 0
+    assert main(["run", "--app", "helped.papp", "--trace", "t.json",
+                 "--out", "base.json"]) == 0
+    evals = [e for e in json.loads((workdir / "opt.json").read_text())["events"]
+             if e["type"] == "trigger_eval"]
+    assert [(e["callback"], e["issued"]) for e in evals] == [
+        ("helper", ["u"])]
+    assert main(["report", "--base", "base.json", "--opt", "opt.json",
+                 "--oracle", "oracle.json", "--out", "m.json"]) == 0
+    pair = json.loads((workdir / "m.json").read_text())["pairs"][0]
+    assert (pair["hit_rate"], pair["precision"], pair["recall"]) == (1, 1, 1)
+
+
 def test_recursive_call_exits_2_and_writes_nothing(workdir, capsys):
     (workdir / "loop.papp").write_text(
         'app loop\nnetmethod get latency=10\n'

@@ -10,6 +10,7 @@ Each call must return 0, 1 or 2; any other exception fails the test.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -67,30 +68,40 @@ COMMANDS = (
         "--oracle", f["oracle"], "--out", str(out / "metrics.json")]),
 )
 
+HOWS = ("drop", "rename", "lengthen", "shorten", "empty", "other")
 _OTHER_VALUES = (None, True, 2.5, "s", "url1", [], {}, -1, 0, 2**70)
 _KEYS = ("x", "type", "event", "url_id", "m", "at", "events", "concrete",
          "spots", "callback", "threshold")
 
 
-@pytest.fixture(scope="module")
-def inputs(tmp_path_factory, weather_text):
-    """(the files of the valid inputs, their JSON values, a scratch
-    directory for each example's outputs)."""
-    root = tmp_path_factory.mktemp("fuzz")
+def write_valid_inputs(root):
+    """Write the valid inputs under `root`: the weather fixture, TRACE,
+    NET, HINTS, and the artifacts that a hinted `pipeline` writes for
+    them. Returns (the file of each input, the JSON value of each of
+    INPUTS)."""
     files = {"app": root / "weather.papp"}
-    files["app"].write_text(weather_text)
+    files["app"].write_text(
+        (Path(__file__).parent / "fixtures" / "weather.papp").read_text())
     for name, value in (("trace", TRACE), ("net", NET), ("hints", HINTS)):
         files[name] = root / f"{name}.json"
         files[name].write_text(json.dumps(value))
-    assert main(["pipeline", str(files["app"]), "--trace", str(files["trace"]),
-                 "--net", str(files["net"]), "--hints", str(files["hints"]),
-                 "--outdir", str(root / "valid")]) == 0
+    if main(["pipeline", str(files["app"]), "--trace", str(files["trace"]),
+             "--net", str(files["net"]), "--hints", str(files["hints"]),
+             "--outdir", str(root / "valid")]) != 0:
+        raise RuntimeError("the valid weather pipeline failed")
     files["optimized"] = root / "valid" / "optimized.papp"
     for name, artifact in ARTIFACTS.items():
         files[name] = root / "valid" / artifact
     values = {name: json.loads(files[name].read_text()) for name in INPUTS}
-    return ({k: str(v) for k, v in files.items()}, values,
-            root / "mutated")
+    return {k: str(v) for k, v in files.items()}, values
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """(the files of the valid inputs, their JSON values, a scratch
+    directory for each example's outputs)."""
+    root = tmp_path_factory.mktemp("fuzz")
+    return (*write_valid_inputs(root), root / "mutated")
 
 
 def _positions(value, path=()):
@@ -131,8 +142,7 @@ def test_mutated_json_inputs_exit_0_1_or_2(inputs, name, data):
     files, values, out = inputs
     paths = list(_positions(values[name]))
     path = paths[data.draw(st.integers(0, len(paths) - 1), label="position")]
-    how = data.draw(st.sampled_from(["drop", "rename", "lengthen", "shorten",
-                                     "empty", "other"]))
+    how = data.draw(st.sampled_from(HOWS))
     other = data.draw(st.sampled_from(_OTHER_VALUES))
     key = data.draw(st.sampled_from(_KEYS))
     out.mkdir(exist_ok=True)

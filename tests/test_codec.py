@@ -55,6 +55,7 @@ from fetchahead.runtime import (
     trace_from_json_obj,
 )
 from fetchahead.string_analysis import UrlMap, url_map_from_json_obj
+from test_cli_fuzz import _positions
 
 # (loader, the type it returns, its error class)
 LOADERS = {
@@ -112,15 +113,6 @@ def _weather_artifacts(weather_pipeline, weather_trace) -> dict:
     }
     return {name: json.loads(json.dumps(encode(x)))
             for name, x in values.items()}
-
-
-def _positions(value, path=()):
-    """The path of every value nested in a JSON value, itself included."""
-    yield path
-    items = (value.items() if isinstance(value, dict)
-             else enumerate(value) if isinstance(value, list) else ())
-    for key, x in items:
-        yield from _positions(x, path + (key,))
 
 
 _OTHER_TYPES = (None, True, 7, 2.5, "s", [], {})

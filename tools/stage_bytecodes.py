@@ -6,11 +6,11 @@ The inputs are the workload's apps and traces for seed N (default 1),
 written by `perfbench/gen.py` (imported, not changed). Each one runs
 through `fetchahead.cli.main(["pipeline", ...])` under `sys.settrace`
 with opcode events, and each bytecode counts against the innermost stage
-running at the time. The stages are the traced benchmark's spans
-(`perfbench/spans.py`): the same `fetchahead.cli` names, wrapped under
-the same span names, so a stage's count lines up with the per-layer
-metric of that name. What `main` runs outside them counts as `cli.main`
-(the metric `cli.self_s`). The `bench` run that opens each benchmark
+running at the time. The stages are the traced benchmark's spans: every
+name in `perfbench/spans.py`'s `WRAPPED` table, under its span name or
+the one its rule gives the run, so a stage's count lines up with the
+per-layer metric of that name. What `main` runs outside them counts as
+`cli.main` (the metric `cli.self_s`). The `bench` run that opens each benchmark
 repetition is left out.
 
 Counts are exact: the same on every run with the same Python, whatever
@@ -33,61 +33,43 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (attribute of `fetchahead.cli`, span name) for every stage a pipeline
-# reaches; None names the run by its argument, as the benchmark does
-STAGES = (
-    ("parse_app", "app_ir.parse"),
-    ("print_app", "app_ir.print"),
-    ("build_ecg", "app_ir.build_ecg"),
-    ("analyze_urls", "string_analysis.analyze"),
-    ("url_map_to_json_obj", "string_analysis.codec"),
-    ("identify_trigger_callbacks", "callback_analysis.triggers"),
-    ("trigger_map_to_json_obj", "callback_analysis.codec"),
-    ("instrument", "instrumenter.instrument"),
-    ("run_trace", None),
-    ("trace_from_json_obj", "runtime.codec"),
-    ("net_model_from_json_obj", "runtime.codec"),
-    ("compute_oracle", "metrics.oracle"),
-    ("compute_effectiveness", "metrics.effectiveness"),
-    ("compute_accuracy", "metrics.accuracy"),
-)
-
-
 def count_pipelines(cli, argvs: list[list[str]]) -> tuple[Counter, list[int]]:
     """Bytecodes per stage over `cli.main(argv)` for each argv, and the
-    exit codes."""
+    exit codes. Needs `perfbench/` on `sys.path`."""
+    import spans
+
     counts: Counter = Counter()
     stack = ["cli.main"]
 
-    def wrap(span, fn):
+    def wrap(name, fn):
         def counted(*args, **kwargs):
-            # the optimized run gets the InstrumentedApp wrapper
-            stack.append(span or ("runtime.run_opt" if hasattr(args[0], "app")
-                                  else "runtime.run_base"))
+            stack.append(name if isinstance(name, str) else name(args))
             try:
                 return fn(*args, **kwargs)
             finally:
                 stack.pop()
         return counted
 
-    skip = wrap(None, None).__code__  # the wrappers' own bytecodes
+    # neither the wrappers' own bytecodes nor those of a span's naming rule
+    skip = {wrap(None, None).__code__}
+    skip.update(name.__code__ for _, _, name in spans.WRAPPED
+                if not isinstance(name, str))
 
     def tracer(frame, event, arg):
-        if frame.f_code is skip:
+        if frame.f_code in skip:
             return None
         frame.f_trace_opcodes = True
         if event == "opcode":
             counts[stack[-1]] += 1
         return tracer
 
-    run_log = sys.modules["fetchahead.runtime"].RunLog
-    owners = [(cli, attr, span) for attr, span in STAGES]
-    owners.append((run_log, "canonical_json", "runtime.codec"))
-    saved = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in owners]
+    saved = []
     codes = []
     try:
-        for owner, attr, span in owners:
-            setattr(owner, attr, wrap(span, getattr(owner, attr)))
+        for path, attr, name in spans.WRAPPED:
+            owner = spans._resolve(path)
+            saved.append((owner, attr, getattr(owner, attr)))
+            setattr(owner, attr, wrap(name, getattr(owner, attr)))
         for argv in argvs:
             sys.settrace(tracer)
             try:
@@ -97,7 +79,7 @@ def count_pipelines(cli, argvs: list[list[str]]) -> tuple[Counter, list[int]]:
             finally:
                 sys.settrace(None)
     finally:
-        for owner, attr, original in saved:
+        for owner, attr, original in reversed(saved):
             setattr(owner, attr, original)
     return counts, codes
 

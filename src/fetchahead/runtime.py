@@ -229,7 +229,8 @@ class RunLog:
                 if start:
                     put(piece)
                     piece = ",\n"
-                piece += ",\n".join([_EVENT_JSON[type(ev)](ev)
+                write = _event_writers()  # its memo lasts one batch
+                piece += ",\n".join([write[type(ev)](ev)
                                      for ev in events[start:start + _BATCH]])
             piece += "\n  "
         put(piece + tail)
@@ -277,16 +278,39 @@ _EVENT_JSON: dict[type, Callable[..., str]] = {
         f'      "url_id": {_quote(ev.url_id)},\n'
         f'      "value": {_quote(ev.value)}\n    }}'
     ),
-    TriggerEval: lambda ev: (
-        f'    {{\n      "at": {ev.at},\n'
-        f'      "callback": {_quote(ev.callback)},\n'
-        f'      "considered": {_ids_json(ev.considered)},\n'
-        f'      "issued": {_ids_json(ev.issued)},\n'
-        f'      "skipped_known_cached": {_ids_json(ev.skipped_known_cached)},\n'
-        f'      "skipped_unknown": {_ids_json(ev.skipped_unknown)},\n'
-        f'      "type": "trigger_eval"\n    }}'
-    ),
 }
+
+
+def _event_writers() -> dict[type, Callable[..., str]]:
+    """The event writers of one batch of `canonical_json`: `_EVENT_JSON`,
+    and a trigger writer that writes each `considered` tuple once.
+
+    Every evaluation of a trigger statement considers the statement's
+    own tuple (`tuple()` hands a tuple through), and an all-cached
+    evaluation's skipped tuple is that tuple too. The memo is keyed by
+    the tuple's id, which no other object can take while the log's
+    events hold the tuple, so it must not outlive the call; dropped
+    after each batch, it also takes no more memory than the batch's text
+    when every event has a tuple of its own."""
+    texts: dict[int, str] = {}
+
+    def trigger_eval(ev: TriggerEval) -> str:
+        considered, skipped = ev.considered, ev.skipped_known_cached
+        text = texts.get(id(considered))
+        if text is None:
+            text = texts[id(considered)] = _ids_json(considered)
+        skipped = text if skipped is considered else _ids_json(skipped)
+        return (
+            f'    {{\n      "at": {ev.at},\n'
+            f'      "callback": {_quote(ev.callback)},\n'
+            f'      "considered": {text},\n'
+            f'      "issued": {_ids_json(ev.issued)},\n'
+            f'      "skipped_known_cached": {skipped},\n'
+            f'      "skipped_unknown": {_ids_json(ev.skipped_unknown)},\n'
+            f'      "type": "trigger_eval"\n    }}'
+        )
+
+    return {**_EVENT_JSON, TriggerEval: trigger_eval}
 
 
 # the JSON forms of the run log, the trace and the net config
@@ -377,11 +401,17 @@ class Proxy:
         the wait's purpose of preventing duplicate fetches.
         """
         considered = tuple(url_ids)
+        known, cache = self.known, self.cache
+        # In a long session nearly every trigger point finds all its URLs
+        # cached: test that in C, with no step per URL. An unknown id
+        # maps to None, which is never a cache key. The event is the one
+        # the loop builds, its skipped tuple `considered` itself.
+        if all(map(cache.__contains__, map(known.get, considered))):
+            return [TriggerEval(callback, now, considered, (), considered, ())]
         issued: list[str] = []
         skipped_cached: list[str] = []
         skipped_unknown: list[str] = []
         prefetches: list[Event] = []
-        known, cache = self.known, self.cache
         for url_id in considered:
             url = known.get(url_id)
             if url is None:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from appgen import make_app, random_hints
 from costs import bytecodes, perfbench_gen
+from fetchahead import runtime
 from fetchahead.app_ir import (
     App,
     BuildUrl,
@@ -311,6 +312,75 @@ def test_same_concrete_url_not_prefetched_twice():
     assert ev.issued == ("a",)
     assert ev.skipped_known_cached == ("b",)
     assert len(prefetches) == 1
+
+
+def _loop_trigger_prefetch(proxy, callback, url_ids, now):
+    """`Proxy.trigger_prefetch` as one step per URL: the reference that
+    its all-cached early return must match."""
+    considered = tuple(url_ids)
+    issued, skipped_cached, skipped_unknown, prefetches = [], [], [], []
+    for url_id in considered:
+        url = proxy.known.get(url_id)
+        if url is None:
+            skipped_unknown.append(url_id)
+        elif url in proxy.cache:
+            skipped_cached.append(url_id)
+        elif len(issued) < proxy.net.threshold:
+            ready_at = now + proxy.prefetch_ms
+            proxy.cache[url] = (ready_at, proxy.net.payload_for(url))
+            issued.append(url_id)
+            prefetches.append(Prefetch(url_id, url, now, ready_at))
+    return [TriggerEval(callback, now, considered, tuple(issued),
+                        tuple(skipped_cached), tuple(skipped_unknown)),
+            *prefetches]
+
+
+# ids "a" to "e" may be in the map, "z" never is; two ids can share a URL
+_trigger_ids = st.sampled_from("abcdez")
+_trigger_urls = st.sampled_from(["http://x/1", "http://x/2", "http://x/3"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from("abcde"),
+                       st.one_of(st.none(), _trigger_urls), max_size=5),
+       st.lists(_trigger_ids, max_size=8), st.integers(1, 5),
+       st.integers(0, 50), st.booleans(), st.data())
+def test_trigger_prefetch_is_the_per_url_loop(entries, url_ids, threshold,
+                                              now, cache_all, data):
+    """Random maps (None for an id whose part is not known yet), caches
+    with ready and waiting entries, thresholds of 1 to 5, and trigger
+    lists with repeated and unknown ids. With `cache_all`, every known
+    URL is cached, so the all-cached evaluations are drawn often."""
+    runtime_map = {url_id: [url] for url_id, url in entries.items()}
+    cached = data.draw(st.lists(_trigger_urls, unique=True))
+    if cache_all:
+        cached = [url for url in entries.values() if url is not None]
+    ready = {url: (data.draw(st.integers(0, 100)), f"p:{url}")
+             for url in cached}
+    proxy, reference = (_proxy(runtime_map, threshold=threshold)
+                        for _ in range(2))
+    for p in (proxy, reference):
+        p.cache.update(ready)
+        p.prefetch_ms = 40
+    considered = tuple(url_ids)
+    events = proxy.trigger_prefetch("c", considered, now)
+    assert events == _loop_trigger_prefetch(reference, "c", considered, now)
+    assert proxy.cache == reference.cache
+    ev = events[0]
+    if len(ev.skipped_known_cached) == len(considered):
+        assert ev.skipped_known_cached is considered
+
+
+def test_an_all_cached_trigger_point_costs_the_same_for_any_list_length():
+    """A trigger point whose URLs are all cached runs no Python step per
+    URL: the same bytecodes for 48 ids as for 480."""
+    ids = tuple(f"u{i}" for i in range(480))
+    proxy = _proxy({url_id: [f"http://x/{url_id}"] for url_id in ids})
+    for url_id in ids:
+        proxy.hold(proxy.known[url_id])
+    counts = [bytecodes(proxy.trigger_prefetch, "c", ids[:n], 0)
+              for n in (48, 480)]
+    assert counts[0] == counts[1], counts
 
 
 def test_fetch_from_proxy_three_ways():
@@ -636,20 +706,35 @@ _texts = st.text(st.one_of(
 ), max_size=6)
 _ints = st.integers(-(2**70), 2**70)
 _ids = st.lists(_texts, max_size=4).map(tuple)
-_events = st.one_of(
-    st.builds(Prefetch, _texts, _texts, _ints, _ints),
-    st.builds(Demand, _texts, _texts, _ints, _texts, _ints, _ints, _texts,
-              _texts, _texts),
-    st.builds(DefinitionUpdate, _texts, _ints, _texts, _ints),
-    st.builds(TriggerEval, _texts, _ints, _ids, _ids, _ids, _ids),
-)
-_run_logs = st.builds(RunLog, _texts, st.booleans(),
-                      st.lists(_events, max_size=6).map(tuple), _ints,
-                      st.dictionaries(_texts, _ints, max_size=4))
+
+
+@st.composite
+def _run_logs(draw):
+    """Trigger evaluations take their id tuples from a small pool drawn
+    per log, as a trigger statement hands its one tuple to every
+    evaluation: a tuple object shared by several events, an equal but
+    distinct copy of it, and an evaluation whose skipped tuple is its
+    considered tuple, as the proxy's all-cached evaluation is."""
+    pool = draw(st.lists(_ids, min_size=1, max_size=3))
+    pool += [tuple(list(ids)) for ids in pool]  # equal, distinct if not ()
+    shared = st.sampled_from(pool)
+    events = st.one_of(
+        st.builds(Prefetch, _texts, _texts, _ints, _ints),
+        st.builds(Demand, _texts, _texts, _ints, _texts, _ints, _ints,
+                  _texts, _texts, _texts),
+        st.builds(DefinitionUpdate, _texts, _ints, _texts, _ints),
+        st.builds(TriggerEval, _texts, _ints, shared, shared, shared, shared),
+        shared.flatmap(lambda ids: st.builds(
+            TriggerEval, _texts, _ints, st.just(ids), shared, st.just(ids),
+            shared)),
+    )
+    return RunLog(draw(_texts), draw(st.booleans()),
+                  tuple(draw(st.lists(events, max_size=8))), draw(_ints),
+                  draw(st.dictionaries(_texts, _ints, max_size=4)))
 
 
 @settings(max_examples=150, deadline=None)
-@given(_run_logs)
+@given(_run_logs())
 def test_canonical_json_is_the_json_dumps_form(log):
     reference = json.dumps(encode(log), sort_keys=True, indent=2) + "\n"
     assert log.canonical_json() == reference
@@ -688,6 +773,23 @@ def test_canonical_json_hands_its_sink_one_piece_per_batch(n):
     assert log.canonical_json().splitlines(keepends=True) == lines
 
 
+def test_canonical_json_writes_a_repeated_trigger_list_once(monkeypatch):
+    """Each further evaluation of one trigger statement, all cached, adds
+    the same bytecodes to the writer for 48 ids as for 480. The C quoter
+    is swapped for a Python one, so that writing an id's text again
+    would show as bytecodes."""
+    quote = runtime._quote
+    monkeypatch.setattr(runtime, "_quote", lambda text: quote(text))
+    per_eval = []
+    for n in (48, 480):
+        ids = tuple(f"u{i}" for i in range(n))
+        logs = [RunLog("a", True, (TriggerEval("c", 0, ids, (), ids, ()),) * k,
+                       0, {}) for k in (10, 20)]
+        few, many = (bytecodes(log.canonical_json) for log in logs)
+        per_eval.append((many - few) / 10)
+    assert per_eval[0] == per_eval[1], per_eval
+
+
 # ---------------------------------------------------------------------------
 # the proxy's known URL strings stay current
 # ---------------------------------------------------------------------------
@@ -715,9 +817,12 @@ def test_known_urls_follow_every_send_definition(runtime_map, data):
 def test_run_and_oracle_cost_is_linear_in_trace_length(monkeypatch):
     """The bytecodes of the optimized run and of the oracle on
     `perfbench/gen.py`'s `long_session` with 250, 500 and 1,000 steps.
-    The app stays the same, so only the one-off set-up of the proxy keeps
-    a ratio under x2: each doubling measured x1.98 and x1.99 for the run
-    and for the oracle, on Python 3.11. The counts are the same for every seed. For a
+    The app stays the same, so only one-off costs keep a ratio under x2:
+    the set-up of the proxy, and the session's start, where the cache is
+    still filling and a trigger point takes its URLs one by one, while
+    later ones find them all cached. Each doubling measured x1.84 and
+    x1.92 for the run, x1.82 and x1.90 for the oracle, on Python 3.11.
+    The counts are the same for every seed. For a
     cost a*n + b*n*n the ratio is 2 + 2q, where q is the quadratic share
     at the smaller size, so the bound x2.2 fails once a pass quadratic in
     the trace is a tenth of the work, such as a scan of the run log or of

@@ -6,6 +6,7 @@ rename there fails here rather than in the next comparison."""
 import importlib
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +56,25 @@ def test_stage_bytecodes_counts_only_the_benchmark_spans(
     names = {name for _, _, name in spans.WRAPPED if isinstance(name, str)}
     assert runs <= set(counts) <= names | runs
     assert "cli.main" in names
+
+
+def test_stage_bytecodes_counts_the_same_with_re_warm_or_cold(
+        tmp_path, monkeypatch, weather_text):
+    """argparse compiles a pattern, which `re` caches, on the first parse
+    of an option with one value; the tool's own options may have compiled
+    it already. The count must not depend on that."""
+    tool = _tool("stage_bytecodes", monkeypatch)
+    (tmp_path / "weather.papp").write_text(weather_text)
+    (tmp_path / "trace.json").write_text(json.dumps(TRACE))
+    cli = importlib.import_module("fetchahead.cli")
+    argvs = [["pipeline", str(tmp_path / "weather.papp"),
+              "--trace", str(tmp_path / "trace.json"),
+              "--outdir", str(tmp_path / "out")]]
+    tool.count_pipelines(cli, argvs)  # builds the parser and the outdir
+    warm, _ = tool.count_pipelines(cli, argvs)
+    re.purge()
+    cold, _ = tool.count_pipelines(cli, argvs)
+    assert warm == cold
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in TOOLS.glob("*.py")))

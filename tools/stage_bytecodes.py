@@ -14,7 +14,9 @@ per-layer metric of that name. What `main` runs outside them counts as
 repetition is left out.
 
 Counts are exact: the same on every run with the same Python, whatever
-the host's load. So they show a change's effect, or that it has none,
+the host's load. `re`'s pattern cache is emptied before the first
+pipeline, so `cli.main`'s count holds the patterns argparse compiles for
+it whichever options the tool itself was given. So they show a change's effect, or that it has none,
 before its timed pairs are run; they are not times. Counting makes a
 pipeline 10-20x slower. `--src` is the `src/` directory of the
 `fetchahead` to count, by default this tree's; pointing it at another
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import re
 import sys
 import tempfile
 from collections import Counter
@@ -70,6 +73,10 @@ def count_pipelines(cli, argvs: list[list[str]]) -> tuple[Counter, list[int]]:
             owner = spans._resolve(path)
             saved.append((owner, attr, getattr(owner, attr)))
             setattr(owner, attr, wrap(name, getattr(owner, attr)))
+        # `re` caches the patterns that argparse compiles while parsing;
+        # whether this process's own options compiled one before must not
+        # change `cli.main`'s count, so the first pipeline compiles them all
+        re.purge()
         for argv in argvs:
             sys.settrace(tracer)
             try:

@@ -6,8 +6,10 @@ exit code of `fetchahead pipeline` and the sha256 of each artifact it
 wrote, plus the sha256 of the `fetchahead bench` TSV at its default
 settings. It also holds the sha256 of what `bench`, `report`,
 `pipeline`, `analyze`, `instrument` and `run` write or print as JSON and
-text besides those artifacts. A change that alters any of them must say
-why. To record the fixture again:
+text besides those artifacts; a key that is a command line without
+`--json` or an output option holds the text that command prints. A
+change that alters any of them must say why. To record the fixture
+again:
 
     PYTHONPATH=src python tests/test_golden.py > tests/fixtures/golden.json
 """
@@ -111,43 +113,52 @@ def bench_digest(workdir: Path) -> str:
     return _sha256(tsv.read_bytes())
 
 
+def _sha_stdout(argv: list[str], inputs: Path) -> str:
+    """sha256 of what a `main` call prints, with `inputs` written as
+    `<dir>`."""
+    return _sha256(_stdout_of(argv).replace(str(inputs), "<dir>").encode())
+
+
 def stage_digests(name: str, inputs: Path) -> dict:
-    """sha256 of what `analyze`, `instrument` and `run` write and print
-    with `--json` on the inputs of one `pipeline_digest` call, with
-    `inputs` written as `<dir>`; `run` executes the instrumented app and
-    writes its oracle."""
+    """sha256 of what `analyze`, `instrument` and `run` write, and print
+    as text and with `--json`, on the inputs of one `pipeline_digest`
+    call, with `inputs` written as `<dir>`; `run` executes the
+    instrumented app and writes its oracle."""
     def sha_stdout(argv: list[str]) -> str:
-        stdout = _stdout_of(argv + ["--json"])
-        return _sha256(stdout.replace(str(inputs), "<dir>").encode())
+        return _sha_stdout(argv + ["--json"], inputs)
 
     profile = ["--trace", str(inputs / "trace.json"),
                "--net", str(inputs / "net.json")]
     urlmap, triggermap = inputs / "urlmap.json", inputs / "triggermap.json"
     app, out = str(inputs / "app.papp"), inputs / "out"
     log, oracle = inputs / "runlog.json", inputs / "oracle.json"
-    return {
-        f"analyze {name} --json": sha_stdout(
-            ["analyze", app, *profile, "--urlmap-out", str(urlmap),
-             "--triggermap-out", str(triggermap)]),
-        f"analyze {name} --urlmap-out": _sha256(urlmap.read_bytes()),
-        f"analyze {name} --triggermap-out": _sha256(triggermap.read_bytes()),
-        f"instrument {name} --json": sha_stdout(
-            ["instrument", app, "--urlmap", str(urlmap),
-             "--triggermap", str(triggermap), *profile,
-             "--out", str(inputs / "optimized.papp")]),
-        f"run {name} --json": sha_stdout(
-            ["run", "--app", str(out / "optimized.papp"), *profile,
-             "--seed-urlmap", str(out / "urlmap.json"), "--out", str(log),
-             "--oracle-out", str(oracle)]),
-        f"run {name} --oracle-out": _sha256(oracle.read_bytes()),
+    commands = {
+        "analyze": ["analyze", app, *profile, "--urlmap-out", str(urlmap),
+                    "--triggermap-out", str(triggermap)],
+        "instrument": ["instrument", app, "--urlmap", str(urlmap),
+                       "--triggermap", str(triggermap), *profile,
+                       "--out", str(inputs / "optimized.papp")],
+        "run": ["run", "--app", str(out / "optimized.papp"), *profile,
+                "--seed-urlmap", str(out / "urlmap.json"), "--out", str(log),
+                "--oracle-out", str(oracle)],
     }
+    digests = {}
+    for command, argv in commands.items():
+        digests[f"{command} {name}"] = _sha_stdout(argv, inputs)
+        digests[f"{command} {name} --json"] = sha_stdout(argv)
+    digests[f"analyze {name} --urlmap-out"] = _sha256(urlmap.read_bytes())
+    digests[f"analyze {name} --triggermap-out"] = _sha256(triggermap.read_bytes())
+    digests[f"run {name} --oracle-out"] = _sha256(oracle.read_bytes())
+    return digests
 
 
 def output_digests(workdir: Path) -> dict:
-    """sha256 of the `bench` JSON, of the `report` JSON and text over one
-    pair (no oracle) and over two pairs (with oracles and a summary), of
-    the `pipeline --json` and text stdout, whose temporary outdir is
-    written as `<outdir>`, and the `stage_digests` of each input."""
+    """sha256 of the `bench` JSON and text, the latter with and without
+    `--out` (whose path is written as `<dir>`), of the `report` JSON and
+    text over one pair (no oracle) and over two pairs (with oracles and a
+    summary), of the `pipeline --json` and text stdout, whose temporary
+    outdir is written as `<outdir>`, and the `stage_digests` of each
+    input."""
     def sha(text: str) -> str:
         return _sha256(text.encode())
 
@@ -155,6 +166,9 @@ def output_digests(workdir: Path) -> dict:
     bench = workdir / "bench.json"
     digests["bench --json"] = sha(_stdout_of(["bench", "--json", "--out", str(bench)]))
     digests["bench --out .json"] = _sha256(bench.read_bytes())
+    digests["bench"] = sha(_stdout_of(["bench"]))
+    digests["bench --out .tsv"] = _sha_stdout(
+        ["bench", "--out", str(workdir / "bench.tsv")], workdir)
 
     outs = []
     for name in REPORT_INPUTS:

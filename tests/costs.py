@@ -1,6 +1,7 @@
 """Exact work counts for the linear-cost tests, and the benchmark's input
 generator they size."""
 
+import gc
 import importlib.util
 import sys
 from pathlib import Path
@@ -8,7 +9,10 @@ from pathlib import Path
 
 def bytecodes(fn, *args):
     """The bytecodes that `fn(*args)` runs: exact, and the same on every
-    run and every machine with the same Python."""
+    run and every machine with the same Python. The cyclic garbage
+    collector is paused for the call, as `cli.main` pauses it, and the
+    caller's setting put back: a collection inside the call would add the
+    bytecodes of whatever finalizers it ran."""
     count = 0
 
     def tracer(frame, event, arg):
@@ -18,11 +22,15 @@ def bytecodes(fn, *args):
             count += 1
         return tracer
 
+    enabled = gc.isenabled()
+    gc.disable()
     sys.settrace(tracer)
     try:
         fn(*args)
     finally:
         sys.settrace(None)
+        if enabled:
+            gc.enable()
     return count
 
 

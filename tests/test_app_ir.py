@@ -348,15 +348,35 @@ def _fetching_app(*stmts, latency_ms: int = 5,
      "^line 0: unresolved variable 'nov'$"),
     (_fetching_app(TriggerPrefetch(())),
      "^line 0: trigger_prefetch needs at least one url$"),
+    (App("a", callbacks=(Callback("c", (Transition("nowhere"),)),)),
+     "^line 0: unresolved callback 'nowhere'$"),
+    (App("a", callbacks=(Callback("c", ()), Callback("w", ())),
+         ccfg=Ccfg(("w",), (("c", "w"), ("w", "c")))),
+     "^line 0: wait node 'w' collides with a callback or method name$"),
 ], ids=["space-in-callback-name", "netmethod-named-let", "url-without-parts",
         "negative-latency", "setting-url-part", "input-static-source",
         "duplicate-netmethod", "duplicate-wait-node",
         "proxy-fetch-unknown-method", "proxy-fetch-unknown-url",
         "send-definition-unknown-url", "send-definition-missing-part",
-        "send-definition-undefined-variable", "empty-trigger-prefetch"])
+        "send-definition-undefined-variable", "empty-trigger-prefetch",
+        "goto-unknown-callback", "wait-node-named-like-a-callback"])
 def test_names_that_do_not_round_trip_are_rejected(app, message):
     with pytest.raises(ParseError, match=message):
         validate_app(app)
+
+
+@pytest.mark.parametrize("src, message", [
+    ("app g\ncallback c {\n  goto nowhere\n}\n",
+     "line 3: unresolved callback 'nowhere'"),
+    ("app w\ncallback c {\n}\nmethod w {\n}\n"
+     "ccfg {\n  wait w\n  c -> w\n  w -> c\n}\n",
+     "line 0: wait node 'w' collides with a callback or method name"),
+], ids=["goto-unknown-callback", "wait-node-named-like-a-method"])
+def test_parse_reports_a_goto_to_nowhere_and_a_wait_node_named_like_a_method(
+        src, message):
+    with pytest.raises(ParseError) as err:
+        parse_app(src)
+    assert str(err.value) == message
 
 
 def test_parse_reports_each_unresolved_proxy_fetch_at_its_line():

@@ -8,7 +8,8 @@ editing the files between stages.
 `run_pipeline` alone decides the stage order, for `pipeline` and `bench`.
 It calls every stage through the names imported here: the traced
 benchmark wraps those. Each command checks each input once, as it reads
-it, and the stages trust their arguments.
+it, and the stages trust their arguments. It returns the JSON value that
+`--json` prints and the text printed otherwise, for `main` to print.
 
 `main` parses and runs each command with the cyclic garbage collector
 paused, and puts back the caller's setting afterwards, on every exit and
@@ -178,8 +179,8 @@ def _write_text(path: str,
     open makes ext4 free the old blocks and start writeback on close: on a
     2-vCPU VM a pipeline's seven writes took 1.2-2.1 ms that way, varying
     with the disk's load, and a steady 0.3 ms in place. A failed write,
-    or a producer that raises, empties the file, as truncating on open
-    did; the producer's exception propagates."""
+    or a producer that raises, empties the file unless that cut fails
+    too; the producer's exception propagates."""
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
@@ -236,6 +237,12 @@ def _load_net(path: str | None) -> NetModel:
     return _load(path, net_model_from_json_obj) or NetModel()
 
 
+def _load_hints(path: str | None, app: App) -> Hints:
+    hints = _load(path, hints_from_json_obj) or Hints()
+    hints.check(app)
+    return hints
+
+
 def _pick_signature(app, args) -> FetchSignature:
     """--signature wins; else profile when a trace is given; else fall
     back to the highest declared latency."""
@@ -250,49 +257,46 @@ def _pick_signature(app, args) -> FetchSignature:
     return heuristic_fetch_signature(app)
 
 
+def _scores_text(m: Metrics) -> str:
+    """The scores line of one run pair, as `report` and `pipeline` print it."""
+    text = (f"hit rate {m.hit_rate * 100:.1f}%, mean reduction "
+            f"{m.latency_reduction_pct.mean:.1f}%")
+    if m.precision is not None:
+        text += f", precision {m.precision:.3f}, recall {m.recall:.3f}"
+    return text + "\n"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple[object, str]:
     app = _load_original(args.app)
     url_map = analyze_urls(app)
     sig = _pick_signature(app, args)
     trigger_map = identify_trigger_callbacks(app, build_ecg(app), sig)
     _write_json(args.urlmap_out, url_map_to_json_obj(url_map))
     _write_json(args.triggermap_out, trigger_map_to_json_obj(trigger_map))
-    result = {
-        "signature": sig.net_method,
-        "urlmap": args.urlmap_out,
-        "triggermap": args.triggermap_out,
-    }
-    if args.json:
-        print(dumps(result), end="")
-    else:
-        print(f"signature: {sig.net_method}")
-        print(f"wrote {args.urlmap_out} and {args.triggermap_out}")
-    return 0
+    return ({"signature": sig.net_method, "urlmap": args.urlmap_out,
+             "triggermap": args.triggermap_out},
+            f"signature: {sig.net_method}\n"
+            f"wrote {args.urlmap_out} and {args.triggermap_out}\n")
 
 
-def _cmd_instrument(args) -> int:
+def _cmd_instrument(args) -> tuple[object, str]:
     app = _load_original(args.app)
     url_map = _load(args.urlmap, url_map_from_json_obj)
     url_map.check(app)
     trigger_map = _load(args.triggermap, trigger_map_from_json_obj)
     sig = _pick_signature(app, args)
-    hints = _load(args.hints, hints_from_json_obj) or Hints()
-    hints.check(app)
+    hints = _load_hints(args.hints, app)
     check_trigger_map(app, trigger_map, hints)
     ia = instrument(app, url_map, trigger_map, sig, hints)
     _write_text(args.out, print_app(ia.app))
-    if args.json:
-        print(dumps({"out": args.out, "signature": sig.net_method}), end="")
-    else:
-        print(f"wrote {args.out}")
-    return 0
+    return {"out": args.out, "signature": sig.net_method}, f"wrote {args.out}\n"
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> tuple[object, str]:
     app = _load(args.app, parse_app, as_json=False)
     trace = _load(args.trace, trace_from_json_obj)
     net = _load_net(args.net)
@@ -302,8 +306,7 @@ def _cmd_run(args) -> int:
             raise FetchaheadError("an instrumented app requires a seed url map")
         seed = _load(args.seed_urlmap, url_map_from_json_obj)
         seed.check(app)
-        hints = _load(args.hints, hints_from_json_obj) or Hints()
-        hints.check(app)
+        hints = _load_hints(args.hints, app)
         check_trigger_points(app, hints)
     elif args.oracle_out:
         raise FetchaheadError("--oracle-out requires an instrumented app")
@@ -313,35 +316,26 @@ def _cmd_run(args) -> int:
     _write_text(args.out, log.canonical_json)
     if args.oracle_out:
         _write_json(args.oracle_out, encode(compute_oracle(app, trace, net, hints)))
-    if args.json:
-        print(dumps({"out": args.out, "final_ms": log.final_ms}), end="")
-    else:
-        print(f"wrote {args.out} ({len(log.demands())} demands, "
-              f"{log.final_ms}ms virtual time)")
-    return 0
+    return ({"out": args.out, "final_ms": log.final_ms},
+            f"wrote {args.out} ({len(log.demands())} demands, "
+            f"{log.final_ms}ms virtual time)\n")
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> tuple[object, str]:
     if args.latency_ms < 1:
         raise UsageError("--latency-ms must be >= 1")
     if args.think_ms < 0:
         raise UsageError("--think-ms must be >= 0")
     report = run_benchmark(args.latency_ms, args.think_ms)
-    if args.out:
-        if args.out.endswith(".json"):
-            _write_json(args.out, encode(report))
-        else:
-            _write_text(args.out, report.to_tsv())
-    if args.json:
-        print(dumps(encode(report)), end="")
-    elif not args.out:
-        print(report.to_tsv(), end="")
-    else:
-        print(f"wrote {args.out}")
-    return 0
+    result = encode(report)
+    if not args.out:
+        return result, report.to_tsv()
+    _write_text(args.out,
+                dumps(result) if args.out.endswith(".json") else report.to_tsv())
+    return result, f"wrote {args.out}\n"
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> tuple[object, str]:
     oracles = args.oracle or []
     if len(args.base) != len(args.opt):
         raise UsageError("--base and --opt must be given the same number of times")
@@ -358,29 +352,21 @@ def _cmd_report(args) -> int:
         result["summary"] = summarize_pairs(pairs)
     if args.out:
         _write_json(args.out, result)
-    if args.json:
-        print(dumps(result), end="")
-    else:
-        for i, m in enumerate(pairs):
-            line = (f"pair {i}: hit rate {m.hit_rate * 100:.1f}%, mean reduction "
-                    f"{m.latency_reduction_pct.mean:.1f}%")
-            if m.precision is not None:
-                line += f", precision {m.precision:.3f}, recall {m.recall:.3f}"
-            print(line)
-        if "summary" in result:
-            print(format_summary(result["summary"]))
-    return 0
+    text = "".join(f"pair {i}: {_scores_text(m)}" for i, m in enumerate(pairs))
+    if "summary" in result:
+        text += format_summary(result["summary"]) + "\n"
+    return result, text
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_pipeline(args) -> tuple[object, str]:
     app = _load_original(args.app)
     trace = _load(args.trace, trace_from_json_obj)
     net = _load_net(args.net)
-    hints = _load(args.hints, hints_from_json_obj) or Hints()
-    hints.check(app)
+    hints = _load_hints(args.hints, app)
     sig = _pick_signature(app, args) if args.signature else None
     p = run_pipeline(app, trace, net, hints, sig)
     m = _scored(p.base, p.opt, p.oracle)
+    metrics = encode(m)
 
     # nothing is written unless every stage succeeded
     outdir = Path(args.outdir)
@@ -394,18 +380,10 @@ def _cmd_pipeline(args) -> int:
     _write_text(str(outdir / "runlog_base.json"), p.base.canonical_json)
     _write_text(str(outdir / "runlog_opt.json"), p.opt.canonical_json)
     _write_json(str(outdir / "oracle.json"), encode(p.oracle))
-    # same shape the report subcommand writes, so the two paths are
-    # byte-identical
-    _write_json(str(outdir / "metrics.json"), {"pairs": [encode(m)]})
-
-    if args.json:
-        print(dumps({"outdir": str(outdir), "metrics": encode(m)}), end="")
-    else:
-        print(f"pipeline artifacts in {outdir}")
-        print(f"hit rate {m.hit_rate * 100:.1f}%, mean reduction "
-              f"{m.latency_reduction_pct.mean:.1f}%, precision {m.precision:.3f}, "
-              f"recall {m.recall:.3f}")
-    return 0
+    # the shape `report` writes, so the two are byte-identical
+    _write_json(str(outdir / "metrics.json"), {"pairs": [metrics]})
+    return ({"outdir": str(outdir), "metrics": metrics},
+            f"pipeline artifacts in {outdir}\n{_scores_text(m)}")
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +468,9 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        result, text = args.fn(args)
+        print(dumps(result) if args.json else text, end="")
+        return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -1,3 +1,4 @@
+import errno
 import gc
 import hashlib
 import json
@@ -319,6 +320,26 @@ def test_a_write_that_fails_on_the_second_piece_empties_the_file(
     assert capsys.readouterr().err == (
         "error: cannot write runlog.json: No space left on device\n")
     assert (workdir / "runlog.json").read_bytes() == b""
+
+
+def test_a_cut_that_fails_exits_2_and_leaves_what_was_written(
+        workdir, capsys, monkeypatch):
+    """The cut to length fails, and so does the emptying cut after it:
+    the file keeps the text written in place."""
+    run = ["run", "--app", "weather.papp", "--trace", "trace.json", "--out"]
+    assert main(run + ["expected.json"]) == 0
+    capsys.readouterr()
+
+    def failing_cut(fd, size):
+        raise OSError(errno.EIO, "Input/output error")
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "ftruncate", failing_cut)
+        code = main(run + ["runlog.json"])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", "error: cannot write runlog.json: Input/output error\n")
+    assert (workdir / "runlog.json").read_bytes() == (
+        workdir / "expected.json").read_bytes()
 
 
 def test_a_producer_that_raises_empties_the_file(tmp_path):

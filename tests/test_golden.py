@@ -6,8 +6,9 @@ exit code of `fetchahead pipeline` and the sha256 of each artifact it
 wrote, plus the sha256 of the `fetchahead bench` TSV at its default
 settings. It also holds the sha256 of what `bench`, `report`,
 `pipeline`, `analyze`, `instrument` and `run` write or print as JSON and
-text besides those artifacts; a key that is a command line without
-`--json` or an output option holds the text that command prints. A
+text besides those artifacts. The text that `analyze`, `instrument` and
+`run` print is keyed by the command and its input alone, and the text
+`bench` prints by `bench` and, with `--out`, by `bench --out .tsv`. A
 change that alters any of them must say why. To record the fixture
 again:
 
@@ -124,9 +125,6 @@ def stage_digests(name: str, inputs: Path) -> dict:
     as text and with `--json`, on the inputs of one `pipeline_digest`
     call, with `inputs` written as `<dir>`; `run` executes the
     instrumented app and writes its oracle."""
-    def sha_stdout(argv: list[str]) -> str:
-        return _sha_stdout(argv + ["--json"], inputs)
-
     profile = ["--trace", str(inputs / "trace.json"),
                "--net", str(inputs / "net.json")]
     urlmap, triggermap = inputs / "urlmap.json", inputs / "triggermap.json"
@@ -145,7 +143,7 @@ def stage_digests(name: str, inputs: Path) -> dict:
     digests = {}
     for command, argv in commands.items():
         digests[f"{command} {name}"] = _sha_stdout(argv, inputs)
-        digests[f"{command} {name} --json"] = sha_stdout(argv)
+        digests[f"{command} {name} --json"] = _sha_stdout(argv + ["--json"], inputs)
     digests[f"analyze {name} --urlmap-out"] = _sha256(urlmap.read_bytes())
     digests[f"analyze {name} --triggermap-out"] = _sha256(triggermap.read_bytes())
     digests[f"run {name} --oracle-out"] = _sha256(oracle.read_bytes())

@@ -219,11 +219,12 @@ def _cut(fd: int, size: int) -> None:
             raise
 
 
-def _write_json(path: str, obj) -> None:
+def _write_json(path: str, obj, tp=None) -> None:
     """The JSON value `obj` as `codec.dumps` writes it: the one form of
     every JSON artifact, so a file that no stage changed is byte-identical
-    from run to run."""
-    _write_text(path, dumps(obj))
+    from run to run. Given the type `tp` whose JSON value `obj` is, the
+    writer compiled for `tp` writes the same text faster."""
+    _write_text(path, dumps(obj, tp))
 
 
 def _load_original(path: str) -> App:
@@ -275,8 +276,9 @@ def _cmd_analyze(args) -> tuple[object, str]:
     url_map = analyze_urls(app)
     sig = _pick_signature(app, args)
     trigger_map = identify_trigger_callbacks(app, build_ecg(app), sig)
-    _write_json(args.urlmap_out, url_map_to_json_obj(url_map))
-    _write_json(args.triggermap_out, trigger_map_to_json_obj(trigger_map))
+    _write_json(args.urlmap_out, url_map_to_json_obj(url_map), UrlMap)
+    _write_json(args.triggermap_out, trigger_map_to_json_obj(trigger_map),
+                TriggerMap)
     return ({"signature": sig.net_method, "urlmap": args.urlmap_out,
              "triggermap": args.triggermap_out},
             f"signature: {sig.net_method}\n"
@@ -315,7 +317,8 @@ def _cmd_run(args) -> tuple[object, str]:
     log = run_trace(app, trace, net, seed_url_map=seed, hints=hints)
     _write_text(args.out, log.canonical_json)
     if args.oracle_out:
-        _write_json(args.oracle_out, encode(compute_oracle(app, trace, net, hints)))
+        _write_json(args.oracle_out,
+                    encode(compute_oracle(app, trace, net, hints)), Oracle)
     return ({"out": args.out, "final_ms": log.final_ms},
             f"wrote {args.out} ({len(log.demands())} demands, "
             f"{log.final_ms}ms virtual time)\n")
@@ -374,12 +377,14 @@ def _cmd_pipeline(args) -> tuple[object, str]:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise FetchaheadError(f"cannot create {outdir}: {e.strerror or e}") from e
-    _write_json(str(outdir / "urlmap.json"), url_map_to_json_obj(p.url_map))
-    _write_json(str(outdir / "triggermap.json"), trigger_map_to_json_obj(p.trigger_map))
+    _write_json(str(outdir / "urlmap.json"), url_map_to_json_obj(p.url_map),
+                UrlMap)
+    _write_json(str(outdir / "triggermap.json"),
+                trigger_map_to_json_obj(p.trigger_map), TriggerMap)
     _write_text(str(outdir / "optimized.papp"), print_app(p.ia.app))
     _write_text(str(outdir / "runlog_base.json"), p.base.canonical_json)
     _write_text(str(outdir / "runlog_opt.json"), p.opt.canonical_json)
-    _write_json(str(outdir / "oracle.json"), encode(p.oracle))
+    _write_json(str(outdir / "oracle.json"), encode(p.oracle), Oracle)
     # the shape `report` writes, so the two are byte-identical
     _write_json(str(outdir / "metrics.json"), {"pairs": [metrics]})
     return ({"outdir": str(outdir), "metrics": metrics},

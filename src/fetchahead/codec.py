@@ -19,10 +19,17 @@ back: a `float` as it is, and an `Enum` as its `.value`.
 
 `dumps(value)` writes a JSON value as every JSON artifact is written:
 keys sorted, two-space indent, ASCII only, and a final newline.
+`dumps(value, tp)` writes the same text for `value`, the JSON value that
+`encode` gives for a `tp`, with a writer compiled for `tp`: the url map,
+the trigger map and the oracle are written so. Its keys and indents are
+constant text, and a union's members are told apart as on decoding. It
+can write every type above but `Enum`, and refuses one it cannot write
+with TypeError before writing any value.
 
 A decode error names the JSON path of the bad value:
-`$.events[3].at must be an integer >= 0, got -1`. Each type's decoder and
-encoder is built once, on first use, so no value pays for reflection.
+`$.events[3].at must be an integer >= 0, got -1`. Each type's decoder,
+encoder and writer is built once, on first use, so no value pays for
+reflection.
 """
 
 from __future__ import annotations
@@ -82,13 +89,20 @@ def encode(value):
     return _encoder(type(value))(value)
 
 
-def dumps(value) -> str:
+def dumps(value, tp=None) -> str:
     """`json.dumps(value, sort_keys=True, indent=2)` plus a newline, byte
     for byte, for a JSON value: dicts with `str` keys, lists, `str`, `int`,
     `float`, `bool` and None, exactly those types. Raises TypeError on
     anything else. On CPython 3.11 `json.dumps` runs its pure-Python
     encoder when it indents, and yields the text piece by piece; this
-    joins each container's items in one call, in about half the time."""
+    joins each container's items in one call, in about half the time.
+
+    Given `tp`, `value` must be the JSON value that `encode` gives for a
+    `tp`, and `_writer(tp)` writes the same text about four times as fast:
+    it knows each key and indent in advance, so it writes only the scalars
+    one by one."""
+    if tp is not None:
+        return _writer(tp)(value)
     return _dumps(value, "\n") + "\n"
 
 
@@ -129,6 +143,87 @@ def _dumps(v, newline: str) -> str:
     if scalar is None:
         raise TypeError(f"Object of type {t.__name__} is not a JSON value")
     return scalar(v)
+
+
+def _no_member(v):
+    raise TypeError("no member of the union has the JSON value "
+                    + reprlib.repr(v))
+
+
+_WRITERS = {t: "_" + t.__name__ for t in (str, int, float, bool)}
+
+
+@cache
+def _writer(tp):
+    """A lambda compiled from `_writing`, as `_encoder` is from
+    `_encoding`: the whole text of a `tp`'s JSON value as one string
+    expression, a comprehension or a `map` per container."""
+    namespace = {name: _SCALARS[t] for t, name in _WRITERS.items()}
+    namespace["_no_member"] = _no_member
+    return eval(f"lambda v: {_plus(_writing(tp, 'v', chr(10)) + [chr(10)])}",
+                namespace)
+
+
+def _plus(pieces: list) -> str:
+    """One string expression of `pieces`: constant text as a `str`, and
+    expressions in 1-tuples. It formats them into one `%` template, which
+    builds the string once; a chain of `+` builds a string per step."""
+    template = "".join(p.replace("%", "%%") if type(p) is str else "%s"
+                       for p in pieces)
+    values = [p[0] for p in pieces if type(p) is not str]
+    if template == "%s":
+        return values[0]
+    return f"{template!r} % ({', '.join(values)},)" if values else repr(template)
+
+
+def _writing(tp, var: str, newline: str) -> list:
+    """The pieces (see `_plus`) of `dumps`'s text for `var`, the JSON value
+    of a `tp`, whose lines after the first start with `newline`."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp in _WRITERS or origin is Literal:
+        return [(f"{_WRITERS.get(tp, '_str')}({var})",)]
+    inner = newline + "  "
+    x, k = f"x{len(inner)}", f"k{len(inner)}"  # one name per depth
+    if origin is tuple:
+        call = _plus(_writing(args[0], x, inner))
+        fn = call.removesuffix(f"({x})")  # a scalar: its writer, mapped in C
+        items = (f"map({fn}, {var})" if fn.isidentifier()
+                 else f"[{call} for {x} in {var}]")
+    elif origin is Mapping:
+        item = _plus([(f"_str({k})",), ": ", *_writing(args[1], x, inner)])
+        items = f"[{item} for {k}, {x} in sorted({var}.items())]"
+    if origin is tuple or origin is Mapping:
+        text = _plus([inner, (f"{',' + inner!r}.join({items})",), newline])
+        opening, closing = "[]" if origin is tuple else "{}"
+        return [opening, (f"({text} if {var} else '')",), closing]
+    if origin is Union or origin is types.UnionType:
+        # the members told apart as `_union_decoder` tells them apart
+        members, optional = _members(tp)
+        tagged = any(hasattr(m, "type") for m in members)
+        expr = (_plus(_writing(members[0], var, newline)) if len(members) == 1
+                else f"_no_member({var})")
+        for m in reversed(members if len(members) > 1 else ()):
+            if tagged and not hasattr(m, "type"):
+                continue  # never decoded, so never written
+            test = (f'{var}.get("type") == {m.type!r}' if tagged
+                    else f"{_fields(m)[0][0]!r} in {var}")
+            expr = f"{_plus(_writing(m, var, newline))} if {test} else {expr}"
+        return [(f"('null' if {var} is None else {expr})" if optional
+                 else f"({expr})",)]
+    if dataclasses.is_dataclass(tp):
+        fields = _fields(tp)
+        if fields[0][1].metadata.get("inline"):
+            return _writing(fields[0][2], var, newline)
+        texts = {key: _writing(ftp, f"{var}[{key!r}]", inner)
+                 for key, _, ftp in fields}
+        if hasattr(tp, "type"):
+            texts["type"] = [encode_basestring_ascii(tp.type)]
+        pieces = ["{"]
+        for i, key in enumerate(sorted(texts)):
+            pieces += ["," * (i > 0) + inner + encode_basestring_ascii(key)
+                       + ": ", *texts[key]]
+        return pieces + [newline + "}"]
+    raise TypeError(f"no JSON text for {tp!r}")
 
 
 def _fields(cls) -> list[tuple[str, dataclasses.Field, Any]]:

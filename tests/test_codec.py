@@ -6,7 +6,9 @@ given: values drawn at random, and the weather fixture's artifacts with
 one key dropped, one value's type swapped or one number made negative.
 Every artifact of a random pipeline survives `decode(T, encode(x))`.
 `dumps` writes any JSON value exactly as the standard library's indenting
-encoder does, and rejects anything else.
+encoder does, and rejects anything else; given the type whose JSON value
+it writes, it writes the same text, and a type it cannot write is refused
+before any value is.
 """
 
 import dataclasses
@@ -28,7 +30,7 @@ from fetchahead.callback_analysis import (
     trigger_map_from_json_obj,
 )
 from fetchahead.cli import run_pipeline
-from fetchahead.codec import decode, dumps, encode
+from fetchahead.codec import _writer, decode, dumps, encode
 from fetchahead.errors import (
     AnalysisError,
     FetchaheadError,
@@ -44,7 +46,13 @@ from fetchahead.instrumenter import (
     hints_from_json_obj,
 )
 from fetchahead.mbm import Accuracy, BenchReport, CaseResult, Prefetchability
-from fetchahead.metrics import Metrics, Oracle, Reduction, oracle_from_json_obj
+from fetchahead.metrics import (
+    Metrics,
+    Oracle,
+    Reduction,
+    TriggerPoint,
+    oracle_from_json_obj,
+)
 from fetchahead.runtime import (
     Costs,
     NetModel,
@@ -54,7 +62,13 @@ from fetchahead.runtime import (
     run_log_from_json_obj,
     trace_from_json_obj,
 )
-from fetchahead.string_analysis import UrlMap, url_map_from_json_obj
+from fetchahead.string_analysis import (
+    Concrete,
+    DefinitionSpot,
+    Unknown,
+    UrlMap,
+    url_map_from_json_obj,
+)
 from test_cli_fuzz import _positions
 
 # (loader, the type it returns, its error class)
@@ -210,6 +224,7 @@ def test_every_artifact_round_trips(seed):
                   (UrlMap, p.url_map), (TriggerMap, p.trigger_map),
                   (RunLog, p.base), (RunLog, p.opt), (Oracle, p.oracle)):
         assert decode(tp, json.loads(json.dumps(encode(x))), RunError) == x
+        assert dumps(encode(x), tp) == dumps(encode(x))
     for log in (p.base, p.opt):
         assert decode(RunLog, json.loads(log.canonical_json()), RunError) == log
 
@@ -299,3 +314,69 @@ def test_dumps_is_the_indenting_encoder(value):
 def test_dumps_rejects_what_is_not_a_json_value(value):
     with pytest.raises(TypeError):
         dumps(value)
+
+
+def _tuples(items):
+    return st.lists(items, max_size=3).map(tuple)
+
+
+_spots = st.builds(DefinitionSpot, _text, st.integers(0, 10**6),
+                   st.integers(0, 9), st.integers(0, 2**70))
+_url_maps = st.builds(UrlMap, st.dictionaries(_text, _tuples(
+    st.builds(Concrete, _text) | st.builds(Unknown, _tuples(_spots))),
+    max_size=3))
+_trigger_maps = st.builds(
+    TriggerMap, st.dictionaries(_text, _tuples(_text), max_size=3))
+_oracles = st.builds(
+    Oracle, _tuples(st.builds(TriggerPoint, _text, _tuples(_text))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_url_maps | _trigger_maps | _oracles)
+@example(UrlMap({}))
+@example(UrlMap({"u": (), "v": (Unknown(()), Concrete(""))}))
+@example(TriggerMap({}))
+@example(TriggerMap({"cb": ()}))
+@example(Oracle(()))
+@example(Oracle((TriggerPoint("cb", ()), TriggerPoint("\u00e9\"\n", ("\ud800",)))))
+def test_the_typed_writer_writes_what_dumps_writes(x):
+    assert dumps(encode(x), type(x)) == dumps(encode(x))
+
+
+def test_the_typed_writer_sorts_the_json_keys_not_the_fields():
+    spot = DefinitionSpot("cb", stmt_index=3, part_index=1, ordinal=2)
+    assert dumps(encode(UrlMap({"u": (Unknown((spot,)),)})), UrlMap) == """{
+  "u": [
+    {
+      "spots": [
+        {
+          "container": "cb",
+          "m": 1,
+          "n": 2,
+          "stmt": 3
+        }
+      ]
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize("tp", [
+    BenchReport, Prefetchability, list[str], dict[str, str], set[str],
+    typing.Any, Mapping[str, set[str]], str | int, UrlMap | Prefetchability,
+], ids=["enum-field", "enum", "list", "dict", "set", "any", "nested-set",
+        "scalar-union", "enum-union"])
+def test_the_typed_writer_refuses_a_type_it_cannot_write(tp):
+    with pytest.raises(TypeError):
+        _writer(tp)
+
+
+@pytest.mark.parametrize("tp, value", [
+    (UrlMap, {"u": [{"spot": []}]}),
+    (RunLog, {"app": "a", "instrumented": True, "final_ms": 0,
+              "overhead_ms": {}, "events": [{"type": "bogus"}]}),
+], ids=["untagged", "tagged"])
+def test_the_typed_writer_refuses_a_value_of_no_union_member(tp, value):
+    with pytest.raises(TypeError, match="no member of the union"):
+        dumps(value, tp)

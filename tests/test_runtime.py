@@ -40,6 +40,7 @@ from fetchahead.runtime import (
     _BATCH,
     run_log_from_json_obj,
     run_trace,
+    trace_from_json_obj,
 )
 from fetchahead.string_analysis import Concrete, UrlMap, analyze_urls
 import json
@@ -815,21 +816,23 @@ def test_known_urls_follow_every_send_definition(runtime_map, data):
 
 
 def test_run_and_oracle_cost_is_linear_in_trace_length(monkeypatch):
-    """The bytecodes of the optimized run and of the oracle on
-    `perfbench/gen.py`'s `long_session` with 250, 500 and 1,000 steps.
-    The app stays the same, so only one-off costs keep a ratio under x2:
-    the set-up of the proxy, and the session's start, where the cache is
-    still filling and a trigger point takes its URLs one by one, while
-    later ones find them all cached. Each doubling measured x1.84 and
-    x1.92 for the run, x1.82 and x1.90 for the oracle, on Python 3.11.
-    The counts are the same for every seed. For a
-    cost a*n + b*n*n the ratio is 2 + 2q, where q is the quadratic share
+    """The bytecodes of the optimized run, of the oracle, of the trace
+    loader on the trace's JSON value and of the optimized run log's
+    writer, on `perfbench/gen.py`'s `long_session` with 250, 500 and
+    1,000 steps. The app stays the same, so only one-off costs keep a
+    ratio under x2: the set-up of the proxy, and the session's start,
+    where the cache is still filling and a trigger point takes its URLs
+    one by one, while later ones find them all cached. Each doubling
+    measured x1.84 and x1.92 for the run, x1.82 and x1.90 for the oracle,
+    x1.89 and x2.00 for the trace loader and x1.94 and x1.97 for the run
+    log's writer, on Python 3.11. The counts are the same for every seed.
+    For a cost a*n + b*n*n the ratio is 2 + 2q, where q is the quadratic share
     at the smaller size, so the bound x2.2 fails once a pass quadratic in
     the trace is a tenth of the work, such as a scan of the run log or of
     the cache on every step."""
     gen = perfbench_gen(monkeypatch)
     net = NetModel()
-    counts = {"run": [], "oracle": []}
+    counts = {"run": [], "oracle": [], "trace-load": [], "run-log-write": []}
     for steps in (250, 500, 1000):
         case = gen.long_session(1, steps=steps)[0]
         p = run_pipeline(case.app, case.trace, net)
@@ -837,5 +840,9 @@ def test_run_and_oracle_cost_is_linear_in_trace_length(monkeypatch):
                                        p.url_map))
         counts["oracle"].append(bytecodes(compute_oracle, p.ia, case.trace,
                                           net))
+        counts["trace-load"].append(bytecodes(trace_from_json_obj,
+                                              encode(case.trace)))
+        counts["run-log-write"].append(bytecodes(p.opt.canonical_json,
+                                                 lambda piece: None))
     for stage, (a, b, c) in counts.items():
         assert b / a <= 2.2 and c / b <= 2.2, (stage, a, b, c)

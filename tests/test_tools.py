@@ -47,7 +47,7 @@ def test_stage_bytecodes_counts_only_the_benchmark_spans(
     (tmp_path / "weather.papp").write_text(weather_text)
     (tmp_path / "trace.json").write_text(json.dumps(TRACE))
     cli = importlib.import_module("fetchahead.cli")
-    counts, codes = tool.count_pipelines(cli, [[
+    counts, codes, _ = tool.count_pipelines(cli, [[
         "pipeline", str(tmp_path / "weather.papp"),
         "--trace", str(tmp_path / "trace.json"),
         "--outdir", str(tmp_path / "out")]])
@@ -71,10 +71,31 @@ def test_stage_bytecodes_counts_the_same_with_re_warm_or_cold(
               "--trace", str(tmp_path / "trace.json"),
               "--outdir", str(tmp_path / "out")]]
     tool.count_pipelines(cli, argvs)  # builds the parser and the outdir
-    warm, _ = tool.count_pipelines(cli, argvs)
+    warm, _, _ = tool.count_pipelines(cli, argvs)
     re.purge()
-    cold, _ = tool.count_pipelines(cli, argvs)
+    cold, _, _ = tool.count_pipelines(cli, argvs)
     assert warm == cold
+
+
+def test_stage_bytecodes_splits_one_span_by_function(
+        tmp_path, monkeypatch, weather_text):
+    """Each bytecode of the span counts against the function running it,
+    and no other span's functions show."""
+    tool = _tool("stage_bytecodes", monkeypatch)
+    (tmp_path / "weather.papp").write_text(weather_text)
+    (tmp_path / "trace.json").write_text(json.dumps(TRACE))
+    cli = importlib.import_module("fetchahead.cli")
+    argvs = [["pipeline", str(tmp_path / "weather.papp"),
+              "--trace", str(tmp_path / "trace.json"),
+              "--outdir", str(tmp_path / "out")]]
+    counts, codes, functions = tool.count_pipelines(cli, argvs, "cli.main")
+    assert codes == [0]
+    assert sum(functions.values()) == counts["cli.main"]
+    assert functions["cli._write_text"] > 0
+    assert "app_ir.parse_app" not in functions
+    _, _, parse = tool.count_pipelines(cli, argvs, "app_ir.parse")
+    assert parse["app_ir.parse_app"] > 0
+    assert "cli._write_text" not in parse
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in TOOLS.glob("*.py")))

@@ -1,6 +1,7 @@
 """Count the bytecodes of each pipeline stage on one benchmark workload.
 
     python3 tools/stage_bytecodes.py WORKLOAD [--seed N] [--src DIR]
+                                     [--functions SPAN]
 
 The inputs are the workload's apps and traces for seed N (default 1),
 written by `perfbench/gen.py` (imported, not changed). Each one runs
@@ -20,7 +21,10 @@ it whichever options the tool itself was given. So they show a change's effect, 
 before its timed pairs are run; they are not times. Counting makes a
 pipeline 10-20x slower. `--src` is the `src/` directory of the
 `fetchahead` to count, by default this tree's; pointing it at another
-tree's gives the before and after of a change.
+tree's gives the before and after of a change. `--functions SPAN` also
+prints the ten functions that run the most bytecodes inside the stage
+SPAN, each counted without the functions it calls, as
+`module.qualified_name`; code built by `eval` shows as `<string>`.
 """
 
 from __future__ import annotations
@@ -36,12 +40,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-def count_pipelines(cli, argvs: list[list[str]]) -> tuple[Counter, list[int]]:
-    """Bytecodes per stage over `cli.main(argv)` for each argv, and the
-    exit codes. Needs `perfbench/` on `sys.path`."""
+def count_pipelines(cli, argvs: list[list[str]], span: str | None = None
+                    ) -> tuple[Counter, list[int], Counter]:
+    """Bytecodes per stage over `cli.main(argv)` for each argv, the exit
+    codes, and the bytecodes per function inside the stage `span`. Needs
+    `perfbench/` on `sys.path`."""
     import spans
 
     counts: Counter = Counter()
+    functions: Counter = Counter()
     stack = ["cli.main"]
 
     def wrap(name, fn):
@@ -63,7 +70,10 @@ def count_pipelines(cli, argvs: list[list[str]]) -> tuple[Counter, list[int]]:
             return None
         frame.f_trace_opcodes = True
         if event == "opcode":
-            counts[stack[-1]] += 1
+            stage = stack[-1]
+            counts[stage] += 1
+            if stage == span:
+                functions[frame.f_code] += 1
         return tracer
 
     saved = []
@@ -88,7 +98,10 @@ def count_pipelines(cli, argvs: list[list[str]]) -> tuple[Counter, list[int]]:
     finally:
         for owner, attr, original in reversed(saved):
             setattr(owner, attr, original)
-    return counts, codes
+    named: Counter = Counter()
+    for code, n in functions.items():
+        named[f"{Path(code.co_filename).stem}.{code.co_qualname}"] += n
+    return counts, codes, named
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -97,6 +110,9 @@ def main(argv: list[str] | None = None) -> int:
                         choices=("large_app", "long_session", "corpus"))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--functions", metavar="SPAN",
+                        help="also print the ten functions that run the "
+                             "most bytecodes inside this stage")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.src), str(ROOT / "perfbench")]
     import gen
@@ -111,19 +127,25 @@ def main(argv: list[str] | None = None) -> int:
                                   work / "inputs")
         argvs = [["pipeline", str(w.papp), "--trace", str(w.trace),
                   "--outdir", str(work / "out" / w.name)] for w in written]
-        counts, codes = count_pipelines(cli, argvs)
+        counts, codes, functions = count_pipelines(cli, argvs, args.functions)
     total = sum(counts.values())
     print(f"{args.workload}, seed {args.seed}: {len(written)} pipelines, "
           f"fetchahead from {Path(cli.__file__).parent}")
     for span, n in counts.most_common():
         print(f"  {span:<28} {n:>14,} {100 * n / total:6.2f}%")
     print(f"  {'total':<28} {total:>14,}")
+    if args.functions:
+        print(f"functions with the most bytecodes in {args.functions}:")
+        for name, n in functions.most_common(10):
+            print(f"  {n:>14,}  {name}")
     wrong = [(w, code) for w, code in zip(written, codes)
              if code != w.expect_exit]
     for w, code in wrong:
         print(f"{w.name}: exit {code}, expected {w.expect_exit}",
               file=sys.stderr)
-    return 1 if wrong else 0
+    if args.functions and not functions:
+        print(f"no bytecodes ran in {args.functions}", file=sys.stderr)
+    return 1 if wrong or (args.functions and not functions) else 0
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping
 
 from .app_ir import App, build_ecg, parse_app, print_app
 from .callback_analysis import (
@@ -110,7 +110,7 @@ def run_pipeline(app: App, trace: Trace, net: NetModel,
     ia = instrument(app, url_map, trigger_map, sig, hints)
     # ia, not ia.app: the traced benchmark tells the two runs apart by it
     opt = run_trace(ia, trace, net, seed_url_map=url_map, hints=hints)
-    oracle = compute_oracle(ia, trace, net, hints)
+    oracle = compute_oracle(ia.app, trace, net, hints)
     return Pipeline(url_map, sig, trigger_map, ia, base, opt, oracle)
 
 
@@ -386,7 +386,8 @@ def _cmd_pipeline(args) -> tuple[object, str]:
     _write_text(str(outdir / "runlog_opt.json"), p.opt.canonical_json)
     _write_json(str(outdir / "oracle.json"), encode(p.oracle), Oracle)
     # the shape `report` writes, so the two are byte-identical
-    _write_json(str(outdir / "metrics.json"), {"pairs": [metrics]})
+    _write_json(str(outdir / "metrics.json"), {"pairs": [metrics]},
+                Mapping[str, tuple[Metrics, ...]])
     return ({"outdir": str(outdir), "metrics": metrics},
             f"pipeline artifacts in {outdir}\n{_scores_text(m)}")
 

@@ -20,11 +20,10 @@ back: a `float` as it is, and an `Enum` as its `.value`.
 `dumps(value)` writes a JSON value as every JSON artifact is written:
 keys sorted, two-space indent, ASCII only, and a final newline.
 `dumps(value, tp)` writes the same text for `value`, the JSON value that
-`encode` gives for a `tp`, with a writer compiled for `tp`: the url map,
-the trigger map and the oracle are written so. Its keys and indents are
+`encode` gives for a `tp`, with a writer compiled for `tp`, as `pipeline`
+writes every JSON file but the run logs. Its keys and indents are
 constant text, and a union's members are told apart as on decoding. It
-can write every type above but `Enum`, and refuses one it cannot write
-with TypeError before writing any value.
+writes every type above but `Enum`, and raises TypeError on another up front.
 
 A decode error names the JSON path of the bad value:
 `$.events[3].at must be an integer >= 0, got -1`. Each type's decoder,

@@ -132,19 +132,19 @@ class Replay(Walk):
         self.trigger_points.append(TriggerPoint(container, ev.issued))
 
 
-def replay_trace(app_like, trace: Trace, net: NetModel | None = None,
+def replay_trace(app: App, trace: Trace, net: NetModel | None = None,
                  hints: Hints | None = None) -> Replay:
     """Run the trace through the oracle's walk; raises RunError on the
     trace steps that `run_trace` rejects."""
-    replay = Replay(getattr(app_like, "app", app_like), net, hints)
+    replay = Replay(app, net, hints)
     for k, step in enumerate(trace.steps):
         replay.run_step(k, step)
     return replay
 
 
-def compute_oracle(app_like, trace: Trace, net: NetModel | None = None,
+def compute_oracle(app: App, trace: Trace, net: NetModel | None = None,
                    hints: Hints | None = None) -> Oracle:
-    return Oracle(tuple(replay_trace(app_like, trace, net, hints).trigger_points))
+    return Oracle(tuple(replay_trace(app, trace, net, hints).trigger_points))
 
 
 oracle_from_json_obj = partial(decode, Oracle, error=MetricsError)

@@ -19,7 +19,7 @@ Identical inputs produce a byte-identical run log.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Mapping, Union
 
@@ -222,6 +222,7 @@ class RunLog:
             f'  "overhead_ms": {overhead}\n}}\n'
         )
         events = self.events
+        _ids_json.cache_clear()  # a key of another log compares id by id
         piece = f'{{\n  "app": {_quote(self.app)},\n  "events": ['
         if events:
             piece += "\n"
@@ -229,8 +230,7 @@ class RunLog:
                 if start:
                     put(piece)
                     piece = ",\n"
-                write = _event_writers()  # its memo lasts one batch
-                piece += ",\n".join([write[type(ev)](ev)
+                piece += ",\n".join([_EVENT_JSON[type(ev)](ev)
                                      for ev in events[start:start + _BATCH]])
             piece += "\n  "
         put(piece + tail)
@@ -245,10 +245,30 @@ _BATCH = 2_000
 # canonical_json's event writers: keys in sorted order, two-space indent,
 # strings escaped by the C encoder that json.dumps itself uses
 
+@lru_cache(maxsize=256)
 def _ids_json(ids: tuple[str, ...]) -> str:
+    """An id list's text, cached by value: a trigger statement's every
+    evaluation lists its own tuple (`tuple()` hands it through), so hits
+    are by identity. The bound holds distinct lists to a batch's memory."""
     if not ids:
         return "[]"
     return "[\n        " + ",\n        ".join(map(_quote, ids)) + "\n      ]"
+
+
+def _trigger_eval_json(ev: TriggerEval) -> str:
+    # all cached, skipped is considered (hash it once) and the rest empty
+    text, skipped = _ids_json(ev.considered), ev.skipped_known_cached
+    return (
+        f'    {{\n      "at": {ev.at},\n'
+        f'      "callback": {_quote(ev.callback)},\n'
+        f'      "considered": {text},\n'
+        f'      "issued": {_ids_json(ev.issued) if ev.issued else "[]"},\n'
+        f'      "skipped_known_cached": '
+        f'{_ids_json(skipped) if skipped is not ev.considered else text},\n'
+        f'      "skipped_unknown": '
+        f'{_ids_json(ev.skipped_unknown) if ev.skipped_unknown else "[]"},\n'
+        f'      "type": "trigger_eval"\n    }}'
+    )
 
 
 _EVENT_JSON: dict[type, Callable[..., str]] = {
@@ -278,39 +298,8 @@ _EVENT_JSON: dict[type, Callable[..., str]] = {
         f'      "url_id": {_quote(ev.url_id)},\n'
         f'      "value": {_quote(ev.value)}\n    }}'
     ),
+    TriggerEval: _trigger_eval_json,
 }
-
-
-def _event_writers() -> dict[type, Callable[..., str]]:
-    """The event writers of one batch of `canonical_json`: `_EVENT_JSON`,
-    and a trigger writer that writes each `considered` tuple once.
-
-    Every evaluation of a trigger statement considers the statement's
-    own tuple (`tuple()` hands a tuple through), and an all-cached
-    evaluation's skipped tuple is that tuple too. The memo is keyed by
-    the tuple's id, which no other object can take while the log's
-    events hold the tuple, so it must not outlive the call; dropped
-    after each batch, it also takes no more memory than the batch's text
-    when every event has a tuple of its own."""
-    texts: dict[int, str] = {}
-
-    def trigger_eval(ev: TriggerEval) -> str:
-        considered, skipped = ev.considered, ev.skipped_known_cached
-        text = texts.get(id(considered))
-        if text is None:
-            text = texts[id(considered)] = _ids_json(considered)
-        skipped = text if skipped is considered else _ids_json(skipped)
-        return (
-            f'    {{\n      "at": {ev.at},\n'
-            f'      "callback": {_quote(ev.callback)},\n'
-            f'      "considered": {text},\n'
-            f'      "issued": {_ids_json(ev.issued)},\n'
-            f'      "skipped_known_cached": {skipped},\n'
-            f'      "skipped_unknown": {_ids_json(ev.skipped_unknown)},\n'
-            f'      "type": "trigger_eval"\n    }}'
-        )
-
-    return {**_EVENT_JSON, TriggerEval: trigger_eval}
 
 
 # the JSON forms of the run log, the trace and the net config

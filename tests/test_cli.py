@@ -359,8 +359,8 @@ def test_a_producer_that_raises_empties_the_file(tmp_path):
 def test_writing_a_run_log_takes_memory_of_one_batch_not_of_the_log(tmp_path):
     """The run log is encoded and written a batch of events at a time, so
     a log four times as long takes no more memory to write. Each trigger
-    evaluation here has a trigger list of its own, so the writer's memo
-    of trigger lists must not outlive a batch either."""
+    evaluation here has trigger lists of its own, so the writer's memo of
+    their texts must be bounded too."""
     path = str(tmp_path / "runlog.json")
     for event_at in (
             lambda i: DefinitionUpdate(f"url{i % 50}", i % 7, f"value{i}", i),

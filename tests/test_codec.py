@@ -8,7 +8,7 @@ Every artifact of a random pipeline survives `decode(T, encode(x))`.
 `dumps` writes any JSON value exactly as the standard library's indenting
 encoder does, and rejects anything else; given the type whose JSON value
 it writes, it writes the same text, and a type it cannot write is refused
-before any value is.
+before any value is. Its work grows linearly in the values it writes.
 """
 
 import dataclasses
@@ -24,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from appgen import make_app
+from costs import bytecodes
 from fetchahead.callback_analysis import (
     FetchSignature,
     TriggerMap,
@@ -52,6 +53,7 @@ from fetchahead.metrics import (
     Reduction,
     TriggerPoint,
     oracle_from_json_obj,
+    summarize_pairs,
 )
 from fetchahead.runtime import (
     Costs,
@@ -316,6 +318,28 @@ def test_dumps_rejects_what_is_not_a_json_value(value):
         dumps(value)
 
 
+def _report(n: int) -> dict:
+    """The JSON value `report` writes for two pairs of n requests each."""
+    pairs = [Metrics(p, 1.0, 0.5, Reduction(tuple(i / 7 - p for i in range(n)),
+                                            1 / 3), 7)
+             for p in (0.25, 0.75)]
+    return {"pairs": [encode(m) for m in pairs],
+            "summary": summarize_pairs(pairs)}
+
+
+def test_dumps_cost_is_linear_in_the_values_written():
+    """The generic writer's bytecodes on a `report` value whose pairs
+    hold 1,000, 2,000 and 4,000 requests each. Each doubling measured
+    x1.981 and x1.990 on Python 3.11: only the fixed cost of the keys and
+    the summary keeps it under x2. For a cost a*n + b*n*n the ratio is
+    2 + 2q, where q is the quadratic share at the smaller size, so the
+    bound x2.2 fails once a pass quadratic in the values is a tenth of the
+    work, such as re-joining the text written so far for every item."""
+    counts = [bytecodes(dumps, _report(n)) for n in (1000, 2000, 4000)]
+    ratios = [b / a for a, b in zip(counts, counts[1:])]
+    assert all(r <= 2.2 for r in ratios), (counts, ratios)
+
+
 def _tuples(items):
     return st.lists(items, max_size=3).map(tuple)
 
@@ -329,18 +353,32 @@ _trigger_maps = st.builds(
     TriggerMap, st.dictionaries(_text, _tuples(_text), max_size=3))
 _oracles = st.builds(
     Oracle, _tuples(st.builds(TriggerPoint, _text, _tuples(_text))))
+_floats = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, math.nan,
+                                         math.inf, -math.inf])
+_scores = _tuples(st.builds(
+    Metrics, st.none() | _floats, st.none() | _floats, _floats,
+    st.builds(Reduction, _tuples(_floats), _floats), st.integers(0, 2**70)))
+
+# the type of `metrics.json`'s JSON value, whose pairs a tuple of scores is
+_PAIRS = Mapping[str, tuple[Metrics, ...]]
 
 
 @settings(max_examples=300, deadline=None)
-@given(_url_maps | _trigger_maps | _oracles)
+@given(_url_maps | _trigger_maps | _oracles | _scores)
 @example(UrlMap({}))
 @example(UrlMap({"u": (), "v": (Unknown(()), Concrete(""))}))
 @example(TriggerMap({}))
 @example(TriggerMap({"cb": ()}))
 @example(Oracle(()))
 @example(Oracle((TriggerPoint("cb", ()), TriggerPoint("\u00e9\"\n", ("\ud800",)))))
+@example(())
+@example((Metrics(None, None, -0.0, Reduction((), math.nan), 0),
+          Metrics(0.5, 1.0, math.inf, Reduction((-math.inf, -0.0, 1e16), 0.0),
+                  2**64)))
 def test_the_typed_writer_writes_what_dumps_writes(x):
-    assert dumps(encode(x), type(x)) == dumps(encode(x))
+    value, tp = (({"pairs": [encode(m) for m in x]}, _PAIRS)
+                 if type(x) is tuple else (encode(x), type(x)))
+    assert dumps(value, tp) == dumps(value)
 
 
 def test_the_typed_writer_sorts_the_json_keys_not_the_fields():

@@ -83,7 +83,7 @@ def test_oracle_rejects_what_the_runtime_rejects(weather_pipeline, steps, messag
     with pytest.raises(RunError, match=message):
         run_trace(ia, trace, NetModel(), seed_url_map=weather_pipeline.url_map)
     with pytest.raises(RunError, match=message):
-        compute_oracle(ia, trace)
+        compute_oracle(ia.app, trace)
 
 
 def test_no_triggers_is_vacuously_perfect():

@@ -838,8 +838,8 @@ def test_run_and_oracle_cost_is_linear_in_trace_length(monkeypatch):
         p = run_pipeline(case.app, case.trace, net)
         counts["run"].append(bytecodes(run_trace, p.ia, case.trace, net,
                                        p.url_map))
-        counts["oracle"].append(bytecodes(compute_oracle, p.ia, case.trace,
-                                          net))
+        counts["oracle"].append(bytecodes(compute_oracle, p.ia.app,
+                                          case.trace, net))
         counts["trace-load"].append(bytecodes(trace_from_json_obj,
                                               encode(case.trace)))
         counts["run-log-write"].append(bytecodes(p.opt.canonical_json,

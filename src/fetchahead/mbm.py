@@ -63,6 +63,10 @@ class CaseConfig:
     def k(self) -> int:
         return len(self.placements)
 
+    @property
+    def d(self) -> tuple[int, ...]:
+        return tuple(len(p) for p in self.placements)
+
 
 def classify(cfg: CaseConfig) -> Prefetchability:
     """Apply the formal taxonomy to a configuration. k=0 is a hit."""

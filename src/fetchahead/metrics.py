@@ -276,23 +276,18 @@ def summarize_pairs(pairs: list[Metrics]) -> dict:
 
 def format_summary(summary: dict) -> str:
     """Plain-text rendering of a summarize_pairs() result."""
-    def pct(x: float) -> str:
-        return f"{x * 100:.1f}%"
-
-    def num(x: float) -> str:
-        return f"{x:.2f}"
-
+    # ".1%" writes 100 times the value, with a "%" after it
     rows = [
-        ("Runtime Requests", summary["runtime_requests"], num),
-        ("Hit Rate", summary["hit_rate"], pct),
+        ("Runtime Requests", summary["runtime_requests"], ">10.2f"),
+        ("Hit Rate", summary["hit_rate"], ">10.1%"),
         ("Latency Reduction",
          {k: v / 100.0 for k, v in summary["latency_reduction_pct"].items()},
-         pct),
+         ">10.1%"),
     ]
     lines = [f"{'':18} {'Min.':>10} {'Max.':>10} {'Avg.':>10} {'Std. Dev.':>10}"]
     for label, cells, fmt in rows:
         lines.append(
-            f"{label:18} {fmt(cells['min']):>10} {fmt(cells['max']):>10} "
-            f"{fmt(cells['avg']):>10} {fmt(cells['stddev']):>10}"
+            f"{label:18} {cells['min']:{fmt}} {cells['max']:{fmt}} "
+            f"{cells['avg']:{fmt}} {cells['stddev']:{fmt}}"
         )
     return "\n".join(lines)

@@ -222,16 +222,18 @@ class RunLog:
             f'  "overhead_ms": {overhead}\n}}\n'
         )
         events = self.events
-        _ids_json.cache_clear()  # a key of another log compares id by id
         piece = f'{{\n  "app": {_quote(self.app)},\n  "events": ['
         if events:
             piece += "\n"
-            for start in range(0, len(events), _BATCH):
-                if start:
-                    put(piece)
-                    piece = ",\n"
-                piece += ",\n".join([_EVENT_JSON[type(ev)](ev)
-                                     for ev in events[start:start + _BATCH]])
+            try:
+                for start in range(0, len(events), _BATCH):
+                    if start:
+                        put(piece)
+                        piece = ",\n"
+                    piece += ",\n".join([_EVENT_JSON[type(ev)](ev) for ev
+                                         in events[start:start + _BATCH]])
+            finally:  # a key of another log would compare id by id
+                _considered_json.cache_clear()
             piece += "\n  "
         put(piece + tail)
         return "".join(pieces) if sink is None else None
@@ -245,26 +247,28 @@ _BATCH = 2_000
 # canonical_json's event writers: keys in sorted order, two-space indent,
 # strings escaped by the C encoder that json.dumps itself uses
 
-@lru_cache(maxsize=256)
 def _ids_json(ids: tuple[str, ...]) -> str:
-    """An id list's text, cached by value: a trigger statement's every
-    evaluation lists its own tuple (`tuple()` hands it through), so hits
-    are by identity. The bound holds distinct lists to a batch's memory."""
     if not ids:
         return "[]"
     return "[\n        " + ",\n        ".join(map(_quote, ids)) + "\n      ]"
 
 
+# Every evaluation of a trigger statement considers the statement's own
+# tuple (`tuple()` hands it through), so a log's lookups hit by identity;
+# emptied after each log, the cache holds at most a batch's lists.
+_considered_json = lru_cache(maxsize=_BATCH)(_ids_json)
+
+
 def _trigger_eval_json(ev: TriggerEval) -> str:
-    # all cached, skipped is considered (hash it once) and the rest empty
-    text, skipped = _ids_json(ev.considered), ev.skipped_known_cached
+    # all cached: skipped is considered (write it once), the rest empty
+    text, skipped = _considered_json(ev.considered), ev.skipped_known_cached
     return (
         f'    {{\n      "at": {ev.at},\n'
         f'      "callback": {_quote(ev.callback)},\n'
         f'      "considered": {text},\n'
         f'      "issued": {_ids_json(ev.issued) if ev.issued else "[]"},\n'
         f'      "skipped_known_cached": '
-        f'{_ids_json(skipped) if skipped is not ev.considered else text},\n'
+        f'{text if skipped is ev.considered else _ids_json(skipped)},\n'
         f'      "skipped_unknown": '
         f'{_ids_json(ev.skipped_unknown) if ev.skipped_unknown else "[]"},\n'
         f'      "type": "trigger_eval"\n    }}'

@@ -95,15 +95,14 @@ def test_case_configs_distinct_and_grouped():
         cfg = CASE_CONFIGS[case_id]
         assert cfg.placements not in seen
         seen.add(cfg.placements)
-        spots = tuple(map(len, cfg.placements))  # per value
         if case_id <= 5:
             assert cfg.k == 1
         elif case_id <= 9:
-            assert spots == (1, 1)
+            assert cfg.d == (1, 1)
         elif case_id <= 15:
-            assert sorted(spots) == [1, 2]
+            assert sorted(cfg.d) == [1, 2]
         else:
-            assert spots == (2, 2)
+            assert cfg.d == (2, 2)
 
 
 def test_case_configs_cover_all_placement_patterns():

@@ -47,9 +47,10 @@ index. `Ccfg` caches its adjacency the same way on its own instance.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .errors import ParseError
 
@@ -327,47 +328,50 @@ _IDENT = r"[A-Za-z_][A-Za-z0-9_.]*"
 
 # a string token consumes any '#' inside it, so `#` starts a comment only
 # outside string literals
-_TOKEN_RE = re.compile(
-    r'\s*(?:(?P<str>"[^"]*")'
-    r"|(?P<arrow>->)"
-    rf"|(?P<ident>{_IDENT})"
-    r"|(?P<num>\d+)"
-    r"|(?P<sym>[={}()+,;])"
-    r"|(?P<comment>#.*)"
-    r"|(?P<bad>\S))"
-)
+_TOKEN = rf'"[^"]*"|->|{_IDENT}|\d+|[={{}}()+,;]'
+_TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
+# the longest run of tokens, then the character that starts none: `#`
+# opens a comment, any other is illegal; `(.?)` lets the match never
+# fail, so it never backtracks into the tokens
+_STOP_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*\s*(.?)")
+
+# a token's kind by its first character; a token starting with any other
+# character is a number (`\d` also matches non-ASCII digits)
+_KIND = {'"': "str", "-": "arrow", **dict.fromkeys("={}()+,;", "sym"),
+         **dict.fromkeys(string.ascii_letters + "_", "ident")}
 
 
-def _tokenize(line: str) -> list[tuple[str, str]]:
-    """Tokens as (kind, text) up to any comment; raises ValueError on an
-    illegal character."""
-    toks = []
-    for m in _TOKEN_RE.finditer(line):
-        kind = m.lastgroup
-        if kind == "comment":
-            break
-        if kind == "bad":
-            raise ValueError(f"unexpected character {m.group(kind)!r}")
-        toks.append((kind, m.group(kind)))
-    return toks
+def _tokenize(line: str) -> list[str]:
+    """The token texts up to any comment; raises ValueError on an illegal
+    character."""
+    stop = _STOP_RE.match(line)
+    if stop[1] and stop[1] != "#":
+        raise ValueError(f"unexpected character {stop[1]!r}")
+    return _TOKEN_RE.findall(line, 0, stop.start(1))
 
 
 class _Cursor:
-    def __init__(self, tokens: list[tuple[str, str]]):
+    def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
 
-    def next(self) -> tuple[str, str]:
-        if self.pos >= len(self.tokens):
-            raise ValueError("unexpected end of line")
+    def next(self) -> str:
+        try:
+            t = self.tokens[self.pos]
+        except IndexError:
+            raise ValueError("unexpected end of line") from None
         self.pos += 1
-        return self.tokens[self.pos - 1]
+        return t
 
     def expect(self, kind: str, text: str | None = None) -> str:
-        k, t = self.next()
-        if k != kind or (text is not None and t != text):
-            want = text if text is not None else kind
-            raise ValueError(f"expected {want!r}, found {t!r}")
+        """The next token, which must be `text` if given, else of `kind`."""
+        try:
+            t = self.tokens[self.pos]
+        except IndexError:
+            raise ValueError("unexpected end of line") from None
+        self.pos += 1
+        if (t != text) if text else (_KIND.get(t[0], "num") != kind):
+            raise ValueError(f"expected {text or kind!r}, found {t!r}")
         return t
 
     def args(self, *kinds: str) -> list[str]:
@@ -383,7 +387,7 @@ class _Cursor:
         return out
 
     def accept(self, text: str) -> bool:
-        if self.pos < len(self.tokens) and self.tokens[self.pos][1] == text:
+        if self.pos < len(self.tokens) and self.tokens[self.pos] == text:
             self.pos += 1
             return True
         return False
@@ -409,16 +413,16 @@ _STATEMENT_KEYWORDS = frozenset({
 
 
 def _parse_stmt(cur: _Cursor) -> Stmt:
-    kind, text = cur.next()
-    if kind != "ident":
+    text = cur.next()
+    if _KIND.get(text[0]) != "ident":
         raise ValueError(f"bad statement start {text!r}")
     if text == "let":
         var = cur.expect("ident")
         cur.expect("sym", "=")
-        k, t = cur.next()
-        if k == "str":
+        t = cur.next()
+        if t[0] == '"':
             return DefineStatic(var, "literal", _unquote(t))
-        if k == "ident" and t in ("resource", "setting", "input"):
+        if t in ("resource", "setting", "input"):
             (key,) = cur.args("ident")
             return DefineDynamic(var, key) if t == "input" else DefineStatic(var, t, key)
         raise ValueError(f"bad definition source {t!r}")
@@ -455,12 +459,12 @@ def _parse_stmt(cur: _Cursor) -> Stmt:
 
 
 def _parse_url_part(cur: _Cursor) -> UrlPart:
-    k, t = cur.next()
-    if k == "str":
+    t = cur.next()
+    if t[0] == '"':
         return UrlPart("literal", _unquote(t))
-    if k == "ident" and t == "resource":
+    if t == "resource":
         return UrlPart("resource", *cur.args("ident"))
-    if k == "ident":
+    if _KIND.get(t[0]) == "ident":
         return UrlPart("var", t)
     raise ValueError(f"bad url part {t!r}")
 
@@ -496,7 +500,7 @@ def parse_app(text: str) -> App:
             continue
         cur = _Cursor(toks)
         if block is not None:
-            if len(toks) == 1 and toks[0][1] == "}":
+            if toks == ["}"]:
                 block = None
                 continue
             _, cname, body = block
@@ -519,7 +523,7 @@ def parse_app(text: str) -> App:
                     diags.append((lineno, f"trailing tokens after {what}"))
                     break
             continue
-        _, head = cur.next()
+        head = cur.next()
         try:
             if head == "app":
                 if name is not None:
@@ -769,30 +773,24 @@ def _print_part(part: UrlPart) -> str:
     return part.value
 
 
-def print_stmt(st: Stmt) -> str:
-    if isinstance(st, DefineStatic):
-        if st.source_kind == "literal":
-            return f'let {st.var} = "{st.source}"'
-        return f"let {st.var} = {st.source_kind}({st.source})"
-    if isinstance(st, DefineDynamic):
-        return f"let {st.var} = input({st.input_tag})"
-    if isinstance(st, BuildUrl):
-        return f"url {st.url_id} = " + " + ".join(_print_part(p) for p in st.parts)
-    if isinstance(st, NetCall):
-        return f"{st.method}({st.url_id})"
-    if isinstance(st, Call):
-        return f"call {st.target}"
-    if isinstance(st, AsyncCall):
-        return f"asynccall {st.target}"
-    if isinstance(st, Transition):
-        return f"goto {st.target}"
-    if isinstance(st, SendDefinition):
-        return f"send_definition({st.var}, {st.url_id}, {st.part_index})"
-    if isinstance(st, TriggerPrefetch):
-        return f"trigger_prefetch({', '.join(st.url_ids)})"
-    if isinstance(st, FetchFromProxy):
-        return f"fetch_from_proxy({st.original_method}, {st.url_id})"
-    raise TypeError(f"unknown statement {st!r}")
+# print_app's statement lines, one template per statement class
+_STMT_TEXT: dict[type, Callable[..., str]] = {
+    DefineStatic: lambda st: (
+        f'  let {st.var} = "{st.source}"' if st.source_kind == "literal"
+        else f"  let {st.var} = {st.source_kind}({st.source})"),
+    DefineDynamic: lambda st: f"  let {st.var} = input({st.input_tag})",
+    BuildUrl: lambda st: (f"  url {st.url_id} = "
+                          + " + ".join(map(_print_part, st.parts))),
+    NetCall: lambda st: f"  {st.method}({st.url_id})",
+    Call: lambda st: f"  call {st.target}",
+    AsyncCall: lambda st: f"  asynccall {st.target}",
+    Transition: lambda st: f"  goto {st.target}",
+    SendDefinition: lambda st: (
+        f"  send_definition({st.var}, {st.url_id}, {st.part_index})"),
+    TriggerPrefetch: lambda st: f"  trigger_prefetch({', '.join(st.url_ids)})",
+    FetchFromProxy: lambda st: (
+        f"  fetch_from_proxy({st.original_method}, {st.url_id})"),
+}
 
 
 def print_app(app: App) -> str:
@@ -807,8 +805,7 @@ def print_app(app: App) -> str:
     for kind, items in (("callback", app.callbacks), ("method", app.methods)):
         for c in items:
             out.append(f"{kind} {c.name} {{")
-            for st in c.body:
-                out.append(f"  {print_stmt(st)}")
+            out += [_STMT_TEXT[type(st)](st) for st in c.body]
             out.append("}")
     out.append("ccfg {")
     for w in app.ccfg.wait_nodes:

@@ -158,7 +158,8 @@ def _writer(tp):
     `_encoding`: the whole text of a `tp`'s JSON value as one string
     expression, a comprehension or a `map` per container."""
     namespace = {name: _SCALARS[t] for t, name in _WRITERS.items()}
-    namespace["_no_member"] = _no_member
+    namespace.update(_no_member=_no_member, _repr=float.__repr__,
+                     _isfinite=math.isfinite)
     return eval(f"lambda v: {_plus(_writing(tp, 'v', chr(10)) + [chr(10)])}",
                 namespace)
 
@@ -188,6 +189,8 @@ def _writing(tp, var: str, newline: str) -> list:
         fn = call.removesuffix(f"({x})")  # a scalar: its writer, mapped in C
         items = (f"map({fn}, {var})" if fn.isidentifier()
                  else f"[{call} for {x} in {var}]")
+        if fn == "_float":  # all finite, tested in C: each one's repr
+            items = f"map(_repr if all(map(_isfinite, {var})) else _float, {var})"
     elif origin is Mapping:
         item = _plus([(f"_str({k})",), ": ", *_writing(args[1], x, inner)])
         items = f"[{item} for {k}, {x} in sorted({var}.items())]"

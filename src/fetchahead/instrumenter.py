@@ -160,17 +160,17 @@ def instrument(
 
     # (container, stmt index) -> the send_definition statements after it,
     # one per (url, part) it feeds, in the app's URL program order: a JSON
-    # round trip of the url map, which picks the definitions, changes nothing
+    # round trip of the url map, which picks the definitions, changes nothing.
+    # Each (var, url, part) has one statement, shared by all its spots.
     insertions: dict[tuple[str, int], list[SendDefinition]] = {}
     for url_id, (_, _, build) in app.index.url_spots.items():
         for m, (part, state) in enumerate(
                 zip(build.parts, url_map.entries[url_id]), start=1):
-            if not isinstance(state, Unknown):
-                continue
-            for spot in state.spots:
-                at = (spot.container, spot.stmt_index)
-                insertions.setdefault(at, []).append(
-                    SendDefinition(part.value, url_id, m))
+            if isinstance(state, Unknown):
+                send = SendDefinition(part.value, url_id, m)
+                for spot in state.spots:
+                    insertions.setdefault((spot.container, spot.stmt_index),
+                                          []).append(send)
 
     # callback -> its leading trigger_prefetch statements, and the URLs
     # of its trailing one

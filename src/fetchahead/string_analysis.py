@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Union
 
-from .app_ir import (App, BuildUrl, DefineDynamic, DefineStatic, SendDefinition,
+from .app_ir import (App, DefineDynamic, DefineStatic, SendDefinition,
                      TriggerPrefetch, UrlPart)
 from .codec import decode, encode, inline, renamed
 from .errors import AnalysisError
@@ -146,28 +146,26 @@ def static_part_value(app: App, part: UrlPart) -> str | None:
 
 
 def analyze_urls(app: App) -> UrlMap:
-    """Compute the URL map for every URL spot in the app."""
-    entries: dict[str, tuple[UrlPartState, ...]] = {}
-    for url_id, (_, _, spot) in app.index.url_spots.items():
-        entries[url_id] = _analyze_parts(app, spot)
-    return UrlMap(entries)
+    """Compute the URL map for every URL spot in the app. A slot, one
+    variable at one part position, gets its state once: every URL that
+    reads the variable at that position shares it."""
+    slots: dict[tuple[str, int], UrlPartState] = {}
 
+    def state(m: int, part: UrlPart) -> UrlPartState:
+        if part.kind != "var":
+            return Concrete(app.static_value(part.kind, part.value))
+        slot = (part.value, m)
+        if slot not in slots:
+            value = static_value_of(app, part.value)
+            slots[slot] = Concrete(value) if value is not None else Unknown(
+                tuple(DefinitionSpot(container, idx, m, ordinal)
+                      for ordinal, (container, idx, _) in enumerate(
+                          app.index.definitions[part.value], start=1)))
+        return slots[slot]
 
-def _analyze_parts(app: App, spot: BuildUrl) -> tuple[UrlPartState, ...]:
-    states: list[UrlPartState] = []
-    for m, part in enumerate(spot.parts, start=1):
-        value = static_part_value(app, part)
-        if value is not None:
-            states.append(Concrete(value))
-        else:
-            spots = tuple(
-                DefinitionSpot(container, idx, m, ordinal)
-                for ordinal, (container, idx, _) in enumerate(
-                    app.index.definitions[part.value], start=1
-                )
-            )
-            states.append(Unknown(spots))
-    return tuple(states)
+    return UrlMap({url_id: tuple([state(m, part) for m, part
+                                  in enumerate(spot.parts, start=1)])
+                   for url_id, (_, _, spot) in app.index.url_spots.items()})
 
 
 url_map_to_json_obj = encode

@@ -1,10 +1,15 @@
+import os
 import random
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fetchahead
 from appgen import make_app
 from fetchahead.app_ir import (
     App,
@@ -20,6 +25,7 @@ from fetchahead.app_ir import (
     Transition,
     TriggerPrefetch,
     UrlPart,
+    _tokenize,
     build_ecg,
     parse_app,
     print_app,
@@ -150,6 +156,71 @@ ccfg {
     app = parse_app(src)
     assert app.resources["r"] == "http://x/#notacomment"
     assert len(app.index.bodies["c"]) == 3
+
+
+# the tokenizer as it was written before it took two regex calls a line:
+# one match object per token, its kind from the group that matched
+_REFERENCE_TOKEN_RE = re.compile(
+    r'\s*(?:(?P<str>"[^"]*")'
+    r"|(?P<arrow>->)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_.]*)"
+    r"|(?P<num>\d+)"
+    r"|(?P<sym>[={}()+,;])"
+    r"|(?P<comment>#.*)"
+    r"|(?P<bad>\S))"
+)
+
+
+def _reference_tokenize(line: str) -> list[str]:
+    toks = []
+    for m in _REFERENCE_TOKEN_RE.finditer(line):
+        kind = m.lastgroup
+        if kind == "comment":
+            break
+        if kind == "bad":
+            raise ValueError(f"unexpected character {m.group(kind)!r}")
+        toks.append(m.group(kind))
+    return toks
+
+
+def _tokens_or_error(tokenize, line: str):
+    try:
+        return tokenize(line)
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=list(
+    'abzAZ_09.\"#->={}()+,;@ \t' + "\xe9\u0663\xa0\u3000"), max_size=30))
+@example('let v = "a # b" # c')
+@example('url u = "x" + ab.c_1 + resource(k) @')
+@example('"unterminated')
+@example("a - > b")
+@example("n = \u0663\u0664 \xa0 x\u3000y ")
+def test_tokenize_is_the_reference_tokenizer(line):
+    assert (_tokens_or_error(_tokenize, line)
+            == _tokens_or_error(_reference_tokenize, line))
+
+
+@pytest.mark.parametrize("tail, printed", [
+    ("@", "unexpected character '@'"), ("", "2500 tokens")])
+def test_tokenize_takes_linear_time_on_a_long_line(tail, printed):
+    """A 20,000-character line of identifiers, with and without an illegal
+    last character, tokenized in a subprocess: a pattern that backtracks
+    into the tokens, splitting identifiers, takes time exponential in the
+    line and fails here at the timeout instead of hanging the run."""
+    code = ("import sys\n"
+            "from fetchahead.app_ir import _tokenize\n"
+            "try:\n"
+            "    print(len(_tokenize('ab.cd_9 ' * 2500 + sys.argv[1])), 'tokens')\n"
+            "except ValueError as e:\n"
+            "    print(e)\n")
+    src = Path(fetchahead.__file__).parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", code, tail], capture_output=True, text=True,
+        timeout=5, env={**os.environ, "PYTHONPATH": str(src)})
+    assert (done.returncode, done.stdout, done.stderr) == (0, printed + "\n", "")
 
 
 @pytest.mark.parametrize("text, diagnostics", [

@@ -610,6 +610,18 @@ def _unprintable(value: str) -> str:
 _IDENT_RE = re.compile(_IDENT)
 
 
+# The names a statement reads, each of which must be declared: (field,
+# what it names) per statement class, in the order of their messages.
+_READS = {
+    NetCall: (("method", "netmethod"), ("url_id", "url")),
+    FetchFromProxy: (("original_method", "netmethod"), ("url_id", "url")),
+    Call: (("target", "call target"),),
+    AsyncCall: (("target", "call target"),),
+    Transition: (("target", "callback"),),
+    SendDefinition: (("url_id", "url"), ("var", "variable")),
+}
+
+
 def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
     """Structural defects as ((container, stmt_index) | None, message)."""
     problems: list[tuple[tuple[str, int] | None, str]] = []
@@ -650,29 +662,23 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
     # url ids whose first spot the walk has passed: a later spot is a
     # duplicate, also in a second container of the same name
     spotted: set[str] = set()
+    declared = {"netmethod": netmethods, "url": url_spots, "variable":
+                defined_vars, "call target": names, "callback": callbacks}
 
     for name, body in app.containers():
         for idx, st in enumerate(body):
-            loc = (name, idx)
-            if isinstance(st, NetCall):
-                if st.method not in netmethods:
-                    problems.append((loc, f"unresolved netmethod '{st.method}'"))
-                if st.url_id not in url_spots:
-                    problems.append((loc, f"unresolved url '{st.url_id}'"))
-            elif isinstance(st, FetchFromProxy):
-                if st.original_method not in netmethods:
-                    problems.append(
-                        (loc, f"unresolved netmethod '{st.original_method}'")
-                    )
-                if st.url_id not in url_spots:
-                    problems.append((loc, f"unresolved url '{st.url_id}'"))
-            elif isinstance(st, (Call, AsyncCall)):
-                if st.target not in names:
-                    problems.append((loc, f"unresolved call target '{st.target}'"))
-            elif isinstance(st, Transition):
-                if st.target not in callbacks:
-                    problems.append((loc, f"unresolved callback '{st.target}'"))
-            elif isinstance(st, BuildUrl):
+            loc, cls = (name, idx), type(st)  # statements are final classes
+            if cls in _READS:
+                if cls is SendDefinition:  # a part of its url, if that resolves
+                    spot = url_spots.get(st.url_id)
+                    if spot and not 1 <= st.part_index <= len(spot[2].parts):
+                        problems.append((loc, f"url '{st.url_id}' has no "
+                                              f"part {st.part_index}"))
+                for field_name, what in _READS[cls]:
+                    read = getattr(st, field_name)
+                    if read not in declared[what]:
+                        problems.append((loc, f"unresolved {what} '{read}'"))
+            elif cls is BuildUrl:
                 if st.url_id in spotted:
                     problems.append((loc, f"duplicate url spot for '{st.url_id}'"))
                 spotted.add(st.url_id)
@@ -693,7 +699,7 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
                         problems.append(
                             (loc, f"unknown resource key '{part.value}'")
                         )
-            elif isinstance(st, DefineStatic):
+            elif cls is DefineStatic:
                 check_name(loc, st.var, "variable", ("resource",))
                 table = app.resources if st.source_kind == "resource" else app.settings
                 if st.source_kind not in ("literal", "resource", "setting"):
@@ -706,21 +712,10 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
                     problems.append(
                         (loc, f"unknown {st.source_kind} key '{st.source}'")
                     )
-            elif isinstance(st, DefineDynamic):
+            elif cls is DefineDynamic:
                 check_name(loc, st.var, "variable", ("resource",))
                 check_name(loc, st.input_tag, "input tag")
-            elif isinstance(st, SendDefinition):
-                if st.url_id not in url_spots:
-                    problems.append((loc, f"unresolved url '{st.url_id}'"))
-                else:
-                    arity = len(url_spots[st.url_id][2].parts)
-                    if not 1 <= st.part_index <= arity:
-                        problems.append(
-                            (loc, f"url '{st.url_id}' has no part {st.part_index}")
-                        )
-                if st.var not in defined_vars:
-                    problems.append((loc, f"unresolved variable '{st.var}'"))
-            elif isinstance(st, TriggerPrefetch):
+            elif cls is TriggerPrefetch:
                 # url ids here may be hint URLs: `run` checks them with the hints
                 if not st.url_ids:
                     problems.append((loc, "trigger_prefetch needs at least one url"))

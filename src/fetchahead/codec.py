@@ -21,9 +21,14 @@ back: a `float` as it is, and an `Enum` as its `.value`.
 keys sorted, two-space indent, ASCII only, and a final newline.
 `dumps(value, tp)` writes the same text for `value`, the JSON value that
 `encode` gives for a `tp`, with a writer compiled for `tp`, as `pipeline`
-writes every JSON file but the run logs. Its keys and indents are
-constant text, and a union's members are told apart as on decoding. It
-writes every type above but `Enum`, and raises TypeError on another up front.
+writes every JSON file. Its keys and indents are constant text, an
+integer goes into its `%` template as itself, with no call per integer,
+and a union's members are told apart as on decoding. It writes every
+type above but `Enum`, and raises TypeError on another up front.
+`writer(tp, indent)` compiles it for a `tp` itself: fields are read as
+attributes, union members told apart by class name, and the text has no
+final newline and its lines after the first indented by `indent` spaces,
+so it can stand inside a larger text, as each event does in a run log.
 
 A decode error names the JSON path of the bad value:
 `$.events[3].at must be an integer >= 0, got -1`. Each type's decoder,
@@ -44,7 +49,7 @@ from dataclasses import MISSING
 from enum import Enum
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from typing import Any, Literal, Union
+from typing import Any, Callable, Literal, Union
 
 
 class _Invalid(Exception):
@@ -105,6 +110,11 @@ def dumps(value, tp=None) -> str:
     return _dumps(value, "\n") + "\n"
 
 
+def writer(tp, indent: int = 0) -> Callable[[Any], str]:
+    """The text of a `tp` itself, as the module docstring says."""
+    return _writer(tp, True, "\n" + " " * indent, "")
+
+
 def _float(f: float) -> str:
     if f != f:
         return "NaN"
@@ -149,75 +159,87 @@ def _no_member(v):
                     + reprlib.repr(v))
 
 
-_WRITERS = {t: "_" + t.__name__ for t in (str, int, float, bool)}
+_WRITERS = {t: "_" + t.__name__ for t in (str, float, bool)}
 
 
 @cache
-def _writer(tp):
+def _writer(tp, attrs: bool = False, newline: str = "\n", end: str = "\n"):
     """A lambda compiled from `_writing`, as `_encoder` is from
-    `_encoding`: the whole text of a `tp`'s JSON value as one string
-    expression, a comprehension or a `map` per container."""
+    `_encoding`: a `tp`'s text and `end` as one string expression, a
+    comprehension or a `map` per container, in code named `<writer tp>`."""
     namespace = {name: _SCALARS[t] for t, name in _WRITERS.items()}
     namespace.update(_no_member=_no_member, _repr=float.__repr__,
                      _isfinite=math.isfinite)
-    return eval(f"lambda v: {_plus(_writing(tp, 'v', chr(10)) + [chr(10)])}",
-                namespace)
+    text = f"lambda v: {_plus(_writing(tp, 'v', newline, attrs) + [end])}"
+    name = tp.__name__ if isinstance(tp, type) else tp
+    return eval(compile(text, f"<writer {name}>", "eval"), namespace)
 
 
 def _plus(pieces: list) -> str:
-    """One string expression of `pieces`: constant text as a `str`, and
-    expressions in 1-tuples. It formats them into one `%` template, which
-    builds the string once; a chain of `+` builds a string per step."""
+    """One string expression of `pieces`: constant text as a `str`, a
+    string expression as `(expr,)`, an integer's as `(expr, int)`. One `%`
+    template builds the string once (a chain of `+` builds one per step)
+    and writes each integer itself; a lone value, never a tuple, needs none."""
     template = "".join(p.replace("%", "%%") if type(p) is str else "%s"
                        for p in pieces)
     values = [p[0] for p in pieces if type(p) is not str]
-    if template == "%s":
+    if template == "%s" and len(pieces[0]) == 1:  # a string as it is
         return values[0]
-    return f"{template!r} % ({', '.join(values)},)" if values else repr(template)
+    args = ", ".join(values) + "," * (len(values) > 1)
+    return f"{template!r} % ({args})" if values else repr(template)
 
 
-def _writing(tp, var: str, newline: str) -> list:
-    """The pieces (see `_plus`) of `dumps`'s text for `var`, the JSON value
-    of a `tp`, whose lines after the first start with `newline`."""
+def _writing(tp, var: str, newline: str, attrs: bool) -> list:
+    """The pieces (see `_plus`) of `dumps`'s text for `var`, a `tp` itself
+    if `attrs`, else its JSON value, whose lines after the first start
+    with `newline`."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp is int:
+        return [(var, int)]
     if tp in _WRITERS or origin is Literal:
         return [(f"{_WRITERS.get(tp, '_str')}({var})",)]
     inner = newline + "  "
     x, k = f"x{len(inner)}", f"k{len(inner)}"  # one name per depth
+
+    def write(tp, var: str, newline: str = inner) -> list:
+        return _writing(tp, var, newline, attrs)
     if origin is tuple:
-        call = _plus(_writing(args[0], x, inner))
+        call = _plus(write(args[0], x))
         fn = call.removesuffix(f"({x})")  # a scalar: its writer, mapped in C
         items = (f"map({fn}, {var})" if fn.isidentifier()
                  else f"[{call} for {x} in {var}]")
         if fn == "_float":  # all finite, tested in C: each one's repr
             items = f"map(_repr if all(map(_isfinite, {var})) else _float, {var})"
     elif origin is Mapping:
-        item = _plus([(f"_str({k})",), ": ", *_writing(args[1], x, inner)])
+        item = _plus([(f"_str({k})",), ": ", *write(args[1], x)])
         items = f"[{item} for {k}, {x} in sorted({var}.items())]"
     if origin is tuple or origin is Mapping:
-        text = _plus([inner, (f"{',' + inner!r}.join({items})",), newline])
         opening, closing = "[]" if origin is tuple else "{}"
-        return [opening, (f"({text} if {var} else '')",), closing]
+        text = _plus([opening + inner, (f"{',' + inner!r}.join({items})",),
+                      newline + closing])
+        return [(f"({text} if {var} else {opening + closing!r})",)]
     if origin is Union or origin is types.UnionType:
-        # the members told apart as `_union_decoder` tells them apart
+        # told apart as `_union_decoder` tells them apart, or by class name
         members, optional = _members(tp)
         tagged = any(hasattr(m, "type") for m in members)
-        expr = (_plus(_writing(members[0], var, newline)) if len(members) == 1
+        expr = (_plus(write(members[0], var, newline)) if len(members) == 1
                 else f"_no_member({var})")
         for m in reversed(members if len(members) > 1 else ()):
             if tagged and not hasattr(m, "type"):
                 continue  # never decoded, so never written
-            test = (f'{var}.get("type") == {m.type!r}' if tagged
+            test = (f"type({var}).__name__ == {m.__name__!r}" if attrs
+                    else f'{var}.get("type") == {m.type!r}' if tagged
                     else f"{_fields(m)[0][0]!r} in {var}")
-            expr = f"{_plus(_writing(m, var, newline))} if {test} else {expr}"
+            expr = f"{_plus(write(m, var, newline))} if {test} else {expr}"
         return [(f"('null' if {var} is None else {expr})" if optional
                  else f"({expr})",)]
     if dataclasses.is_dataclass(tp):
         fields = _fields(tp)
         if fields[0][1].metadata.get("inline"):
-            return _writing(fields[0][2], var, newline)
-        texts = {key: _writing(ftp, f"{var}[{key!r}]", inner)
-                 for key, _, ftp in fields}
+            _, f, ftp = fields[0]
+            return write(ftp, f"{var}.{f.name}" if attrs else var, newline)
+        texts = {key: write(ftp, f"{var}.{f.name}" if attrs
+                            else f"{var}[{key!r}]") for key, f, ftp in fields}
         if hasattr(tp, "type"):
             texts["type"] = [encode_basestring_ascii(tp.type)]
         pieces = ["{"]

@@ -36,7 +36,7 @@ from .app_ir import (
     Transition,
     TriggerPrefetch,
 )
-from .codec import decode, encode, inline, renamed
+from .codec import decode, encode, inline, renamed, writer
 from .errors import RunError
 from .string_analysis import UrlMap
 
@@ -201,8 +201,9 @@ class RunLog:
     def canonical_json(self, sink: Callable[[str], object] | None = None
                        ) -> str | None:
         """`json.dumps(encode(self), sort_keys=True, indent=2)` plus
-        a newline, byte for byte, written from one template per event
-        type without building the JSON form.
+        a newline, byte for byte, written without building the JSON form:
+        the codec's compiled writers write each event, the id lists and
+        `overhead_ms`, and a hand-written frame holds them.
 
         The text is made in pieces of at most `_BATCH` events, the first
         piece holding the head and the last the tail, so a log of up to
@@ -211,27 +212,20 @@ class RunLog:
         at once. Without one, the text is returned, joined once."""
         pieces: list[str] = []
         put = pieces.append if sink is None else sink
-        overhead = ",\n".join([
-            f"    {_quote(call)}: {ms}"
-            for call, ms in sorted(self.overhead_ms.items())
-        ])
-        overhead = "{\n" + overhead + "\n  }" if overhead else "{}"
-        tail = (
-            f'],\n  "final_ms": {self.final_ms},\n'
-            f'  "instrumented": {"true" if self.instrumented else "false"},\n'
-            f'  "overhead_ms": {overhead}\n}}\n'
-        )
+        tail = (f'],\n  "final_ms": {self.final_ms},\n  "instrumented": '
+                f'{"true" if self.instrumented else "false"},\n'
+                f'  "overhead_ms": {_overhead_json(self.overhead_ms)}\n}}\n')
         events = self.events
         piece = f'{{\n  "app": {_quote(self.app)},\n  "events": ['
         if events:
-            piece += "\n"
+            piece += "\n    "
             try:
                 for start in range(0, len(events), _BATCH):
                     if start:
                         put(piece)
-                        piece = ",\n"
-                    piece += ",\n".join([_EVENT_JSON[type(ev)](ev) for ev
-                                         in events[start:start + _BATCH]])
+                        piece = ",\n    "
+                    piece += ",\n    ".join([_EVENT_JSON[type(ev)](ev) for ev
+                                             in events[start:start + _BATCH]])
             finally:  # a key of another log would compare id by id
                 _considered_json.cache_clear()
             piece += "\n  "
@@ -244,14 +238,9 @@ class RunLog:
 _BATCH = 2_000
 
 
-# canonical_json's event writers: keys in sorted order, two-space indent,
-# strings escaped by the C encoder that json.dumps itself uses
-
-def _ids_json(ids: tuple[str, ...]) -> str:
-    if not ids:
-        return "[]"
-    return "[\n        " + ",\n        ".join(map(_quote, ids)) + "\n      ]"
-
+# canonical_json's writers, each at the indent of its place in the log
+_overhead_json = writer(Mapping[str, int], 2)
+_ids_json = writer(tuple[str, ...], 6)
 
 # Every evaluation of a trigger statement considers the statement's own
 # tuple (`tuple()` hands it through), so a log's lookups hit by identity;
@@ -263,7 +252,7 @@ def _trigger_eval_json(ev: TriggerEval) -> str:
     # all cached: skipped is considered (write it once), the rest empty
     text, skipped = _considered_json(ev.considered), ev.skipped_known_cached
     return (
-        f'    {{\n      "at": {ev.at},\n'
+        f'{{\n      "at": {ev.at},\n'
         f'      "callback": {_quote(ev.callback)},\n'
         f'      "considered": {text},\n'
         f'      "issued": {_ids_json(ev.issued) if ev.issued else "[]"},\n'
@@ -276,34 +265,8 @@ def _trigger_eval_json(ev: TriggerEval) -> str:
 
 
 _EVENT_JSON: dict[type, Callable[..., str]] = {
-    Prefetch: lambda ev: (
-        f'    {{\n      "issued_at": {ev.issued_at},\n'
-        f'      "ready_at": {ev.ready_at},\n'
-        f'      "type": "prefetch",\n'
-        f'      "url": {_quote(ev.url)},\n'
-        f'      "url_id": {_quote(ev.url_id)}\n    }}'
-    ),
-    Demand: lambda ev: (
-        f'    {{\n      "at": {ev.at},\n'
-        f'      "method": {_quote(ev.method)},\n'
-        f'      "payload": {_quote(ev.payload)},\n'
-        f'      "response_time_ms": {ev.response_time_ms},\n'
-        f'      "served_from": {_quote(ev.served_from)},\n'
-        f'      "type": "demand",\n'
-        f'      "url": {_quote(ev.url)},\n'
-        f'      "url_id": {_quote(ev.url_id)},\n'
-        f'      "via": {_quote(ev.via)},\n'
-        f'      "waited_ms": {ev.waited_ms}\n    }}'
-    ),
-    DefinitionUpdate: lambda ev: (
-        f'    {{\n      "at": {ev.at},\n'
-        f'      "m": {ev.part_index},\n'
-        f'      "type": "definition_update",\n'
-        f'      "url_id": {_quote(ev.url_id)},\n'
-        f'      "value": {_quote(ev.value)}\n    }}'
-    ),
-    TriggerEval: _trigger_eval_json,
-}
+    cls: writer(cls, 4) for cls in (Prefetch, Demand, DefinitionUpdate)}
+_EVENT_JSON[TriggerEval] = _trigger_eval_json
 
 
 # the JSON forms of the run log, the trace and the net config

@@ -13,7 +13,9 @@ import fetchahead
 from appgen import make_app
 from fetchahead.app_ir import (
     App,
+    AsyncCall,
     BuildUrl,
+    Call,
     Callback,
     Ccfg,
     DefineDynamic,
@@ -405,6 +407,14 @@ def _fetching_app(*stmts, latency_ms: int = 5,
     (App("a", callbacks=(Callback("c", ()),),
          ccfg=Ccfg(("w", "w"), (("c", "w"), ("w", "c")))),
      "^line 0: duplicate wait node 'w'$"),
+    (_fetching_app(NetCall("nope", "u")),
+     "^line 0: unresolved netmethod 'nope'$"),
+    (_fetching_app(NetCall("get", "ghost")),
+     "^line 0: unresolved url 'ghost'$"),
+    (App("a", callbacks=(Callback("c", (Call("nowhere"),)),)),
+     "^line 0: unresolved call target 'nowhere'$"),
+    (App("a", callbacks=(Callback("c", (AsyncCall("nowhere"),)),)),
+     "^line 0: unresolved call target 'nowhere'$"),
     (_fetching_app(FetchFromProxy("u", "nope")),
      "^line 0: unresolved netmethod 'nope'$"),
     (_fetching_app(FetchFromProxy("ghost", "get")),
@@ -417,6 +427,8 @@ def _fetching_app(*stmts, latency_ms: int = 5,
      "^line 0: url 'u' has no part 2$"),
     (_fetching_app(SendDefinition("nov", "u", 1)),
      "^line 0: unresolved variable 'nov'$"),
+    (_fetching_app(SendDefinition("nov", "u", 2)),
+     "^line 0: url 'u' has no part 2; line 0: unresolved variable 'nov'$"),
     (_fetching_app(TriggerPrefetch(())),
      "^line 0: trigger_prefetch needs at least one url$"),
     (App("a", callbacks=(Callback("c", (Transition("nowhere"),)),)),
@@ -427,9 +439,12 @@ def _fetching_app(*stmts, latency_ms: int = 5,
 ], ids=["space-in-callback-name", "netmethod-named-let", "url-without-parts",
         "negative-latency", "setting-url-part", "input-static-source",
         "duplicate-netmethod", "duplicate-wait-node",
+        "net-call-unknown-method", "net-call-unknown-url",
+        "call-unknown-target", "async-call-unknown-target",
         "proxy-fetch-unknown-method", "proxy-fetch-unknown-url",
         "send-definition-unknown-url", "send-definition-missing-part",
-        "send-definition-undefined-variable", "empty-trigger-prefetch",
+        "send-definition-undefined-variable",
+        "send-definition-missing-part-then-variable", "empty-trigger-prefetch",
         "goto-unknown-callback", "wait-node-named-like-a-callback"])
 def test_names_that_do_not_round_trip_are_rejected(app, message):
     with pytest.raises(ParseError, match=message):

@@ -31,7 +31,7 @@ from fetchahead.callback_analysis import (
     trigger_map_from_json_obj,
 )
 from fetchahead.cli import run_pipeline
-from fetchahead.codec import _writer, decode, dumps, encode
+from fetchahead.codec import _writer, decode, dumps, encode, writer
 from fetchahead.errors import (
     AnalysisError,
     FetchaheadError,
@@ -379,6 +379,9 @@ def test_the_typed_writer_writes_what_dumps_writes(x):
     value, tp = (({"pairs": [encode(m) for m in x]}, _PAIRS)
                  if type(x) is tuple else (encode(x), type(x)))
     assert dumps(value, tp) == dumps(value)
+    # and the writer of the instance itself, at an indent
+    instance = {"pairs": x} if type(x) is tuple else x
+    assert writer(tp, 4)(instance) == dumps(value)[:-1].replace("\n", "\n    ")
 
 
 def test_the_typed_writer_sorts_the_json_keys_not_the_fields():

@@ -777,10 +777,11 @@ def test_canonical_json_hands_its_sink_one_piece_per_batch(n):
 def test_canonical_json_writes_a_repeated_trigger_list_once(monkeypatch):
     """Each further evaluation of one trigger statement, all cached, adds
     the same bytecodes to the writer for 48 ids as for 480. The C quoter
-    is swapped for a Python one, so that writing an id's text again
-    would show as bytecodes."""
-    quote = runtime._quote
-    monkeypatch.setattr(runtime, "_quote", lambda text: quote(text))
+    that the compiled id-list writer calls is swapped for a Python one,
+    so that writing an id's text again would show as bytecodes."""
+    namespace = runtime._ids_json.__globals__
+    quote = namespace["_str"]
+    monkeypatch.setitem(namespace, "_str", lambda text: quote(text))
     per_eval = []
     for n in (48, 480):
         ids = tuple(f"u{i}" for i in range(n))

@@ -96,6 +96,10 @@ def test_stage_bytecodes_splits_one_span_by_function(
     _, _, parse = tool.count_pipelines(cli, argvs, "app_ir.parse")
     assert parse["app_ir.parse_app"] > 0
     assert "cli._write_text" not in parse
+    _, _, logs = tool.count_pipelines(cli, argvs, "runtime.codec")
+    # each compiled writer under the name of its type
+    assert logs["<writer Demand>.<lambda>"] > 0
+    assert logs["<writer tuple[str, ...]>.<lambda>"] > 0
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in TOOLS.glob("*.py")))

@@ -24,7 +24,9 @@ pipeline 10-20x slower. `--src` is the `src/` directory of the
 tree's gives the before and after of a change. `--functions SPAN` also
 prints the ten functions that run the most bytecodes inside the stage
 SPAN, each counted without the functions it calls, as
-`module.qualified_name`; code built by `eval` shows as `<string>`.
+`module.qualified_name`; code built by `eval` shows under the name it
+was compiled with, `<string>` by default and `<writer T>` for the
+codec's writer of the type T.
 """
 
 from __future__ import annotations
@@ -100,7 +102,10 @@ def count_pipelines(cli, argvs: list[list[str]], span: str | None = None
             setattr(owner, attr, original)
     named: Counter = Counter()
     for code, n in functions.items():
-        named[f"{Path(code.co_filename).stem}.{code.co_qualname}"] += n
+        module = code.co_filename  # `<...>` for compiled code: kept whole
+        if not module.startswith("<"):
+            module = Path(module).stem
+        named[f"{module}.{code.co_qualname}"] += n
     return counts, codes, named
 
 

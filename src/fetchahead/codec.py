@@ -111,7 +111,7 @@ def dumps(value, tp=None) -> str:
 
 
 def writer(tp, indent: int = 0) -> Callable[[Any], str]:
-    """The text of a `tp` itself, as the module docstring says."""
+    """The writer of a `tp` itself, as the module docstring says."""
     return _writer(tp, True, "\n" + " " * indent, "")
 
 

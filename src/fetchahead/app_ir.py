@@ -243,14 +243,18 @@ def _build_index(app: "App") -> ProgramIndex:
     instrumented = False
     for name, body in app.containers():
         bodies.setdefault(name, body)
+        # the classes in the order an instrumented app holds them most
         for idx, st in enumerate(body):
-            if isinstance(st, (DefineStatic, DefineDynamic)):
-                definitions.setdefault(st.var, []).append((name, idx, st))
-            elif isinstance(st, BuildUrl):
-                url_spots.setdefault(st.url_id, (name, idx, st))
-            elif isinstance(st, PSEUDO_STMTS):
+            cls = type(st)  # statements are final classes
+            if cls is SendDefinition or cls is TriggerPrefetch:
                 instrumented = True
-                if isinstance(st, FetchFromProxy) and proxy_method is None:
+            elif cls is DefineDynamic or cls is DefineStatic:
+                definitions.setdefault(st.var, []).append((name, idx, st))
+            elif cls is BuildUrl:
+                url_spots.setdefault(st.url_id, (name, idx, st))
+            elif cls is FetchFromProxy:
+                instrumented = True
+                if proxy_method is None:
                     proxy_method = st.original_method
     order = {c.name: i for i, c in enumerate(app.callbacks)}
     ccfg = app.ccfg

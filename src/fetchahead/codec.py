@@ -31,9 +31,12 @@ final newline and its lines after the first indented by `indent` spaces,
 so it can stand inside a larger text, as each event does in a run log.
 
 A decode error names the JSON path of the bad value:
-`$.events[3].at must be an integer >= 0, got -1`. Each type's decoder,
-encoder and writer is built once, on first use, so no value pays for
-reflection.
+`$.events[3].at must be an integer >= 0, got -1`. A dataclass's decoder
+is compiled as a writer is, in code named `<decoder T>`: it checks the
+required keys first, then each field in order, a `str`, `int` or
+`Mapping[str, str]` field inline, calling the field's own decoder only to
+raise its error. Each type's decoder, encoder and writer is built once,
+on first use, so no value pays for reflection.
 """
 
 from __future__ import annotations
@@ -328,24 +331,44 @@ def _decoder(tp):
     raise TypeError(f"no JSON form for {tp!r}")
 
 
+# the (test, value) expressions of a field's JSON value `x` that a
+# compiled decoder checks inline, by the field type's (origin, args)
+_INLINE = {(str, ()): ("type(x) is str", "x"),
+           (int, ()): ("type(x) is int and x >= 0", "x"),
+           (Mapping, (str, str)): (
+               "type(x) is dict and {*map(type, x.values())} <= {str}",
+               "dict(x)")}
+
+
 def _dataclass_decoder(cls):
+    """A function compiled as `_writer` is, in code named `<decoder cls>`,
+    with no call per `_INLINE` field: the field's own decoder is called
+    only to raise, with the message and path it always gives."""
     fields = _fields(cls)
     if fields[0][1].metadata.get("inline"):
         field = _decoder(fields[0][2])
         return lambda v, path: cls(field(v, path))
-    spec = [(key, f.name, _decoder(tp)) for key, f, tp in fields]
-    required = [key for key, f, _ in fields if f.default is MISSING
-                and f.default_factory is MISSING]
-
-    def dataclass(v, path):
-        if type(v) is not dict:
-            raise _bad("a JSON object", v, path)
-        for key in required:
-            if key not in v:
-                raise _Invalid("is missing", (path, key))
-        return cls(**{name: field(v[key], (path, key))
-                      for key, name, field in spec if key in v})
-    return dataclass
+    optional = {key for key, f, _ in fields if f.default is not MISSING
+                or f.default_factory is not MISSING}
+    lines = ["def decoder(v, path):", "  if type(v) is not dict:",
+             "    raise _bad('a JSON object', v, path)", "  kw = {}"]
+    lines += [f"  if {key!r} not in v: raise _Invalid('is missing', "
+              f"(path, {key!r}))" for key, _, _ in fields if key not in optional]
+    namespace = {"_cls": cls, "_bad": _bad, "_Invalid": _Invalid}
+    for i, (key, f, tp) in enumerate(fields):
+        namespace[f"_f{i}"] = _decoder(tp)
+        value = f"_f{i}(x, (path, {key!r}))"
+        inline = _INLINE.get((typing.get_origin(tp) or tp, typing.get_args(tp)))
+        if inline is not None:
+            value = f"{inline[1]} if {inline[0]} else {value}"
+        pad = "  "
+        if key in optional:
+            lines.append(f"  if {key!r} in v:")
+            pad = "    "
+        lines += [f"{pad}x = v[{key!r}]", f"{pad}kw[{f.name!r}] = {value}"]
+    exec(compile("\n".join(lines + ["  return _cls(**kw)"]),
+                 f"<decoder {cls.__name__}>", "exec"), namespace)
+    return namespace["decoder"]
 
 
 def _union_decoder(members):

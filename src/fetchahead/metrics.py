@@ -82,8 +82,8 @@ class Replay(Walk):
     from the run's own app, net model and hints; only its seed differs,
     each URL's literal and resource parts. It hears every definition,
     where the app's proxy hears only the ones the instrumented app sends,
-    and holds every URL the app fetches. Its `send_definition` is never
-    called, so the hints' rewrite rules never act: the ground truth is the
+    and holds every URL the app fetches. It has no `send_definition`
+    hook, so the hints' rewrite rules never act: the ground truth is the
     URL the app builds. Network statements never change control flow or values,
     so the values match a full run's whatever the cache does."""
 
@@ -91,41 +91,38 @@ class Replay(Walk):
                  hints: Hints | None = None):
         super().__init__(app)
         self.trigger_points: list[TriggerPoint] = []
-        # var -> (container, stmt index, value) of its last definition; a
-        # DefEvent is built only on lookup, which is far rarer than a
-        # definition
-        self._last: dict[str, tuple[str, int, str]] = {}
-        # var -> the (url id, part) slots that read it
-        self._slots: dict[str, list[tuple[str, int]]] = {}
+        # var -> (container, stmt index) of its last definition, whose
+        # value is the walk's; a DefEvent is built only on lookup, which is
+        # far rarer than a definition
+        self._last: dict[str, tuple[str, int]] = {}
         seed: dict[str, list[str | None]] = {}
+        slots: dict[str, list[tuple[str, int]]] = {}
         for url_id, (_, _, spot) in app.index.url_spots.items():
             parts = seed[url_id] = []
             for m, part in enumerate(spot.parts, start=1):
                 if part.kind == "var":
                     parts.append(None)
-                    self._slots.setdefault(part.value, []).append((url_id, m))
+                    slots.setdefault(part.value, []).append((url_id, m))
                 else:
                     parts.append(app.static_value(part.kind, part.value))
+        # every var the app defines -> the (url id, part) slots that read it
+        self._slots = {var: slots.get(var, ()) for var in app.index.definitions}
         self.proxy = Proxy(app, seed, net or NetModel(), hints)
 
     def last_definition_of(self, var: str) -> DefEvent | None:
         last = self._last.get(var)
-        return None if last is None else DefEvent(last[0], last[1], var, last[2])
+        return (None if last is None
+                else DefEvent(*last, var, self.variables[var]))
 
     def define(self, container: str, stmt_index: int, var: str,
                value: str) -> None:
-        self._last[var] = (container, stmt_index, value)
-        set_part = self.proxy.set_part
-        for url_id, m in self._slots.get(var, ()):
-            set_part(url_id, m, value)
+        self._last[var] = container, stmt_index
+        self.proxy.set_parts(self._slots[var], value)
 
     def net_call(self, st, url: str) -> None:
         self.proxy.hold(url)
 
     fetch_from_proxy = net_call
-
-    def send_definition(self, st, value: str) -> None:
-        pass  # define() has told the proxy already
 
     def trigger_prefetch(self, container: str, st: TriggerPrefetch) -> None:
         ev = self.proxy.trigger_prefetch(container, st.url_ids, 0)[0]

@@ -288,16 +288,17 @@ class Proxy:
     known yet; the proxy takes the seed's lists over. Each hint URL becomes
     a single-part entry; `Hints.check` holds it apart from the URLs the app
     builds. `known` holds the URL string of every url id whose parts are
-    all set, and `set_part`, the map's only writer, keeps it current. The
-    app's proxy hears the definitions the instrumented app sends; the
-    oracle's (`metrics.Replay`) hears every definition, so which URLs a
-    trigger point prefetches is decided here for both.
+    all set. The map has two writers, and each keeps `known` current after
+    every part it writes: `send_definition`, for the definitions the
+    instrumented app sends to the app's proxy, and `set_parts`, for the
+    oracle's (`metrics.Replay`), which hears every definition. So which
+    URLs a trigger point prefetches is decided here for both.
 
     The hints' rewrite rules are kept by the part they name. A value sent
     for a part without a rule, the common case, is written as sent, with
     no scan of the rules; a part's rules apply in the hints' order. Only
-    `send_definition` rewrites: `set_part` writes what it is given, so the
-    oracle, which calls it directly, sees the URLs the app builds.
+    `send_definition` rewrites: `set_parts` writes what it is given, so the
+    oracle sees the URLs the app builds.
 
     A cache entry `(ready_at, payload)` is waiting until `ready_at` and
     ready afterwards. An origin fetch costs its method's latency under
@@ -337,16 +338,20 @@ class Proxy:
         if self.rules:
             for find, replace in self.rules.get((url_id, m), ()):
                 value = value.replace(find, replace)
-        self.set_part(url_id, m, value)
-        return DefinitionUpdate(url_id, m, value, now)
-
-    def set_part(self, url_id: str, m: int, value: str) -> None:
-        """Write part m of an existing entry as given and keep `known`
-        current."""
         parts = self.runtime_url_map[url_id]
         parts[m - 1] = value
         if None not in parts:
             self.known[url_id] = "".join(parts)
+        return DefinitionUpdate(url_id, m, value, now)
+
+    def set_parts(self, slots: Iterable[tuple[str, int]], value: str) -> None:
+        """Write `value` as given to part m of each existing (url id, m)
+        slot."""
+        for url_id, m in slots:
+            parts = self.runtime_url_map[url_id]
+            parts[m - 1] = value
+            if None not in parts:
+                self.known[url_id] = "".join(parts)
 
     def trigger_prefetch(self, callback: str, url_ids: Iterable[str],
                          now: int) -> list[Event]:
@@ -432,7 +437,14 @@ class Walk:
         net_call(st, url) / fetch_from_proxy(st, url)    url as built
         send_definition(st, value)                       value of st.var
         trigger_prefetch(container, st)
+
+    A hook a walk does not need is None, and the walk skips it: the
+    runtime sets no `define` and the oracle no `send_definition`. A
+    send_definition of an unset variable raises all the same.
     """
+
+    define: Callable[[str, int, str, str], None] | None = None
+    send_definition: Callable[[SendDefinition, str], None] | None = None
 
     def __init__(self, app: App):
         self.app = app
@@ -468,20 +480,30 @@ class Walk:
             raise RunError(f"call depth exceeded at '{name}'")
         body = self.app.index.bodies[name]  # the parser resolved every name
         app, variables, built = self.app, self.variables, self.built
-        inputs, define = self._inputs, self.define
+        inputs, define, send = self._inputs, self.define, self.send_definition
+        # the classes in the order an instrumented walk meets them most
         for idx, st in enumerate(body):
             cls = type(st)  # statements are final classes
-            if cls is DefineStatic:
-                value = variables[st.var] = app.static_value(st.source_kind,
-                                                             st.source)
-                define(name, idx, st.var, value)
+            if cls is SendDefinition:
+                if st.var not in variables:
+                    raise RunError(
+                        f"send_definition before '{st.var}' is assigned"
+                    )
+                if send is not None:
+                    send(st, variables[st.var])
             elif cls is DefineDynamic:
                 if st.input_tag not in inputs:
                     raise RunError(
                         f"missing input '{st.input_tag}' while running '{name}'"
                     )
                 value = variables[st.var] = inputs[st.input_tag]
-                define(name, idx, st.var, value)
+                if define is not None:
+                    define(name, idx, st.var, value)
+            elif cls is DefineStatic:
+                value = variables[st.var] = app.static_value(st.source_kind,
+                                                             st.source)
+                if define is not None:
+                    define(name, idx, st.var, value)
             elif cls is BuildUrl:
                 # unset variables read as ""
                 built[st.url_id] = "".join([
@@ -489,23 +511,17 @@ class Walk:
                     else app.static_value(p.kind, p.value)
                     for p in st.parts
                 ])
+            elif cls is FetchFromProxy:
+                self.fetch_from_proxy(st, self._built_url(st.url_id))
             elif cls is NetCall:
                 self.net_call(st, self._built_url(st.url_id))
+            elif cls is TriggerPrefetch:
+                self.trigger_prefetch(name, st)
             elif cls is Call or cls is AsyncCall:
                 self._execute(st.target, depth + 1)
             elif cls is Transition:
                 self.current = st.target
                 self._execute(st.target, depth + 1)
-            elif cls is SendDefinition:
-                if st.var not in variables:
-                    raise RunError(
-                        f"send_definition before '{st.var}' is assigned"
-                    )
-                self.send_definition(st, variables[st.var])
-            elif cls is TriggerPrefetch:
-                self.trigger_prefetch(name, st)
-            elif cls is FetchFromProxy:
-                self.fetch_from_proxy(st, self._built_url(st.url_id))
             else:  # pragma: no cover - exhaustive over Stmt
                 raise RunError(f"unknown statement {st!r}")
 
@@ -538,10 +554,6 @@ class _Session(Walk):
         self.overhead = {"send_definition": 0, "trigger_prefetch": 0,
                          "fetch_from_proxy": 0}
 
-    def define(self, container: str, stmt_index: int, var: str,
-               value: str) -> None:
-        pass  # values reach the run log only through built URLs
-
     def net_call(self, st: NetCall, url: str) -> None:
         rt = self.net.latency_for(st.method, self.declared.get(st.method))
         self.events.append(Demand(
@@ -553,28 +565,26 @@ class _Session(Walk):
     def send_definition(self, st: SendDefinition, value: str) -> None:
         self.events.append(self.proxy.send_definition(
             st.url_id, st.part_index, value, self.clock))
-        ms = self.costs.send_definition_ms
-        if ms:
-            self.overhead["send_definition"] += ms
-            self.clock += ms
+        if self.costs.send_definition_ms:
+            self._charge("send_definition", self.costs.send_definition_ms)
 
     def trigger_prefetch(self, container: str, st: TriggerPrefetch) -> None:
         self.events += self.proxy.trigger_prefetch(container, st.url_ids,
                                                    self.clock)
-        ms = self.costs.trigger_prefetch_ms
-        if ms:
-            self.overhead["trigger_prefetch"] += ms
-            self.clock += ms
+        if self.costs.trigger_prefetch_ms:
+            self._charge("trigger_prefetch", self.costs.trigger_prefetch_ms)
 
     def fetch_from_proxy(self, st: FetchFromProxy, url: str) -> None:
         demand = self.proxy.fetch_from_proxy(st.url_id, url, self.clock,
                                              st.original_method)
         self.events.append(demand)
         self.clock = demand.at + demand.response_time_ms
-        ms = self.costs.fetch_from_proxy_ms
-        if ms:
-            self.overhead["fetch_from_proxy"] += ms
-            self.clock += ms
+        if self.costs.fetch_from_proxy_ms:
+            self._charge("fetch_from_proxy", self.costs.fetch_from_proxy_ms)
+
+    def _charge(self, call: str, ms: int) -> None:
+        self.overhead[call] += ms
+        self.clock += ms
 
 
 def run_trace(

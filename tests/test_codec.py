@@ -11,6 +11,7 @@ it writes, it writes the same text, and a type it cannot write is refused
 before any value is. Its work grows linearly in the values it writes.
 """
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -30,6 +31,7 @@ from fetchahead.callback_analysis import (
     TriggerMap,
     trigger_map_from_json_obj,
 )
+from fetchahead import codec
 from fetchahead.cli import run_pipeline
 from fetchahead.codec import _writer, decode, dumps, encode, writer
 from fetchahead.errors import (
@@ -159,14 +161,52 @@ def _swapped(value, how: int):
     return others[how % len(others)]
 
 
-def _check_loader(name: str, value) -> None:
+def _check_loader(name: str, value):
+    """What the loader gives for `value`: its error's message, or the
+    loaded value."""
     load, tp, error = LOADERS[name]
     try:
         result = load(value)
     except FetchaheadError as e:
         assert type(e) is error, (name, e)
-    else:
-        assert conforms(tp, result), (name, result)
+        return str(e)
+    assert conforms(tp, result), (name, result)
+    return result
+
+
+def _reference_dataclass_decoder(cls):
+    """`codec._dataclass_decoder` as a closure that checks each field with
+    one call to the field's decoder, the reference for the compiled one."""
+    fields = codec._fields(cls)
+    if fields[0][1].metadata.get("inline"):
+        field = codec._decoder(fields[0][2])
+        return lambda v, path: cls(field(v, path))
+    spec = [(key, f.name, codec._decoder(tp)) for key, f, tp in fields]
+    required = [key for key, f, _ in fields if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING]
+
+    def dataclass(v, path):
+        if type(v) is not dict:
+            raise codec._bad("a JSON object", v, path)
+        for key in required:
+            if key not in v:
+                raise codec._Invalid("is missing", (path, key))
+        return cls(**{name: field(v[key], (path, key))
+                      for key, name, field in spec if key in v})
+    return dataclass
+
+
+@contextlib.contextmanager
+def _reference_decoders(monkeypatch):
+    """Every loader decodes with `_reference_dataclass_decoder` inside."""
+    codec._decoder.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(codec, "_dataclass_decoder",
+                          _reference_dataclass_decoder)
+            yield
+    finally:
+        codec._decoder.cache_clear()
 
 
 _json = st.recursive(
@@ -189,13 +229,17 @@ def test_loaders_on_any_json_value(name, value):
 
 @pytest.mark.parametrize("name", sorted(LOADERS))
 def test_loaders_on_mutated_weather_artifacts(name, weather_pipeline,
-                                              weather_trace):
-    """Every position of the artifact, each with all three mutations."""
+                                              weather_trace, monkeypatch):
+    """Every position of the artifact, each with all three mutations. Each
+    message, JSON path included, and each loaded value is the one that
+    the reference decoders give."""
     valid = _weather_artifacts(weather_pipeline, weather_trace)[name]
-    _check_loader(name, valid)
-    for path in _positions(valid):
-        for how in range(len(_OTHER_TYPES)):
-            _check_loader(name, _mutated(valid, path, how))
+    values = [valid] + [_mutated(valid, path, how) for path in _positions(valid)
+                        for how in range(len(_OTHER_TYPES))]
+    outcomes = [_check_loader(name, value) for value in values]
+    with _reference_decoders(monkeypatch):
+        expected = [_check_loader(name, value) for value in values]
+    assert outcomes == expected
 
 
 @settings(max_examples=60, deadline=None)

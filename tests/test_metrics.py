@@ -16,6 +16,7 @@ from fetchahead.app_ir import (
     NetMethodDecl,
     UrlPart,
     build_ecg,
+    parse_app,
     validate_app,
 )
 from fetchahead.callback_analysis import FetchSignature, identify_trigger_callbacks
@@ -34,6 +35,7 @@ from fetchahead.metrics import (
     Metrics,
     Oracle,
     Reduction,
+    Replay,
     TriggerPoint,
     compute_accuracy,
     compute_effectiveness,
@@ -72,18 +74,51 @@ def test_weather_oracle_and_accuracy(weather_pipeline):
     assert compute_accuracy(weather_pipeline.opt, weather_pipeline.oracle) == (1.0, 1.0)
 
 
-@pytest.mark.parametrize("steps, message", [
-    ((TraceStep("ghost"),), "unknown callback 'ghost'"),
-    ((TraceStep("onCreate"), TraceStep("onItemSelected", 0, {})),
+# an instrumented app written by hand, with two faults no trace can avoid
+_FAULTY_INSTRUMENTED = """
+app faulty
+netmethod get latency=10
+callback early {
+  send_definition(v, u, 2)
+  let v = input(t)
+  url u = "http://x/" + v
+  fetch_from_proxy(get, u)
+}
+callback unbuilt {
+  fetch_from_proxy(get, u)
+}
+ccfg {
+}
+"""
+
+
+@pytest.mark.parametrize("source, steps, message", [
+    (None, (TraceStep("ghost"),), "unknown callback 'ghost'"),
+    (None, (TraceStep("onCreate"), TraceStep("onItemSelected", 0, {})),
      "missing input 'citySelection'"),
-    ((TraceStep("onClick", 0, {"cityIdText": "1"}),), "not an entry callback"),
-], ids=["unknown-event", "missing-input", "unreachable-event"])
-def test_oracle_rejects_what_the_runtime_rejects(weather_pipeline, steps, message):
-    ia, trace = weather_pipeline.ia, Trace(steps)
+    (None, (TraceStep("onClick", 0, {"cityIdText": "1"}),),
+     "not an entry callback"),
+    (_FAULTY_INSTRUMENTED, (TraceStep("early", 0, {"t": "a"}),),
+     "send_definition before 'v' is assigned"),
+    (_FAULTY_INSTRUMENTED, (TraceStep("unbuilt"),),
+     "url 'u' fetched before being built"),
+], ids=["unknown-event", "missing-input", "unreachable-event",
+        "send-before-assignment", "proxy-fetch-unbuilt-url"])
+def test_oracle_rejects_what_the_runtime_rejects(weather_pipeline, source,
+                                                 steps, message):
+    """The oracle's walk has no send_definition hook, and still rejects
+    a send_definition of an unset variable."""
+    assert Replay.send_definition is None
+    if source is None:
+        app, url_map = weather_pipeline.ia.app, weather_pipeline.url_map
+    else:
+        app = parse_app(source)
+        url_map = analyze_urls(app)
+    trace = Trace(steps)
     with pytest.raises(RunError, match=message):
-        run_trace(ia, trace, NetModel(), seed_url_map=weather_pipeline.url_map)
+        run_trace(app, trace, NetModel(), seed_url_map=url_map)
     with pytest.raises(RunError, match=message):
-        compute_oracle(ia.app, trace)
+        compute_oracle(app, trace)
 
 
 def test_no_triggers_is_vacuously_perfect():
@@ -126,8 +161,6 @@ def test_accuracy_invariant_under_url_reordering(order):
 def test_oracle_uses_build_time_urls():
     """A redefinition between the URL spot and the fetch must not confuse
     the oracle: demands resolve at build time, app-side."""
-    from fetchahead.app_ir import parse_app
-
     app = parse_app("""
 app rebuild
 netmethod fetch latency=100
@@ -165,8 +198,6 @@ ccfg {
 def test_oracle_caps_each_trigger_at_the_threshold():
     """Three knowable URLs at one trigger and a threshold of 2: the proxy
     issues two, so only two are ideal prefetches."""
-    from fetchahead.app_ir import parse_app
-
     app = parse_app("""
 app cap
 netmethod fetch latency=100

@@ -384,6 +384,35 @@ def test_an_all_cached_trigger_point_costs_the_same_for_any_list_length():
     assert counts[0] == counts[1], counts
 
 
+def _definition_costs(defs: int, sends: int) -> tuple[int, int]:
+    """The bytecodes of the optimized run and of the oracle on one step
+    of an instrumented app whose callback defines `v` `defs` times, sends
+    it `sends` times, then builds and fetches a URL that reads it."""
+    body = ["  let v = input(t)"] * defs + ["  send_definition(v, u, 2)"] * sends
+    app = parse_app("\n".join([
+        "app counted", "netmethod get latency=10", "callback c {", *body,
+        '  url u = "http://x/" + v', "  fetch_from_proxy(get, u)", "}",
+        "ccfg {", "}", ""]))
+    app.index  # built once, outside the counts
+    url_map, trace = analyze_urls(app), Trace((TraceStep("c", 0, {"t": "a"}),))
+    return (bytecodes(run_trace, app, trace, NetModel(), url_map),
+            bytecodes(compute_oracle, app, trace))
+
+
+def test_a_definition_costs_each_walk_one_hook_call():
+    """One more send_definition costs the optimized run at most 104
+    bytecodes: the walk's test and variable check, `_Session.send_definition`,
+    `Proxy.send_definition`, which writes the part itself, and the event.
+    One more definition costs the oracle at most 99: the walk's, then
+    `Replay.define` and one `Proxy.set_parts` call for all its slots.
+    Before the hooks were cut (Python 3.11) they cost 142 and 105, with
+    `Proxy.set_part` called once per slot and a `send_definition` tested
+    eighth; a hop put back into either chain fails this."""
+    run, oracle = _definition_costs(1, 1)
+    assert _definition_costs(1, 2)[0] - run <= 104
+    assert _definition_costs(2, 1)[1] - oracle <= 99
+
+
 def test_fetch_from_proxy_three_ways():
     state = _proxy({"u": ["http://x/"]}, latency_ms=500,
                    server={"http://x/": "P"})

@@ -25,8 +25,9 @@ tree's gives the before and after of a change. `--functions SPAN` also
 prints the ten functions that run the most bytecodes inside the stage
 SPAN, each counted without the functions it calls, as
 `module.qualified_name`; code built by `eval` shows under the name it
-was compiled with, `<string>` by default and `<writer T>` for the
-codec's writer of the type T.
+was compiled with, `<string>` by default, `<writer T>` for the
+codec's writer of the type T and `<decoder T>` for its decoder of the
+dataclass T.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ roots and wait-node predecessors), built on first use and cached.
 The index needs no invalidation: an `App` is frozen and its bodies are
 tuples of frozen statements, so the program it indexes cannot change, and
 every rewrite (`dataclasses.replace`) makes a new `App` with a fresh
-index. `Ccfg` caches its adjacency the same way on its own instance.
+index. `Ccfg` caches only its successors, on its own instance.
 """
 
 from __future__ import annotations
@@ -187,24 +187,15 @@ class Ccfg:
     edges: tuple[tuple[str, str], ...] = ()
 
     def successors(self, node: str) -> list[str]:
-        return list(self._adjacency[0].get(node, ()))
-
-    def predecessors(self, node: str) -> list[str]:
-        return list(self._adjacency[1].get(node, ()))
+        return list(self._successors.get(node, ()))
 
     @cached_property
-    def wait_set(self) -> frozenset[str]:
-        return frozenset(self.wait_nodes)
-
-    @cached_property
-    def _adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-        """(successors, predecessors) by node, each list in edge order."""
+    def _successors(self) -> dict[str, list[str]]:
+        """Successors by node, each list in edge order."""
         succ: dict[str, list[str]] = {}
-        pred: dict[str, list[str]] = {}
         for a, b in self.edges:
             succ.setdefault(a, []).append(b)
-            pred.setdefault(b, []).append(a)
-        return succ, pred
+        return succ
 
 
 @dataclass(frozen=True)
@@ -258,10 +249,11 @@ def _build_index(app: "App") -> ProgramIndex:
                     proxy_method = st.original_method
     order = {c.name: i for i, c in enumerate(app.callbacks)}
     ccfg = app.ccfg
+    waits = set(ccfg.wait_nodes)
     targets = {b for _, b in ccfg.edges}
     preds: dict[str, set[str]] = {}
     for p, w in ccfg.edges:
-        if p in order and w in ccfg.wait_set:
+        if p in order and w in waits:
             for b in ccfg.successors(w):
                 if b in order:
                     preds.setdefault(b, set()).add(p)
@@ -293,10 +285,6 @@ class App:
     @property
     def callback_names(self) -> list[str]:
         return [c.name for c in self.callbacks]
-
-    @property
-    def method_names(self) -> list[str]:
-        return [m.name for m in self.methods]
 
     def containers(self) -> Iterator[tuple[str, tuple[Stmt, ...]]]:
         """(name, body) pairs in program order: callbacks first, then
@@ -484,15 +472,14 @@ def parse_app(text: str) -> App:
     resources: dict[str, str] = {}
     settings: dict[str, str] = {}
     netlib: list[NetMethodDecl] = []
-    # (declaration word, name, body) of each callback and method
-    containers: list[tuple[str, str, list[Stmt]]] = []
+    # (name, body, the line of each statement) of each callback and method
+    callbacks: list[tuple[str, list[Stmt], list[int]]] = []
+    methods: list[tuple[str, list[Stmt], list[int]]] = []
     wait_nodes: list[str] = []
     ccfg_edges: list[tuple[str, str]] = []
-    stmt_lines: dict[tuple[str, int], int] = {}
-    decl_lines: dict[str, int] = {}
-    # the open { } block as (its line, container name, body); the ccfg
-    # block has no body
-    block: tuple[int, str, list[Stmt] | None] | None = None
+    # the open { } block as (its line, body, the line of each statement);
+    # the ccfg block has neither
+    block: tuple[int, list[Stmt] | None, list[int] | None] | None = None
 
     for lineno, line in enumerate(text.splitlines(), 1):
         try:
@@ -507,12 +494,12 @@ def parse_app(text: str) -> App:
             if toks == ["}"]:
                 block = None
                 continue
-            _, cname, body = block
+            _, body, lines = block
             while not cur.done():
                 try:
                     if body is not None:
                         body.append(_parse_stmt(cur))
-                        stmt_lines[(cname, len(body) - 1)] = lineno
+                        lines.append(lineno)
                     elif cur.accept("wait"):
                         wait_nodes.append(cur.expect("ident"))
                     else:
@@ -552,12 +539,12 @@ def parse_app(text: str) -> App:
                 if not cur.done():
                     what = "edges" if head == "ccfg" else "statements"
                     diags.append((lineno, f"{what} must start on the next line"))
-                body = None
+                body = lines = None
                 if head != "ccfg":
-                    body = []
-                    containers.append((head, cname, body))
-                    decl_lines.setdefault(cname, lineno)
-                block = (lineno, cname, body)
+                    body, lines = [], []
+                    decls = callbacks if head == "callback" else methods
+                    decls.append((cname, body, lines))
+                block = (lineno, body, lines)
                 continue
             else:
                 raise ValueError(f"unknown declaration '{head}'")
@@ -576,19 +563,16 @@ def parse_app(text: str) -> App:
         name=name,
         resources=resources,
         settings=settings,
-        callbacks=tuple(Callback(n, tuple(b)) for h, n, b in containers
-                        if h == "callback"),
-        methods=tuple(HelperMethod(n, tuple(b)) for h, n, b in containers
-                      if h == "method"),
+        callbacks=tuple(Callback(n, tuple(b)) for n, b, _ in callbacks),
+        methods=tuple(HelperMethod(n, tuple(b)) for n, b, _ in methods),
         ccfg=Ccfg(tuple(wait_nodes), tuple(ccfg_edges)),
         netlib=tuple(netlib),
     )
+    # each container's statement lines, in the order of app.containers()
+    stmt_lines = [lines for _, _, lines in callbacks + methods]
     for loc, msg in _structural_problems(app):
-        if loc is None:
-            diags.append((0, msg))
-        else:
-            line = stmt_lines.get(loc, decl_lines.get(loc[0], 0))
-            diags.append((line, msg))
+        line = 0 if loc is None else stmt_lines[loc[0]][loc[1]]
+        diags.append((line, msg))
     if diags:
         raise ParseError(sorted(diags))
     return app
@@ -626,9 +610,10 @@ _READS = {
 }
 
 
-def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
-    """Structural defects as ((container, stmt_index) | None, message)."""
-    problems: list[tuple[tuple[str, int] | None, str]] = []
+def _structural_problems(app: App) -> list[tuple[tuple[int, int] | None, str]]:
+    """Structural defects as (location | None, message), where a location
+    is (the container's position in app.containers(), stmt index)."""
+    problems: list[tuple[tuple[int, int] | None, str]] = []
 
     def check_name(loc, name: str, what: str, reserved=()) -> None:
         """Names must print as one identifier token; a reserved word
@@ -652,7 +637,7 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
             problems.append((None, f"netmethod '{m.name}' has a negative "
                                    f"latency {m.latency_ms}"))
     names: set[str] = set()
-    for cname in list(app.callback_names) + list(app.method_names):
+    for cname, _ in app.containers():
         if cname in names:
             problems.append((None, f"duplicate name '{cname}'"))
         names.add(cname)
@@ -660,8 +645,8 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
         check_name(None, c.name, "callback", ("wait",))
     for m in app.methods:
         check_name(None, m.name, "method")
-    callbacks = set(app.callback_names)
     # built here, the index is the one a parsed App's analyses read
+    callbacks = app.index.callback_order
     url_spots, defined_vars = app.index.url_spots, app.index.definitions
     # url ids whose first spot the walk has passed: a later spot is a
     # duplicate, also in a second container of the same name
@@ -669,9 +654,9 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
     declared = {"netmethod": netmethods, "url": url_spots, "variable":
                 defined_vars, "call target": names, "callback": callbacks}
 
-    for name, body in app.containers():
+    for position, (_, body) in enumerate(app.containers()):
         for idx, st in enumerate(body):
-            loc, cls = (name, idx), type(st)  # statements are final classes
+            loc, cls = (position, idx), type(st)  # statements are final classes
             if cls in _READS:
                 if cls is SendDefinition:  # a part of its url, if that resolves
                     spot = url_spots.get(st.url_id)
@@ -732,11 +717,13 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
             if not _printable(value):
                 problems.append((None, f"{kind} '{key}': {_unprintable(value)}"))
 
-    ccfg_nodes = callbacks | app.ccfg.wait_set
+    ccfg_nodes = {*callbacks, *app.ccfg.wait_nodes}
     for a, b in app.ccfg.edges:
         for endpoint in (a, b):
             if endpoint not in ccfg_nodes:
                 problems.append((None, f"unknown ccfg node '{endpoint}'"))
+    sources = {a for a, _ in app.ccfg.edges}
+    targets = {b for _, b in app.ccfg.edges}
     waits: set[str] = set()
     for w in app.ccfg.wait_nodes:
         if w in waits:
@@ -746,9 +733,9 @@ def _structural_problems(app: App) -> list[tuple[tuple[str, int] | None, str]]:
         check_name(None, w, "wait node", ("wait",))
         if w in names:
             problems.append((None, f"wait node '{w}' collides with a callback or method name"))
-        if not app.ccfg.predecessors(w):
+        if w not in targets:
             problems.append((None, f"wait node '{w}' has no incoming edge"))
-        if not app.ccfg.successors(w):
+        if w not in sources:
             problems.append((None, f"wait node '{w}' has no outgoing edge"))
     return problems
 

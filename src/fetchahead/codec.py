@@ -228,8 +228,6 @@ def _writing(tp, var: str, newline: str, attrs: bool) -> list:
         expr = (_plus(write(members[0], var, newline)) if len(members) == 1
                 else f"_no_member({var})")
         for m in reversed(members if len(members) > 1 else ()):
-            if tagged and not hasattr(m, "type"):
-                continue  # never decoded, so never written
             test = (f"type({var}).__name__ == {m.__name__!r}" if attrs
                     else f'{var}.get("type") == {m.type!r}' if tagged
                     else f"{_fields(m)[0][0]!r} in {var}")
@@ -310,13 +308,11 @@ def _decoder(tp):
             return tuple([item(x, (path, i)) for i, x in enumerate(v)])
         return sequence
     if origin is Mapping:
-        item, strings = _decoder(args[1]), args[1] is str
+        item = _decoder(args[1])
 
         def mapping(v, path):
             if type(v) is not dict:
                 raise _bad("a JSON object", v, path)
-            if strings and {*map(type, v.values())} <= {str}:
-                return dict(v)
             return {k: item(x, (path, k)) for k, x in v.items()}
         return mapping
     if origin is Union or origin is types.UnionType:

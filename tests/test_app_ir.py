@@ -250,12 +250,25 @@ def test_tokenize_takes_linear_time_on_a_long_line(tail, printed):
     ('resource r = "x"\n', [(1, "missing app declaration")]),
     ('app a\nresource r = "x#y" z  # a comment\n',
      [(2, "trailing tokens after declaration")]),
+    ("app a\nnetmethod get latency=5\ncallback c {\n  get(u)\n}\n"
+     "callback c {\n  goto c\n}\n",
+     [(0, "duplicate name 'c'"), (4, "unresolved url 'u'")]),
+    ("app a\nnetmethod get latency=5\ncallback c {\n  get(u)\n}\n"
+     "method c {\n  goto c\n}\n",
+     [(0, "duplicate name 'c'"), (4, "unresolved url 'u'")]),
+    ("app a\ncallback c {\n}\nccfg {\n  wait w\n  w -> c\n}\n",
+     [(0, "wait node 'w' has no incoming edge")]),
+    ("app a\ncallback c {\n}\nccfg {\n  wait w\n  c -> w\n}\n",
+     [(0, "wait node 'w' has no outgoing edge")]),
+    ("app a\ncallback c {\n}\nccfg {\n  c -> x\n}\n",
+     [(0, "unknown ccfg node 'x'")]),
 ], ids=["unexpected-character", "end-of-line", "expected-found",
         "definition-source", "url-part", "statement-start", "keyword-statement",
         "trailing-statement", "trailing-edge", "trailing-declaration",
         "statements-on-brace-line", "edges-on-brace-line", "unterminated-block",
         "unknown-declaration", "duplicate-app", "duplicate-keys", "missing-app",
-        "hash-in-string"])
+        "hash-in-string", "same-name-callbacks", "same-name-method",
+        "wait-without-incoming", "wait-without-outgoing", "unknown-ccfg-node"])
 def test_parser_diagnostics(text, diagnostics):
     with pytest.raises(ParseError) as err:
         parse_app(text)

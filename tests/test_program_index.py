@@ -82,10 +82,6 @@ def ref_successors(ccfg, node):
     return [b for a, b in ccfg.edges if a == node]
 
 
-def ref_predecessors(ccfg, node):
-    return [a for a, b in ccfg.edges if b == node]
-
-
 def ref_roots(app):
     return tuple(c for c in app.callback_names
                  if all(b != c for _, b in app.ccfg.edges))
@@ -162,7 +158,6 @@ def _check(app):
     nodes = {n for edge in app.ccfg.edges for n in edge}
     for node in sorted(nodes | set(app.ccfg.wait_nodes)) + ["no_such_node"]:
         assert app.ccfg.successors(node) == ref_successors(app.ccfg, node)
-        assert app.ccfg.predecessors(node) == ref_predecessors(app.ccfg, node)
     _check_ccfg_tables(app)
     callers = build_ecg(app)
     for name in names:

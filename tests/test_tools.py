@@ -9,6 +9,7 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,13 +32,25 @@ def _tool(name, monkeypatch):
 def test_compare_trees_builds_its_cases(tmp_path, monkeypatch):
     tool = _tool("compare_trees", monkeypatch)
     pipelines = tool.pipeline_cases(1, tmp_path / "inputs")
-    mutations = tool.mutation_cases(1, 5, tmp_path / "inputs")
+    mutations, papps = tool.mutation_cases(1, 5, tmp_path / "inputs")
     assert len(pipelines) == 404
     assert {c["name"] for c in pipelines} >= {"corpus/weather", "hints/weather"}
     assert {int(c["name"].split()[0]) for c in mutations} == set(range(5))
     for case in pipelines + mutations:
         assert case["argv"][0] in ("pipeline", "instrument", "run", "report")
         assert any(a.startswith("{out}") for a in case["argv"]), case["name"]
+    # the .papp cases: each one line-level edit of the weather fixture,
+    # run through analyze
+    assert len(papps) == tool.PAPP_MUTATIONS
+    weather = (tmp_path / "inputs" / "weather.papp").read_text()
+    edits = Counter()
+    for case in papps:
+        assert case["argv"][0] == "analyze"
+        assert any(a.startswith("{out}") for a in case["argv"]), case["name"]
+        edits[case["name"].split()[2]] += 1
+        mutated = Path(case["argv"][1]).read_text()
+        assert len(mutated.splitlines()) - len(weather.splitlines()) in range(-1, 9)
+    assert set(edits) == {"delete", "copy", "swap"}
 
 
 def test_stage_bytecodes_counts_only_the_benchmark_spans(

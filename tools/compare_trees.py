@@ -6,7 +6,7 @@ PARENT_SRC is the `src/` directory of the tree to compare against, e.g.
 one unpacked with `git archive <commit> | tar -x -C <dir>`. Run the script
 from anywhere; it compares against this tree's `src/`.
 
-There are two kinds of case, both for seed N (default 1):
+There are three kinds of case, all for seed N (default 1):
 - pipelines: `pipeline` on every benchmark workload's apps and traces,
   written by `perfbench/gen.py` (imported, not changed), and on the
   weather fixture with and without a fixed hints file;
@@ -14,7 +14,11 @@ There are two kinds of case, both for seed N (default 1):
   from `tests/test_cli_fuzz.py`'s valid JSON inputs, each one input
   changed at one position by the fuzz test's own `_positions` and
   `_mutated`, and run through every subcommand that reads that input
-  (the fuzz test's `COMMANDS`).
+  (the fuzz test's `COMMANDS`);
+- `.papp` mutations: 200 edits of the weather fixture, drawn after the
+  JSON ones from the same `random.Random(N)`, each deleting one line,
+  copying a run of up to 8 lines to another place or swapping two lines,
+  and run through `analyze`, so that parser diagnostics are compared too.
 
 Each tree runs every case with `fetchahead.cli.main`, all of them in one
 process per tree, each in a fresh output directory. It records the exit
@@ -43,6 +47,8 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# how many `.papp` mutations a run draws, after the JSON ones
+PAPP_MUTATIONS = 200
 
 # The README's example hints, with an end entry merged into a trigger
 # callback's trigger point and a rewrite rule on the city name.
@@ -78,11 +84,13 @@ def pipeline_cases(seed: int, inputs: Path) -> list[dict]:
     return cases
 
 
-def mutation_cases(seed: int, count: int, inputs: Path) -> list[dict]:
-    """Write the valid inputs and `count` mutated ones under `inputs`;
-    returns one {name, argv} per (mutation, subcommand), where "{out}"
-    in argv stands for the output directory. Needs this tree's `src/` on
-    `sys.path`."""
+def mutation_cases(seed: int, count: int,
+                   inputs: Path) -> tuple[list[dict], list[dict]]:
+    """Write the valid inputs, `count` mutated JSON inputs and
+    PAPP_MUTATIONS mutated `.papp` texts under `inputs`; returns one
+    {name, argv} per (JSON mutation, subcommand) and one per `.papp`
+    mutation, where "{out}" in argv stands for the output directory.
+    Needs this tree's `src/` on `sys.path`."""
     spec = importlib.util.spec_from_file_location(
         "cli_fuzz", ROOT / "tests" / "test_cli_fuzz.py")
     fuzz = importlib.util.module_from_spec(spec)
@@ -109,7 +117,40 @@ def mutation_cases(seed: int, count: int, inputs: Path) -> list[dict]:
                 cases.append({"name": f"{k} {name} {list(path)} {how} "
                                       f"{other!r} {key}: command {j} ({args[0]})",
                               "argv": args})
-    return cases
+
+    lines = Path(files["app"]).read_text(encoding="utf-8").splitlines(True)
+    papps = []
+    for k in range(PAPP_MUTATIONS):
+        edit, text = papp_mutated(lines, rng)
+        mutated = inputs / "mutated" / f"{k}.papp"
+        mutated.write_text(text, encoding="utf-8")
+        papps.append({"name": f"papp {k} {edit}: analyze",
+                      "argv": ["analyze", str(mutated),
+                               "--urlmap-out", "{out}/urlmap.json",
+                               "--triggermap-out", "{out}/triggermap.json"]})
+    return cases, papps
+
+
+def papp_mutated(lines: list[str], rng: random.Random) -> tuple[str, str]:
+    """One seeded edit of a text's `lines`: delete a line, copy a run of
+    up to 8 lines to another place, or swap two lines. Returns (what the
+    edit did, the edited text)."""
+    lines = list(lines)
+    how = rng.choice(("delete", "copy", "swap"))
+    i = rng.randrange(len(lines))
+    if how == "delete":
+        del lines[i]
+        edit = f"delete line {i + 1}"
+    elif how == "copy":
+        run = lines[i:i + rng.randint(1, 8)]
+        at = rng.randint(0, len(lines))
+        lines[at:at] = run
+        edit = f"copy lines {i + 1}-{i + len(run)} before line {at + 1}"
+    else:
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+        edit = f"swap lines {i + 1} and {j + 1}"
+    return edit, "".join(lines)
 
 
 def run_tree(src: Path, cases_file: Path, results: Path) -> None:
@@ -173,9 +214,10 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="compare_trees-") as tmp:
         work = Path(tmp)
         pipelines = pipeline_cases(args.seed, work / "inputs")
-        mutations = mutation_cases(args.seed, args.count, work / "inputs")
+        mutations, papps = mutation_cases(args.seed, args.count,
+                                          work / "inputs")
         cases_file = work / "cases.json"
-        cases_file.write_text(json.dumps(pipelines + mutations),
+        cases_file.write_text(json.dumps(pipelines + mutations + papps),
                               encoding="utf-8")
         sides = {"parent": args.parent_src, "child": ROOT / "src"}
         runs = [subprocess.Popen([sys.executable, __file__, str(args.parent_src),
@@ -189,15 +231,19 @@ def main(argv: list[str] | None = None) -> int:
             json.loads((work / f"{side}.json").read_text(encoding="utf-8"))
             for side in sides)
     found = 0
-    for case in pipelines + mutations:
+    for case in pipelines + mutations + papps:
         changed = differences(before[case["name"]], after[case["name"]])
         if changed:
             found += 1
             print(case["name"], *changed, sep="\n")
-    codes = Counter(after[case["name"]]["exit"] for case in mutations)
+
+    def exit_codes(cases: list[dict]) -> dict:
+        codes = Counter(after[case["name"]]["exit"] for case in cases)
+        return dict(sorted(codes.items(), key=str))
     print(f"seed {args.seed}: {len(pipelines)} pipelines, {args.count} "
           f"mutations in {len(mutations)} cases (exit codes "
-          f"{dict(sorted(codes.items(), key=str))}); {found} differences")
+          f"{exit_codes(mutations)}), {len(papps)} .papp mutations (exit "
+          f"codes {exit_codes(papps)}); {found} differences")
     return 1 if found else 0
 
 

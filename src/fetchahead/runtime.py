@@ -6,6 +6,10 @@ costs. Prefetches run in the background: issuing one does not consume app
 time; its response becomes available at issue time + the latency of the
 proxy's own fetch method.
 
+The statement walk interprets a body until the body has run
+`_COMPILE_AFTER` times in one walk, then compiles it into one Python
+function for that walk's hooks and runs that; each walk compiles its own.
+
 The proxy keeps a runtime URL map (seeded from static analysis, updated
 by send_definition) and a cache keyed by the exact concrete URL string.
 A cache entry starts in a waiting state until its scheduled ready time;
@@ -18,10 +22,14 @@ Identical inputs produce a byte-identical run log.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import count
 from json.encoder import encode_basestring_ascii as _quote
-from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Mapping, Union
+from typing import (
+    TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator, Mapping, Union,
+)
 
 from .app_ir import (
     App,
@@ -45,11 +53,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 _MAX_CALL_DEPTH = 64
 
+# A walk compiles a body on the body's `_COMPILE_AFTER`-th run in it
+# (`Walk._compile`): interpreted runs are the rent, a compile the
+# purchase, and a body is bought once its rent would have paid for it.
+# On the `long_session` hub app (Python 3.11.7, 2-vCPU VM, timeit) a
+# 4- to 6-statement screen compiles in 0.06-0.09 ms and then runs
+# 1.9-2.4 us faster: break-even after 29-43 runs. The 16- to
+# 33-statement `home` compiles in 0.15-0.32 ms and saves 1.1-2.3 us a
+# run, most of its time being its hooks: break-even after 124-143 runs.
+# 32 is the short bodies' break-even. No body runs more than 2 times in
+# a walk on `large_app` or 10 on `corpus`, which stay interpreted, while
+# `long_session` runs `home` 4,000 times and each screen about 167: its
+# pipeline compiles 75 bodies in 9-11 ms.
+_COMPILE_AFTER = 32
+
+# counts a body's runs from 1, with no Python step per run
+_first_run = partial(count, 1)
+
 # ---------------------------------------------------------------------------
 # trace and network model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen, as the run-log events below are not
 class TraceStep:
     """One user event: `think_ms` is the delay before the event fires and
     `inputs` supplies values for every input() executed during the step."""
@@ -128,6 +153,10 @@ SERVED_ORIGIN = "origin"
 # 1.0 us frozen against 0.38 us without (timeit, 200k calls, Python
 # 3.11.7 on a 2-vCPU VM). Nothing hashes, puts in a set or mutates an
 # event. `slots=True` stays: it keeps a `__dict__` off every event.
+# `TraceStep` is not frozen for the same reason: the trace loader builds
+# 8,000 of them for that pipeline, at 0.64 us each frozen against 0.18 us
+# without (timeit, best of 7 x 200k calls, same machine), and its
+# `inputs` dict makes it unhashable either way.
 
 @dataclass(slots=True)
 class Prefetch:
@@ -421,6 +450,15 @@ class Proxy:
 # the statement walk
 # ---------------------------------------------------------------------------
 
+# a value in `Walk._compile`'s code, as a piece of `codec._plus` is:
+# constant text as a `str`, a string expression as `(expr,)`
+_Piece = Union[str, tuple[str]]
+
+
+def _source(piece: _Piece) -> str:
+    return repr(piece) if type(piece) is str else piece[0]
+
+
 class Walk:
     """The statement walk of one session; the runtime and the oracle
     subclass it.
@@ -441,6 +479,14 @@ class Walk:
     A hook a walk does not need is None, and the walk skips it: the
     runtime sets no `define` and the oracle no `send_definition`. A
     send_definition of an unset variable raises all the same.
+
+    A body runs in the interpreter, `_execute`'s test of each statement's
+    class, until its `_COMPILE_AFTER`-th run in this walk. Then
+    `_compile` turns it into one straight-line function for this walk's
+    hooks, which runs from then on; the interpreter stays the path of
+    every cold body and of every error. So a walk's hooks are fixed for
+    its lifetime, and they change neither its variables nor its built
+    URLs. The compiled functions and the counts belong to the walk.
     """
 
     define: Callable[[str, int, str, str], None] | None = None
@@ -452,6 +498,9 @@ class Walk:
         self.built: dict[str, str] = {}
         self.current: str | None = None
         self._inputs: Mapping[str, str] = {}
+        # each body's runs in this walk, and the bodies compiled so far
+        self._runs: defaultdict[str, Iterator[int]] = defaultdict(_first_run)
+        self._compiled: dict[str, Callable[[Walk, int], bool]] = {}
 
     def run_step(self, k: int, step: TraceStep) -> None:
         """Validate trace step `k` and run its callback."""
@@ -478,6 +527,10 @@ class Walk:
     def _execute(self, name: str, depth: int) -> None:
         if depth > _MAX_CALL_DEPTH:
             raise RunError(f"call depth exceeded at '{name}'")
+        if next(self._runs[name]) >= _COMPILE_AFTER:
+            compiled = self._compiled.get(name) or self._compile(name)
+            if compiled(self, depth):
+                return
         body = self.app.index.bodies[name]  # the parser resolved every name
         app, variables, built = self.app, self.variables, self.built
         inputs, define, send = self._inputs, self.define, self.send_definition
@@ -524,6 +577,112 @@ class Walk:
                 self._execute(st.target, depth + 1)
             else:  # pragma: no cover - exhaustive over Stmt
                 raise RunError(f"unknown statement {st!r}")
+
+    def _compile(self, name: str) -> Callable[["Walk", int], bool]:
+        """`name`'s body as one straight-line function `body(w, depth)`
+        for this walk's hooks, in code named `<walk NAME>`, kept in
+        `_compiled`.
+
+        The function first tests what the interpreter would check: every
+        input tag the body reads, every variable a `send_definition`
+        reads and every URL a fetch reads, unless an earlier statement of
+        the body sets it. Variables and built URLs are never removed, so
+        that test at entry covers the whole body. If it fails, the
+        function returns False having done nothing, and the interpreter
+        runs the body and raises its error; so no message is compiled.
+        Otherwise it runs the statements in order and returns True.
+
+        Static values are resolved here, and a variable set or a URL
+        built by this body since its last call or `goto` is read from
+        the expression that set it. A hook the walk lacks emits nothing;
+        calls still go through `_execute`. App strings enter the source
+        only through `repr()`, and the statements the hooks receive only
+        through the namespace. The function is popped from that
+        namespace: left in it, the two would form a reference cycle."""
+        static = self.app.static_value
+        namespace: dict[str, object] = {}
+        lines: list[str] = []
+        # per table (I inputs, V variables, B built URLs): the constants
+        # set since the last call or `goto`, each read as itself; the keys
+        # set so far; the keys the entry test checks
+        consts: dict[str, dict[str, str]] = {"V": {}, "B": {}}
+        assigned: dict[str, set[str]] = {"V": set(), "B": set()}
+        guard: dict[str, set[str]] = {"I": set(), "V": set(), "B": set()}
+
+        def read(table: str, key: str, unset: str | None = None) -> _Piece:
+            if key in consts[table]:
+                return consts[table][key]
+            if key in assigned[table]:
+                return (f"{table}[{key!r}]",)
+            if unset is None:
+                guard[table].add(key)
+                return (f"{table}[{key!r}]",)
+            return (f"{table}.get({key!r}, {unset!r})",)
+
+        def assign(table: str, key: str, value: _Piece) -> None:
+            lines.append(f"{table}[{key!r}] = {_source(value)}")
+            assigned[table].add(key)
+            if type(value) is str:
+                consts[table][key] = value
+            else:
+                consts[table].pop(key, None)
+
+        for idx, st in enumerate(self.app.index.bodies[name]):
+            cls, stmt = type(st), f"_s{idx}"
+            namespace[stmt] = st
+            if cls is SendDefinition:
+                value = read("V", st.var)
+                if self.send_definition is not None:
+                    lines.append(f"w.send_definition({stmt}, {_source(value)})")
+            elif cls is DefineDynamic or cls is DefineStatic:
+                if cls is DefineDynamic:
+                    guard["I"].add(st.input_tag)
+                    value = (f"I[{st.input_tag!r}]",)
+                else:
+                    value = static(st.source_kind, st.source)
+                assign("V", st.var, value)
+                if self.define is not None:
+                    lines.append(f"w.define({name!r}, {idx}, {st.var!r}, "
+                                 f"{_source(value)})")
+            elif cls is BuildUrl:
+                pieces: list[_Piece] = []
+                for p in st.parts:  # unset variables read as ""
+                    piece = (read("V", p.value, "") if p.kind == "var"
+                             else static(p.kind, p.value))
+                    if type(piece) is str and pieces and \
+                            type(pieces[-1]) is str:
+                        pieces[-1] += piece
+                    else:
+                        pieces.append(piece)
+                assign("B", st.url_id, pieces[0] if len(pieces) == 1 else (
+                    " + ".join(map(_source, pieces)) or "''",))
+            elif cls is FetchFromProxy or cls is NetCall:
+                hook = "fetch_from_proxy" if cls is FetchFromProxy else "net_call"
+                url = _source(read("B", st.url_id))
+                lines.append(f"w.{hook}({stmt}, {url})")
+            elif cls is TriggerPrefetch:
+                lines.append(f"w.trigger_prefetch({name!r}, {stmt})")
+            else:  # Call, AsyncCall or Transition
+                if cls is Transition:
+                    lines.append(f"w.current = {st.target!r}")
+                lines.append(f"w._execute({st.target!r}, depth + 1)")
+                consts["V"].clear()
+                consts["B"].clear()
+        source = ["def body(w, depth):",
+                  "  I, V, B = w._inputs, w.variables, w.built"]
+        tests = []
+        for table, keys in guard.items():
+            if len(keys) == 1:
+                tests.append(f"{next(iter(keys))!r} in {table}")
+            elif keys:
+                namespace[f"_{table}"] = frozenset(keys)
+                tests.append(f"{table}.keys() >= _{table}")
+        if tests:
+            source.append(f"  if not ({' and '.join(tests)}): return False")
+        source += [f"  {line}" for line in lines] + ["  return True"]
+        exec(compile("\n".join(source), f"<walk {name}>", "exec"), namespace)
+        compiled = self._compiled[name] = namespace.pop("body")
+        return compiled
 
     def _built_url(self, url_id: str) -> str:
         if url_id not in self.built:

@@ -1111,19 +1111,26 @@ def test_main_pauses_the_collector_and_restores_it(workdir, monkeypatch,
         (gc.enable if was else gc.disable)()
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["pipeline", "weather.papp", "--trace", "trace.json", "--outdir", "out"], 0),
-    (["bench"], 0),
+@pytest.mark.parametrize("argv, code, compile_after", [
+    (["pipeline", "weather.papp", "--trace", "trace.json", "--outdir", "out"],
+     0, None),
+    (["pipeline", "weather.papp", "--trace", "trace.json", "--outdir", "out"],
+     0, 1),
+    (["bench"], 0, None),
     (["pipeline", "weather.papp", "--trace", "negative.json",
-      "--outdir", "out"], 2),
-], ids=["weather-pipeline", "bench", "exit-2-pipeline"])
-def test_a_command_starts_no_collection_and_leaves_no_cycles(workdir, capsys,
-                                                             argv, code):
+      "--outdir", "out"], 2, None),
+], ids=["weather-pipeline", "weather-pipeline-compiled", "bench",
+        "exit-2-pipeline"])
+def test_a_command_starts_no_collection_and_leaves_no_cycles(
+        workdir, capsys, monkeypatch, argv, code, compile_after):
     """No collection starts during a command, even at the lowest
     allocation threshold, and pausing the collector frees nothing less:
     whatever a command builds, reference counting frees. The warm-up call
     builds the parser, whose argparse formatters are the process's one
-    cyclic garbage."""
+    cyclic garbage. With every walk body compiled at its first run, the
+    compiled functions leave no cycle either."""
+    if compile_after is not None:
+        monkeypatch.setattr(runtime, "_COMPILE_AFTER", compile_after)
     trace = [dict(step) for step in WEATHER_TRACE]
     trace[1]["think_ms"] = -1
     (workdir / "negative.json").write_text(json.dumps(trace))

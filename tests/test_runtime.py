@@ -850,12 +850,14 @@ def test_run_and_oracle_cost_is_linear_in_trace_length(monkeypatch):
     loader on the trace's JSON value and of the optimized run log's
     writer, on `perfbench/gen.py`'s `long_session` with 250, 500 and
     1,000 steps. The app stays the same, so only one-off costs keep a
-    ratio under x2: the set-up of the proxy, and the session's start,
-    where the cache is still filling and a trigger point takes its URLs
-    one by one, while later ones find them all cached. Each doubling
-    measured x1.84 and x1.92 for the run, x1.82 and x1.90 for the oracle,
-    x1.89 and x2.00 for the trace loader and x1.94 and x1.97 for the run
-    log's writer, on Python 3.11. The counts are the same for every seed.
+    ratio under x2: the set-up of the proxy, the session's start, where
+    the cache is still filling and a trigger point takes its URLs one by
+    one, while later ones find them all cached, and the walk's compile of
+    `home` on its 32nd run, at every size; no screen runs 32 times. Each
+    doubling measured x1.70 and x1.82 for the run, x1.65 and x1.79 for
+    the oracle, x1.80 and x2.00 for the trace loader and x1.93 and x1.97
+    for the run log's writer, on Python 3.11. The counts are the same for
+    every seed.
     For a cost a*n + b*n*n the ratio is 2 + 2q, where q is the quadratic share
     at the smaller size, so the bound x2.2 fails once a pass quadratic in
     the trace is a tenth of the work, such as a scan of the run log or of
@@ -876,3 +878,162 @@ def test_run_and_oracle_cost_is_linear_in_trace_length(monkeypatch):
                                                  lambda piece: None))
     for stage, (a, b, c) in counts.items():
         assert b / a <= 2.2 and c / b <= 2.2, (stage, a, b, c)
+
+
+# ---------------------------------------------------------------------------
+# the compiled walk against the interpreter
+# ---------------------------------------------------------------------------
+
+# a run count that no walk reaches: every body stays interpreted
+_NEVER = 1 << 62
+
+
+def _on_each_path(monkeypatch, run, afters=(1, _NEVER)):
+    """`run()` once per compile threshold in `afters`, by default with
+    every body compiled at its first run, then with none compiled. Each
+    setting but the last must compile some body, the last none."""
+    compiles = []
+    compile_body = runtime.Walk._compile
+
+    def counted(walk, name):
+        compiles.append(name)
+        return compile_body(walk, name)
+
+    monkeypatch.setattr(runtime.Walk, "_compile", counted)
+    outcomes = []
+    for after in afters:
+        monkeypatch.setattr(runtime, "_COMPILE_AFTER", after)
+        compiles.clear()
+        try:
+            outcomes.append(run())
+        except RunError as e:
+            outcomes.append(f"RunError: {e}")
+        assert bool(compiles) == (after != _NEVER), after
+    return outcomes
+
+
+def _pipeline_outputs(app, trace, net, hints=None, sig=None):
+    p = run_pipeline(app, trace, net, hints, sig)
+    return p.base.canonical_json(), p.opt.canonical_json(), p.oracle
+
+
+@pytest.mark.parametrize("hinted", [False, True], ids=["plain", "hinted"])
+def test_compiled_and_interpreted_walks_agree_on_random_apps(monkeypatch,
+                                                             hinted):
+    """Both run logs byte for byte and the oracle, on `appgen` seeds
+    0-299, with every body compiled at its first run and with none."""
+    sig = FetchSignature("fetch")
+    for seed in range(300):
+        rng = random.Random(seed)
+        app, trace, net = make_app(rng)
+        hints = random_hints(rng, app) if hinted else None
+        compiled, interpreted = _on_each_path(
+            monkeypatch, lambda: _pipeline_outputs(app, trace, net, hints, sig))
+        assert compiled == interpreted, seed
+
+
+def test_compiled_and_interpreted_walks_agree_on_a_long_session(monkeypatch):
+    """The same on `perfbench/gen.py`'s hub app over 300 steps, where
+    `home` runs 150 times: at the module's own threshold it is compiled
+    in the middle of each walk."""
+    case = perfbench_gen(monkeypatch).long_session(1, steps=300)[0]
+    outcomes = _on_each_path(
+        monkeypatch, lambda: _pipeline_outputs(case.app, case.trace, NetModel()),
+        (1, runtime._COMPILE_AFTER, _NEVER))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def _loop(body: str, methods: str = "") -> App:
+    """An app whose callback `a` may follow itself through wait node `w`."""
+    return parse_app(f"""
+app looped
+netmethod get latency=10
+callback a {{
+{body}
+}}
+{methods}
+ccfg {{
+  wait w
+  a -> w
+  w -> a
+}}
+""")
+
+
+def _walks(app, steps):
+    """Run `steps` (event, inputs) pairs through the runtime, then the
+    oracle; the URL map seeds an instrumented app."""
+    trace = Trace(tuple(TraceStep(event, 0, inputs) for event, inputs in steps))
+    seed = analyze_urls(app) if app.is_instrumented else None
+    return run_trace(app, trace, NetModel(), seed).canonical_json(), \
+        compute_oracle(app, trace)
+
+
+@pytest.mark.parametrize("app, steps, error", [
+    (_loop("  let v = input(t)\n  url u = \"http://x/\" + v\n  get(u)"),
+     [("a", {"t": "x"})] * 40 + [("a", {})],
+     "missing input 't' while running 'a'"),
+    (_loop("  call m\n  send_definition(v, u, 2)\n  url u = \"http://x/\" + v\n"
+           "  fetch_from_proxy(get, u)", "method m {\n  let v = input(t)\n}"),
+     [("a", {"t": "x"})] * 40 + [("a", {})],
+     "missing input 't' while running 'm'"),
+    (_loop("  call m\n  get(u)", "method m {\n  url u = \"http://x/\"\n}"),
+     [("a", {})] * 40, None),
+    (parse_app("app early\nnetmethod get latency=10\ncallback a {\n  get(u)\n"
+               "}\ncallback b {\n  url u = \"http://x/\"\n}\n"
+               "ccfg {\n  wait w\n  a -> w\n  w -> b\n}\n"),
+     [("a", {})], "url 'u' fetched before being built"),
+    (_loop("  let v = input(t)\n  call a"), [("a", {"t": "x"})],
+     "call depth exceeded at 'a'"),
+], ids=["missing-input", "send-after-nested-call", "fetch-after-nested-call",
+        "fetch-of-another-body's-url", "hot-recursion"])
+def test_a_compiled_body_fails_as_the_interpreter_does(monkeypatch, app,
+                                                       steps, error):
+    """A compiled body whose entry test fails runs in the interpreter, so
+    it raises the interpreter's exact error, or none where a nested call
+    sets what the body reads. At the module's own threshold the looped
+    callback is compiled after its 32nd run, and the recursive one in the
+    middle of its own recursion."""
+    afters = (1, runtime._COMPILE_AFTER, _NEVER) if len(steps) > 32 or \
+        error == "call depth exceeded at 'a'" else (1, _NEVER)
+    outcomes = _on_each_path(monkeypatch, lambda: _walks(app, steps), afters)
+    assert outcomes[1:] == outcomes[:-1]
+    if error is not None:
+        assert outcomes[0] == f"RunError: {error}"
+
+
+def _second_step_costs(pairs: int) -> tuple[int, int]:
+    """The bytecodes of the optimized run and of the oracle on the second
+    step of a trace, less those on the first: one step of an app whose
+    callback runs `pairs` (let, send_definition) pairs, then builds and
+    fetches a URL that reads the variable."""
+    body = ["  let v = input(t)", "  send_definition(v, u, 2)"] * pairs
+    app = _loop("\n".join(body + ['  url u = "http://x/" + v',
+                                  "  fetch_from_proxy(get, u)"]))
+    app.index  # built once, outside the counts
+    url_map, step = analyze_urls(app), TraceStep("a", 0, {"t": "x"})
+    costs = []
+    for run in (lambda trace: run_trace(app, trace, NetModel(), url_map),
+                lambda trace: compute_oracle(app, trace)):
+        one, two = (bytecodes(run, Trace((step,) * n)) for n in (1, 2))
+        costs.append(two - one)
+    return costs[0], costs[1]
+
+
+def test_a_definition_pair_costs_a_compiled_body_less(monkeypatch):
+    """One more `let v = input(t)` and `send_definition(v, u, 2)` in a
+    body costs the optimized run 88 bytecodes and the oracle 71 when the
+    body is compiled, against 139 and 120 when it is interpreted (Python
+    3.11): the compiled code runs the store and the hook calls only,
+    where the interpreter also runs its class tests and its checks of the
+    input and the variable. The hooks' own chains are the same on both
+    paths; a check or a dispatch put back into the compiled code fails
+    the first bound."""
+    costs = {}
+    for after in (1, _NEVER):
+        monkeypatch.setattr(runtime, "_COMPILE_AFTER", after)
+        (run1, oracle1), (run2, oracle2) = map(_second_step_costs, (1, 2))
+        costs[after] = run2 - run1, oracle2 - oracle1
+    (run, oracle), (run_interpreted, oracle_interpreted) = costs.values()
+    assert run <= 88 and oracle <= 71, costs
+    assert run < run_interpreted and oracle < oracle_interpreted, costs

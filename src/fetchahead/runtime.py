@@ -592,9 +592,9 @@ class Walk:
         runs the body and raises its error; so no message is compiled.
         Otherwise it runs the statements in order and returns True.
 
-        Static values are resolved here, and a variable set or a URL
-        built by this body since its last call or `goto` is read from
-        the expression that set it. A hook the walk lacks emits nothing;
+        Static values are resolved here, and a variable or URL that this
+        body set to a constant since its last call or `goto` is read as
+        that constant. A hook the walk lacks emits nothing;
         calls still go through `_execute`. App strings enter the source
         only through `repr()`, and the statements the hooks receive only
         through the namespace. The function is popped from that

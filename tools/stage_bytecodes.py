@@ -24,10 +24,11 @@ pipeline 10-20x slower. `--src` is the `src/` directory of the
 tree's gives the before and after of a change. `--functions SPAN` also
 prints the ten functions that run the most bytecodes inside the stage
 SPAN, each counted without the functions it calls, as
-`module.qualified_name`; code built by `eval` shows under the name it
-was compiled with, `<string>` by default, `<writer T>` for the
-codec's writer of the type T and `<decoder T>` for its decoder of the
-dataclass T.
+`module.qualified_name`; code built by `eval` or `exec` shows under the
+name it was compiled with, `<string>` by default, `<writer T>` for the
+codec's writer of the type T, `<decoder T>` for its decoder of the
+dataclass T and `<walk NAME>` for a statement walk's compiled body of
+the callback or method NAME.
 """
 
 from __future__ import annotations

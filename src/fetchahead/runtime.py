@@ -7,8 +7,9 @@ time; its response becomes available at issue time + the latency of the
 proxy's own fetch method.
 
 The statement walk interprets a body until the body has run
-`_COMPILE_AFTER` times in one walk, then compiles it into one Python
-function for that walk's hooks and runs that; each walk compiles its own.
+`_COMPILE_AFTER` times in one walk, then runs it as one Python function
+compiled for that walk's hooks, back in the interpreter on a missing
+input, variable or URL; each walk compiles its own.
 
 The proxy keeps a runtime URL map (seeded from static analysis, updated
 by send_definition) and a cache keyed by the exact concrete URL string.
@@ -58,13 +59,12 @@ _MAX_CALL_DEPTH = 64
 # purchase, and a body is bought once its rent would have paid for it.
 # On the `long_session` hub app (Python 3.11.7, 2-vCPU VM, timeit) a
 # 4- to 6-statement screen compiles in 0.06-0.09 ms and then runs
-# 1.9-2.4 us faster: break-even after 29-43 runs. The 16- to
-# 33-statement `home` compiles in 0.15-0.32 ms and saves 1.1-2.3 us a
-# run, most of its time being its hooks: break-even after 124-143 runs.
-# 32 is the short bodies' break-even. No body runs more than 2 times in
-# a walk on `large_app` or 10 on `corpus`, which stay interpreted, while
-# `long_session` runs `home` 4,000 times and each screen about 167: its
-# pipeline compiles 75 bodies in 9-11 ms.
+# 1.3-2.5 us faster, which pays after 31-47 runs; the 16- to
+# 33-statement `home`, mostly hook time, compiles in 0.12-0.32 ms and
+# saves 0.9-3.7 us a run, which pays after 72-390. No body runs more
+# than 2 times in a walk on `large_app` or 10 on `corpus`, which stay
+# interpreted, while `long_session` runs `home` 4,000 times and each
+# screen about 167: its pipeline compiles 75 bodies in 7.5-8.9 ms.
 _COMPILE_AFTER = 32
 
 # counts a body's runs from 1, with no Python step per run
@@ -481,12 +481,11 @@ class Walk:
     send_definition of an unset variable raises all the same.
 
     A body runs in the interpreter, `_execute`'s test of each statement's
-    class, until its `_COMPILE_AFTER`-th run in this walk. Then
-    `_compile` turns it into one straight-line function for this walk's
-    hooks, which runs from then on; the interpreter stays the path of
-    every cold body and of every error. So a walk's hooks are fixed for
-    its lifetime, and they change neither its variables nor its built
-    URLs. The compiled functions and the counts belong to the walk.
+    class, until its `_COMPILE_AFTER`-th run in this walk, and then as
+    the function `_compile` makes for this walk's hooks, which are fixed
+    for its lifetime and change neither its variables nor its built URLs;
+    a read that function finds missing sends the body back to the
+    interpreter. The compiled functions and the counts belong to the walk.
     """
 
     define: Callable[[str, int, str, str], None] | None = None
@@ -500,7 +499,7 @@ class Walk:
         self._inputs: Mapping[str, str] = {}
         # each body's runs in this walk, and the bodies compiled so far
         self._runs: defaultdict[str, Iterator[int]] = defaultdict(_first_run)
-        self._compiled: dict[str, Callable[[Walk, int], bool]] = {}
+        self._compiled: dict[str, Callable[[Walk, int], None]] = {}
 
     def run_step(self, k: int, step: TraceStep) -> None:
         """Validate trace step `k` and run its callback."""
@@ -529,8 +528,11 @@ class Walk:
             raise RunError(f"call depth exceeded at '{name}'")
         if next(self._runs[name]) >= _COMPILE_AFTER:
             compiled = self._compiled.get(name) or self._compile(name)
-            if compiled(self, depth):
-                return
+            try:
+                return compiled(self, depth)
+            except KeyError as e:  # only a read in the compiled frame itself
+                if e.__traceback__.tb_next.tb_next is not None:
+                    raise
         body = self.app.index.bodies[name]  # the parser resolved every name
         app, variables, built = self.app, self.variables, self.built
         inputs, define, send = self._inputs, self.define, self.send_definition
@@ -578,109 +580,69 @@ class Walk:
             else:  # pragma: no cover - exhaustive over Stmt
                 raise RunError(f"unknown statement {st!r}")
 
-    def _compile(self, name: str) -> Callable[["Walk", int], bool]:
+    def _compile(self, name: str) -> Callable[["Walk", int], None]:
         """`name`'s body as one straight-line function `body(w, depth)`
         for this walk's hooks, in code named `<walk NAME>`, kept in
         `_compiled`.
 
-        The function first tests what the interpreter would check: every
-        input tag the body reads, every variable a `send_definition`
-        reads and every URL a fetch reads, unless an earlier statement of
-        the body sets it. Variables and built URLs are never removed, so
-        that test at entry covers the whole body. If it fails, the
-        function returns False having done nothing, and the interpreter
-        runs the body and raises its error; so no message is compiled.
-        Otherwise it runs the statements in order and returns True.
+        The function reads each input, variable and URL where its
+        statement does (`I[tag]`, `V[var]`, `B[url]`), unchecked; when
+        one is missing, `_execute` runs the body again in the interpreter,
+        which raises its exact error. A body has no branches, variables
+        and built URLs are never removed and hooks change neither, so the
+        interpreter passes the statements before the failed read again
+        and fails at it; its RunError ends the run, so nothing reads the
+        events the compiled pass logged first.
 
-        Static values are resolved here, and a variable or URL that this
-        body set to a constant since its last call or `goto` is read as
-        that constant. A hook the walk lacks emits nothing;
-        calls still go through `_execute`. App strings enter the source
-        only through `repr()`, and the statements the hooks receive only
-        through the namespace. The function is popped from that
-        namespace: left in it, the two would form a reference cycle."""
+        Static values are resolved here and constant URL parts joined. A
+        variable the body has set is read without a default, and a walk
+        without a `send_definition` hook still reads each variable sent
+        that the body has not set. A hook the walk lacks emits nothing;
+        calls go through `_execute`. App strings enter the source only by
+        `repr()` and statements by the namespace, from which the function
+        is popped: left in it, the two would form a reference cycle."""
         static = self.app.static_value
         namespace: dict[str, object] = {}
-        lines: list[str] = []
-        # per table (I inputs, V variables, B built URLs): the constants
-        # set since the last call or `goto`, each read as itself; the keys
-        # set so far; the keys the entry test checks
-        consts: dict[str, dict[str, str]] = {"V": {}, "B": {}}
-        assigned: dict[str, set[str]] = {"V": set(), "B": set()}
-        guard: dict[str, set[str]] = {"I": set(), "V": set(), "B": set()}
-
-        def read(table: str, key: str, unset: str | None = None) -> _Piece:
-            if key in consts[table]:
-                return consts[table][key]
-            if key in assigned[table]:
-                return (f"{table}[{key!r}]",)
-            if unset is None:
-                guard[table].add(key)
-                return (f"{table}[{key!r}]",)
-            return (f"{table}.get({key!r}, {unset!r})",)
-
-        def assign(table: str, key: str, value: _Piece) -> None:
-            lines.append(f"{table}[{key!r}] = {_source(value)}")
-            assigned[table].add(key)
-            if type(value) is str:
-                consts[table][key] = value
-            else:
-                consts[table].pop(key, None)
-
+        lines = ["def body(w, depth):", "  I, V, B = w._inputs, w.variables, w.built"]
+        assigned: set[str] = set()  # the variables set so far
         for idx, st in enumerate(self.app.index.bodies[name]):
             cls, stmt = type(st), f"_s{idx}"
             namespace[stmt] = st
             if cls is SendDefinition:
-                value = read("V", st.var)
                 if self.send_definition is not None:
-                    lines.append(f"w.send_definition({stmt}, {_source(value)})")
+                    lines.append(f"  w.send_definition({stmt}, V[{st.var!r}])")
+                elif st.var not in assigned:
+                    lines.append(f"  V[{st.var!r}]")
             elif cls is DefineDynamic or cls is DefineStatic:
-                if cls is DefineDynamic:
-                    guard["I"].add(st.input_tag)
-                    value = (f"I[{st.input_tag!r}]",)
-                else:
-                    value = static(st.source_kind, st.source)
-                assign("V", st.var, value)
+                value = (f"I[{st.input_tag!r}]" if cls is DefineDynamic
+                         else repr(static(st.source_kind, st.source)))
+                lines.append(f"  V[{st.var!r}] = {value}")
+                assigned.add(st.var)
                 if self.define is not None:
-                    lines.append(f"w.define({name!r}, {idx}, {st.var!r}, "
-                                 f"{_source(value)})")
+                    lines.append(f"  w.define({name!r}, {idx}, {st.var!r}, "
+                                 f"{value})")
             elif cls is BuildUrl:
                 pieces: list[_Piece] = []
                 for p in st.parts:  # unset variables read as ""
-                    piece = (read("V", p.value, "") if p.kind == "var"
-                             else static(p.kind, p.value))
-                    if type(piece) is str and pieces and \
-                            type(pieces[-1]) is str:
+                    piece = (static(p.kind, p.value) if p.kind != "var" else
+                             (f"V[{p.value!r}]" if p.value in assigned
+                              else f"V.get({p.value!r}, '')",))
+                    if type(piece) is str and pieces and type(pieces[-1]) is str:
                         pieces[-1] += piece
                     else:
                         pieces.append(piece)
-                assign("B", st.url_id, pieces[0] if len(pieces) == 1 else (
-                    " + ".join(map(_source, pieces)) or "''",))
+                lines.append(f"  B[{st.url_id!r}] = "
+                             f"{' + '.join(map(_source, pieces)) or repr('')}")
             elif cls is FetchFromProxy or cls is NetCall:
                 hook = "fetch_from_proxy" if cls is FetchFromProxy else "net_call"
-                url = _source(read("B", st.url_id))
-                lines.append(f"w.{hook}({stmt}, {url})")
+                lines.append(f"  w.{hook}({stmt}, B[{st.url_id!r}])")
             elif cls is TriggerPrefetch:
-                lines.append(f"w.trigger_prefetch({name!r}, {stmt})")
+                lines.append(f"  w.trigger_prefetch({name!r}, {stmt})")
             else:  # Call, AsyncCall or Transition
                 if cls is Transition:
-                    lines.append(f"w.current = {st.target!r}")
-                lines.append(f"w._execute({st.target!r}, depth + 1)")
-                consts["V"].clear()
-                consts["B"].clear()
-        source = ["def body(w, depth):",
-                  "  I, V, B = w._inputs, w.variables, w.built"]
-        tests = []
-        for table, keys in guard.items():
-            if len(keys) == 1:
-                tests.append(f"{next(iter(keys))!r} in {table}")
-            elif keys:
-                namespace[f"_{table}"] = frozenset(keys)
-                tests.append(f"{table}.keys() >= _{table}")
-        if tests:
-            source.append(f"  if not ({' and '.join(tests)}): return False")
-        source += [f"  {line}" for line in lines] + ["  return True"]
-        exec(compile("\n".join(source), f"<walk {name}>", "exec"), namespace)
+                    lines.append(f"  w.current = {st.target!r}")
+                lines.append(f"  w._execute({st.target!r}, depth + 1)")
+        exec(compile("\n".join(lines), f"<walk {name}>", "exec"), namespace)
         compiled = self._compiled[name] = namespace.pop("body")
         return compiled
 

@@ -262,13 +262,18 @@ def test_tokenize_takes_linear_time_on_a_long_line(tail, printed):
      [(0, "wait node 'w' has no outgoing edge")]),
     ("app a\ncallback c {\n}\nccfg {\n  c -> x\n}\n",
      [(0, "unknown ccfg node 'x'")]),
+    ("app a\ncallback c {\n  let w = input(t)\n  let v =\n}\n",
+     [(4, "unexpected end of line")]),
+    ('app a\ncallback c {\n  let w = input(t)\n  url u = "http://x/" +\n}\n',
+     [(4, "unexpected end of line")]),
 ], ids=["unexpected-character", "end-of-line", "expected-found",
         "definition-source", "url-part", "statement-start", "keyword-statement",
         "trailing-statement", "trailing-edge", "trailing-declaration",
         "statements-on-brace-line", "edges-on-brace-line", "unterminated-block",
         "unknown-declaration", "duplicate-app", "duplicate-keys", "missing-app",
         "hash-in-string", "same-name-callbacks", "same-name-method",
-        "wait-without-incoming", "wait-without-outgoing", "unknown-ccfg-node"])
+        "wait-without-incoming", "wait-without-outgoing", "unknown-ccfg-node",
+        "definition-without-source", "url-ending-in-plus"])
 def test_parser_diagnostics(text, diagnostics):
     with pytest.raises(ParseError) as err:
         parse_app(text)

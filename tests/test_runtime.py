@@ -888,6 +888,14 @@ def test_run_and_oracle_cost_is_linear_in_trace_length(monkeypatch):
 _NEVER = 1 << 62
 
 
+def _outcome(run):
+    """What `run()` returns, or its RunError as text."""
+    try:
+        return run()
+    except RunError as e:
+        return f"RunError: {e}"
+
+
 def _on_each_path(monkeypatch, run, afters=(1, _NEVER)):
     """`run()` once per compile threshold in `afters`, by default with
     every body compiled at its first run, then with none compiled. Each
@@ -904,10 +912,7 @@ def _on_each_path(monkeypatch, run, afters=(1, _NEVER)):
     for after in afters:
         monkeypatch.setattr(runtime, "_COMPILE_AFTER", after)
         compiles.clear()
-        try:
-            outcomes.append(run())
-        except RunError as e:
-            outcomes.append(f"RunError: {e}")
+        outcomes.append(_outcome(run))
         assert bool(compiles) == (after != _NEVER), after
     return outcomes
 
@@ -961,12 +966,14 @@ ccfg {{
 
 
 def _walks(app, steps):
-    """Run `steps` (event, inputs) pairs through the runtime, then the
-    oracle; the URL map seeds an instrumented app."""
+    """Run `steps` (event, inputs) pairs through the runtime and through
+    the oracle, each to its result or its error; the URL map seeds an
+    instrumented app."""
     trace = Trace(tuple(TraceStep(event, 0, inputs) for event, inputs in steps))
     seed = analyze_urls(app) if app.is_instrumented else None
-    return run_trace(app, trace, NetModel(), seed).canonical_json(), \
-        compute_oracle(app, trace)
+    return (_outcome(lambda: run_trace(app, trace, NetModel(), seed)
+                     .canonical_json()),
+            _outcome(lambda: compute_oracle(app, trace)))
 
 
 @pytest.mark.parametrize("app, steps, error", [
@@ -985,21 +992,74 @@ def _walks(app, steps):
      [("a", {})], "url 'u' fetched before being built"),
     (_loop("  let v = input(t)\n  call a"), [("a", {"t": "x"})],
      "call depth exceeded at 'a'"),
+    (_loop("  send_definition(v, u, 2)\n  call m\n  url u = \"http://x/\" + v\n"
+           "  fetch_from_proxy(get, u)", "method m {\n  let v = input(t)\n}"),
+     [("a", {})], "send_definition before 'v' is assigned"),
+    (_loop("  url u = \"http://x/\"\n  get(u)\n  let v = input(t)"),
+     [("a", {"t": "x"})] * 40 + [("a", {})],
+     "missing input 't' while running 'a'"),
+    (_loop("  call m\n  let v = input(t)",
+           "method m {\n  url u = \"http://x/\"\n  get(u)\n}"),
+     [("a", {"t": "x"})] * 40 + [("a", {})],
+     "missing input 't' while running 'a'"),
 ], ids=["missing-input", "send-after-nested-call", "fetch-after-nested-call",
-        "fetch-of-another-body's-url", "hot-recursion"])
+        "fetch-of-another-body's-url", "hot-recursion",
+        "send-of-an-unset-variable", "missing-input-after-a-hook",
+        "missing-input-after-a-nested-call"])
 def test_a_compiled_body_fails_as_the_interpreter_does(monkeypatch, app,
                                                        steps, error):
-    """A compiled body whose entry test fails runs in the interpreter, so
-    it raises the interpreter's exact error, or none where a nested call
-    sets what the body reads. At the module's own threshold the looped
-    callback is compiled after its 32nd run, and the recursive one in the
-    middle of its own recursion."""
+    """A compiled body that finds an input, variable or URL missing runs
+    again in the interpreter, so the runtime and the oracle each raise
+    the interpreter's exact error, also where the failed read comes after
+    a hook call or a nested call, or none where a nested call sets what
+    the body reads. At the module's own threshold the looped callback is
+    compiled after its 32nd run, and the recursive one in the middle of
+    its own recursion."""
     afters = (1, runtime._COMPILE_AFTER, _NEVER) if len(steps) > 32 or \
         error == "call depth exceeded at 'a'" else (1, _NEVER)
     outcomes = _on_each_path(monkeypatch, lambda: _walks(app, steps), afters)
     assert outcomes[1:] == outcomes[:-1]
     if error is not None:
-        assert outcomes[0] == f"RunError: {error}"
+        assert outcomes[0] == (f"RunError: {error}",) * 2
+
+
+class _FailingFetch(runtime.Walk):
+    """A walk that records each URL it fetches and whose `net_call`
+    raises KeyError on its `fail_at`-th call."""
+
+    def __init__(self, app, fail_at):
+        super().__init__(app)
+        self.fetched, self.fail_at = [], fail_at
+
+    def net_call(self, st, url):
+        self.fetched.append(url)
+        if len(self.fetched) == self.fail_at:
+            raise KeyError("raised by the hook")
+
+
+_FETCH_Y = '  url v = "http://y/"\n  get(v)'
+
+
+@pytest.mark.parametrize("after", [1, runtime._COMPILE_AFTER])
+@pytest.mark.parametrize("second, methods", [
+    (_FETCH_Y, ""), ("  call m", f"method m {{\n{_FETCH_Y}\n}}"),
+], ids=["in-the-body", "in-a-nested-call"])
+def test_a_hooks_key_error_passes_through_a_compiled_body(monkeypatch,
+                                                          after, second,
+                                                          methods):
+    """A KeyError that a hook raises is not a compiled body's own failed
+    read: it reaches the caller as raised, and no body runs again, so
+    each hook before it ran once. The second fetch of step 40 fails, in
+    the body itself or in a method it calls."""
+    monkeypatch.setattr(runtime, "_COMPILE_AFTER", after)
+    app = _loop(f'  url u = "http://x/"\n  get(u)\n{second}', methods)
+    walk = _FailingFetch(app, 2 * 40)
+    with pytest.raises(KeyError) as raised:
+        for k in range(40):
+            walk.run_step(k, TraceStep("a"))
+    assert raised.value.args == ("raised by the hook",)
+    assert walk.fetched == ["http://x/", "http://y/"] * 40
+    assert "a" in walk._compiled
 
 
 def _second_step_costs(pairs: int) -> tuple[int, int]:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from fetchahead import runtime
 from test_cli_fuzz import TRACE
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -33,8 +34,17 @@ def test_compare_trees_builds_its_cases(tmp_path, monkeypatch):
     tool = _tool("compare_trees", monkeypatch)
     pipelines = tool.pipeline_cases(1, tmp_path / "inputs")
     mutations, papps = tool.mutation_cases(1, 5, tmp_path / "inputs")
-    assert len(pipelines) == 404
-    assert {c["name"] for c in pipelines} >= {"corpus/weather", "hints/weather"}
+    assert len(pipelines) == 405
+    assert {c["name"] for c in pipelines} >= {
+        "corpus/weather", "hints/weather", "missing-input/long_session"}
+    # the last `home` step of the long session, without its inputs
+    missing = next(c for c in pipelines
+                   if c["name"] == "missing-input/long_session")
+    steps = json.loads(Path(missing["argv"][3]).read_text())
+    homes = [k for k, step in enumerate(steps) if step["event"] == "home"]
+    assert len(homes) > runtime._COMPILE_AFTER
+    assert steps[homes[-1]]["inputs"] == {}
+    assert all(steps[k]["inputs"] for k in homes[:-1])
     assert {int(c["name"].split()[0]) for c in mutations} == set(range(5))
     for case in pipelines + mutations:
         assert case["argv"][0] in ("pipeline", "instrument", "run", "report")

@@ -8,8 +8,10 @@ from anywhere; it compares against this tree's `src/`.
 
 There are three kinds of case, all for seed N (default 1):
 - pipelines: `pipeline` on every benchmark workload's apps and traces,
-  written by `perfbench/gen.py` (imported, not changed), and on the
-  weather fixture with and without a fixed hints file;
+  written by `perfbench/gen.py` (imported, not changed), on the weather
+  fixture with and without a fixed hints file, and on `long_session`
+  with its last `home` step's inputs removed, which fails in a body the
+  statement walk has compiled;
 - mutations: K (default 2,000) mutations drawn with `random.Random(N)`
   from `tests/test_cli_fuzz.py`'s valid JSON inputs, each one input
   changed at one position by the fuzz test's own `_positions` and
@@ -81,6 +83,16 @@ def pipeline_cases(seed: int, inputs: Path) -> list[dict]:
                 hints.write_text(json.dumps(WEATHER_HINTS), encoding="utf-8")
                 cases.append({"name": "hints/weather",
                               "argv": argv + ["--hints", str(hints)]})
+            if w.name == "long_session":
+                steps = json.loads(w.trace.read_text(encoding="utf-8"))
+                last = max(k for k, step in enumerate(steps)
+                           if step["event"] == "home")
+                steps[last]["inputs"] = {}
+                trace = inputs / "long_session.missing-input.trace.json"
+                trace.write_text(json.dumps(steps), encoding="utf-8")
+                cases.append({"name": "missing-input/long_session",
+                              "argv": ["pipeline", str(w.papp), "--trace",
+                                       str(trace), "--outdir", "{out}"]})
     return cases
 
 

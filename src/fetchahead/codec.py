@@ -17,18 +17,19 @@ value of a dataclass. Both follow the type hints:
 Two more forms only encode, for scores that are written but never read
 back: a `float` as it is, and an `Enum` as its `.value`.
 
-`dumps(value)` writes a JSON value as every JSON artifact is written:
-keys sorted, two-space indent, ASCII only, and a final newline.
-`dumps(value, tp)` writes the same text for `value`, the JSON value that
-`encode` gives for a `tp`, with a writer compiled for `tp`, as `pipeline`
-writes every JSON file. Its keys and indents are constant text, an
-integer goes into its `%` template as itself, with no call per integer,
-and a union's members are told apart as on decoding. It writes every
-type above but `Enum`, and raises TypeError on another up front.
-`writer(tp, indent)` compiles it for a `tp` itself: fields are read as
-attributes, union members told apart by class name, and the text has no
-final newline and its lines after the first indented by `indent` spaces,
-so it can stand inside a larger text, as each event does in a run log.
+`dumps(value)` writes a JSON value as every JSON artifact is written,
+with `json.dumps`: keys sorted, two-space indent, ASCII only, and a
+final newline. `dumps(value, tp)` writes the same text for `value`, the
+JSON value that `encode` gives for a `tp`, with a writer compiled for
+`tp`, as `pipeline` writes every JSON file. Its keys and indents are
+constant text, an integer goes into its `%` template as itself, with no
+call per integer, and a union's members are told apart as on decoding.
+It writes every type above but `Enum`, and raises TypeError on another
+up front. `writer(tp, indent)` compiles it for a `tp` itself: fields are
+read as attributes, union members told apart by class name, and the text
+has no final newline and its lines after the first indented by `indent`
+spaces, so it can stand inside a larger text, as each event does in a
+run log.
 
 A decode error names the JSON path of the bad value:
 `$.events[3].at must be an integer >= 0, got -1`. A dataclass's decoder
@@ -97,20 +98,13 @@ def encode(value):
 
 
 def dumps(value, tp=None) -> str:
-    """`json.dumps(value, sort_keys=True, indent=2)` plus a newline, byte
-    for byte, for a JSON value: dicts with `str` keys, lists, `str`, `int`,
-    `float`, `bool` and None, exactly those types. Raises TypeError on
-    anything else. On CPython 3.11 `json.dumps` runs its pure-Python
-    encoder when it indents, and yields the text piece by piece; this
-    joins each container's items in one call, in about half the time.
-
-    Given `tp`, `value` must be the JSON value that `encode` gives for a
-    `tp`, and `_writer(tp)` writes the same text about four times as fast:
-    it knows each key and indent in advance, so it writes only the scalars
-    one by one."""
+    """`json.dumps(value, sort_keys=True, indent=2)` plus a newline. Given
+    `tp`, `value` must be the JSON value that `encode` gives for a `tp`,
+    and `_writer(tp)` writes the same text several times as fast: it knows
+    each key and indent in advance, so it writes only the scalars."""
     if tp is not None:
         return _writer(tp)(value)
-    return _dumps(value, "\n") + "\n"
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 def writer(tp, indent: int = 0) -> Callable[[Any], str]:
@@ -128,33 +122,9 @@ def _float(f: float) -> str:
     return float.__repr__(f)
 
 
-_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _float,
-            bool: lambda b: "true" if b else "false",
-            type(None): lambda _: "null"}
-
-
-def _dumps(v, newline: str) -> str:
-    """`v` as indented JSON whose lines after the first start with
-    `newline`."""
-    t = type(v)
-    if t is dict:
-        if not v:
-            return "{}"
-        inner = newline + "  "
-        # a key that is not a string fails to sort or to encode: TypeError
-        return ("{" + inner + ("," + inner).join([
-            encode_basestring_ascii(k) + ": " + _dumps(v[k], inner)
-            for k in sorted(v)]) + newline + "}")
-    if t is list:
-        if not v:
-            return "[]"
-        inner = newline + "  "
-        return ("[" + inner + ("," + inner).join([_dumps(x, inner) for x in v])
-                + newline + "]")
-    scalar = _SCALARS.get(t)
-    if scalar is None:
-        raise TypeError(f"Object of type {t.__name__} is not a JSON value")
-    return scalar(v)
+# the typed writer's scalar writers, each named "_" and its type's name
+_WRITERS = {str: encode_basestring_ascii, float: _float,
+            bool: lambda b: "true" if b else "false"}
 
 
 def _no_member(v):
@@ -162,15 +132,12 @@ def _no_member(v):
                     + reprlib.repr(v))
 
 
-_WRITERS = {t: "_" + t.__name__ for t in (str, float, bool)}
-
-
 @cache
 def _writer(tp, attrs: bool = False, newline: str = "\n", end: str = "\n"):
     """A lambda compiled from `_writing`, as `_encoder` is from
     `_encoding`: a `tp`'s text and `end` as one string expression, a
     comprehension or a `map` per container, in code named `<writer tp>`."""
-    namespace = {name: _SCALARS[t] for t, name in _WRITERS.items()}
+    namespace = {f"_{t.__name__}": w for t, w in _WRITERS.items()}
     namespace.update(_no_member=_no_member, _repr=float.__repr__,
                      _isfinite=math.isfinite)
     text = f"lambda v: {_plus(_writing(tp, 'v', newline, attrs) + [end])}"
@@ -199,8 +166,10 @@ def _writing(tp, var: str, newline: str, attrs: bool) -> list:
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if tp is int:
         return [(var, int)]
-    if tp in _WRITERS or origin is Literal:
-        return [(f"{_WRITERS.get(tp, '_str')}({var})",)]
+    if origin is Literal:  # of strings
+        return [(f"_str({var})",)]
+    if tp in _WRITERS:
+        return [(f"_{tp.__name__}({var})",)]
     inner = newline + "  "
     x, k = f"x{len(inner)}", f"k{len(inner)}"  # one name per depth
 

@@ -11,7 +11,9 @@ instrumented app sends, and holding every URL the app fetches;
 prefetches (known, neither cached nor waiting, at most the net model's
 threshold, a hint URL known by its string). So the oracle differs from
 the run only in its proxy's seed and in what that proxy is told, and
-precision and recall measure what the analyses know.
+precision and recall measure what the analyses know. It keeps nothing
+of a definition but what its proxy keeps, and gives only its trigger
+points.
 
 Effectiveness compares a baseline run against an optimized run of the
 same app/trace/network: per-request latency reduction, the hit rate
@@ -56,14 +58,6 @@ class Metrics:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DefEvent:
-    container: str
-    stmt_index: int
-    var: str
-    value: str
-
-
-@dataclass(frozen=True)
 class TriggerPoint:
     callback: str
     prefetchable: tuple[str, ...]
@@ -91,10 +85,6 @@ class Replay(Walk):
                  hints: Hints | None = None):
         super().__init__(app)
         self.trigger_points: list[TriggerPoint] = []
-        # var -> (container, stmt index) of its last definition, whose
-        # value is the walk's; a DefEvent is built only on lookup, which is
-        # far rarer than a definition
-        self._last: dict[str, tuple[str, int]] = {}
         seed: dict[str, list[str | None]] = {}
         slots: dict[str, list[tuple[str, int]]] = {}
         for url_id, (_, _, spot) in app.index.url_spots.items():
@@ -109,14 +99,8 @@ class Replay(Walk):
         self._slots = {var: slots.get(var, ()) for var in app.index.definitions}
         self.proxy = Proxy(app, seed, net or NetModel(), hints)
 
-    def last_definition_of(self, var: str) -> DefEvent | None:
-        last = self._last.get(var)
-        return (None if last is None
-                else DefEvent(*last, var, self.variables[var]))
-
     def define(self, container: str, stmt_index: int, var: str,
                value: str) -> None:
-        self._last[var] = container, stmt_index
         self.proxy.set_parts(self._slots[var], value)
 
     def net_call(self, st, url: str) -> None:
@@ -129,19 +113,14 @@ class Replay(Walk):
         self.trigger_points.append(TriggerPoint(container, ev.issued))
 
 
-def replay_trace(app: App, trace: Trace, net: NetModel | None = None,
-                 hints: Hints | None = None) -> Replay:
+def compute_oracle(app: App, trace: Trace, net: NetModel | None = None,
+                   hints: Hints | None = None) -> Oracle:
     """Run the trace through the oracle's walk; raises RunError on the
     trace steps that `run_trace` rejects."""
     replay = Replay(app, net, hints)
     for k, step in enumerate(trace.steps):
         replay.run_step(k, step)
-    return replay
-
-
-def compute_oracle(app: App, trace: Trace, net: NetModel | None = None,
-                   hints: Hints | None = None) -> Oracle:
-    return Oracle(tuple(replay_trace(app, trace, net, hints).trigger_points))
+    return Oracle(tuple(replay.trigger_points))
 
 
 oracle_from_json_obj = partial(decode, Oracle, error=MetricsError)
@@ -222,7 +201,7 @@ def compute_effectiveness(base: RunLog, opt: RunLog) -> Metrics:
     return Metrics(
         precision=None,
         recall=None,
-        hit_rate=_hit_rate(opt_demands),
+        hit_rate=hit_rate(opt_demands),
         latency_reduction_pct=Reduction(
             tuple(reductions),
             (sum(reductions) / len(reductions)) if reductions else 0.0),
@@ -230,13 +209,9 @@ def compute_effectiveness(base: RunLog, opt: RunLog) -> Metrics:
     )
 
 
-def hit_rate(run_log: RunLog) -> float:
+def hit_rate(demands: list[Demand]) -> float:
     """Cache-or-waited demands over all demands; waited requests count as
     hits (the response still comes from the prefetch)."""
-    return _hit_rate(run_log.demands())
-
-
-def _hit_rate(demands: list[Demand]) -> float:
     if not demands:
         return 0.0
     hits = sum(1 for d in demands

@@ -29,7 +29,7 @@ from fetchahead.app_ir import (
     validate_app,
 )
 from fetchahead.instrumenter import Hints, StaticUrlHint, TriggerHint
-from fetchahead.runtime import NetModel, Trace, TraceStep
+from fetchahead.runtime import NetModel, Trace, TraceStep, Walk
 
 
 def make_app(rng: random.Random) -> tuple[App, Trace, NetModel]:
@@ -118,6 +118,24 @@ def make_app(rng: random.Random) -> tuple[App, Trace, NetModel]:
 
     trace = _make_trace(rng, app, bodies, latency)
     return app, trace, NetModel()
+
+
+class LastDefinitions(Walk):
+    """`trace` run on an uninstrumented `app`, keeping the last definition
+    of each variable: `last[var]` is (container, stmt index, value)."""
+
+    def __init__(self, app: App, trace: Trace):
+        super().__init__(app)
+        self.last: dict[str, tuple[str, int, str]] = {}
+        for k, step in enumerate(trace.steps):
+            self.run_step(k, step)
+
+    def define(self, container: str, stmt_index: int, var: str,
+               value: str) -> None:
+        self.last[var] = container, stmt_index, value
+
+    def net_call(self, st, url: str) -> None:
+        pass
 
 
 def random_hints(rng: random.Random, app: App) -> Hints:

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from appgen import make_app
+from appgen import LastDefinitions, make_app
 from fetchahead.app_ir import (
     App,
     BuildUrl,
@@ -38,7 +38,6 @@ from fetchahead.metrics import (
     compute_effectiveness,
     format_summary,
     hit_rate,
-    replay_trace,
     summarize_pairs,
 )
 from fetchahead.runtime import NetModel, Trace, TraceStep, run_trace
@@ -198,7 +197,7 @@ def test_criterion_7_conservative_spot_soundness():
     for seed in range(1000):
         app, trace, _ = make_app(random.Random(seed))
         url_map = analyze_urls(app)
-        replay = replay_trace(app, trace)
+        last_definitions = LastDefinitions(app, trace).last
         spots_by_var: dict[str, set] = {}
         for url_id, parts in url_map.entries.items():
             spot = app.index.url_spots[url_id]
@@ -208,8 +207,8 @@ def test_criterion_7_conservative_spot_soundness():
                         (s.container, s.stmt_index) for s in state.spots
                     )
         for var, spots in spots_by_var.items():
-            last = replay.last_definition_of(var)
-            if last is not None and (last.container, last.stmt_index) not in spots:
+            last = last_definitions.get(var)
+            if last is not None and last[:2] not in spots:
                 violations += 1
     _report(
         f"criterion 7: conservative spot soundness, {violations} violations "
@@ -286,7 +285,7 @@ def _one_hit_in_13_logs():
 
 def test_criterion_9_hit_rate_reporting(weather_pipeline):
     base13, opt13 = _one_hit_in_13_logs()
-    rate = hit_rate(opt13)
+    rate = hit_rate(opt13.demands())
     m13 = compute_effectiveness(base13, opt13)
 
     opt_w = weather_pipeline.opt

@@ -31,7 +31,6 @@ from fetchahead.instrumenter import (
 )
 from fetchahead.mbm import generate_case
 from fetchahead.metrics import (
-    DefEvent,
     Metrics,
     Oracle,
     Reduction,
@@ -42,7 +41,6 @@ from fetchahead.metrics import (
     compute_oracle,
     format_summary,
     hit_rate,
-    replay_trace,
     summarize_pairs,
 )
 from fetchahead.runtime import (
@@ -254,29 +252,17 @@ def test_mbm_cases_perfect_accuracy():
 
 class RebuildingReplay(Walk):
     """An oracle written apart from the proxy: every URL is rebuilt from
-    its parts at every trigger point, and every definition is kept in a
-    list that `last_definition_of` scans backwards. Like the proxy, it
-    skips the URLs over the threshold and knows a hint URL by its string;
-    it applies no rewrite rule, since the ground truth is the URL the app
-    builds."""
+    its parts at every trigger point. Like the proxy, it skips the URLs
+    over the threshold and knows a hint URL by its string; it applies no
+    rewrite rule, since the ground truth is the URL the app builds."""
 
     def __init__(self, app, net=None, hints=None):
         super().__init__(app)
         self.threshold = (net or NetModel()).threshold
         self.hint_urls = {h.url_id: h.url
                           for h in (hints or Hints()).extra_static_urls}
-        self.definitions = []
         self.trigger_points = []
         self.ideal_cache = set()
-
-    def last_definition_of(self, var):
-        for ev in reversed(self.definitions):
-            if ev.var == var:
-                return ev
-        return None
-
-    def define(self, container, stmt_index, var, value):
-        self.definitions.append(DefEvent(container, stmt_index, var, value))
 
     def net_call(self, st, url):
         self.ideal_cache.add(url)
@@ -353,19 +339,14 @@ def _oracle_forms(seed):
 
 
 def _assert_oracle_matches_reference(app, trace, net, hints):
-    """After every trace step, the same trigger points and the same last
-    definition of every variable."""
-    replay = replay_trace(app, Trace(()), net, hints)
+    """After every trace step, the same trigger points."""
+    replay = Replay(app, net, hints)
     reference = RebuildingReplay(app, net, hints)
-    variables = sorted(app.index.definitions) + ["no_such_var"]
     for k, step in enumerate(trace.steps):
         replay.run_step(k, step)
         reference.run_step(k, step)
         assert [(tp.callback, tp.prefetchable)
                 for tp in replay.trigger_points] == reference.trigger_points
-        for var in variables:
-            assert (replay.last_definition_of(var)
-                    == reference.last_definition_of(var))
 
 
 @settings(max_examples=60, deadline=None)
@@ -488,7 +469,7 @@ def test_mismatched_logs_rejected(weather_pipeline, weather_trace, weather_net):
 
 
 def test_hit_rate_of_empty_log():
-    assert hit_rate(RunLog("x", True, [], 0, {})) == 0.0
+    assert hit_rate(RunLog("x", True, [], 0, {}).demands()) == 0.0
 
 
 def test_hit_rate_invariant_once_think_exceeds_latency(weather_pipeline, weather_net):
@@ -501,7 +482,7 @@ def test_hit_rate_invariant_once_think_exceeds_latency(weather_pipeline, weather
             TraceStep("onClick", think, {"cityIdText": "7"}),
         ))
         log = run_trace(p.ia, trace, weather_net, seed_url_map=p.url_map)
-        rates.append(hit_rate(log))
+        rates.append(hit_rate(log.demands()))
     assert rates == [rates[0]] * len(rates)
 
 

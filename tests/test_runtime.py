@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from appgen import make_app, random_hints
+from appgen import LastDefinitions, make_app, random_hints
 from costs import bytecodes, perfbench_gen
 from fetchahead import runtime
 from fetchahead.app_ir import (
@@ -403,14 +403,16 @@ def test_a_definition_costs_each_walk_one_hook_call():
     """One more send_definition costs the optimized run at most 104
     bytecodes: the walk's test and variable check, `_Session.send_definition`,
     `Proxy.send_definition`, which writes the part itself, and the event.
-    One more definition costs the oracle at most 99: the walk's, then
-    `Replay.define` and one `Proxy.set_parts` call for all its slots.
-    Before the hooks were cut (Python 3.11) they cost 142 and 105, with
-    `Proxy.set_part` called once per slot and a `send_definition` tested
-    eighth; a hop put back into either chain fails this."""
+    One more definition costs the oracle at most 92: the walk's, then
+    `Replay.define`, which keeps no record of its own, and one
+    `Proxy.set_parts` call for all its slots. Before the hooks were cut
+    (Python 3.11) they cost 142 and 105, with `Proxy.set_part` called once
+    per slot and a `send_definition` tested eighth, and the oracle cost 99
+    while it kept each variable's last definition; a hop or a store put
+    back into either chain fails this."""
     run, oracle = _definition_costs(1, 1)
     assert _definition_costs(1, 2)[0] - run <= 104
-    assert _definition_costs(2, 1)[1] - oracle <= 99
+    assert _definition_costs(2, 1)[1] - oracle <= 92
 
 
 def test_fetch_from_proxy_three_ways():
@@ -662,7 +664,6 @@ def test_random_apps_cache_transparent_and_deduplicated():
 def test_definition_updates_track_last_executed_definition():
     """Write-after-write resolution: the proxy's final value for every
     dynamic part equals the last executed definition of its variable."""
-    from fetchahead.metrics import replay_trace
     from fetchahead.runtime import DefinitionUpdate
     from fetchahead.string_analysis import Unknown
 
@@ -671,7 +672,7 @@ def test_definition_updates_track_last_executed_definition():
         app, trace, net = make_app(random.Random(seed))
         p = run_pipeline(app, trace, net, sig=sig)
         url_map, log = p.url_map, p.opt
-        replay = replay_trace(app, trace)
+        last_definitions = LastDefinitions(app, trace).last
         spots = app.index.url_spots
         for url_id, parts in url_map.entries.items():
             for m, (part, state) in enumerate(
@@ -684,9 +685,9 @@ def test_definition_updates_track_last_executed_definition():
                     if isinstance(e, DefinitionUpdate)
                     and e.url_id == url_id and e.part_index == m
                 ]
-                last = replay.last_definition_of(part.value)
+                last = last_definitions.get(part.value)
                 if last is not None:
-                    assert updates and updates[-1] == last.value
+                    assert updates and updates[-1] == last[2]
 
 
 def _clock_violations(log: RunLog) -> list[str]:
@@ -1082,8 +1083,8 @@ def _second_step_costs(pairs: int) -> tuple[int, int]:
 
 def test_a_definition_pair_costs_a_compiled_body_less(monkeypatch):
     """One more `let v = input(t)` and `send_definition(v, u, 2)` in a
-    body costs the optimized run 88 bytecodes and the oracle 71 when the
-    body is compiled, against 139 and 120 when it is interpreted (Python
+    body costs the optimized run 88 bytecodes and the oracle 64 when the
+    body is compiled, against 139 and 113 when it is interpreted (Python
     3.11): the compiled code runs the store and the hook calls only,
     where the interpreter also runs its class tests and its checks of the
     input and the variable. The hooks' own chains are the same on both
@@ -1095,5 +1096,5 @@ def test_a_definition_pair_costs_a_compiled_body_less(monkeypatch):
         (run1, oracle1), (run2, oracle2) = map(_second_step_costs, (1, 2))
         costs[after] = run2 - run1, oracle2 - oracle1
     (run, oracle), (run_interpreted, oracle_interpreted) = costs.values()
-    assert run <= 88 and oracle <= 71, costs
+    assert run <= 88 and oracle <= 64, costs
     assert run < run_interpreted and oracle < oracle_interpreted, costs

@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from appgen import make_app
+from appgen import LastDefinitions, make_app
 from fetchahead.app_ir import DefineDynamic, DefineStatic, parse_app
 from fetchahead.errors import AnalysisError, ParseError
-from fetchahead.metrics import replay_trace
 from fetchahead.runtime import Trace, TraceStep, Walk
 from fetchahead.string_analysis import (
     Concrete,
@@ -219,16 +218,16 @@ def test_concrete_parts_are_input_independent():
             for s in trace.steps
         ))
         url_map = analyze_urls(app)
-        replays = [replay_trace(app, t) for t in (trace, other)]
+        runs = [LastDefinitions(app, t).last for t in (trace, other)]
         for url_id, parts in url_map.entries.items():
             spot = app.index.url_spots[url_id]
             for part, state in zip(spot[2].parts, parts):
                 if part.kind != "var" or not isinstance(state, Concrete):
                     continue
-                for rep in replays:
-                    last = rep.last_definition_of(part.value)
+                for last_definitions in runs:
+                    last = last_definitions.get(part.value)
                     if last is not None:
-                        assert last.value == state.value
+                        assert last[2] == state.value
 
 
 def test_conservative_soundness_on_random_apps():
@@ -236,16 +235,16 @@ def test_conservative_soundness_on_random_apps():
     for seed in range(60):
         app, trace, _ = make_app(random.Random(seed))
         url_map = analyze_urls(app)
-        replay = replay_trace(app, trace)
+        last_definitions = LastDefinitions(app, trace).last
         for url_id, parts in url_map.entries.items():
             spot = app.index.url_spots[url_id]
             for part, state in zip(spot[2].parts, parts):
                 if not isinstance(state, Unknown):
                     continue
-                last = replay.last_definition_of(part.value)
+                last = last_definitions.get(part.value)
                 if last is None:
                     continue
-                assert (last.container, last.stmt_index) in {
+                assert last[:2] in {
                     (s.container, s.stmt_index) for s in state.spots
                 }
 

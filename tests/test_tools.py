@@ -34,9 +34,14 @@ def test_compare_trees_builds_its_cases(tmp_path, monkeypatch):
     tool = _tool("compare_trees", monkeypatch)
     pipelines = tool.pipeline_cases(1, tmp_path / "inputs")
     mutations, papps = tool.mutation_cases(1, 5, tmp_path / "inputs")
-    assert len(pipelines) == 405
-    assert {c["name"] for c in pipelines} >= {
+    assert len(pipelines) == 408
+    argv = {c["name"]: c["argv"] for c in pipelines}
+    assert argv.keys() >= {
         "corpus/weather", "hints/weather", "missing-input/long_session"}
+    # the cases that reach the untyped JSON writer
+    assert argv["json/weather"] == argv["corpus/weather"] + ["--json"]
+    assert argv["bench/out"] == ["bench", "--out", "{out}/bench.json"]
+    assert argv["bench/json"] == ["bench", "--json"]
     # the last `home` step of the long session, without its inputs
     missing = next(c for c in pipelines
                    if c["name"] == "missing-input/long_session")
@@ -47,7 +52,10 @@ def test_compare_trees_builds_its_cases(tmp_path, monkeypatch):
     assert all(steps[k]["inputs"] for k in homes[:-1])
     assert {int(c["name"].split()[0]) for c in mutations} == set(range(5))
     for case in pipelines + mutations:
-        assert case["argv"][0] in ("pipeline", "instrument", "run", "report")
+        if case["name"] == "bench/json":  # writes no file
+            continue
+        assert case["argv"][0] in ("pipeline", "instrument", "run", "report",
+                                   "bench")
         assert any(a.startswith("{out}") for a in case["argv"]), case["name"]
     # the .papp cases: each one line-level edit of the weather fixture,
     # run through analyze

@@ -9,9 +9,11 @@ from anywhere; it compares against this tree's `src/`.
 There are three kinds of case, all for seed N (default 1):
 - pipelines: `pipeline` on every benchmark workload's apps and traces,
   written by `perfbench/gen.py` (imported, not changed), on the weather
-  fixture with and without a fixed hints file, and on `long_session`
-  with its last `home` step's inputs removed, which fails in a body the
-  statement walk has compiled;
+  fixture with and without a fixed hints file and with `--json`, and on
+  `long_session` with its last `home` step's inputs removed, which fails
+  in a body the statement walk has compiled; and `bench`, with
+  `--out bench.json` and with `--json`, so that both reach the untyped
+  JSON writer;
 - mutations: K (default 2,000) mutations drawn with `random.Random(N)`
   from `tests/test_cli_fuzz.py`'s valid JSON inputs, each one input
   changed at one position by the fuzz test's own `_positions` and
@@ -83,6 +85,7 @@ def pipeline_cases(seed: int, inputs: Path) -> list[dict]:
                 hints.write_text(json.dumps(WEATHER_HINTS), encoding="utf-8")
                 cases.append({"name": "hints/weather",
                               "argv": argv + ["--hints", str(hints)]})
+                cases.append({"name": "json/weather", "argv": argv + ["--json"]})
             if w.name == "long_session":
                 steps = json.loads(w.trace.read_text(encoding="utf-8"))
                 last = max(k for k, step in enumerate(steps)
@@ -93,7 +96,9 @@ def pipeline_cases(seed: int, inputs: Path) -> list[dict]:
                 cases.append({"name": "missing-input/long_session",
                               "argv": ["pipeline", str(w.papp), "--trace",
                                        str(trace), "--outdir", "{out}"]})
-    return cases
+    return cases + [
+        {"name": "bench/out", "argv": ["bench", "--out", "{out}/bench.json"]},
+        {"name": "bench/json", "argv": ["bench", "--json"]}]
 
 
 def mutation_cases(seed: int, count: int,
